@@ -54,7 +54,6 @@ from .ktheory import (
 )
 from .oscillator import (
     HermiteBasis,
-    OperatorMatrix,
     algebra_diagonals,
     bounded_transform,
     diagonal_elements,
@@ -73,7 +72,6 @@ from .pairing import (
     graded_heat_trace,
     index_pairing,
     report_to_json_dict,
-    reports_to_csv,
     sweep,
 )
 from .periodic import PeriodicFunction, smooth_step

@@ -9,22 +9,11 @@ code 1 and a diagnostic line on stderr; configuration errors exit with 2.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, heatzeta, ktheory, pairing
 from .heatzeta import RealLineFunction
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    hbar: float
-    modes: int
-    grid: int
-    quad: int | None
-    fmt: str
-    output: str | None
 
 
 def _fmt(x):
@@ -58,8 +47,8 @@ def _registry_function(name, hbar, grid, coeffs=None):
     raise ValueError(f"unknown function name {name!r}")
 
 
-def _write(config, header, rows, json_payload=None):
-    if config.fmt == "json":
+def _write(args, header, rows, json_payload=None):
+    if args.fmt == "json":
         text = json.dumps(
             json_payload
             if json_payload is not None
@@ -71,8 +60,8 @@ def _write(config, header, rows, json_payload=None):
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -81,14 +70,14 @@ def _write(config, header, rows, json_payload=None):
 # ---------------- subcommands ----------------
 
 
-def _cmd_heat_kernel(args, config):
+def _cmd_heat_kernel(args):
     xs = np.linspace(-args.range, args.range, args.samples)
     mehler = np.array([heatzeta.mehler_kernel(args.t, x, x) for x in xs])
     eigen = heatzeta.mehler_eigen_sum(args.t, xs, xs, n_modes=200)
     eigen = np.atleast_1d(eigen)
     rows = [(x, m, e, abs(m - e)) for x, m, e in zip(xs, mehler, eigen)]
     _write(
-        config,
+        args,
         ("x", "mehler_diag", "eigen_sum_diag", "abs_deviation"),
         rows,
         {
@@ -99,8 +88,8 @@ def _cmd_heat_kernel(args, config):
     )
 
 
-def _cmd_zeta(args, config):
-    f = _registry_function(args.f, config.hbar, config.grid, args.coeffs)
+def _cmd_zeta(args):
+    f = _registry_function(args.f, args.hbar, args.grid, args.coeffs)
     s_values = [complex(s) for s in args.s_list.split(",")]
     evals = [
         heatzeta.zeta_trace(f, args.alpha, s, n_modes=args.n_modes) for s in s_values
@@ -110,7 +99,7 @@ def _cmd_zeta(args, config):
         for ev in evals
     ]
     _write(
-        config,
+        args,
         ("s_re", "s_im", "value_re", "value_im", "error_estimate"),
         rows,
         {
@@ -130,8 +119,8 @@ def _cmd_zeta(args, config):
     )
 
 
-def _cmd_mean(args, config):
-    f = _registry_function(args.f, config.hbar, config.grid, args.coeffs)
+def _cmd_mean(args):
+    f = _registry_function(args.f, args.hbar, args.grid, args.coeffs)
     res = heatzeta.asymptotic_mean(f, x_max=args.xmax)
     row = (
         complex(res.mu_plus).real,
@@ -143,73 +132,73 @@ def _cmd_mean(args, config):
         res.error_estimate,
     )
     _write(
-        config,
+        args,
         ("mu_plus_re", "mu_plus_im", "mu_minus_re", "mu_minus_im",
          "mu_re", "mu_im", "error_estimate"),
         [row],
     )
 
 
-def _cmd_rieffel(args, config):
-    p = algebra.rieffel_projection(config.hbar, n_samples=config.grid)
+def _cmd_rieffel(args):
+    p = algebra.rieffel_projection(args.hbar, n_samples=args.grid)
     d_idem, d_adj = algebra.projection_defect(p)
     tr = algebra.trace(p)
     c1 = algebra.chern_number(p)
-    row = (config.hbar, d_idem, d_adj, tr.real, c1.real, c1.imag)
+    row = (args.hbar, d_idem, d_adj, tr.real, c1.real, c1.imag)
     _write(
-        config,
+        args,
         ("hbar", "idempotent_defect", "selfadjoint_defect", "trace",
          "chern_re", "chern_im"),
         [row],
     )
 
 
-def _pair_rows(config, reports):
+def _pair_rows(args, reports):
     rows = [
         (r.hbar, r.closed_form, r.local_formula, r.fedosov, r.rounded_integer)
         for r in reports
     ]
     _write(
-        config,
-        pairing.CSV_HEADER,
+        args,
+        ("hbar", "closed_form", "local_formula", "fedosov", "integer"),
         rows,
         {"reports": [pairing.report_to_json_dict(r) for r in reports]},
     )
 
 
-def _grid_factor(config):
+def _grid_factor(args):
     # --quad fixes K for N requested modes; internal bases keep that density
-    if config.quad is None:
+    if args.quad is None:
         return 8
-    return max(2, round((config.quad - 1) / config.modes))
+    return max(2, round((args.quad - 1) / args.modes))
 
 
-def _cmd_pair(args, config):
-    p = algebra.rieffel_projection(config.hbar, n_samples=config.grid)
+def _cmd_pair(args):
+    p = algebra.rieffel_projection(args.hbar, n_samples=args.grid)
     report = pairing.index_pairing(
-        p, basis_size=config.modes, n_modes=args.zeta_modes,
-        grid_factor=_grid_factor(config),
+        p, basis_size=args.modes, n_modes=args.zeta_modes,
+        grid_factor=_grid_factor(args),
     )
-    _pair_rows(config, [report])
+    _pair_rows(args, [report])
 
 
-def _cmd_sweep(args, config):
+def _cmd_sweep(args):
     hbars = [float(h) for h in args.hbars.split(",")]
     reports = pairing.sweep(
-        hbars, basis_size=config.modes, n_modes=args.zeta_modes,
-        grid_factor=_grid_factor(config),
+        hbars, basis_size=args.modes, n_modes=args.zeta_modes,
+        grid_factor=_grid_factor(args),
     )
-    _pair_rows(config, reports)
+    _pair_rows(args, reports)
 
 
-def _cmd_ktheory(args, config):
+def _cmd_ktheory(args):
     x = ktheory.KClass(args.m, args.n)
-    pair_value = ktheory.k_pairing(x, config.hbar, args.b)
-    tr = ktheory.trace_value(x, config.hbar)
-    member = ktheory.in_gap_label_group(tr, config.hbar)
-    row = (args.m, args.n, config.hbar, args.b, pair_value, tr, int(member))
+    pair_value = ktheory.k_pairing(x, args.hbar, args.b)
+    tr = ktheory.trace_value(x, args.hbar)
+    member = ktheory.in_gap_label_group(tr, args.hbar)
+    row = (args.m, args.n, args.hbar, args.b, pair_value, tr, int(member))
     _write(
-        config,
+        args,
         ("m", "n", "hbar", "b", "pairing", "trace_value", "in_gap_group"),
         [row],
     )
@@ -307,24 +296,31 @@ def _apply_config_file(parser, argv):
                 key, _, value = line.partition("=")
                 if not _:
                     raise ValueError(f"malformed line {line!r}")
-                overrides[key.strip().replace("-", "_")] = value.strip()
+                overrides[key.strip()] = value.strip()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
     except ValueError as exc:
         parser.error(f"bad config file: {exc}")
-    typed = {}
-    for key, value in overrides.items():
-        if key in ("hbar", "xmax", "alpha", "t", "range"):
-            typed[key] = float(value)
-        elif key in ("modes", "grid", "quad", "samples", "n_modes", "zeta_modes",
-                     "m", "n", "b"):
-            typed[key] = int(value)
-        else:
-            typed[key] = value
-    parser.set_defaults(**typed)
+    # each key names a long option; its action gives the dest, type and choices
+    actions = {}
     for sp in parser.subcommand_parsers:
-        sp.set_defaults(**{k: v for k, v in typed.items()
-                           if any(a.dest == k for a in sp._actions)})
+        for action in sp._actions:
+            if action.dest not in ("help", "config"):
+                for option in action.option_strings:
+                    actions.setdefault(option, []).append((sp, action))
+    for key, value in overrides.items():
+        targets = actions.get("--" + key.replace("_", "-"))
+        if not targets:
+            parser.error(f"bad config file: unknown key {key!r}")
+        for sp, action in targets:
+            try:
+                typed = value if action.type is None else action.type(value)
+                valid = action.choices is None or typed in action.choices
+            except ValueError:
+                valid = False
+            if not valid:
+                parser.error(f"bad config file: invalid {key} value {value!r}")
+            sp.set_defaults(**{action.dest: typed})
 
 
 def _validate(parser, args):
@@ -341,16 +337,8 @@ def main(argv=None):
     _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
     _validate(parser, args)
-    config = RunConfig(
-        hbar=args.hbar,
-        modes=args.modes,
-        grid=args.grid,
-        quad=args.quad,
-        fmt=args.fmt,
-        output=args.output,
-    )
     try:
-        args.func(args, config)
+        args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -112,6 +112,19 @@ class EntireZetaReport:
         return decreasing and abs(self.residue_extrapolated) <= self.tolerance
 
 
+def _quad_complex(func, a, b, **kw):
+    """quad of a complex integrand as two real quads; (value, error bound)."""
+    re, re_err = quad(lambda t: np.real(func(t)), a, b, **kw)
+    im, im_err = quad(lambda t: np.imag(func(t)), a, b, **kw)
+    return re + 1j * im, re_err + im_err
+
+
+def _integral_from_zero(f, x):
+    """int_0^x f, with a subinterval limit that grows with |x|."""
+    value, _ = _quad_complex(f, 0.0, x, limit=200 + int(8 * abs(x)))
+    return value
+
+
 # ---------------- heat kernel ----------------
 
 
@@ -181,18 +194,11 @@ def heat_trace_weighted(f, alpha, t):
     if t <= 0:
         raise ValueError("time must be positive")
     alpha = float(alpha)
-
-    def integrand_re(x):
-        return np.real(f(x) * mehler_kernel(t, x - alpha, x))
-
-    def integrand_im(x):
-        return np.imag(f(x) * mehler_kernel(t, x - alpha, x))
-
     # the diagonal is a Gaussian of width 1/sqrt(tanh t) centred at alpha/2
     width = abs(alpha) / 2.0 + 12.0 / np.sqrt(np.tanh(t))
-    re, _ = quad(integrand_re, -width, width, epsabs=1e-13, epsrel=1e-12, limit=400)
-    im, _ = quad(integrand_im, -width, width, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return re + 1j * im
+    value, _ = _quad_complex(lambda x: f(x) * mehler_kernel(t, x - alpha, x),
+                             -width, width, epsabs=1e-13, epsrel=1e-12, limit=400)
+    return value
 
 
 # ---------------- zeta machinery ----------------
@@ -213,10 +219,8 @@ def period_mean(f):
     """Ordinary mean of a periodic callable over one period."""
     if f.kind != "periodic":
         raise ValueError("period_mean requires periodic metadata")
-    rho = f.period
-    re, _ = quad(lambda x: np.real(f(x)), 0.0, rho, limit=200)
-    im, _ = quad(lambda x: np.imag(f(x)), 0.0, rho, limit=200)
-    return (re + 1j * im) / rho
+    value, _ = _quad_complex(f, 0.0, f.period, limit=200)
+    return value / f.period
 
 
 def spectral_diagonals(f, alpha, n_modes):
@@ -233,12 +237,6 @@ def _tail_mean(f, alpha):
     if f.kind == "has_limits":
         return 0.5 * (f.limits[0] + f.limits[1])
     return None
-
-
-def _quad_complex(func, a, b, **kw):
-    re, re_err = quad(lambda t: np.real(func(t)), a, b, **kw)
-    im, im_err = quad(lambda t: np.imag(func(t)), a, b, **kw)
-    return re + 1j * im, re_err + im_err
 
 
 def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
@@ -329,14 +327,6 @@ def residue_by_extrapolation(f, n_modes=2000, diagonals=None, steps=(0.1, 0.01, 
 # ---------------- asymptotic means ----------------
 
 
-def _running_mean(f, x):
-    """(1/x) int_0^x f, by adaptive quadrature."""
-    lim = 200 + int(8 * abs(x))
-    re, _ = quad(lambda u: np.real(f(u)), 0.0, x, limit=lim)
-    im, _ = quad(lambda u: np.imag(f(u)), 0.0, x, limit=lim)
-    return (re + 1j * im) / x
-
-
 def asymptotic_mean(f, x_max=32.0):
     """One-sided Cesaro means mu_plus, mu_minus and their average.
 
@@ -351,7 +341,7 @@ def asymptotic_mean(f, x_max=32.0):
 
     def one_side(sign):
         xs = np.array([x_max / 4.0, x_max / 2.0, x_max])
-        rs = np.array([_running_mean(f, sign * x) for x in xs])
+        rs = np.array([_integral_from_zero(f, sign * x) / (sign * x) for x in xs])
         design = np.column_stack(
             [np.ones(3), 1.0 / xs, np.log(xs) / xs]
         )
@@ -403,16 +393,12 @@ def dixmier_limit(f, alpha_max=8.0):
     g_floor = _gaussian_average(f, u_floor)
 
     def level(a):
-        inner, _ = quad(
-            lambda u: np.real(_gaussian_average(f, u)) * u ** (1.0 / a - 1.0),
-            u_floor, 1.0, limit=400,
-        )
-        inner_im, _ = quad(
-            lambda u: np.imag(_gaussian_average(f, u)) * u ** (1.0 / a - 1.0),
+        inner, _ = _quad_complex(
+            lambda u: _gaussian_average(f, u) * u ** (1.0 / a - 1.0),
             u_floor, 1.0, limit=400,
         )
         closure = g_floor * u_floor ** (1.0 / a)
-        return 0.5 * ((inner + 1j * inner_im) / a + closure)
+        return 0.5 * (inner / a + closure)
 
     i_half = level(alpha_max / 2.0)
     i_full = level(alpha_max)
@@ -449,11 +435,8 @@ def delta_map(f, x_max=64.0):
         x = float(x)
         if x == 0.0:
             return 0.0 + 0.0j
-        lim = 200 + int(8 * abs(x))
-        re, _ = quad(lambda u: np.real(f(u)), 0.0, x, limit=lim)
-        im, _ = quad(lambda u: np.imag(f(u)), 0.0, x, limit=lim)
         slope = mu_p if x >= 0 else mu_m
-        return re + 1j * im - slope * x
+        return _integral_from_zero(f, x) - slope * x
 
     def func(x):
         xs = np.asarray(x, dtype=float)

@@ -17,7 +17,6 @@ asserted on the top-left floor(N/2) block only; full-matrix violations near
 the edge are expected and are not defects.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -119,45 +118,6 @@ class HermiteBasis:
         )
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix of an operator in (one or two copies of) the Hermite basis."""
-
-    mat: np.ndarray
-    basis: HermiteBasis = field(repr=False, default=None)
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def interior(self, k=None):
-        """Top-left block quarantining the truncation edge (default N/2)."""
-        if k is None:
-            k = self.mat.shape[0] // 2
-        return self.mat[:k, :k]
-
-    def adjoint(self):
-        return OperatorMatrix(self.mat.conj().T, self.basis)
-
-    def hermitian_defect(self):
-        return float(np.abs(self.mat - self.mat.conj().T).max())
-
-    def __matmul__(self, other):
-        other_mat = other.mat if isinstance(other, OperatorMatrix) else other
-        return OperatorMatrix(self.mat @ other_mat, self.basis)
-
-    def __add__(self, other):
-        other_mat = other.mat if isinstance(other, OperatorMatrix) else other
-        return OperatorMatrix(self.mat + other_mat, self.basis)
-
-    def __sub__(self, other):
-        other_mat = other.mat if isinstance(other, OperatorMatrix) else other
-        return OperatorMatrix(self.mat - other_mat, self.basis)
-
-    def __rmul__(self, scalar):
-        return OperatorMatrix(scalar * self.mat, self.basis)
-
-
 def ladder_matrices(basis):
     """Ladder pair, oscillator, block Dirac matrix and grading.
 
@@ -175,28 +135,20 @@ def ladder_matrices(basis):
     d[:n, n:] = a.T
     d[n:, :n] = a
     grading = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return (
-        OperatorMatrix(a, basis),
-        OperatorMatrix(a.T, basis),
-        OperatorMatrix(h, basis),
-        OperatorMatrix(d, basis),
-        OperatorMatrix(grading, basis),
-    )
+    return a, a.T, h, d, grading
 
 
 def multiplication_matrix(f, basis):
     """Matrix of multiplication by f: entries quad(f psi_m psi_n)."""
     values = np.asarray(f(basis.grid))
     rows = basis.rows
-    return OperatorMatrix((rows * (basis.weight * values)) @ rows.T, basis)
+    return (rows * (basis.weight * values)) @ rows.T
 
 
 def translation_matrix(alpha, basis):
     """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge."""
     rows = basis.rows
-    return OperatorMatrix(
-        (rows * basis.weight) @ basis.rows_shifted(float(alpha)).T, basis
-    )
+    return (rows * basis.weight) @ basis.rows_shifted(float(alpha)).T
 
 
 def represent(a, basis):
@@ -209,14 +161,14 @@ def represent(a, basis):
     n_modes = basis.n_modes
     out = np.zeros((n_modes, n_modes), dtype=complex)
     for n, f in a.items():
-        mf = multiplication_matrix(f, basis).mat
+        mf = multiplication_matrix(f, basis)
         if n == 0:
             out += mf
         elif n > 0:
-            out += mf @ translation_matrix(n * a.hbar, basis).mat
+            out += mf @ translation_matrix(n * a.hbar, basis)
         else:
-            out += mf @ translation_matrix(-n * a.hbar, basis).mat.T
-    return OperatorMatrix(out, basis)
+            out += mf @ translation_matrix(-n * a.hbar, basis).T
+    return out
 
 
 def bounded_transform(basis):
@@ -225,12 +177,9 @@ def bounded_transform(basis):
     Returns (F_plus, F_minus) = (A H^{-1/2}, A* (H+2)^{-1/2}).  On interior
     modes F_minus F_plus = I - H^{-1} and F_plus F_minus = I - (H+2)^{-1}.
     """
-    n = basis.n_modes
     a, a_dag, h, _, _ = ladder_matrices(basis)
-    hd = np.diag(h.mat)
-    f_plus = a.mat / np.sqrt(hd)[None, :]
-    f_minus = a_dag.mat / np.sqrt(hd + 2.0)[None, :]
-    return OperatorMatrix(f_plus, basis), OperatorMatrix(f_minus, basis)
+    hd = np.diag(h)
+    return a / np.sqrt(hd)[None, :], a_dag / np.sqrt(hd + 2.0)[None, :]
 
 
 def diagonal_elements(weighted_shifts, n_modes, pad=6.0, grid_factor=8):

@@ -8,21 +8,20 @@ Three independent routes are reconciled per deformation parameter:
   whose degree-2 part is evaluated symbolically through the algebra trace;
 * an operator index of the projection-compressed phase of the Dirac block.
 
-The operator route counts near-zero singular vectors of the compressed
-lowering phase and classifies them by where their mass sits: the defect
+The operator route counts singular vectors of the compressed lowering phase
+below a fixed cut and classifies them by where their mass sits: the defect
 operators of the compression differ from projections by compacts, so the
-genuine kernel and cokernel directions are finitely many, well separated
-from the continuum near one, and concentrated in low modes, while the
-spurious rank defects of a finite section sit against the truncation edge.
-A working basis twice the requested size supplies the guard band.  (A
-finite square section of the naive trace formula for the index vanishes
-identically, since the two defect factors are similar matrices; counting
-the stabilized kernels through a bulk window is the finite-section limit
-of the high-order trace formula.)
+genuine kernel and cokernel directions are finitely many and concentrated in
+low modes, while the spurious rank defects of a finite section sit against
+the truncation edge.  A working basis twice the requested size supplies the
+guard band.  The cut is heuristic, not a spectral gap: at 400 modes and
+hbar = 0.3 singular values of 0.486 and 0.512 lie on either side of the
+default cut of 0.5.  (A finite square section of the naive trace formula for
+the index vanishes identically, since the two defect factors are similar
+matrices; counting the stabilized kernels through a bulk window is the
+finite-section limit of the high-order trace formula.)
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     chern_number,
-    delta1,
-    delta2,
-    multiply,
+    cyclic_cocycle,
     projection_defect,
     rieffel_projection,
     trace,
@@ -93,18 +90,12 @@ def character_degree0(a, n_modes=2000, t_list=DEFAULT_T_LIST):
 def character_degree2(a0, a1, a2):
     """Degree-2 part of the index character, evaluated symbolically.
 
-    (hbar / 2 pi i) (tr(a0 d1(a1) d2(a2)) - tr(a0 d2(a1) d1(a2))), the
-    curvature cocycle scaled by the deformation parameter.  On a projection
-    e the combination character_degree2(e - 1/2, e, e) equals
-    hbar * chern_number(e), the half-unit term dropping out as the trace of
-    a commutator.
+    (hbar / 2 pi i) cyclic_cocycle(a0, a1, a2), the curvature cocycle scaled
+    by the deformation parameter.  On a projection e the combination
+    character_degree2(e - 1/2, e, e) equals hbar * chern_number(e), the
+    half-unit term dropping out as the trace of a commutator.
     """
-    a0._check_hbar(a1)
-    a0._check_hbar(a2)
-    hbar = a0.hbar
-    term1 = trace(multiply(a0, multiply(delta1(a1), delta2(a2))))
-    term2 = trace(multiply(a0, multiply(delta2(a1), delta1(a2))))
-    return hbar / (2j * np.pi) * (term1 - term2)
+    return a0.hbar / (2j * np.pi) * cyclic_cocycle(a0, a1, a2)
 
 
 def fedosov_index(e, basis_size=400, oversample=2, sigma_cut=0.5, cluster_tol=0.05,
@@ -127,7 +118,7 @@ def fedosov_index(e, basis_size=400, oversample=2, sigma_cut=0.5, cluster_tol=0.
         raise ValueError("operator index needs a basis of at least 200 modes")
     n_big = int(oversample) * int(basis_size)
     basis = HermiteBasis(n_big, n_quad=grid_factor * n_big + 1)
-    rep = represent(e, basis).mat
+    rep = represent(e, basis)
     herm = 0.5 * (rep + rep.conj().T)
     evals, evecs = np.linalg.eigh(herm)
     off = np.minimum(np.abs(evals), np.abs(evals - 1.0))
@@ -147,7 +138,7 @@ def fedosov_index(e, basis_size=400, oversample=2, sigma_cut=0.5, cluster_tol=0.
     keep = evals >= 0.5
     v1 = evecs[:, keep]
     f_plus, _ = bounded_transform(basis)
-    compressed = v1.conj().T @ f_plus.mat @ v1
+    compressed = v1.conj().T @ f_plus @ v1
     u, sigma, vh = np.linalg.svd(compressed)
     count = 0
     for k in np.nonzero(sigma < sigma_cut)[0]:
@@ -206,8 +197,6 @@ def sweep(hbars, basis_size=400, n_modes=2000, grid_factor=8):
 
 # ---------------- emission ----------------
 
-CSV_HEADER = ("hbar", "closed_form", "local_formula", "fedosov", "integer")
-
 
 def report_to_json_dict(report):
     return {
@@ -219,20 +208,3 @@ def report_to_json_dict(report):
         "residuals": list(report.residuals),
         "basis_size": report.basis_size,
     }
-
-
-def reports_to_csv(reports):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        writer.writerow(
-            [
-                format(r.hbar, ".15g"),
-                format(r.closed_form, ".15g"),
-                format(r.local_formula, ".15g"),
-                format(r.fedosov, ".15g"),
-                r.rounded_integer,
-            ]
-        )
-    return buf.getvalue()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,8 +89,6 @@ def test_ktheory_row(capsys):
 
 
 def test_json_format(capsys):
-    import json
-
     code, out, _ = run_cli(
         capsys, "ktheory", "--m", "1", "--n", "0", "--hbar", "0.3", "--format", "json"
     )
@@ -108,6 +108,36 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[0][0] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("hbr = 0.4", "unknown key 'hbr'"),
+        ("modes = abc", "invalid modes value 'abc'"),
+        ("format = xml", "invalid format value 'xml'"),
+        ("hbar 0.4", "malformed line"),
+    ],
+)
+def test_bad_config_exits_two(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["rieffel", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: bad config file" in err
+    assert message in err
+
+
+def test_config_file_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    code, out, _ = run_cli(
+        capsys, "ktheory", "--m", "1", "--n", "0", "--hbar", "0.3", "--config", str(cfg)
+    )
+    assert code == 0
+    assert json.loads(out)["rows"][0][4] == 1.0
 
 
 def test_invalid_grid_exits_two(capsys):

@@ -54,51 +54,51 @@ def test_gram_orthonormality(basis200):
 def test_ladder_matrix_entries(basis200):
     a, a_dag, h, d, grading = ladder_matrices(basis200)
     n = basis200.n_modes
-    assert abs(a.mat[0, 1] - np.sqrt(2.0)) < 1e-15
+    assert abs(a[0, 1] - np.sqrt(2.0)) < 1e-15
     interior = np.s_[: n - 1, : n - 1]
-    assert np.abs((a.mat @ a_dag.mat - h.mat - np.eye(n))[interior]).max() < 1e-12
-    assert np.abs(a_dag.mat @ a.mat - h.mat + np.eye(n)).max() < 1e-12
-    comm = a.mat @ a_dag.mat - a_dag.mat @ a.mat
+    assert np.abs((a @ a_dag - h - np.eye(n))[interior]).max() < 1e-12
+    assert np.abs(a_dag @ a - h + np.eye(n)).max() < 1e-12
+    comm = a @ a_dag - a_dag @ a
     assert np.abs((comm - 2.0 * np.eye(n))[interior]).max() < 1e-12
-    d2 = d.mat @ d.mat
+    d2 = d @ d
     expected = np.zeros_like(d2)
-    expected[:n, :n] = h.mat - np.eye(n)
-    expected[n:, n:] = h.mat + np.eye(n)
+    expected[:n, :n] = h - np.eye(n)
+    expected[n:, n:] = h + np.eye(n)
     assert np.abs((d2 - expected)[: 2 * n - 2, : 2 * n - 2][interior]).max() < 1e-12
-    assert np.abs(grading.mat @ d.mat + d.mat @ grading.mat).max() < 1e-15
+    assert np.abs(grading @ d + d @ grading).max() < 1e-15
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_translation_ground_state_overlap(alpha, basis200):
     # Gaussian integral oracle: <psi0, T_alpha psi0> = e^{-alpha^2/4}
     t = translation_matrix(alpha, basis200)
-    assert abs(t.mat[0, 0] - np.exp(-alpha * alpha / 4.0)) < 1e-10
+    assert abs(t[0, 0] - np.exp(-alpha * alpha / 4.0)) < 1e-10
 
 
 def test_translation_identity_and_unitarity(basis200):
     n = basis200.n_modes
     t0 = translation_matrix(0.0, basis200)
-    assert np.abs(t0.mat - np.eye(n)).max() < 1e-10
+    assert np.abs(t0 - np.eye(n)).max() < 1e-10
     t = translation_matrix(HBAR, basis200)
-    defect = (t.mat @ t.mat.T - np.eye(n))[: n // 2, : n // 2]
+    defect = (t @ t.T - np.eye(n))[: n // 2, : n // 2]
     assert np.abs(defect).max() < 1e-10
 
 
 def test_multiplication_ground_state_overlap(basis200):
     # Gaussian integral oracle: <psi0, e^{2 pi i x} psi0> = e^{-pi^2}
     u = multiplication_matrix(PeriodicFunction.exponential(1), basis200)
-    assert abs(u.mat[0, 0] - np.exp(-np.pi ** 2)) < 1e-12
+    assert abs(u[0, 0] - np.exp(-np.pi ** 2)) < 1e-12
 
 
 def test_represent_identity(basis200):
     one = AlgebraElement.unit(HBAR)
     rep = represent(one, basis200)
-    assert np.abs(rep.mat - np.eye(basis200.n_modes)).max() < 1e-12
+    assert np.abs(rep - np.eye(basis200.n_modes)).max() < 1e-12
 
 
 def test_represent_commutation_interior(basis400):
-    u = represent(AlgebraElement.circle_generator(HBAR), basis400).mat
-    v = represent(AlgebraElement.shift_generator(HBAR), basis400).mat
+    u = represent(AlgebraElement.circle_generator(HBAR), basis400)
+    v = represent(AlgebraElement.shift_generator(HBAR), basis400)
     half = basis400.n_modes // 2
     defect = (v @ u - np.exp(-2j * np.pi * HBAR) * u @ v)[:half, :half]
     assert np.abs(defect).max() < 1e-6
@@ -116,8 +116,8 @@ def test_represent_homomorphism_interior(basis400, rng):
         return AlgebraElement(HBAR, coeffs)
 
     a, b = element(), element()
-    lhs = represent(a, basis400).mat @ represent(b, basis400).mat
-    rhs = represent(alg_multiply(a, b), basis400).mat
+    lhs = represent(a, basis400) @ represent(b, basis400)
+    rhs = represent(alg_multiply(a, b), basis400)
     half = basis400.n_modes // 2
     assert np.abs((lhs - rhs)[:half, :half]).max() < 1e-6
 
@@ -128,14 +128,14 @@ def test_bounded_transform_identities(basis200):
     h_inv = np.diag(1.0 / (2.0 * np.arange(n) + 1.0))
     h2_inv = np.diag(1.0 / (2.0 * np.arange(n) + 3.0))
     interior = np.s_[: n - 1, : n - 1]
-    assert np.abs((f_minus.mat @ f_plus.mat + h_inv - np.eye(n))[interior]).max() < 1e-12
-    assert np.abs((f_plus.mat @ f_minus.mat + h2_inv - np.eye(n))[interior]).max() < 1e-12
-    assert np.abs(f_plus.mat[:, 0]).max() == 0.0  # annihilates the ground state
+    assert np.abs((f_minus @ f_plus + h_inv - np.eye(n))[interior]).max() < 1e-12
+    assert np.abs((f_plus @ f_minus + h2_inv - np.eye(n))[interior]).max() < 1e-12
+    assert np.abs(f_plus[:, 0]).max() == 0.0  # annihilates the ground state
 
 
 def test_bounded_transform_singular_values(basis200):
     f_plus, _ = bounded_transform(basis200)
-    sigma = np.sort(np.linalg.svd(f_plus.mat, compute_uv=False))
+    sigma = np.sort(np.linalg.svd(f_plus, compute_uv=False))
     k = np.arange(basis200.n_modes)
     expected = np.sort(np.sqrt(2.0 * k / (2.0 * k + 1.0)))
     assert np.abs(sigma - expected).max() < 1e-12
@@ -151,12 +151,12 @@ def test_symbolic_vs_matrix_commutators(basis400):
     a_mat, a_dag_mat, _, _, _ = ladder_matrices(basis400)
     half = basis400.n_modes // 2
     for elem in family:
-        rep = represent(elem, basis400).mat
+        rep = represent(elem, basis400)
         plus, minus = ladder_commutators(elem)
-        lhs_plus = a_mat.mat @ rep - rep @ a_mat.mat
-        lhs_minus = a_dag_mat.mat @ rep - rep @ a_dag_mat.mat
-        rhs_plus = represent(plus, basis400).mat
-        rhs_minus = represent(minus, basis400).mat
+        lhs_plus = a_mat @ rep - rep @ a_mat
+        lhs_minus = a_dag_mat @ rep - rep @ a_dag_mat
+        rhs_plus = represent(plus, basis400)
+        rhs_minus = represent(minus, basis400)
         assert np.abs((lhs_plus - rhs_plus)[:half, :half]).max() < 1e-6
         assert np.abs((lhs_minus - rhs_minus)[:half, :half]).max() < 1e-6
 

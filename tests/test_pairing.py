@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -13,9 +14,9 @@ from nctorus import (
     graded_heat_trace,
     index_pairing,
     report_to_json_dict,
-    reports_to_csv,
     rieffel_projection,
 )
+from nctorus.cli import _pair_rows
 
 HBAR = 0.3
 
@@ -117,9 +118,11 @@ def test_closed_form_staircase_values():
     assert abs(closed - 1.0) < 1e-6
 
 
-def test_report_emission(p03):
+def test_report_emission(p03, capsys):
     report = index_pairing(p03, basis_size=200, n_modes=400)
-    csv_text = reports_to_csv([report])
+    args = argparse.Namespace(fmt="csv", output=None)
+    _pair_rows(args, [report])
+    csv_text = capsys.readouterr().out
     lines = csv_text.strip().split("\n")
     assert lines[0] == "hbar,closed_form,local_formula,fedosov,integer"
     cells = lines[1].split(",")
@@ -128,4 +131,5 @@ def test_report_emission(p03):
     payload = json.dumps(report_to_json_dict(report))
     back = json.loads(payload)
     assert back["integer"] == report.rounded_integer
-    assert reports_to_csv([report]) == csv_text  # deterministic
+    _pair_rows(args, [report])
+    assert capsys.readouterr().out == csv_text  # deterministic
