@@ -209,19 +209,20 @@ def _cmd_ktheory(args):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=0.3,
-                        help="deformation parameter (default 0.3)")
-    common.add_argument("--modes", type=int, default=400,
-                        help="Hermite modes N for operator computations (default 400)")
-    common.add_argument("--grid", type=int, default=2048,
-                        help="circle sample count M, a power of two (default 2048)")
-    common.add_argument("--quad", type=int, default=None,
-                        help="quadrature point count K (default 8N+1)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format (default csv)")
     common.add_argument("--output", default=None, help="output path (default stdout)")
     common.add_argument("--config", default=None,
                         help="key=value file supplying defaults; flags win")
+    hbar, grid, operator = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    hbar.add_argument("--hbar", type=float, default=0.3,
+                      help="deformation parameter (default 0.3)")
+    grid.add_argument("--grid", type=int, default=2048,
+                      help="circle sample count M, a power of two (default 2048)")
+    operator.add_argument("--modes", type=int, default=400,
+                          help="Hermite modes N for operator computations (default 400)")
+    operator.add_argument("--quad", type=int, default=None,
+                          help="quadrature point count K (default 8N+1)")
 
     parser = argparse.ArgumentParser(
         prog="nctorus",
@@ -237,7 +238,7 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=81)
     p.set_defaults(func=_cmd_heat_kernel)
 
-    p = sub.add_parser("zeta", parents=[common], help="spectral zeta values")
+    p = sub.add_parser("zeta", parents=[common, hbar, grid], help="spectral zeta values")
     p.add_argument("--f", required=True,
                    help="one | cos | riesz-ramp | arctan | fourier")
     p.add_argument("--alpha", type=float, default=0.0)
@@ -247,28 +248,28 @@ def _build_parser():
                    help="cosine-series coefficients c0,c1,... for --f fourier")
     p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("mean", parents=[common], help="asymptotic means")
+    p = sub.add_parser("mean", parents=[common, hbar, grid], help="asymptotic means")
     p.add_argument("--f", required=True)
     p.add_argument("--xmax", type=float, default=32.0)
     p.add_argument("--coeffs", default=None)
     p.set_defaults(func=_cmd_mean)
 
-    p = sub.add_parser("rieffel", parents=[common],
+    p = sub.add_parser("rieffel", parents=[common, hbar, grid],
                        help="bump projection diagnostics")
     p.set_defaults(func=_cmd_rieffel)
 
-    p = sub.add_parser("pair", parents=[common],
+    p = sub.add_parser("pair", parents=[common, hbar, grid, operator],
                        help="three-route index pairing at one hbar")
     p.add_argument("--zeta-modes", type=int, default=2000)
     p.set_defaults(func=_cmd_pair)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, operator],
                        help="index pairing across several hbar values")
     p.add_argument("--hbars", required=True, help="comma-separated hbar values")
     p.add_argument("--zeta-modes", type=int, default=2000)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("ktheory", parents=[common],
+    p = sub.add_parser("ktheory", parents=[common, hbar],
                        help="exact class pairings and gap labels")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -276,6 +277,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_ktheory)
 
     parser.subcommand_parsers = list(sub.choices.values())
+    for sp in parser.subcommand_parsers:
+        sp.allow_abbrev = False  # "sweep --hbar 5" must not be read as --hbars
     return parser
 
 
@@ -321,13 +324,13 @@ def _apply_config_file(parser, argv):
             if not valid:
                 parser.error(f"bad config file: invalid {key} value {value!r}")
             sp.set_defaults(**{action.dest: typed})
+            action.required = False
 
 
 def _validate(parser, args):
-    if args.modes < 64:
+    if hasattr(args, "modes") and args.modes < 64:
         parser.error("--modes must be at least 64")
-    grid = args.grid
-    if grid < 256 or grid & (grid - 1):
+    if hasattr(args, "grid") and (args.grid < 256 or args.grid & (args.grid - 1)):
         parser.error("--grid must be a power of two, at least 256")
 
 

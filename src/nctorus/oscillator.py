@@ -23,6 +23,8 @@ import numpy as np
 
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 1e120
+# quadrature half-width beyond the classical turning point sqrt(2N + 3)
+QUAD_PAD = 6.0
 
 
 def _hermite_iter(x):
@@ -81,16 +83,12 @@ def hermite_rows(n_modes, x):
 class HermiteBasis:
     """First N oscillator eigenfunctions with a shared uniform quadrature."""
 
-    def __init__(self, n_modes, half_width=None, n_quad=None):
+    def __init__(self, n_modes, n_quad=None):
         n_modes = int(n_modes)
         if n_modes < 2:
             raise ValueError("need at least two modes")
         self.n_modes = n_modes
-        self.half_width = (
-            float(half_width)
-            if half_width is not None
-            else np.sqrt(2.0 * n_modes + 3.0) + 6.0
-        )
+        self.half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
         self.n_quad = int(n_quad) if n_quad is not None else 8 * n_modes + 1
         self.grid = np.linspace(-self.half_width, self.half_width, self.n_quad)
         self.weight = self.grid[1] - self.grid[0]
@@ -100,16 +98,9 @@ class HermiteBasis:
         """psi_n on the quadrature grid, shape (N, K)."""
         return hermite_rows(self.n_modes, self.grid)
 
-    def rows_shifted(self, alpha):
-        """psi_n on the grid displaced by alpha (values psi_n(x_j - alpha))."""
-        if alpha == 0.0:
-            return self.rows
-        return hermite_rows(self.n_modes, self.grid - alpha)
-
     def gram_defect(self):
         """Max deviation of the quadrature Gram matrix from the identity."""
-        g = (self.rows * self.weight) @ self.rows.T
-        return float(np.abs(g - np.eye(self.n_modes)).max())
+        return float(np.abs(translation_matrix(0.0, self) - np.eye(self.n_modes)).max())
 
     def __repr__(self):
         return (
@@ -138,36 +129,39 @@ def ladder_matrices(basis):
     return a, a.T, h, d, grading
 
 
+def _matrix_elements(values, alpha, basis):
+    """Quadrature matrix of int v psi_m psi_n(. - alpha), v sampled on the grid.
+
+    A complex v runs as two real GEMMs, half the flops of the complex GEMM
+    that numpy would upcast complex-by-real to.
+    """
+    weighted = basis.weight * np.asarray(values)
+    shifted = basis.rows if alpha == 0 else hermite_rows(basis.n_modes, basis.grid - alpha)
+    if np.iscomplexobj(weighted):
+        return ((basis.rows * weighted.real) @ shifted.T
+                + 1j * ((basis.rows * weighted.imag) @ shifted.T))
+    return (basis.rows * weighted) @ shifted.T
+
+
 def multiplication_matrix(f, basis):
     """Matrix of multiplication by f: entries quad(f psi_m psi_n)."""
-    values = np.asarray(f(basis.grid))
-    rows = basis.rows
-    return (rows * (basis.weight * values)) @ rows.T
+    return _matrix_elements(f(basis.grid), 0.0, basis)
 
 
 def translation_matrix(alpha, basis):
     """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge."""
-    rows = basis.rows
-    return (rows * basis.weight) @ basis.rows_shifted(float(alpha)).T
+    return _matrix_elements(1.0, alpha, basis)
 
 
 def represent(a, basis):
-    """Line representation of an algebra element: sum_n M_{f_n} T(n hbar).
+    """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis.
 
-    Powers of the generating translation are realized as single translations
-    by n*hbar (exact on the interpolant and avoiding compounded truncation);
-    negative powers use the transpose, which is the adjoint here.
+    Each degree n is one quadrature of f_n psi_j psi_k(. - n hbar): a single
+    translation by n*hbar of either sign, not a product P M_f P . P T P.
     """
-    n_modes = basis.n_modes
-    out = np.zeros((n_modes, n_modes), dtype=complex)
+    out = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
     for n, f in a.items():
-        mf = multiplication_matrix(f, basis)
-        if n == 0:
-            out += mf
-        elif n > 0:
-            out += mf @ translation_matrix(n * a.hbar, basis)
-        else:
-            out += mf @ translation_matrix(-n * a.hbar, basis).T
+        out += _matrix_elements(f(basis.grid), n * a.hbar, basis)
     return out
 
 
@@ -182,7 +176,7 @@ def bounded_transform(basis):
     return a / np.sqrt(hd)[None, :], a_dag / np.sqrt(hd + 2.0)[None, :]
 
 
-def diagonal_elements(weighted_shifts, n_modes, pad=6.0, grid_factor=8):
+def diagonal_elements(weighted_shifts, n_modes, grid_factor=8):
     """Streaming diagonal matrix elements d_n = quad(w(x) psi_n(x-a) psi_n(x)).
 
     ``weighted_shifts`` is a sequence of (weight, shift) pairs where weight
@@ -193,7 +187,7 @@ def diagonal_elements(weighted_shifts, n_modes, pad=6.0, grid_factor=8):
     pairs = list(weighted_shifts)
     shifts = [float(a) for _, a in pairs]
     span = max([0.0] + [abs(a) for a in shifts])
-    half_width = np.sqrt(2.0 * n_modes + 3.0) + pad + span
+    half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD + span
     n_quad = grid_factor * n_modes + 1
     x = np.linspace(-half_width, half_width, n_quad)
     step = x[1] - x[0]
@@ -214,8 +208,8 @@ def diagonal_elements(weighted_shifts, n_modes, pad=6.0, grid_factor=8):
     return out
 
 
-def algebra_diagonals(a, n_modes, pad=6.0, grid_factor=8):
+def algebra_diagonals(a, n_modes, grid_factor=8):
     """Diagonal elements <pi(a) psi_n, psi_n> of a represented algebra element."""
     pairs = [(f, n * a.hbar) for n, f in a.items()]
-    rows = diagonal_elements(pairs, n_modes, pad=pad, grid_factor=grid_factor)
+    rows = diagonal_elements(pairs, n_modes, grid_factor=grid_factor)
     return rows.sum(axis=0)

@@ -15,8 +15,8 @@ genuine kernel and cokernel directions are finitely many and concentrated in
 low modes, while the spurious rank defects of a finite section sit against
 the truncation edge.  A working basis twice the requested size supplies the
 guard band.  The cut is heuristic, not a spectral gap: at 400 modes and
-hbar = 0.3 singular values of 0.486 and 0.512 lie on either side of the
-default cut of 0.5.  (A finite square section of the naive trace formula for
+hbar = 0.3 singular values of 0.475 and 0.512 lie on either side of the
+cut of 0.5.  (A finite square section of the naive trace formula for
 the index vanishes identically, since the two defect factors are similar
 matrices; counting the stabilized kernels through a bulk window is the
 finite-section limit of the high-order trace formula.)
@@ -37,6 +37,9 @@ from .algebra import (
 from .oscillator import HermiteBasis, algebra_diagonals, bounded_transform, represent
 
 DEFAULT_T_LIST = (0.02, 0.01, 0.005, 0.0025)
+OVERSAMPLE = 2
+CLUSTER_TOL = 0.05
+SIGMA_CUT = 0.5
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,16 @@ def character_degree2(a0, a1, a2):
     return a0.hbar / (2j * np.pi) * cyclic_cocycle(a0, a1, a2)
 
 
-def fedosov_index(e, basis_size=400, oversample=2, sigma_cut=0.5, cluster_tol=0.05,
-                  grid_factor=8):
+def fedosov_index(e, basis_size=400, grid_factor=8):
     """Operator-index route: stabilized kernel count of the compressed phase.
 
-    The element is represented on a working basis of ``oversample *
+    The element is represented on a working basis of ``OVERSAMPLE *
     basis_size`` modes and rounded at 1/2 to an exact projection P; spectrum
-    more than ``cluster_tol`` away from {0, 1} is tolerated only for
+    more than ``CLUSTER_TOL`` away from {0, 1} is tolerated only for
     eigenvectors leaning on the truncation half (finite sections smear edge
     eigenvalues across [0, 1]), and any deep-bulk stray raises.  The
     lowering phase F+ = A H^{-1/2} is compressed to ran P and its singular
-    vectors below ``sigma_cut`` are counted with sign: a right vector
+    vectors below ``SIGMA_CUT`` are counted with sign: a right vector
     carrying most of its mass in the first ``basis_size`` modes is a kernel
     direction (+1), a left vector a cokernel direction (-1); physical
     nonzero-sigma pairs enter with both signs and cancel, edge artifacts
@@ -116,13 +118,13 @@ def fedosov_index(e, basis_size=400, oversample=2, sigma_cut=0.5, cluster_tol=0.
     """
     if basis_size < 200:
         raise ValueError("operator index needs a basis of at least 200 modes")
-    n_big = int(oversample) * int(basis_size)
+    n_big = OVERSAMPLE * int(basis_size)
     basis = HermiteBasis(n_big, n_quad=grid_factor * n_big + 1)
     rep = represent(e, basis)
     herm = 0.5 * (rep + rep.conj().T)
     evals, evecs = np.linalg.eigh(herm)
     off = np.minimum(np.abs(evals), np.abs(evals - 1.0))
-    stray = np.nonzero(off > cluster_tol)[0]
+    stray = np.nonzero(off > CLUSTER_TOL)[0]
     if stray.size:
         # eigenvalues of the finite section drift anywhere in [0, 1] when the
         # eigenvector leans on the truncation half of the working basis; only
@@ -141,7 +143,7 @@ def fedosov_index(e, basis_size=400, oversample=2, sigma_cut=0.5, cluster_tol=0.
     compressed = v1.conj().T @ f_plus @ v1
     u, sigma, vh = np.linalg.svd(compressed)
     count = 0
-    for k in np.nonzero(sigma < sigma_cut)[0]:
+    for k in np.nonzero(sigma < SIGMA_CUT)[0]:
         right = v1 @ vh[k].conj()
         left = v1 @ u[:, k]
         if (np.abs(right[:basis_size]) ** 2).sum() > 0.5:

@@ -140,6 +140,28 @@ def test_config_file_format(tmp_path, capsys):
     assert json.loads(out)["rows"][0][4] == 1.0
 
 
+def test_config_file_supplies_required_options(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("f = one\ns-list = 2\n")
+    code, out, _ = run_cli(capsys, "zeta", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli(capsys, "zeta", "--f", "one", "--s-list", "2")[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("heat-kernel", "--t", "0.5", "--range", "2", "--samples", "9", "--hbar", "7"),
+        ("sweep", "--hbars", "0.3", "--modes", "200", "--hbar", "5"),
+    ],
+)
+def test_option_of_another_subcommand_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hbar" in capsys.readouterr().err
+
+
 def test_invalid_grid_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rieffel", "--hbar", "0.3", "--grid", "300"])

@@ -96,6 +96,15 @@ def test_represent_identity(basis200):
     assert np.abs(rep - np.eye(basis200.n_modes)).max() < 1e-12
 
 
+def test_represent_projection_is_a_compression(p03, basis400):
+    # P pi(e) P of a projection e is self-adjoint with spectrum in [0, 1]
+    rep = represent(p03, basis400)
+    assert np.abs(rep - rep.conj().T).max() < 1e-3
+    evals = np.linalg.eigvalsh(0.5 * (rep + rep.conj().T))
+    assert evals.min() > -1e-5
+    assert evals.max() < 1.0 + 1e-5
+
+
 def test_represent_commutation_interior(basis400):
     u = represent(AlgebraElement.circle_generator(HBAR), basis400)
     v = represent(AlgebraElement.shift_generator(HBAR), basis400)
