@@ -55,7 +55,6 @@ from .ktheory import (
 from .oscillator import (
     HermiteBasis,
     algebra_diagonals,
-    bounded_transform,
     diagonal_elements,
     hermite_eval,
     hermite_rows,

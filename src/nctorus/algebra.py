@@ -186,6 +186,15 @@ def projection_defect(e):
     return sup_norm(multiply(e, e) - e), sup_norm(adjoint(e) - e)
 
 
+def _require_projection(e, tol=1e-8):
+    """Raise ValueError unless both projection defects of e are within tol."""
+    d_idem, d_adj = projection_defect(e)
+    if d_idem > tol or d_adj > tol:
+        raise ValueError(
+            f"not a projection: ||e^2-e||={d_idem:.2e}, ||e*-e||={d_adj:.2e}"
+        )
+
+
 def chern_number(e, tol=1e-8):
     """First Chern number (1 / 2 pi i) tr(e [delta1(e), delta2(e)]).
 
@@ -193,11 +202,7 @@ def chern_number(e, tol=1e-8):
     self-adjointness defects; the value is then an integer up to numerical
     error, with imaginary part at the same scale.
     """
-    d_idem, d_adj = projection_defect(e)
-    if d_idem > tol or d_adj > tol:
-        raise ValueError(
-            f"not a projection: ||e^2-e||={d_idem:.2e}, ||e*-e||={d_adj:.2e}"
-        )
+    _require_projection(e, tol)
     # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
     # two traces round differently and move printed last digits
     d1, d2 = delta1(e), delta2(e)

@@ -2,9 +2,9 @@
 
 Provides stable evaluation of the orthonormal oscillator eigenfunctions,
 dense matrices of the ladder operators, of multiplication and translation
-operators, the line representation of rotation-algebra elements, the
-bounded transform of the ladder pair, and a streaming routine for the
-diagonal matrix elements used by spectral zeta sums.
+operators, the line representation of rotation-algebra elements, and a
+streaming routine for the diagonal matrix elements used by spectral zeta
+sums.
 
 Quadrature is a uniform grid on [-L, L] with L = sqrt(2N+3) + 6 and
 K = 8N + 1 points: integrands are products of Hermite functions with
@@ -163,17 +163,6 @@ def represent(a, basis):
     for n, f in a.items():
         out += _matrix_elements(f(basis.grid), n * a.hbar, basis)
     return out
-
-
-def bounded_transform(basis):
-    """The two corners of the phase of the Dirac block matrix.
-
-    Returns (F_plus, F_minus) = (A H^{-1/2}, A* (H+2)^{-1/2}).  On interior
-    modes F_minus F_plus = I - H^{-1} and F_plus F_minus = I - (H+2)^{-1}.
-    """
-    a, a_dag, h, _, _ = ladder_matrices(basis)
-    hd = np.diag(h)
-    return a / np.sqrt(hd)[None, :], a_dag / np.sqrt(hd + 2.0)[None, :]
 
 
 def diagonal_elements(weighted_shifts, n_modes, grid_factor=8):

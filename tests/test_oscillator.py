@@ -6,7 +6,6 @@ from nctorus import (
     HermiteBasis,
     PeriodicFunction,
     algebra_diagonals,
-    bounded_transform,
     diagonal_elements,
     hermite_eval,
     hermite_rows,
@@ -129,25 +128,6 @@ def test_represent_homomorphism_interior(basis400, rng):
     rhs = represent(alg_multiply(a, b), basis400)
     half = basis400.n_modes // 2
     assert np.abs((lhs - rhs)[:half, :half]).max() < 1e-6
-
-
-def test_bounded_transform_identities(basis200):
-    n = basis200.n_modes
-    f_plus, f_minus = bounded_transform(basis200)
-    h_inv = np.diag(1.0 / (2.0 * np.arange(n) + 1.0))
-    h2_inv = np.diag(1.0 / (2.0 * np.arange(n) + 3.0))
-    interior = np.s_[: n - 1, : n - 1]
-    assert np.abs((f_minus @ f_plus + h_inv - np.eye(n))[interior]).max() < 1e-12
-    assert np.abs((f_plus @ f_minus + h2_inv - np.eye(n))[interior]).max() < 1e-12
-    assert np.abs(f_plus[:, 0]).max() == 0.0  # annihilates the ground state
-
-
-def test_bounded_transform_singular_values(basis200):
-    f_plus, _ = bounded_transform(basis200)
-    sigma = np.sort(np.linalg.svd(f_plus, compute_uv=False))
-    k = np.arange(basis200.n_modes)
-    expected = np.sort(np.sqrt(2.0 * k / (2.0 * k + 1.0)))
-    assert np.abs(sigma - expected).max() < 1e-12
 
 
 def test_symbolic_vs_matrix_commutators(basis400):

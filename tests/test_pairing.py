@@ -1,5 +1,7 @@
 import argparse
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from nctorus import (
     rieffel_projection,
 )
 from nctorus.cli import _pair_rows
+from nctorus.pairing import GAP_FLOOR
+from test_acceptance import STAIRCASE
 
 HBAR = 0.3
 
@@ -90,6 +94,35 @@ def test_fedosov_rejects_non_projection():
     a = AlgebraElement(HBAR, {0: f})
     with pytest.raises(ValueError, match="not"):
         fedosov_index(a, basis_size=200)
+
+
+@pytest.mark.parametrize("hbar, basis_size, expected", [
+    (-0.75, 400, 1),
+    (1.8, 400, -1),
+    (2.75, 400, -2),
+    (0.45, 200, 0),
+    (0.7, 200, 0),
+    (2.25, 200, -2),
+])
+def test_fedosov_staircase_off_the_verified_pools(hbar, basis_size, expected):
+    assert fedosov_index(rieffel_projection(hbar), basis_size=basis_size) == expected
+
+
+@pytest.mark.parametrize("hbar", [5.21, 9.78, 14.71])
+def test_fedosov_large_hbar_small_basis_raises(hbar):
+    # the localizer gap closes: no integer is certified at 200 modes
+    with pytest.raises(ValueError, match="gap"):
+        fedosov_index(rieffel_projection(hbar), basis_size=200)
+
+
+def test_fedosov_staircase_gap_margin(caplog):
+    caplog.set_level(logging.DEBUG, logger="nctorus.pairing")
+    for hbar, expected in STAIRCASE:
+        caplog.clear()
+        assert fedosov_index(rieffel_projection(hbar), basis_size=400) == expected
+        (record,) = caplog.records
+        gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
+        assert gap >= 1.5 * GAP_FLOOR, (hbar, gap)
 
 
 def test_index_pairing_unit():
