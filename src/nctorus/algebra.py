@@ -21,6 +21,8 @@ import numpy as np
 from .periodic import DEFAULT_SAMPLES, PeriodicFunction, smooth_step
 
 _HBAR_TOL = 1e-12
+# both defects of a projection, in the coefficient sup-norm, are at most this
+PROJECTION_TOL = 1e-8
 
 
 class AlgebraElement:
@@ -186,23 +188,23 @@ def projection_defect(e):
     return sup_norm(multiply(e, e) - e), sup_norm(adjoint(e) - e)
 
 
-def _require_projection(e, tol=1e-8):
-    """Raise ValueError unless both projection defects of e are within tol."""
+def _require_projection(e):
+    """Raise ValueError unless both defects of e are within PROJECTION_TOL."""
     d_idem, d_adj = projection_defect(e)
-    if d_idem > tol or d_adj > tol:
+    if d_idem > PROJECTION_TOL or d_adj > PROJECTION_TOL:
         raise ValueError(
             f"not a projection: ||e^2-e||={d_idem:.2e}, ||e*-e||={d_adj:.2e}"
         )
 
 
-def chern_number(e, tol=1e-8):
+def chern_number(e):
     """First Chern number (1 / 2 pi i) tr(e [delta1(e), delta2(e)]).
 
-    Requires e to be a projection within ``tol`` in both the idempotent and
-    self-adjointness defects; the value is then an integer up to numerical
-    error, with imaginary part at the same scale.
+    Requires e to be a projection within ``PROJECTION_TOL`` in both the
+    idempotent and self-adjointness defects; the value is then an integer up
+    to numerical error, with imaginary part at the same scale.
     """
-    _require_projection(e, tol)
+    _require_projection(e)
     # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
     # two traces round differently and move printed last digits
     d1, d2 = delta1(e), delta2(e)
@@ -254,7 +256,7 @@ def rieffel_projection(hbar, n_samples=DEFAULT_SAMPLES):
     grid ||p* - p|| is about 5e-12 at hbar = 0.3 and 1e-8 at 0.05, and
     ||p^2 - p|| is about 2e-11 at 0.3, 3e-10 at 0.15, 1e-8 at 0.1 and 6e-6
     at 0.05: for frac(hbar) within about 0.1 of an integer the default grid
-    misses the 1e-8 projection tolerance of ``index_pairing``.
+    misses ``PROJECTION_TOL`` (1e-8), which ``index_pairing`` requires.
 
     Raises ValueError for hbar within 1e-3 of an integer, where the width
     degenerates and no such representative exists.

@@ -73,7 +73,7 @@ def _write(args, header, rows, json_payload=None):
 def _cmd_heat_kernel(args):
     xs = np.linspace(-args.range, args.range, args.samples)
     mehler = np.array([heatzeta.mehler_kernel(args.t, x, x) for x in xs])
-    eigen = heatzeta.mehler_eigen_sum(args.t, xs, xs, n_modes=200)
+    eigen = heatzeta.mehler_eigen_sum(args.t, xs, xs)
     eigen = np.atleast_1d(eigen)
     rows = [(x, m, e, abs(m - e)) for x, m, e in zip(xs, mehler, eigen)]
     _write(
@@ -166,28 +166,15 @@ def _pair_rows(args, reports):
     )
 
 
-def _grid_factor(args):
-    # --quad fixes K for N requested modes; internal bases keep that density
-    if args.quad is None:
-        return 8
-    return max(2, round((args.quad - 1) / args.modes))
-
-
 def _cmd_pair(args):
     p = algebra.rieffel_projection(args.hbar, n_samples=args.grid)
-    report = pairing.index_pairing(
-        p, basis_size=args.modes, n_modes=args.zeta_modes,
-        grid_factor=_grid_factor(args),
-    )
+    report = pairing.index_pairing(p, basis_size=args.modes, n_modes=args.zeta_modes)
     _pair_rows(args, [report])
 
 
 def _cmd_sweep(args):
     hbars = [float(h) for h in args.hbars.split(",")]
-    reports = pairing.sweep(
-        hbars, basis_size=args.modes, n_modes=args.zeta_modes,
-        grid_factor=_grid_factor(args),
-    )
+    reports = pairing.sweep(hbars, basis_size=args.modes, n_modes=args.zeta_modes)
     _pair_rows(args, reports)
 
 
@@ -220,9 +207,8 @@ def _build_parser():
     grid.add_argument("--grid", type=int, default=2048,
                       help="circle sample count M, a power of two (default 2048)")
     operator.add_argument("--modes", type=int, default=400,
-                          help="Hermite modes N for operator computations (default 400)")
-    operator.add_argument("--quad", type=int, default=None,
-                          help="quadrature point count K (default 8N+1)")
+                          help="Hermite modes N for operator computations "
+                               f"(default 400, at least {pairing.MIN_BASIS_SIZE})")
 
     parser = argparse.ArgumentParser(
         prog="nctorus",
@@ -328,8 +314,8 @@ def _apply_config_file(parser, argv):
 
 
 def _validate(parser, args):
-    if hasattr(args, "modes") and args.modes < 64:
-        parser.error("--modes must be at least 64")
+    if hasattr(args, "modes") and args.modes < pairing.MIN_BASIS_SIZE:
+        parser.error(f"--modes must be at least {pairing.MIN_BASIS_SIZE}")
     if hasattr(args, "grid") and (args.grid < 256 or args.grid & (args.grid - 1)):
         parser.error("--grid must be a power of two, at least 256")
 

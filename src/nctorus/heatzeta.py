@@ -61,11 +61,11 @@ class RealLineFunction:
     def __call__(self, x):
         return self.func(x)
 
-    def periodicity_defect(self, n_points=16):
-        """Diagnostic max |f(x + period) - f(x)| over sample points."""
+    def periodicity_defect(self):
+        """Diagnostic max |f(x + period) - f(x)| over 16 points in [0, 2 period]."""
         if self.kind != "periodic":
             raise ValueError("periodicity_defect requires periodic metadata")
-        xs = np.linspace(0.0, 2.0 * self.period, n_points)
+        xs = np.linspace(0.0, 2.0 * self.period, 16)
         return float(np.abs(np.asarray(self(xs + self.period)) - np.asarray(self(xs))).max())
 
 
@@ -163,8 +163,9 @@ def mehler_kernel_classical(t, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def mehler_eigen_sum(t, x, y, n_modes=200):
-    """Eigenfunction sum  sum_n e^{-(2n+1)t} psi_n(x) psi_n(y)  (elementwise)."""
+def mehler_eigen_sum(t, x, y):
+    """Eigenfunction sum  sum_{n<200} e^{-(2n+1)t} psi_n(x) psi_n(y)  (elementwise)."""
+    n_modes = 200
     t = float(t)
     if t <= 0:
         raise ValueError("time must be positive")
@@ -310,11 +311,11 @@ def residue_at_1(f):
     return period_mean(f) / 2.0
 
 
-def residue_by_extrapolation(f, n_modes=2000, diagonals=None, steps=(0.1, 0.01, 0.001)):
-    """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1 + steps."""
+def residue_by_extrapolation(f, diagonals=None):
+    """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1.1, 1.01, 1.001."""
     if diagonals is None:
-        diagonals = spectral_diagonals(f, 0.0, n_modes)
-    hs = np.asarray(steps, dtype=float)
+        diagonals = spectral_diagonals(f, 0.0, 2000)
+    hs = np.array([0.1, 0.01, 0.001])
     vals = []
     for h in hs:
         ev = zeta_trace(f, 0.0, 1.0 + h, method="eigen_sum_tail", diagonals=diagonals)
@@ -360,34 +361,37 @@ def asymptotic_mean(f, x_max=32.0):
 
 # ---------------- Dixmier-trace limit ----------------
 
-_GL_NODES = 4096
 
-
-@lru_cache(maxsize=1)
 def _gl_rule():
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    half = 8.5
-    return half * nodes, half * weights
+    """Nodes and equal weight of the 4096-point uniform rule on [-8.5, 8.5].
+
+    For the Gaussian-decaying integrands of ``_gaussian_average`` the uniform
+    rule is exponentially accurate (Trefethen and Weideman, SIAM Review 56,
+    2014); the neglected tails are below e^{-72}.  The name is kept from the
+    Gauss-Legendre rule it replaced because ``bench/workloads.py`` calls it.
+    """
+    x = np.linspace(-8.5, 8.5, 4096)
+    return x, x[1] - x[0]
 
 
 def _gaussian_average(f, u):
-    """(1/sqrt(pi)) int f(x/u) e^{-x^2} dx by a fixed Gauss-Legendre rule."""
+    """(1/sqrt(pi)) int f(x/u) e^{-x^2} dx by the fixed uniform rule."""
     x, w = _gl_rule()
     vals = f(x / u)
     return (w * vals * np.exp(-x * x)).sum() / np.sqrt(np.pi)
 
 
-def dixmier_limit(f, alpha_max=8.0):
+def dixmier_limit(f):
     """Limit of (1/2 sqrt(pi)) int_0^1 int f(x/t^a) e^{-x^2} dx dt as a grows.
 
-    Evaluated at a = alpha_max/2 and alpha_max with the substitution
-    u = t^a concentrating the measure away from t = 0, then Richardson
-    extrapolated in 1/a.  Below a metadata-dependent floor in u the inner
-    average has converged to its limit and is frozen there: the rescaled
-    argument x/u oscillates too fast for honest quadrature but the averaged
-    value no longer moves (this is the same mechanism that produces the
-    limit).  For a function with the asymptotic mean property the result is
-    mu(f)/2.
+    Evaluated at a = 4 and a = 8 with the substitution u = t^a concentrating
+    the measure away from t = 0, then Richardson extrapolated in 1/a.  The
+    inner Gaussian average is one fixed uniform rule (``_gl_rule``).  Below
+    a metadata-dependent floor in u the inner average has converged to its
+    limit and is frozen there: the rescaled argument x/u oscillates too fast
+    for honest quadrature but the averaged value no longer moves (this is
+    the same mechanism that produces the limit).  For a function with the
+    asymptotic mean property the result is mu(f)/2.
     """
     u_floor = 0.05 if f.kind == "periodic" else 1e-5
     g_floor = _gaussian_average(f, u_floor)
@@ -400,8 +404,8 @@ def dixmier_limit(f, alpha_max=8.0):
         closure = g_floor * u_floor ** (1.0 / a)
         return 0.5 * (inner / a + closure)
 
-    i_half = level(alpha_max / 2.0)
-    i_full = level(alpha_max)
+    i_half = level(4.0)
+    i_full = level(8.0)
     out = 2.0 * i_full - i_half
     return out if abs(out.imag) > 1e-15 else complex(out.real)
 
@@ -409,12 +413,13 @@ def dixmier_limit(f, alpha_max=8.0):
 # ---------------- the antiderivative map ----------------
 
 
-def delta_map(f, x_max=64.0):
+def delta_map(f):
     """Mean-subtracted antiderivative: int_0^x f minus mu_plus x or mu_minus x.
 
     Periodic input gives periodic output of the same period; declared limits
     are used directly for limit-type input.  Generic input must have
-    numerically converged one-sided means (error below 1e-6).
+    numerically converged one-sided means (``asymptotic_mean`` with
+    x_max = 64, error below 1e-6).
     """
     if f.kind == "periodic":
         mu_p = mu_m = period_mean(f)
@@ -423,7 +428,7 @@ def delta_map(f, x_max=64.0):
         mu_m, mu_p = f.limits
         out_kind = ("generic", None)
     else:
-        means = asymptotic_mean(f, x_max)
+        means = asymptotic_mean(f, 64.0)
         if means.error_estimate > 1e-6:
             raise ValueError(
                 "one-sided means did not converge; no asymptotic mean available"
@@ -453,24 +458,21 @@ def delta_map(f, x_max=64.0):
 # ---------------- entire off-diagonal check ----------------
 
 
-def entire_check(f, alpha, s_list=(1.5, 1.1, 1.01), tolerance=1e-3):
+def entire_check(f, alpha):
     """Probe the off-diagonal zeta near s = 1 for the absence of a pole.
 
-    Evaluates the zeta values at the given s (always including 1.5, 1.1 and
-    1.01), reports the proxies |(s-1) value|, extrapolates them to s = 1 and
-    checks the extrapolation vanishes within the tolerance while the values
-    themselves stay bounded.
+    Evaluates the zeta values at s = 1.5, 1.1 and 1.01, reports the proxies
+    |(s-1) value|, extrapolates them to s = 1 by a quadratic and checks the
+    extrapolation vanishes within 1e-3 while the values themselves stay
+    bounded.
     """
     alpha = float(alpha)
     if alpha == 0.0:
         raise ValueError("entire_check requires a nonzero translation")
-    points = sorted(set(float(s) for s in s_list) | {1.5, 1.1, 1.01}, reverse=True)
-    evals = tuple(zeta_trace(f, alpha, s) for s in points)
+    evals = tuple(zeta_trace(f, alpha, s) for s in (1.5, 1.1, 1.01))
     proxies = tuple(abs((ev.s - 1.0) * ev.value) for ev in evals)
-    hs = np.array([ev.s.real - 1.0 for ev in evals if ev.s.real > 1.0][-3:])
-    vs = np.array(
-        [((ev.s - 1.0) * ev.value).real for ev in evals if ev.s.real > 1.0][-3:]
-    )
-    extrap = float(np.polyfit(hs, vs, len(hs) - 1)[-1]) if len(hs) >= 2 else float(vs[-1])
+    hs = np.array([ev.s.real - 1.0 for ev in evals])
+    vs = np.array([((ev.s - 1.0) * ev.value).real for ev in evals])
+    extrap = float(np.polyfit(hs, vs, 2)[-1])
     bound = max(abs(ev.value) for ev in evals)
-    return EntireZetaReport(alpha, evals, proxies, extrap, float(bound), tolerance)
+    return EntireZetaReport(alpha, evals, proxies, extrap, float(bound), 1e-3)

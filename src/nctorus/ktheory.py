@@ -59,12 +59,13 @@ def trace_value(x, hbar):
     return x.m + x.n * frac
 
 
-def gap_label_witness(value, hbar, q_max=10**6, tol=1e-9):
-    """Integers (p, q) with |value - p - q hbar| <= tol, or None.
+def gap_label_witness(value, hbar):
+    """Integers (p, q) with |value - p - q hbar| <= 1e-9, or None.
 
-    Searches |q| <= q_max exhaustively; the label group of the deformation
+    Searches |q| <= 10^6 exhaustively; the label group of the deformation
     is exactly the set of such combinations.
     """
+    q_max, tol = 10**6, 1e-9
     qs = np.arange(-q_max, q_max + 1, dtype=np.int64)
     residual = value - qs * hbar
     ps = np.rint(residual)
@@ -75,9 +76,9 @@ def gap_label_witness(value, hbar, q_max=10**6, tol=1e-9):
     return None
 
 
-def in_gap_label_group(value, hbar, q_max=10**6, tol=1e-9):
-    """Whether the value lies in Z + hbar Z within tol (bounded search)."""
-    return gap_label_witness(value, hbar, q_max=q_max, tol=tol) is not None
+def in_gap_label_group(value, hbar):
+    """Whether the value lies in Z + hbar Z within 1e-9 (bounded search)."""
+    return gap_label_witness(value, hbar) is not None
 
 
 def classical_pairing(dim, c1, n):

@@ -25,6 +25,8 @@ _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 1e120
 # quadrature half-width beyond the classical turning point sqrt(2N + 3)
 QUAD_PAD = 6.0
+# quadrature points per mode: K = QUAD_DENSITY * N + 1
+QUAD_DENSITY = 8
 
 
 def _hermite_iter(x):
@@ -83,13 +85,13 @@ def hermite_rows(n_modes, x):
 class HermiteBasis:
     """First N oscillator eigenfunctions with a shared uniform quadrature."""
 
-    def __init__(self, n_modes, n_quad=None):
+    def __init__(self, n_modes):
         n_modes = int(n_modes)
         if n_modes < 2:
             raise ValueError("need at least two modes")
         self.n_modes = n_modes
         self.half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
-        self.n_quad = int(n_quad) if n_quad is not None else 8 * n_modes + 1
+        self.n_quad = QUAD_DENSITY * n_modes + 1
         self.grid = np.linspace(-self.half_width, self.half_width, self.n_quad)
         self.weight = self.grid[1] - self.grid[0]
 
@@ -165,7 +167,7 @@ def represent(a, basis):
     return out
 
 
-def diagonal_elements(weighted_shifts, n_modes, grid_factor=8):
+def diagonal_elements(weighted_shifts, n_modes):
     """Streaming diagonal matrix elements d_n = quad(w(x) psi_n(x-a) psi_n(x)).
 
     ``weighted_shifts`` is a sequence of (weight, shift) pairs where weight
@@ -177,8 +179,7 @@ def diagonal_elements(weighted_shifts, n_modes, grid_factor=8):
     shifts = [float(a) for _, a in pairs]
     span = max([0.0] + [abs(a) for a in shifts])
     half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD + span
-    n_quad = grid_factor * n_modes + 1
-    x = np.linspace(-half_width, half_width, n_quad)
+    x = np.linspace(-half_width, half_width, QUAD_DENSITY * n_modes + 1)
     step = x[1] - x[0]
     weights = [np.asarray(w(x)) * step for w, _ in pairs]
 
@@ -197,8 +198,7 @@ def diagonal_elements(weighted_shifts, n_modes, grid_factor=8):
     return out
 
 
-def algebra_diagonals(a, n_modes, grid_factor=8):
+def algebra_diagonals(a, n_modes):
     """Diagonal elements <pi(a) psi_n, psi_n> of a represented algebra element."""
     pairs = [(f, n * a.hbar) for n, f in a.items()]
-    rows = diagonal_elements(pairs, n_modes, grid_factor=grid_factor)
-    return rows.sum(axis=0)
+    return diagonal_elements(pairs, n_modes).sum(axis=0)

@@ -21,8 +21,9 @@ hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
 2.4, 2.6} at N = 300/400/500 and {-0.6, -0.4, -0.25, 0.3, 0.55, 1.3, 1.45,
 1.65, 2.4, 2.6} at N = 200, all 52 integers are -floor(hbar) and the
 smallest gap is 0.150 (hbar 2.25, N = 300).  The largest gap of any wrong
-localizer integer seen is 0.076 (hbar 1.8, N = 200, grid_factor 2), so the
-floor of 0.1 sits 1.3x above every wrong and 1.5x below every verified gap.
+localizer integer seen is 0.076 (hbar 1.8, N = 200, on a 2N + 1-point
+quadrature), so the floor of 0.1 sits 1.3x above every wrong and 1.5x below
+every verified gap.
 
 Domain: the gap closes as |hbar| grows at fixed N.  At N = 200 the hbar
 values 4.13, 5.21, 6.3, 6.88, 9.3, 9.78, 14.3 and 14.71 all raise (largest
@@ -46,8 +47,9 @@ from .algebra import (
 )
 from .oscillator import HermiteBasis, algebra_diagonals, ladder_matrices, represent
 
-DEFAULT_T_LIST = (0.02, 0.01, 0.005, 0.0025)
 GAP_FLOOR = 0.1
+# smallest basis_size of fedosov_index, and so of the CLI's --modes
+MIN_BASIS_SIZE = 200
 
 logger = logging.getLogger(__name__)
 
@@ -85,15 +87,15 @@ def graded_heat_trace(a, t, n_modes=2000, diagonals=None):
     )
 
 
-def character_degree0(a, n_modes=2000, t_list=DEFAULT_T_LIST):
+def character_degree0(a, n_modes=2000):
     """Degree-0 part of the index character: the graded heat-trace limit.
 
-    Extrapolates ``graded_heat_trace`` to t -> 0 by a polynomial through
-    t_list.  On a projection this equals its trace; on elements of nonzero
-    degree it vanishes.
+    Extrapolates ``graded_heat_trace`` to t -> 0 by a cubic through
+    t = 0.02, 0.01, 0.005, 0.0025.  On a projection this equals its trace;
+    on elements of nonzero degree it vanishes.
     """
     d = algebra_diagonals(a, n_modes)
-    ts = np.asarray(t_list, dtype=float)
+    ts = np.array([0.02, 0.01, 0.005, 0.0025])
     theta = np.array([graded_heat_trace(a, t, n_modes, diagonals=d) for t in ts])
     re = np.polyfit(ts, theta.real, len(ts) - 1)[-1]
     im = np.polyfit(ts, theta.imag, len(ts) - 1)[-1]
@@ -111,7 +113,7 @@ def character_degree2(a0, a1, a2):
     return a0.hbar / (2j * np.pi) * cyclic_cocycle(a0, a1, a2)
 
 
-def fedosov_index(e, basis_size=400, grid_factor=8):
+def fedosov_index(e, basis_size=400):
     """Operator-index route: half the signature of the spectral localizer.
 
     On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
@@ -129,11 +131,13 @@ def fedosov_index(e, basis_size=400, grid_factor=8):
     docstring for the measured domain).  Each call logs N, kappa, the
     signature and the gap at DEBUG on the ``nctorus.pairing`` logger.
     """
-    if basis_size < 200:
-        raise ValueError("operator index needs a basis of at least 200 modes")
+    if basis_size < MIN_BASIS_SIZE:
+        raise ValueError(
+            f"operator index needs a basis of at least {MIN_BASIS_SIZE} modes"
+        )
     _require_projection(e)
     n = int(basis_size)
-    basis = HermiteBasis(n, n_quad=grid_factor * n + 1)
+    basis = HermiteBasis(n)
     rep = represent(e, basis)
     sym = np.eye(n) - (rep + rep.conj().T)
     _, _, _, dirac, _ = ladder_matrices(basis)
@@ -153,15 +157,19 @@ def fedosov_index(e, basis_size=400, grid_factor=8):
     return (signature + 1) / 2
 
 
-def index_pairing(e, basis_size=400, n_modes=2000, projection_tol=1e-8,
-                  grid_factor=8):
-    """All three routes for one projection, reconciled in a PairingReport."""
+def index_pairing(e, basis_size=400, n_modes=2000):
+    """All three routes for one projection, reconciled in a PairingReport.
+
+    The operator route runs before the local formula's n_modes-mode diagonal
+    stream, so a localizer gap below ``GAP_FLOOR`` raises without waiting
+    for it.
+    """
     hbar = e.hbar
-    c1 = chern_number(e, tol=projection_tol)
+    c1 = chern_number(e)
     closed = trace(e) - hbar * c1
+    fed = fedosov_index(e, basis_size=basis_size)
     half = e - 0.5 * AlgebraElement.unit(hbar, e.n_samples)
     local = character_degree0(e, n_modes=n_modes) - character_degree2(half, e, e)
-    fed = fedosov_index(e, basis_size=basis_size, grid_factor=grid_factor)
     rounded = int(round(fed))
     residuals = (
         abs(closed.real - rounded),
@@ -179,15 +187,10 @@ def index_pairing(e, basis_size=400, n_modes=2000, projection_tol=1e-8,
     )
 
 
-def sweep(hbars, basis_size=400, n_modes=2000, grid_factor=8):
+def sweep(hbars, basis_size=400, n_modes=2000):
     """Index pairing of the bump projection across deformation parameters."""
     return [
-        index_pairing(
-            rieffel_projection(h),
-            basis_size=basis_size,
-            n_modes=n_modes,
-            grid_factor=grid_factor,
-        )
+        index_pairing(rieffel_projection(h), basis_size=basis_size, n_modes=n_modes)
         for h in hbars
     ]
 

@@ -140,12 +140,13 @@ class PeriodicFunction:
     def conjugate(self):
         return PeriodicFunction(np.conj(self._samples))
 
-    def sqrt_nonneg(self, floor=-1e-10):
+    def sqrt_nonneg(self):
         """Pointwise square root of a nonnegative real function.
 
-        Values in [floor, 0) are clamped to 0 (floating-point noise at bump
-        edges); values below ``floor`` or a non-real input raise ValueError.
+        Values in [-1e-10, 0) are clamped to 0 (floating-point noise at bump
+        edges); values below -1e-10 or a non-real input raise ValueError.
         """
+        floor = -1e-10
         s = self._samples
         if np.abs(s.imag).max() > 1e-12:
             raise ValueError("sqrt_nonneg requires real samples")

@@ -162,6 +162,27 @@ def test_option_of_another_subcommand_exits_two(capsys, argv):
     assert "unrecognized arguments: --hbar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("pair", "--quad", "3201"), None, "unrecognized arguments: --quad"),
+        (("pair", "--modes", "100"), None, "--modes must be at least 200"),
+        (("sweep", "--hbars", "0.3", "--modes", "199"), None, "--modes must be at least 200"),
+        (("pair",), "modes = 100", "--modes must be at least 200"),
+    ],
+    ids=["pair-quad", "pair-modes-100", "sweep-modes-199", "config-modes-100"],
+)
+def test_no_quad_and_modes_floor_exit_two(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv += ("--config", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_invalid_grid_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rieffel", "--hbar", "0.3", "--grid", "300"])

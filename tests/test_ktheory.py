@@ -79,7 +79,7 @@ def test_gap_label_rejects_outsider():
 def test_trace_values_always_members(rng):
     for _ in range(20):
         x = KClass(int(rng.integers(-50, 51)), int(rng.integers(-50, 51)))
-        assert in_gap_label_group(trace_value(x, SQRT2M1), SQRT2M1, q_max=100)
+        assert in_gap_label_group(trace_value(x, SQRT2M1), SQRT2M1)
 
 
 def test_classical_pairing_examples():

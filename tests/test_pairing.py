@@ -19,6 +19,7 @@ from nctorus import (
     rieffel_projection,
 )
 from nctorus.cli import _pair_rows
+from nctorus import pairing
 from nctorus.pairing import GAP_FLOOR
 from test_acceptance import STAIRCASE
 
@@ -123,6 +124,16 @@ def test_fedosov_staircase_gap_margin(caplog):
         (record,) = caplog.records
         gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
         assert gap >= 1.5 * GAP_FLOOR, (hbar, gap)
+
+
+def test_index_pairing_gap_failure_skips_the_diagonal_stream(monkeypatch):
+    # hbar 1.2 at 200 modes has localizer gap 0.093 < GAP_FLOOR
+    def stream(*args, **kwargs):
+        raise AssertionError("the diagonal stream ran before the operator route")
+
+    monkeypatch.setattr(pairing, "algebra_diagonals", stream)
+    with pytest.raises(ValueError, match="gap"):
+        index_pairing(rieffel_projection(1.2), basis_size=200)
 
 
 def test_index_pairing_unit():
