@@ -2,7 +2,9 @@
 
 The closed-form Gaussian heat kernel of the oscillator drives everything:
 heat traces and their alpha-shifted weighted variants come from its
-diagonal, spectral zeta values are computed either from eigenbasis
+diagonal, which by Mehler's formula is a Gaussian in x, so a weighted trace
+is one Gaussian average of the weight on the same uniform rule as the
+Dixmier limit.  Spectral zeta values are computed either from eigenbasis
 diagonal sums with an asymptotic-mean tail model (on-diagonal) or through
 the Mellin integral of the weighted heat trace (off-diagonal, where the
 zeta function is entire), and residues at the pole are extracted by
@@ -190,16 +192,32 @@ def heat_trace(t):
 
 
 def heat_trace_weighted(f, alpha, t):
-    """quad of f(x) k_t(x - alpha, x): the weighted, alpha-shifted heat trace."""
+    """int f(x) k_t(x - alpha, x) dx: the weighted, alpha-shifted heat trace.
+
+    By Mehler's formula the shifted diagonal k_t(x - alpha, x) is
+    e^{-alpha^2 coth(t)/4} / (2 sinh t) times a normalized Gaussian centred
+    at alpha/2 of width 1/sqrt(tanh t), so the trace is that factor times
+    ``_gaussian_average(f, sqrt(tanh t), alpha/2)`` on the uniform rule of
+    ``_gl_rule``.
+
+    Resolution limit: a Fourier mode e^{2 pi i k x} of f aliases on the rule
+    when its frequency 2 pi k / sqrt(tanh t) in the rule's variable comes
+    within a few units of a nonzero multiple of 2 pi / h (h = 17/4095, the
+    node spacing), so the error is set by f's coefficients at those modes.
+    Measured against the Fourier closed form
+    e^{-alpha^2 coth(t)/4} / (2 sinh t) sum_k c_k e^{i pi k alpha - pi^2 k^2 / tanh t}
+    for alpha in {0, 0.3, 1} and t in {1e-5, 1e-4, 1e-2, 0.1, 1}: cos 2 pi x
+    is within 3e-10 absolute; the 2048-mode hbar = 0.3 bump coefficient is
+    within 2e-6 relative at t = 1e-4, about 7e-7 at t = 1e-2 and 0.1, and
+    about 1e-12 at t = 1.
+    """
     t = float(t)
     if t <= 0:
         raise ValueError("time must be positive")
     alpha = float(alpha)
-    # the diagonal is a Gaussian of width 1/sqrt(tanh t) centred at alpha/2
-    width = abs(alpha) / 2.0 + 12.0 / np.sqrt(np.tanh(t))
-    value, _ = _quad_complex(lambda x: f(x) * mehler_kernel(t, x - alpha, x),
-                             -width, width, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return value
+    th = np.tanh(t)
+    scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t))
+    return complex(scale * _gaussian_average(f, np.sqrt(th), alpha / 2.0))
 
 
 # ---------------- zeta machinery ----------------
@@ -284,7 +302,7 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
         if alpha != 0.0:
             residue = 0.0
         elif f.kind == "periodic":
-            residue = period_mean(f) / 2.0
+            residue = mu / 2.0
         return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
 
     if method == "heat_mellin":
@@ -367,17 +385,19 @@ def _gl_rule():
 
     For the Gaussian-decaying integrands of ``_gaussian_average`` the uniform
     rule is exponentially accurate (Trefethen and Weideman, SIAM Review 56,
-    2014); the neglected tails are below e^{-72}.  The name is kept from the
+    2014); the neglected tails are below e^{-72}.  It serves both Gaussian
+    averages of this module: the inner average of ``dixmier_limit`` and the
+    weighted heat trace ``heat_trace_weighted``.  The name is kept from the
     Gauss-Legendre rule it replaced because ``bench/workloads.py`` calls it.
     """
     x = np.linspace(-8.5, 8.5, 4096)
     return x, x[1] - x[0]
 
 
-def _gaussian_average(f, u):
-    """(1/sqrt(pi)) int f(x/u) e^{-x^2} dx by the fixed uniform rule."""
+def _gaussian_average(f, u, center=0.0):
+    """(1/sqrt(pi)) int f(center + x/u) e^{-x^2} dx by the fixed uniform rule."""
     x, w = _gl_rule()
-    vals = f(x / u)
+    vals = f(center + x / u)
     return (w * vals * np.exp(-x * x)).sum() / np.sqrt(np.pi)
 
 

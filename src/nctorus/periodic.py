@@ -17,6 +17,8 @@ DEFAULT_SAMPLES = 2048
 
 # relative floor below which Fourier modes are dropped during point evaluation
 _EVAL_CUTOFF = 1e-17
+# points per block of point evaluation: 1024 x 2048 complex modes is 32 MiB
+_EVAL_BLOCK = 1024
 
 
 def smooth_step(u):
@@ -105,15 +107,21 @@ class PeriodicFunction:
     # ---------------- evaluation ----------------
 
     def __call__(self, x):
-        """Evaluate the trig interpolant at arbitrary real points (1-periodic)."""
+        """Evaluate the trig interpolant at arbitrary real points (1-periodic).
+
+        Points are taken in blocks of ``_EVAL_BLOCK``, so the points-by-modes
+        exponential matrix never holds more than one block.
+        """
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
+        xs = np.atleast_1d(x).ravel()
         c = self._coeffs
         keep = np.abs(c) > _EVAL_CUTOFF * max(1.0, float(np.abs(c).max()))
-        k = self.modes[keep]
-        vals = np.exp(2j * np.pi * np.outer(xs, k)) @ c[keep]
-        return vals[0] if scalar else vals
+        k, ck = self.modes[keep], c[keep]
+        vals = np.empty(xs.shape, dtype=complex)
+        for i in range(0, xs.size, _EVAL_BLOCK):
+            block = xs[i:i + _EVAL_BLOCK]
+            vals[i:i + _EVAL_BLOCK] = np.exp(2j * np.pi * np.outer(block, k)) @ ck
+        return vals[0] if x.ndim == 0 else vals
 
     # ---------------- diagonal operations ----------------
 

@@ -91,6 +91,28 @@ def test_weighted_trace_small_time_suppression():
     assert abs(heat_trace_weighted(ONE, 1.0, 0.01)) < 1e-8
 
 
+def _fourier_heat_trace(modes, coeffs, alpha, t):
+    """Weighted trace of sum_k c_k e^{2 pi i k x} by Mehler's formula, in closed form."""
+    th = np.tanh(t)
+    terms = coeffs * np.exp(1j * np.pi * modes * alpha - np.pi ** 2 * modes ** 2 / th)
+    return np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t)) * terms.sum()
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("weight", ["cos", "bump"])
+def test_weighted_trace_matches_fourier_closed_form(weight, alpha, t, p03):
+    if weight == "cos":
+        f, modes, coeffs = COS, np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    else:
+        bump = p03.coefficient(0)
+        f = RealLineFunction.periodic_fn(bump, 1.0)
+        modes, coeffs = bump.modes.astype(float), bump.coefficients
+    expected = _fourier_heat_trace(modes, coeffs, alpha, t)
+    # relative to max(1, |expected|): cos's trace underflows to 0 for small t
+    assert heat_trace_weighted(f, alpha, t) == pytest.approx(expected, rel=1e-5, abs=1e-5)
+
+
 # ---------------- zeta values ----------------
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -109,6 +111,23 @@ def test_rieffel_coefficient_mean_matches_quadrature_oracle():
 
     f = PeriodicFunction.from_callable(np.vectorize(ramp))
     assert abs(f.mean() - oracle) < 1e-10
+
+
+def test_point_evaluation_memory_is_bounded(p03):
+    # the 16001 points of the 2000-mode diagonal stream against the bump's
+    # 2048 modes: one points-by-modes matrix of them would take 500 MiB
+    f = p03.coefficient(0)
+    xs = np.linspace(-60.0, 60.0, 16001)
+    tracemalloc.start()
+    try:
+        values = f(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert values.shape == xs.shape
+    # blocks are stitched in order across a block boundary
+    assert np.array_equal(values[1020:1030], f(xs[1020:1030]))
 
 
 def test_validation():
