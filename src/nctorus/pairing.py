@@ -35,7 +35,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import (
     AlgebraElement,
@@ -119,8 +118,9 @@ def fedosov_index(e, basis_size=400):
     On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
     the symmetry of the represented projection, D the block Dirac matrix and
     grading Gamma (``ladder_matrices``), the localizer is the Hermitian
-    matrix L = kappa D - Gamma (H + H), kappa = 1 / sqrt(N), with the last
-    lower-block row and column dropped: that mode's D^2 = 0 is a truncation
+    matrix L = kappa D - Gamma (H + H), kappa = 1 / sqrt(N), where
+    Gamma (H + H) = diag(H, -H) is built as ``np.kron(diag(1, -1), H)``,
+    with the last lower-block row and column dropped: that mode's D^2 = 0 is a truncation
     artifact outside the window |D|^2 <= 2(N - 1).  The index is
     (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
     ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
@@ -142,8 +142,7 @@ def fedosov_index(e, basis_size=400):
     sym = np.eye(n) - (rep + rep.conj().T)
     _, _, _, dirac, _ = ladder_matrices(basis)
     kappa = 1.0 / np.sqrt(n)
-    # Gamma (H + H) with Gamma = diag(I, -I) is diag(H, -H)
-    localizer = (kappa * dirac - block_diag(sym, -sym))[:-1, :-1]
+    localizer = (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
     evals = np.linalg.eigvalsh(localizer)
     signature = int(np.count_nonzero(evals > 0) - np.count_nonzero(evals < 0))
     gap = float(np.abs(evals).min())

@@ -109,8 +109,9 @@ class PeriodicFunction:
     def __call__(self, x):
         """Evaluate the trig interpolant at arbitrary real points (1-periodic).
 
-        Points are taken in blocks of ``_EVAL_BLOCK``, so the points-by-modes
-        exponential matrix never holds more than one block.
+        The result has the shape of ``x``.  Points are taken in blocks of
+        ``_EVAL_BLOCK``, so the points-by-modes exponential matrix never holds
+        more than one block.
         """
         x = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x).ravel()
@@ -121,7 +122,7 @@ class PeriodicFunction:
         for i in range(0, xs.size, _EVAL_BLOCK):
             block = xs[i:i + _EVAL_BLOCK]
             vals[i:i + _EVAL_BLOCK] = np.exp(2j * np.pi * np.outer(block, k)) @ ck
-        return vals[0] if x.ndim == 0 else vals
+        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
     # ---------------- diagonal operations ----------------
 

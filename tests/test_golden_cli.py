@@ -4,10 +4,11 @@ Each case runs ``nctorus.cli.main`` in-process and compares its stdout with
 a file under ``tests/golden/``.  All eight README examples are pinned in
 CSV; the six that finish in under a second are pinned in JSON as well.
 
-The files were captured with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
-mpmath 1.3.0.  The last digits of the printed floats depend on that
-environment (BLAS, quadrature and special-function versions), so a
-mismatch under other versions is not by itself a regression.
+The files were captured with Python 3.11.7, numpy 2.4.6 and mpmath 1.3.0.
+The library does not import scipy, so the goldens do not depend on it.
+The last digits of the printed floats depend on that environment (BLAS,
+FFT and special-function versions), so a mismatch under other versions is
+not by itself a regression.
 """
 
 from pathlib import Path

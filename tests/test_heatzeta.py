@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,11 +15,14 @@ from nctorus import (
     mehler_eigen_sum,
     mehler_kernel,
     mehler_kernel_classical,
+    period_mean,
     residue_at_1,
     residue_by_extrapolation,
+    rieffel_projection,
     spectral_diagonals,
     zeta_trace,
 )
+from nctorus import heatzeta
 
 COS = RealLineFunction.periodic_fn(lambda x: np.cos(2 * np.pi * np.asarray(x)), 1.0)
 ONE_PLUS_COS = RealLineFunction.periodic_fn(
@@ -142,12 +146,48 @@ def test_zeta_methods_cross_check():
     assert mellin.residue_at_1 == 0.0
 
 
+def _mellin_one_reference(alpha, s):
+    """Tr(T_alpha H^-s) from the closed-form heat trace, 30-digit mpmath quadrature."""
+    with mpmath.workdps(30):
+        a, s = mpmath.mpf(alpha), mpmath.mpf(s)
+
+        def integrand(t):
+            return t ** (s - 1) * mpmath.exp(-a * a * mpmath.coth(t) / 4) / (2 * mpmath.sinh(t))
+
+        breaks = [0, a * a / 16, a * a, 1, 4, 16, 64, mpmath.inf]
+        return float(mpmath.quad(integrand, breaks) / mpmath.gamma(s))
+
+
+@pytest.mark.parametrize("alpha, s", [(0.05, 1.1), (0.05, 3.0), (0.3, 1.01), (1.0, 1.5),
+                                      (3.0, 2.0)])
+def test_mellin_matches_mpmath_reference(alpha, s):
+    ev = zeta_trace(ONE, alpha, s)
+    assert ev.method == "heat_mellin"
+    assert ev.value == pytest.approx(_mellin_one_reference(alpha, s), rel=1e-13)
+    assert ev.error_estimate < 1e-6
+
+
+def test_mellin_heat_trace_calls(monkeypatch):
+    calls = []
+
+    def counted(f, alpha, t):
+        calls.append(t)
+        return heat_trace_weighted(f, alpha, t)
+
+    monkeypatch.setattr(heatzeta, "heat_trace_weighted", counted)
+    zeta_trace(ONE, 0.7, 1.5)
+    assert 0 < len(calls) <= 80
+
+
 def test_zeta_error_paths():
     generic = RealLineFunction.generic(lambda x: np.cos(np.asarray(x)))
     with pytest.raises(ValueError):
         zeta_trace(generic, 0.0, 0.5, n_modes=100)
     with pytest.raises(ValueError):
         zeta_trace(ONE, 0.0, 0.9, method="heat_mellin")
+    # the Mellin route is off-diagonal only, right of the pole too
+    with pytest.raises(ValueError):
+        zeta_trace(ONE, 0.0, 1.5, method="heat_mellin")
 
 
 # ---------------- residues ----------------
@@ -171,6 +211,13 @@ def test_residue_half_period():
     assert abs(oracle - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("hbar", [0.02, 0.005])
+def test_period_mean_of_narrow_bump_is_its_zeroth_coefficient(hbar):
+    bump = rieffel_projection(hbar).coefficient(0)
+    f = RealLineFunction.periodic_fn(bump, 1.0)
+    assert abs(period_mean(f) - bump.mean()) < 1e-15
+
+
 def test_residue_requires_periodic():
     with pytest.raises(ValueError):
         residue_at_1(ARCTAN)
@@ -190,6 +237,19 @@ def test_mean_of_arctan():
     assert abs(res.mu_plus - np.pi / 2) < 1e-3
     assert abs(res.mu_minus + np.pi / 2) < 1e-3
     assert abs(res.mu) < 1e-3
+
+
+def test_mean_of_arctan_matches_exact_antiderivative_fit():
+    # the same three-point fit on F(x) = x arctan x - log(1 + x^2) / 2
+    def exact_side(sign, x_max=32.0):
+        xs = np.array([x_max / 4.0, x_max / 2.0, x_max])
+        rs = (xs * np.arctan(sign * xs) - 0.5 * np.log1p(xs * xs) / sign) / xs
+        design = np.column_stack([np.ones(3), 1.0 / xs, np.log(xs) / xs])
+        return np.linalg.solve(design, rs)[0]
+
+    res = asymptotic_mean(ARCTAN, x_max=32.0)
+    assert abs(res.mu_plus - exact_side(1.0)) < 1e-14
+    assert abs(res.mu_minus - exact_side(-1.0)) < 1e-14
 
 
 def test_mean_periodic_exact():

@@ -130,6 +130,14 @@ def test_point_evaluation_memory_is_bounded(p03):
     assert np.array_equal(values[1020:1030], f(xs[1020:1030]))
 
 
+def test_evaluation_keeps_the_shape_of_the_points():
+    f = smooth_test_function()
+    xs = np.linspace(-0.7, 1.3, 6)
+    values = f(xs.reshape(2, 3))
+    assert values.shape == (2, 3)
+    assert np.array_equal(values.ravel(), f(xs))
+
+
 def test_validation():
     with pytest.raises(ValueError):
         PeriodicFunction(np.ones(7))  # odd length
