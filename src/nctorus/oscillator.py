@@ -1,25 +1,39 @@
 """Truncated Hermite-basis model of L^2(R).
 
-Provides stable evaluation of the orthonormal oscillator eigenfunctions,
-dense matrices of the ladder operators, of multiplication and translation
-operators, the line representation of rotation-algebra elements, and a
-streaming routine for the diagonal matrix elements used by spectral zeta
-sums.
+Provides stable evaluation of the orthonormal oscillator eigenfunctions
+psi_n, dense matrices of the ladder operators and of multiplication and
+translation operators, the finite section of the line representation of
+rotation-algebra elements, and the diagonal matrix elements used by heat
+traces and spectral zeta sums.
 
-Quadrature is a uniform grid on [-L, L] with L = sqrt(2N+3) + 6 and
-K = 8N + 1 points: integrands are products of Hermite functions with
+Matrices are quadratures on a uniform grid on [-L, L] with L = sqrt(2N+3) + 6
+and K = 8N + 1 points: integrands are products of Hermite functions with
 bounded smooth factors and decay like exp(-x^2/2) beyond the classical
-turning point, so the trapezoid weights are spectrally accurate and the
-shifted-grid samples needed by translation matrices can be reused.
+turning point, so the trapezoid weights are spectrally accurate.
+
+An algebra coefficient reaches the N-mode window only through its Fourier
+modes |k| <= ``band_limit(N)``; the rest couple nothing there (the tail
+bound is in ``band_limit``) and would only alias into the grid, so
+``represent`` and ``algebra_diagonals`` drop them.  Diagonal elements of
+algebra elements need no quadrature: in the Weyl (Laguerre) form
+
+    <psi_n, e^{2 pi i k x} psi_n(. - a)> = e^{i pi k a} e^{-y/2} L_n(y),
+    y = (a^2 + 4 pi^2 k^2) / 2.
+
+``diagonal_elements`` keeps the quadrature for weights given only as
+callables on the line.
 
 Truncation-edge convention: homomorphism and commutation identities are
 asserted on the top-left floor(N/2) block only; full-matrix violations near
 the edge are expected and are not defects.
 """
 
+import logging
 from functools import cached_property
 
 import numpy as np
+
+from .periodic import trig_sum
 
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 1e120
@@ -27,6 +41,8 @@ _RESCALE_LIMIT = 1e120
 QUAD_PAD = 6.0
 # quadrature points per mode: K = QUAD_DENSITY * N + 1
 QUAD_DENSITY = 8
+
+logger = logging.getLogger(__name__)
 
 
 def _hermite_iter(x):
@@ -155,50 +171,121 @@ def translation_matrix(alpha, basis):
     return _matrix_elements(1.0, alpha, basis)
 
 
+def band_limit(n_modes):
+    """Highest Fourier mode kmax = ceil(2 sqrt(2N) / pi) kept on N modes.
+
+    psi_m psi_n with m, n < N carries frequencies up to about 2 sqrt(2N)
+    radians, so e^{2 pi i k x} couples nothing in the window once
+    |k| > sqrt(2N) / pi; kmax is twice that edge.
+
+    Tail bound: for |k| > kmax, m, n < N and any shift a, y =
+    (a^2 + 4 pi^2 k^2) / 2 exceeds 16N, and the displacement-operator series
+    bounds the matrix element term by term:
+
+        |<psi_m, e^{2 pi i k x} psi_n(. - a)>|
+            <= e^{-y/2} y^{(m+n)/2} e^{mn/y} / sqrt(m! n!) <= e^{-4N}.
+
+    Dropping the modes |k| > kmax of a coefficient c therefore moves each
+    entry of an N-mode section by at most e^{-4N} sum_{|k|>kmax} |c_k|,
+    which is zero in double precision: a K-point quadrature of such an
+    element reads rounding only, of order sqrt(K) times the unit roundoff.
+    """
+    return int(np.ceil(2.0 * np.sqrt(2.0 * n_modes) / np.pi))
+
+
+def _bands(a, n_modes, caller):
+    """(degree, modes, coefficients) of each coefficient of a within the band limit.
+
+    Logs kmax and the neglected-coefficient mass, summed over degrees, at
+    DEBUG on the ``nctorus.oscillator`` logger.
+    """
+    kmax = band_limit(n_modes)
+    bands, neglected = [], 0.0
+    for n, f in a.items():
+        k, c, tail = f.band(kmax)
+        bands.append((n, k, c))
+        neglected += tail
+    logger.debug("%s: N=%d kmax=%d neglected coefficient mass=%.6g",
+                 caller, n_modes, kmax, neglected)
+    return bands
+
+
 def represent(a, basis):
     """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis.
 
     Each degree n is one quadrature of f_n psi_j psi_k(. - n hbar): a single
     translation by n*hbar of either sign, not a product P M_f P . P T P.
+    f_n is evaluated on the grid from its modes |k| <= ``band_limit(N)``,
+    so no out-of-band mode aliases into the section.
     """
     out = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
-    for n, f in a.items():
-        out += _matrix_elements(f(basis.grid), n * a.hbar, basis)
+    for n, k, c in _bands(a, basis.n_modes, "represent"):
+        out += _matrix_elements(trig_sum(k, c, basis.grid), n * a.hbar, basis)
     return out
 
 
 def diagonal_elements(weighted_shifts, n_modes):
-    """Streaming diagonal matrix elements d_n = quad(w(x) psi_n(x-a) psi_n(x)).
+    """Diagonal matrix elements d_n = quad(w(x) psi_n(x - a) psi_n(x)), n < n_modes.
 
-    ``weighted_shifts`` is a sequence of (weight, shift) pairs where weight
-    is a callable on real arrays; the result has one row per pair.  All
-    pairs share one quadrature grid and one pass of the rescaled recurrence,
-    so computing several weights at once is nearly free.
+    For weights known only as callables on the line.  ``weighted_shifts`` is
+    a sequence of (weight, shift) pairs; the result has one row per pair.
+    The quadrature is the uniform (QUAD_DENSITY n_modes + 1)-point rule on
+    [-L - s, L + s], s the largest |shift|, and the Hermite recurrence is
+    streamed, so that no rows are stored.
     """
-    pairs = list(weighted_shifts)
-    shifts = [float(a) for _, a in pairs]
-    span = max([0.0] + [abs(a) for a in shifts])
+    pairs = [(w, float(a)) for w, a in weighted_shifts]
+    span = max([0.0] + [abs(a) for _, a in pairs])
     half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD + span
     x = np.linspace(-half_width, half_width, QUAD_DENSITY * n_modes + 1)
     step = x[1] - x[0]
-    weights = [np.asarray(w(x)) * step for w, _ in pairs]
-
-    iters = {0.0: _hermite_iter(x)}
-    for a in shifts:
-        if a not in iters:
-            iters[a] = _hermite_iter(x - a)
-
     out = np.zeros((len(pairs), n_modes), dtype=complex)
+    for i, (w, a) in enumerate(pairs):
+        wv = np.asarray(w(x)) * step
+        base = _hermite_iter(x)
+        shifted = _hermite_iter(x - a) if a != 0.0 else None
+        for n in range(n_modes):
+            row = next(base)
+            out[i, n] = (wv * (row if shifted is None else next(shifted)) * row).sum()
+    return out
+
+
+def _laguerre_rows(y, n_modes):
+    """e^{-y/2} L_n(y) for n < n_modes at each y >= 0, shape (n_modes, len(y)).
+
+    The three-term recurrence (n + 1) L_{n+1} = (2n + 1 - y) L_n - n L_{n-1}
+    runs with a per-column log scale, so that large y neither overflows L_n
+    nor underflows e^{-y/2}.
+    """
+    out = np.empty((n_modes, y.size))
+    prev, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
     for n in range(n_modes):
-        row = {a: next(it) for a, it in iters.items()}
-        base = row[0.0]
-        for i, (wv, a) in enumerate(zip(weights, shifts)):
-            shifted = base if a == 0.0 else row[a]
-            out[i, n] = (wv * shifted * base).sum()
+        with np.errstate(under="ignore"):
+            out[n] = cur * np.exp(log_scale)
+        prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
+        big = np.abs(cur) > _RESCALE_LIMIT
+        if big.any():
+            scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
+            prev, cur = prev * scale, cur * scale
+            log_scale = log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0)
     return out
 
 
 def algebra_diagonals(a, n_modes):
-    """Diagonal elements <pi(a) psi_n, psi_n> of a represented algebra element."""
-    pairs = [(f, n * a.hbar) for n, f in a.items()]
-    return diagonal_elements(pairs, n_modes).sum(axis=0)
+    """Diagonal elements <pi(a) psi_n, psi_n>, n < n_modes, in closed form.
+
+    With c_k the modes |k| <= ``band_limit(n_modes)`` of the degree-m
+    coefficient and s = m hbar,
+
+        d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
+        y = (s^2 + 4 pi^2 k^2) / 2,
+
+    by ``_laguerre_rows``; no quadrature, so nothing aliases.  The dropped
+    modes move each d_n by at most e^{-4 n_modes} times their mass (see
+    ``band_limit``).
+    """
+    ys, phased = [], []
+    for m, k, c in _bands(a, n_modes, "algebra_diagonals"):
+        s = m * a.hbar
+        ys.append(0.5 * (s * s + 4.0 * np.pi ** 2 * k * k))
+        phased.append(c * np.exp(1j * np.pi * k * s))
+    return _laguerre_rows(np.concatenate(ys), n_modes) @ np.concatenate(phased)

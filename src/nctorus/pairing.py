@@ -20,14 +20,15 @@ Measured margins (numpy 2.4 with OpenBLAS): over the bump projections with
 hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
 2.4, 2.6} at N = 300/400/500 and {-0.6, -0.4, -0.25, 0.3, 0.55, 1.3, 1.45,
 1.65, 2.4, 2.6} at N = 200, all 52 integers are -floor(hbar) and the
-smallest gap is 0.150 (hbar 2.25, N = 300).  The largest gap of any wrong
-localizer integer seen is 0.076 (hbar 1.8, N = 200, on a 2N + 1-point
-quadrature), so the floor of 0.1 sits 1.3x above every wrong and 1.5x below
-every verified gap.
+smallest gap is 0.1504 (hbar 2.25, N = 300).  Off those sets, -0.75, 1.8
+and 2.75 at N = 300/400/500 and 0.45, 0.7 and 2.25 at N = 200 are right as
+well, with gaps of at least 0.131.  The largest gap of a wrong localizer
+integer among all values measured is 0.078 (hbar 6.88, N = 200), so the
+floor of 0.1 sits 1.28x above every wrong and 1.5x below every verified gap.
 
 Domain: the gap closes as |hbar| grows at fixed N.  At N = 200 the hbar
 values 4.13, 5.21, 6.3, 6.88, 9.3, 9.78, 14.3 and 14.71 all raise (largest
-gap 0.072); at N = 400, 5.21, 6.3 and 9.3 are certified and the rest raise.
+gap 0.078); at N = 400, 5.21, 6.3 and 9.3 are certified and the rest raise.
 hbar = 1.2 at N = 200 raises too (gap 0.093).
 """
 
@@ -69,9 +70,10 @@ class PairingReport:
 def graded_heat_trace(a, t, n_modes=2000, diagonals=None):
     """theta(t) = sum_n d_n (e^{-t lam+_n} - e^{-t lam-_n}) plus tail model.
 
-    d_n are the diagonal elements of the represented element, lam+ runs over
-    the kernel-corrected even spectrum 1, 2, 4, 6, ... and lam- over the odd
-    spectrum 2, 4, 6, ...; the mode tail beyond n_modes is modelled by the
+    d_n are the closed-form diagonal elements of the represented element
+    (``algebra_diagonals``), lam+ runs over the kernel-corrected even
+    spectrum 1, 2, 4, 6, ... and lam- over the odd spectrum 2, 4, 6, ...;
+    the mode tail beyond n_modes is modelled by the
     trace of the element (the limit of the d_n), which telescopes to
     trace(a) e^{-2 n_modes t}.  For the unit, theta(t) = e^{-t} exactly.
     """
@@ -159,9 +161,9 @@ def fedosov_index(e, basis_size=400):
 def index_pairing(e, basis_size=400, n_modes=2000):
     """All three routes for one projection, reconciled in a PairingReport.
 
-    The operator route runs before the local formula's n_modes-mode diagonal
-    stream, so a localizer gap below ``GAP_FLOOR`` raises without waiting
-    for it.
+    The operator route runs before the local formula's n_modes diagonal
+    elements, so a localizer gap below ``GAP_FLOOR`` raises without
+    computing them.
     """
     hbar = e.hbar
     c1 = chern_number(e)

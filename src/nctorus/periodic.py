@@ -36,6 +36,22 @@ def smooth_step(u):
     return out[0] if scalar else out
 
 
+def trig_sum(k, c, x):
+    """The trigonometric sum  sum_j c_j e^{2 pi i k_j x}  at real points x.
+
+    The result has the shape of ``x``.  Points are taken in blocks of
+    ``_EVAL_BLOCK``, so the points-by-modes exponential matrix never holds
+    more than one block.
+    """
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(x).ravel()
+    vals = np.empty(xs.shape, dtype=complex)
+    for i in range(0, xs.size, _EVAL_BLOCK):
+        block = xs[i:i + _EVAL_BLOCK]
+        vals[i:i + _EVAL_BLOCK] = np.exp(2j * np.pi * np.outer(block, k)) @ c
+    return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
+
+
 class PeriodicFunction:
     """A smooth function on R/Z held as uniform samples with trig interpolation."""
 
@@ -109,20 +125,22 @@ class PeriodicFunction:
     def __call__(self, x):
         """Evaluate the trig interpolant at arbitrary real points (1-periodic).
 
-        The result has the shape of ``x``.  Points are taken in blocks of
-        ``_EVAL_BLOCK``, so the points-by-modes exponential matrix never holds
-        more than one block.
+        Every mode above ``_EVAL_CUTOFF`` relative to the largest is kept;
+        the result has the shape of ``x`` (see ``trig_sum``).
         """
-        x = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x).ravel()
         c = self._coeffs
         keep = np.abs(c) > _EVAL_CUTOFF * max(1.0, float(np.abs(c).max()))
-        k, ck = self.modes[keep], c[keep]
-        vals = np.empty(xs.shape, dtype=complex)
-        for i in range(0, xs.size, _EVAL_BLOCK):
-            block = xs[i:i + _EVAL_BLOCK]
-            vals[i:i + _EVAL_BLOCK] = np.exp(2j * np.pi * np.outer(block, k)) @ ck
-        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
+        return trig_sum(self.modes[keep], c[keep], x)
+
+    def band(self, kmax):
+        """Modes |k| <= kmax with their coefficients, and the dropped mass.
+
+        Returns (k, c_k, tail) with tail = sum over |k| > kmax of |c_k|; a
+        kmax of M/2 or more keeps every slot, the Nyquist one included.
+        """
+        k = self.modes
+        keep = np.abs(k) <= kmax
+        return k[keep], self._coeffs[keep], float(np.abs(self._coeffs[~keep]).sum())
 
     # ---------------- diagonal operations ----------------
 

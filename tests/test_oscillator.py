@@ -1,3 +1,7 @@
+import logging
+import re
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +17,10 @@ from nctorus import (
     ladder_matrices,
     multiplication_matrix,
     represent,
+    rieffel_projection,
     translation_matrix,
 )
+from nctorus.oscillator import band_limit
 from nctorus import multiply as alg_multiply
 
 HBAR = 0.3
@@ -98,7 +104,7 @@ def test_represent_identity(basis200):
 def test_represent_projection_is_a_compression(p03, basis400):
     # P pi(e) P of a projection e is self-adjoint with spectrum in [0, 1]
     rep = represent(p03, basis400)
-    assert np.abs(rep - rep.conj().T).max() < 1e-3
+    assert np.abs(rep - rep.conj().T).max() < 1e-12
     evals = np.linalg.eigvalsh(0.5 * (rep + rep.conj().T))
     assert evals.min() > -1e-5
     assert evals.max() < 1.0 + 1e-5
@@ -169,3 +175,89 @@ def test_hermite_rows_match_eval():
     x = np.linspace(-30.0, 30.0, 7)
     rows = hermite_rows(120, x)
     assert np.abs(rows[100] - hermite_eval(100, x)).max() < 1e-13
+
+
+def _band_values(f, kmax, x):
+    """sum_{|k| <= kmax} c_k e^{2 pi i k x} from f's FFT coefficients."""
+    k = f.modes
+    keep = np.abs(k) <= kmax
+    return np.exp(2j * np.pi * np.outer(x, k[keep])) @ f.coefficients[keep]
+
+
+def _reference_diagonals(a, kmax, n_modes, density=64, chunk=4096):
+    """sum_m quad(f_m(x) psi_n(x - m hbar) psi_n(x)) with f_m cut to |k| <= kmax.
+
+    The quadrature is a uniform grid of its own, density points per mode,
+    with the Hermite rows built chunk by chunk.
+    """
+    span = max(abs(m * a.hbar) for m, _ in a.items())
+    half = np.sqrt(2.0 * n_modes + 3.0) + 6.0 + span
+    x = np.linspace(-half, half, density * n_modes + 1)
+    step = x[1] - x[0]
+    out = np.zeros(n_modes, dtype=complex)
+    for i in range(0, x.size, chunk):
+        xs = x[i:i + chunk]
+        base = hermite_rows(n_modes, xs)
+        for m, f in a.items():
+            shifted = base if m == 0 else hermite_rows(n_modes, xs - m * a.hbar)
+            out += (base * shifted) @ (_band_values(f, kmax, xs) * step)
+    return out
+
+
+@pytest.mark.parametrize("hbar", [0.3, 2.05, 1.99878])
+def test_algebra_diagonals_match_band_limited_quadrature(hbar):
+    # independent reference: a density-64 quadrature over the first 600 modes
+    e = rieffel_projection(hbar)
+    d = algebra_diagonals(e, 2000)[:600]
+    ref = _reference_diagonals(e, band_limit(2000), 600)
+    assert np.abs(d - ref).max() < 1e-11
+
+
+def test_algebra_diagonals_circle_generator_laguerre():
+    # <psi_n, e^{2 pi i x} psi_n> = e^{-pi^2} L_n(2 pi^2)
+    d = algebra_diagonals(AlgebraElement.circle_generator(HBAR), 2000)
+    for n in (0, 7, 150, 1999):
+        exact = complex(mpmath.exp(-mpmath.pi ** 2) * mpmath.laguerre(n, 0, 2 * mpmath.pi ** 2))
+        assert abs(d[n] - exact) < 1e-13, n
+
+
+@pytest.mark.parametrize("n_modes", [200, 400])
+@pytest.mark.parametrize("offset", [1, 5])
+def test_out_of_band_modes_couple_nothing(n_modes, offset):
+    # band_limit's tail bound: the exact element is at most e^{-4N}, and a
+    # K-point quadrature of it reads rounding of order sqrt(K) eps
+    k = band_limit(n_modes) + offset
+    half = np.sqrt(2.0 * n_modes + 3.0) + 6.0
+    x = np.linspace(-half, half, 64 * n_modes + 1)
+    rows = hermite_rows(n_modes, x)
+    weight = (x[1] - x[0]) * np.exp(2j * np.pi * k * x)
+    elements = (rows * weight.real) @ rows.T + 1j * ((rows * weight.imag) @ rows.T)
+    bound = np.exp(-4.0 * n_modes) + np.sqrt(x.size) * np.finfo(float).eps
+    assert np.abs(elements).max() < bound
+    y = 2 * mpmath.pi ** 2 * k ** 2
+    corner = mpmath.exp(-y / 2) * mpmath.laguerre(n_modes - 1, 0, y)
+    assert abs(corner) < mpmath.exp(-4 * n_modes)
+
+
+def _logged(caplog, call):
+    caplog.clear()
+    call()
+    (record,) = [r for r in caplog.records if r.name == "nctorus.oscillator"]
+    message = record.getMessage()
+    kmax = int(re.search(r"kmax=(\d+)", message).group(1))
+    mass = float(re.search(r"neglected coefficient mass=(\S+)", message).group(1))
+    return kmax, mass
+
+
+def test_band_limit_is_logged(caplog, p03, basis200):
+    caplog.set_level(logging.DEBUG, logger="nctorus.oscillator")
+    for n_modes, call in (
+        (200, lambda: represent(p03, basis200)),
+        (2000, lambda: algebra_diagonals(p03, 2000)),
+    ):
+        kmax, mass = _logged(caplog, call)
+        assert kmax == band_limit(n_modes)
+        expected = sum(
+            np.abs(f.coefficients[np.abs(f.modes) > kmax]).sum() for _, f in p03.items()
+        )
+        assert abs(mass - expected) <= 1e-5 * expected

@@ -38,6 +38,24 @@ def test_graded_heat_trace_of_unit_telescopes():
         assert abs(graded_heat_trace(one, t, n_modes=400) - np.exp(-t)) < 1e-10
 
 
+def test_graded_heat_trace_matches_generating_function(p03):
+    # sum_n L_n(y) r^n = e^{-y r/(1-r)} / (1-r) sums the mode series exactly:
+    # theta(t) = d_0 (e^{-t} - 1) + sum_{m,k} C_k e^{-y/2 - y r/(1-r)}, with
+    # r = e^{-2t}, C_k = c_k e^{i pi k m hbar}, y = ((m hbar)^2 + 4 pi^2 k^2)/2
+    t = 0.02
+    r = np.exp(-2.0 * t)
+    d0 = series = 0j
+    for m, f in p03.items():
+        shift = m * p03.hbar
+        k = f.modes
+        y = 0.5 * (shift ** 2 + 4.0 * np.pi ** 2 * k ** 2)
+        phased = f.coefficients * np.exp(1j * np.pi * k * shift)
+        d0 += (phased * np.exp(-0.5 * y)).sum()
+        series += (phased * np.exp(-0.5 * y - y * r / (1.0 - r))).sum()
+    closed = d0 * (np.exp(-t) - 1.0) + series
+    assert abs(graded_heat_trace(p03, t) - closed) < 1e-11
+
+
 def test_degree0_of_nonzero_degree(p03):
     part = AlgebraElement(HBAR, {1: p03.coefficient(1)})
     value = character_degree0(part, n_modes=1600)
