@@ -23,6 +23,14 @@ algebra elements need no quadrature: in the Weyl (Laguerre) form
 ``diagonal_elements`` keeps the quadrature for weights given only as
 callables on the line.
 
+Hermite values and quadrature weights below ``SUBNORMAL_FLOOR`` =
+cbrt(tiny) (about 2.8e-103) are stored as 0.  A product of three kept
+factors, one entry of a quadrature GEMM, is then never subnormal, which
+x86 computes in microcode at several times the cost.  Each dropped term is
+below 2.8e-103 times a Hermite value and a weight, far under the rounding
+of any entry of order 1e-100 or more, so the sections and the Gram matrix
+are unchanged in practice.
+
 Truncation-edge convention: homomorphism and commutation identities are
 asserted on the top-left floor(N/2) block only; full-matrix violations near
 the edge are expected and are not defects.
@@ -41,6 +49,8 @@ _RESCALE_LIMIT = 1e120
 QUAD_PAD = 6.0
 # quadrature points per mode: K = QUAD_DENSITY * N + 1
 QUAD_DENSITY = 8
+# kept Hermite values and quadrature weights are at least this in magnitude
+SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
 
 logger = logging.getLogger(__name__)
 
@@ -88,14 +98,23 @@ def hermite_eval(n, x):
     return float(row[0]) if scalar else row
 
 
+def _floor(values):
+    """Set the entries of values below ``SUBNORMAL_FLOOR`` in magnitude to 0, in place."""
+    values[(values < SUBNORMAL_FLOOR) & (values > -SUBNORMAL_FLOOR)] = 0.0
+    return values
+
+
 def hermite_rows(n_modes, x):
-    """Matrix of psi_n(x_j) for n = 0..n_modes-1 over the points x."""
+    """Matrix of psi_n(x_j) for n = 0..n_modes-1 over the points x.
+
+    Values below ``SUBNORMAL_FLOOR`` in magnitude are stored as 0.
+    """
     x = np.asarray(x, dtype=float)
     rows = np.empty((n_modes, x.shape[0]))
     it = _hermite_iter(x)
     for n in range(n_modes):
         rows[n] = next(it)
-    return rows
+    return _floor(rows)
 
 
 class HermiteBasis:
@@ -151,14 +170,15 @@ def _matrix_elements(values, alpha, basis):
     """Quadrature matrix of int v psi_m psi_n(. - alpha), v sampled on the grid.
 
     A complex v runs as two real GEMMs, half the flops of the complex GEMM
-    that numpy would upcast complex-by-real to.
+    that numpy would upcast complex-by-real to.  Weights below
+    ``SUBNORMAL_FLOOR`` are dropped, as in ``hermite_rows``.
     """
-    weighted = basis.weight * np.asarray(values)
+    weighted = np.atleast_1d(basis.weight * np.asarray(values))
     shifted = basis.rows if alpha == 0 else hermite_rows(basis.n_modes, basis.grid - alpha)
     if np.iscomplexobj(weighted):
-        return ((basis.rows * weighted.real) @ shifted.T
-                + 1j * ((basis.rows * weighted.imag) @ shifted.T))
-    return (basis.rows * weighted) @ shifted.T
+        return ((basis.rows * _floor(weighted.real)) @ shifted.T
+                + 1j * ((basis.rows * _floor(weighted.imag)) @ shifted.T))
+    return (basis.rows * _floor(weighted)) @ shifted.T
 
 
 def multiplication_matrix(f, basis):
@@ -254,19 +274,27 @@ def _laguerre_rows(y, n_modes):
 
     The three-term recurrence (n + 1) L_{n+1} = (2n + 1 - y) L_n - n L_{n-1}
     runs with a per-column log scale, so that large y neither overflows L_n
-    nor underflows e^{-y/2}.
+    nor underflows e^{-y/2}.  The scale is checked every ``_RESCALE_EVERY``
+    steps, as in ``_hermite_iter``: one step grows |L_n| by at most about
+    y + 2 (3.3e4 at 2000 modes), so 8 steps from 1e120 stay far below
+    overflow.  Each row's log scale is kept and applied in one ``exp`` at
+    the end.
     """
     out = np.empty((n_modes, y.size))
+    logs = np.empty((n_modes, y.size))
     prev, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
-    for n in range(n_modes):
-        with np.errstate(under="ignore"):
-            out[n] = cur * np.exp(log_scale)
-        prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
-        big = np.abs(cur) > _RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
-            prev, cur = prev * scale, cur * scale
-            log_scale = log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0)
+    with np.errstate(under="ignore"):
+        for n in range(n_modes):
+            out[n] = cur
+            logs[n] = log_scale
+            prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
+            if (n + 1) % _RESCALE_EVERY == 0:
+                big = np.abs(cur) > _RESCALE_LIMIT
+                if big.any():
+                    scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
+                    prev, cur = prev * scale, cur * scale
+                    log_scale = log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0)
+        out *= np.exp(logs)
     return out
 
 

@@ -12,9 +12,16 @@ The operator route follows the even-pairing spectral localizer of Loring and
 Schulz-Baldes (arXiv:1802.04517): the index of e against the Dirac block D
 is read off as half the signature of one finite Hermitian matrix built from
 D, its grading and the symmetry 1 - 2e on the first N Hermite modes, with
-the tuning kappa = 1/sqrt(N) (see ``fedosov_index``).  Its smallest
-|eigenvalue|, the gap, is the certificate: an integer is returned only when
-the gap is at least ``GAP_FLOOR``, otherwise ValueError is raised.
+the tuning kappa = 1/sqrt(N) (see ``fedosov_index``).  Since e is
+self-adjoint, the section is built from the nonnegative degrees of e alone,
+its negative degrees being their adjoints.  Its smallest |eigenvalue|, the
+gap, is the certificate: an integer is returned only when the gap is at
+least ``GAP_FLOOR``, otherwise ValueError is raised.  The spectrum is that
+of the real part of the localizer, and the gap is certified by Weyl's
+inequality as min |eigenvalue| minus the Frobenius norm of the imaginary
+part (the slack, below 1e-15 for the bump projections); a complex Hermitian
+spectrum is computed only when that slack leaves the comparison with the
+floor open.
 
 Measured margins (numpy 2.4 with OpenBLAS): over the bump projections with
 hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
@@ -114,6 +121,17 @@ def character_degree2(a0, a1, a2):
     return a0.hbar / (2j * np.pi) * cyclic_cocycle(a0, a1, a2)
 
 
+def _localizer(e, n, kappa):
+    """The localizer of ``fedosov_index`` on n modes, from the nonnegative degrees of e."""
+    basis = HermiteBasis(n)
+    upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
+                                    for m, f in e.items() if m >= 0})
+    half = represent(upper, basis)
+    sym = np.eye(n) - 2.0 * (half + half.conj().T)
+    _, _, _, dirac, _ = ladder_matrices(basis)
+    return (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
+
+
 def fedosov_index(e, basis_size=400):
     """Operator-index route: half the signature of the spectral localizer.
 
@@ -127,11 +145,24 @@ def fedosov_index(e, basis_size=400):
     (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
     ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
 
+    e is self-adjoint (``_require_projection``), so its degrees -n are the
+    adjoints of its degrees n, and only the nonnegative degrees are
+    represented: with S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
+    herm(P e P) is S + S^H.
+
     The smallest |eigenvalue| of L is its gap and the certificate of the
-    integer: below ``GAP_FLOOR`` this raises ValueError instead of
-    returning a number.  Large |hbar| at small N raises (see the module
-    docstring for the measured domain).  Each call logs N, kappa, the
-    signature and the gap at DEBUG on the ``nctorus.pairing`` logger.
+    integer.  The spectrum is taken of the real part of L: by Weyl's
+    inequality every eigenvalue of L lies within slack = ||Im L||_F of the
+    matching one of Re L, so min |eig Re L| - slack is a certified lower
+    bound on the gap, and Re L has the signature of L when that bound is
+    positive.  Only when the bound and min |eig Re L| + slack fall on two
+    sides of ``GAP_FLOOR`` (a genuinely complex e, such as U e U*) does the
+    complex Hermitian spectrum of L decide, with slack 0.  A gap below the
+    floor raises ValueError instead of returning a number.  Large |hbar| at
+    small N raises (see the module docstring for the measured domain).
+    Each call logs N, kappa, the signature, the gap, the slack and which
+    spectrum was taken (real or hermitian) at DEBUG on the
+    ``nctorus.pairing`` logger.
     """
     if basis_size < MIN_BASIS_SIZE:
         raise ValueError(
@@ -139,17 +170,17 @@ def fedosov_index(e, basis_size=400):
         )
     _require_projection(e)
     n = int(basis_size)
-    basis = HermiteBasis(n)
-    rep = represent(e, basis)
-    sym = np.eye(n) - (rep + rep.conj().T)
-    _, _, _, dirac, _ = ladder_matrices(basis)
     kappa = 1.0 / np.sqrt(n)
-    localizer = (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
-    evals = np.linalg.eigvalsh(localizer)
+    localizer = _localizer(e, n, kappa)
+    evals = np.linalg.eigvalsh(localizer.real)
+    slack = float(np.linalg.norm(localizer.imag))
+    spectrum = "real"
+    if abs(np.abs(evals).min() - GAP_FLOOR) <= slack:
+        evals, slack, spectrum = np.linalg.eigvalsh(localizer), 0.0, "hermitian"
     signature = int(np.count_nonzero(evals > 0) - np.count_nonzero(evals < 0))
-    gap = float(np.abs(evals).min())
-    logger.debug("operator index: N=%d kappa=%.6g signature=%d gap=%.6g",
-                 n, kappa, signature, gap)
+    gap = float(np.abs(evals).min()) - slack
+    logger.debug("operator index: N=%d kappa=%.6g signature=%d gap=%.6g "
+                 "slack=%.3g spectrum=%s", n, kappa, signature, gap, slack, spectrum)
     if gap < GAP_FLOOR:
         raise ValueError(
             f"localizer gap {gap:.3g} is below the floor {GAP_FLOOR}: "

@@ -8,14 +8,19 @@ import pytest
 
 from nctorus import (
     AlgebraElement,
+    HermiteBasis,
     PeriodicFunction,
+    adjoint,
     character_degree0,
     character_degree2,
     chern_number,
     fedosov_index,
     graded_heat_trace,
     index_pairing,
+    ladder_matrices,
+    multiply,
     report_to_json_dict,
+    represent,
     rieffel_projection,
 )
 from nctorus.cli import _pair_rows
@@ -142,6 +147,47 @@ def test_fedosov_staircase_gap_margin(caplog):
         (record,) = caplog.records
         gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
         assert gap >= 1.5 * GAP_FLOOR, (hbar, gap)
+
+
+def _logged_spectrum(caplog, e):
+    caplog.clear()
+    value = fedosov_index(e, basis_size=400)
+    (record,) = caplog.records
+    message = record.getMessage()
+    fields = dict(re.findall(r"(\w+)=(\S+)", message))
+    return value, fields["spectrum"], float(fields["slack"]), float(fields["gap"])
+
+
+@pytest.mark.parametrize("hbar, expected", [(0.3, 0), (1.3, -1), (2.4, -2)])
+def test_fedosov_invariant_under_unitary_conjugation(caplog, hbar, expected):
+    # U e U* has complex degree +-1 coefficients: the slack of the real
+    # spectrum is O(1), so the complex Hermitian spectrum decides
+    caplog.set_level(logging.DEBUG, logger="nctorus.pairing")
+    e = rieffel_projection(hbar)
+    u = AlgebraElement.circle_generator(hbar)
+    conjugated = multiply(multiply(u, e), adjoint(u))
+    value, spectrum, slack, gap = _logged_spectrum(caplog, e)
+    assert (value, spectrum) == (expected, "real")
+    assert slack < 1e-14 and gap >= GAP_FLOOR
+    value, spectrum, slack, gap = _logged_spectrum(caplog, conjugated)
+    assert (value, spectrum, slack) == (expected, "hermitian", 0.0)
+    assert gap >= GAP_FLOOR
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_nonnegative_degree_localizer_matches_full_section(n):
+    # herm(P e P) from all degrees against S + S^H from the degrees n >= 0
+    kappa = 1.0 / np.sqrt(n)
+    basis = HermiteBasis(n)
+    _, _, _, dirac, _ = ladder_matrices(basis)
+    for hbar in (0.3, 2.6):
+        e = rieffel_projection(hbar)
+        rep = represent(e, basis)
+        sym = np.eye(n) - (rep + rep.conj().T)
+        full = (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
+        reduced = pairing._localizer(e, n, kappa)
+        diff = np.abs(np.linalg.eigvalsh(full) - np.linalg.eigvalsh(reduced)).max()
+        assert diff < 1e-12, (n, hbar, diff)
 
 
 def test_index_pairing_gap_failure_skips_the_diagonal_stream(monkeypatch):
