@@ -196,18 +196,11 @@ def mehler_eigen_sum(t, x, y):
 
 
 def heat_trace(t):
-    """Trace of the heat semigroup at time t: the Mehler diagonal summed on ``_gl_rule``.
+    """Trace of the heat semigroup at time t: ``heat_trace_weighted(ONE, 0, t)``.
 
-    The diagonal mehler_kernel(t, x, x) is a Gaussian of width
-    1/sqrt(tanh t), so with x = y / sqrt(tanh t) the trace is
-    1/sqrt(tanh t) times the uniform-rule sum over y.
+    The same Mehler diagonal on the same rule, 1/(2 sinh t) in closed form.
     """
-    t = float(t)
-    if t <= 0:
-        raise ValueError("time must be positive")
-    y, w = _gl_rule()
-    width = 1.0 / np.sqrt(np.tanh(t))
-    return float(w * mehler_kernel(t, y * width, y * width).sum() * width)
+    return heat_trace_weighted(ONE, 0.0, t).real
 
 
 def heat_trace_weighted(f, alpha, t):
@@ -289,8 +282,10 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
 
     method 'eigen_sum_tail' sums diagonal elements against (2n+1)^{-s} and
     models the tail by the asymptotic mean times the continued odd zeta; it
-    is the on-diagonal default.  method 'heat_mellin' integrates the
-    weighted heat trace against t^{s-1}/Gamma(s); it is off-diagonal only
+    is the on-diagonal default, and its ``residue_at_1`` is half that mean
+    (0 off the diagonal, None for a generic weight, which has no tail
+    model).  method 'heat_mellin' integrates the weighted heat trace
+    against t^{s-1}/Gamma(s); it is off-diagonal only
     (alpha = 0 raises ValueError) and the off-diagonal default, where the
     zeta function is entire.  In v = log t the integrand
     e^{sv} heat_trace_weighted(f, alpha, e^v) decays double-exponentially
@@ -334,11 +329,7 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
             # oscillatory partial sums; the envelope of the neglected tail
             # scales like |d_N| N^{1/4 - Re s} by stationary phase
             err = abs(d[-1]) * len(d) ** max(0.0, 1.25 - s.real)
-        residue = None
-        if alpha != 0.0:
-            residue = 0.0
-        elif f.kind == "periodic":
-            residue = mu / 2.0
+        residue = None if mu is None else mu / 2.0
         return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
 
     if method == "heat_mellin":

@@ -237,10 +237,19 @@ def represent(a, basis):
     translation by n*hbar of either sign, not a product P M_f P . P T P.
     f_n is evaluated on the grid from its modes |k| <= ``band_limit(N)``,
     so no out-of-band mode aliases into the section.
+
+    Multiplication by a real f_n and translation both map real functions to
+    real functions, so a coefficient with real samples is taken as the real
+    part of its band, and its degree is one real GEMM.  The section of an
+    element whose coefficients are all real is a float64 array; any complex
+    coefficient makes it complex.
     """
-    out = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+    out = np.zeros((basis.n_modes, basis.n_modes))
     for n, k, c in _bands(a, basis.n_modes, "represent"):
-        out += _matrix_elements(trig_sum(k, c, basis.grid), n * a.hbar, basis)
+        values = trig_sum(k, c, basis.grid)
+        if not a.coefficient(n).samples.imag.any():
+            values = values.real
+        out = out + _matrix_elements(values, n * a.hbar, basis)
     return out
 
 

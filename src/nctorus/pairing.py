@@ -16,12 +16,12 @@ the tuning kappa = 1/sqrt(N) (see ``fedosov_index``).  Since e is
 self-adjoint, the section is built from the nonnegative degrees of e alone,
 its negative degrees being their adjoints.  Its smallest |eigenvalue|, the
 gap, is the certificate: an integer is returned only when the gap is at
-least ``GAP_FLOOR``, otherwise ValueError is raised.  The spectrum is that
-of the real part of the localizer, and the gap is certified by Weyl's
-inequality as min |eigenvalue| minus the Frobenius norm of the imaginary
-part (the slack, below 1e-15 for the bump projections); a complex Hermitian
-spectrum is computed only when that slack leaves the comparison with the
-floor open.
+least ``GAP_FLOOR``, otherwise ValueError is raised.  In the line
+representation a coefficient acts by multiplication and [1] by translation,
+so an element with real coefficient functions, such as the nonnegative
+degrees of the bump projection, maps real functions to real functions: its
+section and localizer are real symmetric, and their spectrum is computed as
+such.  A complex coefficient gives a complex Hermitian localizer.
 
 Measured margins (numpy 2.4 with OpenBLAS): over the bump projections with
 hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
@@ -151,18 +151,15 @@ def fedosov_index(e, basis_size=400):
     herm(P e P) is S + S^H.
 
     The smallest |eigenvalue| of L is its gap and the certificate of the
-    integer.  The spectrum is taken of the real part of L: by Weyl's
-    inequality every eigenvalue of L lies within slack = ||Im L||_F of the
-    matching one of Re L, so min |eig Re L| - slack is a certified lower
-    bound on the gap, and Re L has the signature of L when that bound is
-    positive.  Only when the bound and min |eig Re L| + slack fall on two
-    sides of ``GAP_FLOOR`` (a genuinely complex e, such as U e U*) does the
-    complex Hermitian spectrum of L decide, with slack 0.  A gap below the
-    floor raises ValueError instead of returning a number.  Large |hbar| at
-    small N raises (see the module docstring for the measured domain).
-    Each call logs N, kappa, the signature, the gap, the slack and which
-    spectrum was taken (real or hermitian) at DEBUG on the
-    ``nctorus.pairing`` logger.
+    integer; one ``eigvalsh`` of L gives both.  When every coefficient of
+    the nonnegative degrees has real samples, as for the bump projection,
+    ``represent`` returns a real section, so L is real symmetric and numpy
+    takes the real LAPACK routine; any complex coefficient (U e U*, say)
+    makes L complex Hermitian.  A gap below ``GAP_FLOOR`` raises ValueError
+    instead of returning a number.  Large |hbar| at small N raises (see the
+    module docstring for the measured domain).  Each call logs N, kappa,
+    the signature, the gap and the localizer's dtype (spectrum=real or
+    hermitian) at DEBUG on the ``nctorus.pairing`` logger.
     """
     if basis_size < MIN_BASIS_SIZE:
         raise ValueError(
@@ -172,15 +169,12 @@ def fedosov_index(e, basis_size=400):
     n = int(basis_size)
     kappa = 1.0 / np.sqrt(n)
     localizer = _localizer(e, n, kappa)
-    evals = np.linalg.eigvalsh(localizer.real)
-    slack = float(np.linalg.norm(localizer.imag))
-    spectrum = "real"
-    if abs(np.abs(evals).min() - GAP_FLOOR) <= slack:
-        evals, slack, spectrum = np.linalg.eigvalsh(localizer), 0.0, "hermitian"
+    evals = np.linalg.eigvalsh(localizer)
     signature = int(np.count_nonzero(evals > 0) - np.count_nonzero(evals < 0))
-    gap = float(np.abs(evals).min()) - slack
-    logger.debug("operator index: N=%d kappa=%.6g signature=%d gap=%.6g "
-                 "slack=%.3g spectrum=%s", n, kappa, signature, gap, slack, spectrum)
+    gap = float(np.abs(evals).min())
+    spectrum = "hermitian" if np.iscomplexobj(localizer) else "real"
+    logger.debug("operator index: N=%d kappa=%.6g signature=%d gap=%.6g spectrum=%s",
+                 n, kappa, signature, gap, spectrum)
     if gap < GAP_FLOOR:
         raise ValueError(
             f"localizer gap {gap:.3g} is below the floor {GAP_FLOOR}: "

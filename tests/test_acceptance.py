@@ -119,7 +119,8 @@ def test_criterion_3_residue_theorem():
             0.0,
         ),
     }
-    # one streaming pass of 2000 modes serves all four weights
+    # one call computes the 2000 diagonals of all four weights, restarting
+    # the Hermite recurrence for each weight
     rows = diagonal_elements([(f, 0.0) for f, _ in weights.values()], 2000)
     failures = []
     details = []

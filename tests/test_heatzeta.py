@@ -132,6 +132,14 @@ def test_zeta_residue_extrapolation_constant():
     assert abs(res - 0.5) < 1e-4
 
 
+def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():
+    f = RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0)
+    d = spectral_diagonals(f, 0.0, 2000)
+    ev = zeta_trace(f, 0.0, 1.5, diagonals=d)
+    assert ev.residue_at_1 == 0.25
+    assert abs(ev.residue_at_1 - residue_by_extrapolation(f, diagonals=d)) < 1e-6
+
+
 def test_zeta_mean_zero_weight_has_no_pole():
     d = spectral_diagonals(COS, 0.0, 800)
     ev = zeta_trace(COS, 0.0, 1.001, diagonals=d)

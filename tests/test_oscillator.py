@@ -21,7 +21,7 @@ from nctorus import (
     rieffel_projection,
     translation_matrix,
 )
-from nctorus.oscillator import SUBNORMAL_FLOOR, _hermite_iter, band_limit
+from nctorus.oscillator import SUBNORMAL_FLOOR, _floor, _hermite_iter, band_limit
 from nctorus.periodic import trig_sum
 from nctorus import multiply as alg_multiply
 
@@ -194,13 +194,15 @@ def _unfloored_section(a, basis):
         return np.array(list(itertools.islice(_hermite_iter(x), basis.n_modes)))
 
     base = rows(basis.grid)
-    out = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+    out = np.zeros((basis.n_modes, basis.n_modes))
     for n, f in a.items():
         k, c, _ = f.band(band_limit(basis.n_modes))
         weight = basis.weight * trig_sum(k, c, basis.grid)
         shifted = base if n == 0 else rows(basis.grid - n * a.hbar)
-        out += ((base * weight.real) @ shifted.T
-                + 1j * ((base * weight.imag) @ shifted.T))
+        term = (base * weight.real) @ shifted.T
+        if f.samples.imag.any():
+            term = term + 1j * ((base * weight.imag) @ shifted.T)
+        out = out + term
     return out
 
 
@@ -209,6 +211,24 @@ def test_represent_is_unchanged_by_the_floor(element, p03, basis400):
     # the dropped terms are below 2.8e-103 times O(1): no entry moves a bit
     a = p03 if element == "p03" else AlgebraElement.circle_generator(HBAR)
     assert np.array_equal(represent(a, basis400), _unfloored_section(a, basis400))
+
+
+def test_represent_of_real_coefficients_is_real(p03, basis400):
+    # the localizer's element: e_0 / 2 + e_1 [1], whose coefficients are real
+    upper = AlgebraElement(p03.hbar, {n: 0.5 * f if n == 0 else f
+                                      for n, f in p03.items() if n >= 0})
+    section = represent(upper, basis400)
+    assert section.dtype == np.float64
+    # the complex quadrature, whose imaginary part is rounding only
+    reference = np.zeros(section.shape, dtype=complex)
+    for n, f in upper.items():
+        k, c, _ = f.band(band_limit(basis400.n_modes))
+        weight = basis400.weight * trig_sum(k, c, basis400.grid)
+        shifted = (basis400.rows if n == 0
+                   else hermite_rows(basis400.n_modes, basis400.grid - n * p03.hbar))
+        reference += ((basis400.rows * _floor(weight.real)) @ shifted.T
+                      + 1j * ((basis400.rows * _floor(weight.imag)) @ shifted.T))
+    assert np.array_equal(section, reference.real)
 
 
 def _band_values(f, kmax, x):

@@ -155,23 +155,41 @@ def _logged_spectrum(caplog, e):
     (record,) = caplog.records
     message = record.getMessage()
     fields = dict(re.findall(r"(\w+)=(\S+)", message))
-    return value, fields["spectrum"], float(fields["slack"]), float(fields["gap"])
+    return value, fields["spectrum"], float(fields["gap"])
 
 
 @pytest.mark.parametrize("hbar, expected", [(0.3, 0), (1.3, -1), (2.4, -2)])
 def test_fedosov_invariant_under_unitary_conjugation(caplog, hbar, expected):
-    # U e U* has complex degree +-1 coefficients: the slack of the real
-    # spectrum is O(1), so the complex Hermitian spectrum decides
+    # U e U* has complex degree +-1 coefficients, so its localizer is
+    # complex Hermitian; the bump projection's is real symmetric
     caplog.set_level(logging.DEBUG, logger="nctorus.pairing")
     e = rieffel_projection(hbar)
     u = AlgebraElement.circle_generator(hbar)
     conjugated = multiply(multiply(u, e), adjoint(u))
-    value, spectrum, slack, gap = _logged_spectrum(caplog, e)
+    value, spectrum, gap = _logged_spectrum(caplog, e)
     assert (value, spectrum) == (expected, "real")
-    assert slack < 1e-14 and gap >= GAP_FLOOR
-    value, spectrum, slack, gap = _logged_spectrum(caplog, conjugated)
-    assert (value, spectrum, slack) == (expected, "hermitian", 0.0)
     assert gap >= GAP_FLOOR
+    value, spectrum, gap = _logged_spectrum(caplog, conjugated)
+    assert (value, spectrum) == (expected, "hermitian")
+    assert gap >= GAP_FLOOR
+
+
+@pytest.mark.parametrize("conjugate, dtype", [(False, np.float64), (True, np.complex128)])
+def test_fedosov_takes_one_spectrum_of_the_localizer(monkeypatch, conjugate, dtype):
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    e = rieffel_projection(1.3)
+    if conjugate:
+        u = AlgebraElement.circle_generator(1.3)
+        e = multiply(multiply(u, e), adjoint(u))
+    assert fedosov_index(e, basis_size=200) == -1
+    assert seen == [dtype]
 
 
 @pytest.mark.parametrize("n", [200, 400])
