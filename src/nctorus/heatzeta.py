@@ -8,7 +8,11 @@ Dixmier limit.  Spectral zeta values are computed either from eigenbasis
 diagonal sums with an asymptotic-mean tail model (on-diagonal) or through
 the Mellin integral of the weighted heat trace (off-diagonal, where the
 zeta function is entire), and residues at the pole are extracted by
-polynomial extrapolation of (s-1) times the zeta value.
+polynomial extrapolation of (s-1) times the zeta value.  The eigenbasis
+diagonals of a periodic weight are closed-form in its Fourier data (the
+Laguerre form of ``oscillator.mode_diagonals``); only limit-type and
+generic weights take the quadrature stream of
+``oscillator.diagonal_elements``.
 
 Asymptotic means of bounded functions, the Dixmier-trace double-integral
 limit and the mean-subtracted antiderivative map complete the calculus.
@@ -22,6 +26,10 @@ class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is adaptive:
 * Smooth integrands on a period or a finite interval: the period mean as
   the ``DEFAULT_SAMPLES``-point trapezoid, the Dixmier levels and the
   antiderivative on 16-point Gauss-Legendre panels (``_gl_panels``).
+
+A periodic weight is sampled once, at ``DEFAULT_SAMPLES`` points per period
+(cached per function object); its period mean and its Fourier coefficients
+come from those samples, so it must be resolved by them.
 """
 
 import math
@@ -32,7 +40,7 @@ import numpy as np
 from mpmath import gamma as _mp_gamma
 from mpmath import zeta as _mp_zeta
 
-from .oscillator import diagonal_elements, hermite_rows
+from .oscillator import band_limit, diagonal_elements, hermite_rows, mode_diagonals
 from .periodic import DEFAULT_SAMPLES
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -247,23 +255,72 @@ def _partial_odd_sum(s, n):
 
 
 @lru_cache(maxsize=64)
+def _period_samples(f):
+    """f at the ``DEFAULT_SAMPLES`` points period * j / DEFAULT_SAMPLES, read-only.
+
+    Cached per function object, so that ``period_mean`` and
+    ``spectral_diagonals`` evaluate a weight once between them.
+    """
+    if f.kind != "periodic":
+        raise ValueError("periodic metadata required")
+    vals = np.asarray(f(f.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES), dtype=complex)
+    vals.flags.writeable = False
+    return vals
+
+
 def period_mean(f):
     """Ordinary mean of a periodic callable over one period.
 
-    The ``DEFAULT_SAMPLES``-point trapezoid rule, summed with ``math.fsum``:
-    exact for every Fourier mode |k| < DEFAULT_SAMPLES, so exponentially
-    accurate for smooth f.  Cached per function object, so the residue
-    extrapolation evaluates f on the grid once.
+    The ``DEFAULT_SAMPLES``-point trapezoid rule on the cached samples of
+    ``_period_samples``, summed with ``math.fsum``: exact for every Fourier
+    mode |k| < DEFAULT_SAMPLES, so exponentially accurate for smooth f.
+    Precondition, as for ``spectral_diagonals``: f is resolved by
+    ``DEFAULT_SAMPLES`` samples per period.
     """
-    if f.kind != "periodic":
-        raise ValueError("period_mean requires periodic metadata")
-    vals = np.asarray(f(f.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES), dtype=complex)
+    vals = _period_samples(f)
     return complex(math.fsum(vals.real), math.fsum(vals.imag)) / DEFAULT_SAMPLES
 
 
+@lru_cache(maxsize=8)
+def _fourier_table(n_modes, period, alpha):
+    """Modes and closed-form table (``mode_diagonals``) of a periodic weight's diagonals.
+
+    The modes are |k| <= band_limit(n_modes) * period, the frequencies
+    2 pi k / period up to the band limit's, and at most the
+    DEFAULT_SAMPLES / 2 - 1 that the samples resolve.  Read-only; cached per
+    (n_modes, period, alpha), so repeated zeta values run no recurrence.
+    """
+    kmax = min(int(band_limit(n_modes) * period), DEFAULT_SAMPLES // 2 - 1)
+    k = np.arange(-kmax, kmax + 1)
+    rows, phase = mode_diagonals(k, alpha, n_modes, period)
+    for arr in (k, rows, phase):
+        arr.flags.writeable = False
+    return k, rows, phase
+
+
 def spectral_diagonals(f, alpha, n_modes):
-    """Diagonal elements int f(x) psi_n(x - alpha) psi_n(x) dx for n < n_modes."""
-    return diagonal_elements([(f, float(alpha))], n_modes)[0]
+    """Diagonal elements int f(x) psi_n(x - alpha) psi_n(x) dx for n < n_modes.
+
+    A periodic f goes through its Fourier data: the FFT of its
+    ``DEFAULT_SAMPLES`` samples per period (``_period_samples``, shared with
+    ``period_mean``), its modes within the band limit of ``_fourier_table``,
+    and the closed form of ``oscillator.mode_diagonals``; the dropped modes
+    move each d_n by at most e^{-4 n_modes} times their mass (see
+    ``oscillator.band_limit``).  Precondition: f is resolved by
+    ``DEFAULT_SAMPLES`` samples per period, so that the FFT does not alias.
+    At alpha = 0 a weight whose samples are all real has real diagonals,
+    returned as a float array.  Weights of kind 'has_limits' and 'generic'
+    keep the quadrature stream of ``diagonal_elements``.
+    """
+    alpha = float(alpha)
+    if f.kind != "periodic":
+        return diagonal_elements([(f, alpha)], n_modes)[0]
+    samples = _period_samples(f)
+    k, rows, phase = _fourier_table(n_modes, f.period, alpha)
+    v = np.fft.fft(samples)[k] / DEFAULT_SAMPLES * phase
+    if alpha == 0.0 and not samples.imag.any():
+        return rows @ v.real
+    return rows @ v.real + 1j * (rows @ v.imag)
 
 
 def _tail_mean(f, alpha):
@@ -282,11 +339,13 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
 
     method 'eigen_sum_tail' sums diagonal elements against (2n+1)^{-s} and
     models the tail by the asymptotic mean times the continued odd zeta; it
-    is the on-diagonal default, and its ``residue_at_1`` is half that mean
-    (0 off the diagonal, None for a generic weight, which has no tail
-    model).  method 'heat_mellin' integrates the weighted heat trace
-    against t^{s-1}/Gamma(s); it is off-diagonal only
-    (alpha = 0 raises ValueError) and the off-diagonal default, where the
+    is the on-diagonal default, and its ``residue_at_1`` is
+    ``residue_at_1(f)``, half that mean (0 off the diagonal, None for a
+    generic weight, which has no tail model).  Its diagonals come from
+    ``spectral_diagonals``: closed-form for a periodic f, so the value for
+    ``ONE`` is the odd zeta to rounding.  method 'heat_mellin' integrates
+    the weighted heat trace against t^{s-1}/Gamma(s); it is off-diagonal
+    only (alpha = 0 raises ValueError) and the off-diagonal default, where the
     zeta function is entire.  In v = log t the integrand
     e^{sv} heat_trace_weighted(f, alpha, e^v) decays double-exponentially
     as v -> -inf (like e^{-alpha^2 e^{-v}/4}) and exponentially in t, so it
@@ -329,7 +388,10 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
             # oscillatory partial sums; the envelope of the neglected tail
             # scales like |d_N| N^{1/4 - Re s} by stationary phase
             err = abs(d[-1]) * len(d) ** max(0.0, 1.25 - s.real)
-        residue = None if mu is None else mu / 2.0
+        if mu is None:
+            residue = None
+        else:
+            residue = residue_at_1(f) if alpha == 0.0 else 0.0
         return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
 
     if method == "heat_mellin":
@@ -349,10 +411,16 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
 
 
 def residue_at_1(f):
-    """Residue of the on-diagonal zeta at s = 1: half the period mean."""
-    if f.kind != "periodic":
-        raise ValueError("residue_at_1 requires periodic metadata")
-    return period_mean(f) / 2.0
+    """Residue of the on-diagonal zeta at s = 1: half the asymptotic mean.
+
+    The mean is the period mean of a periodic weight and the average of the
+    two declared limits of a limit-type one.  A generic weight has no tail
+    model, so ValueError.
+    """
+    mu = _tail_mean(f, 0.0)
+    if mu is None:
+        raise ValueError("residue_at_1 requires periodic or limit metadata")
+    return mu / 2.0
 
 
 def residue_by_extrapolation(f, diagonals=None):

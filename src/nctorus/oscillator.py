@@ -20,8 +20,11 @@ algebra elements need no quadrature: in the Weyl (Laguerre) form
     <psi_n, e^{2 pi i k x} psi_n(. - a)> = e^{i pi k a} e^{-y/2} L_n(y),
     y = (a^2 + 4 pi^2 k^2) / 2.
 
-``diagonal_elements`` keeps the quadrature for weights given only as
-callables on the line.
+``mode_diagonals`` is this closed form for any Fourier modes, of any
+period; it serves ``algebra_diagonals`` and the periodic weights of
+``heatzeta.spectral_diagonals``.  ``diagonal_elements`` keeps the
+quadrature for weights with no Fourier data: callables on the line of
+limit or generic type.
 
 Hermite values and quadrature weights below ``SUBNORMAL_FLOOR`` =
 cbrt(tiny) (about 2.8e-103) are stored as 0.  A product of three kept
@@ -61,7 +64,10 @@ def _hermite_iter(x):
     The three-term recurrence is run on ratios u_n = psi_n * exp(-ln) with a
     per-point log offset ln, renormalized every few steps, so values stay
     representable far outside the classical region (where psi_0 underflows
-    but high modes do not).
+    but high modes do not).  ``exp(ln)`` underflows there: each consumer
+    runs the whole iteration under one ``np.errstate(under="ignore")``,
+    since a context entered here would be held across yields and its state
+    would leak into the consumer while the generator is suspended.
     """
     x = np.asarray(x, dtype=float)
     ln = -0.5 * x * x - 0.25 * np.log(np.pi)
@@ -69,8 +75,7 @@ def _hermite_iter(x):
     u = np.sqrt(2.0) * x
     n = 0
     while True:
-        with np.errstate(under="ignore"):
-            yield u_prev * np.exp(ln)
+        yield u_prev * np.exp(ln)
         m = n + 1
         u_next = np.sqrt(2.0 / (m + 1)) * x * u - np.sqrt(m / (m + 1.0)) * u_prev
         u_prev, u = u, u_next
@@ -92,9 +97,10 @@ def hermite_eval(n, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     it = _hermite_iter(np.atleast_1d(x))
-    for _ in range(n):
-        next(it)
-    row = next(it)
+    with np.errstate(under="ignore"):
+        for _ in range(n):
+            next(it)
+        row = next(it)
     return float(row[0]) if scalar else row
 
 
@@ -112,8 +118,9 @@ def hermite_rows(n_modes, x):
     x = np.asarray(x, dtype=float)
     rows = np.empty((n_modes, x.shape[0]))
     it = _hermite_iter(x)
-    for n in range(n_modes):
-        rows[n] = next(it)
+    with np.errstate(under="ignore"):
+        for n in range(n_modes):
+            rows[n] = next(it)
     return _floor(rows)
 
 
@@ -256,7 +263,8 @@ def represent(a, basis):
 def diagonal_elements(weighted_shifts, n_modes):
     """Diagonal matrix elements d_n = quad(w(x) psi_n(x - a) psi_n(x)), n < n_modes.
 
-    For weights known only as callables on the line.  ``weighted_shifts`` is
+    For weights known only as callables on the line (periodic weights have
+    the closed form of ``mode_diagonals``).  ``weighted_shifts`` is
     a sequence of (weight, shift) pairs; the result has one row per pair.
     The quadrature is the uniform (QUAD_DENSITY n_modes + 1)-point rule on
     [-L - s, L + s], s the largest |shift|, and the Hermite recurrence is
@@ -272,9 +280,10 @@ def diagonal_elements(weighted_shifts, n_modes):
         wv = np.asarray(w(x)) * step
         base = _hermite_iter(x)
         shifted = _hermite_iter(x - a) if a != 0.0 else None
-        for n in range(n_modes):
-            row = next(base)
-            out[i, n] = (wv * (row if shifted is None else next(shifted)) * row).sum()
+        with np.errstate(under="ignore"):
+            for n in range(n_modes):
+                row = next(base)
+                out[i, n] = (wv * (row if shifted is None else next(shifted)) * row).sum()
     return out
 
 
@@ -307,6 +316,25 @@ def _laguerre_rows(y, n_modes):
     return out
 
 
+def mode_diagonals(k, shift, n_modes, period=1.0):
+    """Closed-form diagonal elements of Fourier modes, as rows and phases.
+
+    For the mode e^{i xi x}, xi = 2 pi k / period, and a shift a (arrays of
+    one length, or a scalar shift),
+
+        <e^{i xi x} psi_n(. - a), psi_n> = e^{i xi a / 2} e^{-y/2} L_n(y),
+        y = (a^2 + xi^2) / 2.
+
+    Returns (rows, phase): rows[n, j] = e^{-y_j/2} L_n(y_j) for n < n_modes
+    by ``_laguerre_rows``, and phase[j] = e^{i xi_j a_j / 2}, so a weight
+    with coefficients c_j on these modes has diagonals rows @ (c * phase).
+    This is the one closed form behind ``algebra_diagonals`` and the
+    periodic route of ``heatzeta.spectral_diagonals``.
+    """
+    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k / period ** 2)
+    return _laguerre_rows(y, n_modes), np.exp(1j * np.pi * k * shift / period)
+
+
 def algebra_diagonals(a, n_modes):
     """Diagonal elements <pi(a) psi_n, psi_n>, n < n_modes, in closed form.
 
@@ -316,13 +344,14 @@ def algebra_diagonals(a, n_modes):
         d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
         y = (s^2 + 4 pi^2 k^2) / 2,
 
-    by ``_laguerre_rows``; no quadrature, so nothing aliases.  The dropped
+    by ``mode_diagonals``; no quadrature, so nothing aliases.  The dropped
     modes move each d_n by at most e^{-4 n_modes} times their mass (see
     ``band_limit``).
     """
-    ys, phased = [], []
+    ks, shifts, cs = [], [], []
     for m, k, c in _bands(a, n_modes, "algebra_diagonals"):
-        s = m * a.hbar
-        ys.append(0.5 * (s * s + 4.0 * np.pi ** 2 * k * k))
-        phased.append(c * np.exp(1j * np.pi * k * s))
-    return _laguerre_rows(np.concatenate(ys), n_modes) @ np.concatenate(phased)
+        ks.append(k)
+        shifts.append(np.full(k.shape, m * a.hbar))
+        cs.append(c)
+    rows, phase = mode_diagonals(np.concatenate(ks), np.concatenate(shifts), n_modes)
+    return rows @ (np.concatenate(cs) * phase)

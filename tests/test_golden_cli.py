@@ -4,6 +4,13 @@ Each case runs ``nctorus.cli.main`` in-process and compares its stdout with
 a file under ``tests/golden/``.  All eight README examples are pinned in
 CSV; the six that finish in under a second are pinned in JSON as well.
 
+The ``zeta_one`` and ``zeta_fourier`` goldens were re-captured when the
+diagonals of periodic weights became closed-form (Laguerre) instead of a
+quadrature stream: their values moved in the 12th-13th digits onto the
+exact ones, pi^2/8 for ``zeta_one`` and a 40-digit mpmath sum for
+``zeta_fourier``, which ``tests/test_heatzeta.py`` pins within 1e-14
+relative.  Every other golden was unchanged.
+
 The files were captured with Python 3.11.7, numpy 2.4.6 and mpmath 1.3.0.
 The library does not import scipy, so the goldens do not depend on it.
 The last digits of the printed floats depend on that environment (BLAS,

@@ -22,7 +22,7 @@ from nctorus import (
     spectral_diagonals,
     zeta_trace,
 )
-from nctorus import heatzeta
+from nctorus import heatzeta, oscillator
 
 COS = RealLineFunction.periodic_fn(lambda x: np.cos(2 * np.pi * np.asarray(x)), 1.0)
 ONE_PLUS_COS = RealLineFunction.periodic_fn(
@@ -85,9 +85,11 @@ def test_heat_trace_scaled_identity_range():
         assert abs(heat_trace(t) * 2.0 * np.sinh(t) - 1.0) < 1e-10
 
 
-def test_weighted_trace_reduces_to_plain():
-    for t in (0.1, 1.0):
-        assert abs(heat_trace_weighted(ONE, 0.0, t) - heat_trace(t)) < 1e-10
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_weighted_trace_of_one_closed_form(alpha):
+    for t in (0.1, 1.0, 3.0):
+        expected = np.exp(-alpha * alpha / (4.0 * np.tanh(t))) / (2.0 * np.sinh(t))
+        assert heat_trace_weighted(ONE, alpha, t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_weighted_trace_small_time_suppression():
@@ -124,6 +126,93 @@ def test_zeta_at_two_is_odd_series():
     ev = zeta_trace(ONE, 0.0, 2.0, n_modes=300)
     assert ev.method == "eigen_sum_tail"
     assert abs(ev.value - np.pi ** 2 / 8.0) < 1e-8
+
+
+# ---------------- closed-form diagonals of periodic weights ----------------
+
+
+def _fine_diagonals(coefficient, n_modes):
+    """Diagonals of Re coefficient by a uniform rule of spacing 1/4096.
+
+    The trigonometric interpolant is evaluated on one period by a zero-padded
+    FFT (Nyquist mode split evenly, which keeps the real part) and tiled
+    over [-L, L], L = sqrt(2 n_modes + 3) + 6; the Hermite rows are
+    streamed.  Independent of the Laguerre closed form.
+    """
+    m, fine = coefficient.n_samples, 4096
+    c = coefficient.coefficients
+    padded = np.zeros(fine, dtype=complex)
+    padded[:m // 2] = c[:m // 2]
+    padded[-(m // 2) + 1:] = c[m // 2 + 1:]
+    padded[m // 2] = padded[-(m // 2)] = c[m // 2] / 2.0
+    period = np.fft.ifft(padded * fine).real
+    half = int(np.ceil((np.sqrt(2.0 * n_modes + 3.0) + 6.0) * fine))
+    j = np.arange(-half, half + 1)
+    weighted = period[j % fine] / fine
+    out = np.empty(n_modes)
+    it = oscillator._hermite_iter(j / fine)
+    with np.errstate(under="ignore"):
+        for n in range(n_modes):
+            row = next(it)
+            out[n] = (weighted * row * row).sum()
+    return out
+
+
+def test_spectral_diagonals_of_bump_match_fine_quadrature():
+    bump = rieffel_projection(0.3).coefficient(0)
+    f = RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)
+    d = spectral_diagonals(f, 0.0, 600)
+    assert d.dtype == np.float64
+    assert np.abs(d - _fine_diagonals(bump, 600)).max() < 1e-10
+
+
+def test_spectral_diagonals_of_one_are_exactly_one():
+    d = spectral_diagonals(ONE, 0.0, 2000)
+    assert d.dtype == np.float64 and (d == 1.0).all()
+
+
+def test_spectral_table_is_reused(monkeypatch):
+    calls = []
+
+    def counted(y, n_modes):
+        calls.append(n_modes)
+        return laguerre_rows(y, n_modes)
+
+    laguerre_rows = oscillator._laguerre_rows
+    monkeypatch.setattr(oscillator, "_laguerre_rows", counted)
+    heatzeta._fourier_table.cache_clear()
+    first = spectral_diagonals(ONE_PLUS_COS, 0.0, 123)
+    assert calls == [123]
+    assert np.abs(spectral_diagonals(COS, 0.0, 123) + 1.0 - first).max() < 1e-15
+    assert calls == [123]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_spectral_diagonals_period_two_pi_match_quadrature(alpha):
+    sin_fn = RealLineFunction.periodic_fn(lambda x: np.sin(np.asarray(x)), 2 * np.pi)
+    d = spectral_diagonals(sin_fn, alpha, 600)
+    assert np.abs(d - heatzeta.diagonal_elements([(sin_fn, alpha)], 600)[0]).max() < 1e-12
+
+
+def _odd_zeta_plus_laguerre_reference(s, y, n_modes=2000):
+    """(1 - 2^-s) zeta(s) + sum_{n < n_modes} e^{-y/2} L_n(y) (2n+1)^-s, 40 digits."""
+    with mpmath.workdps(40):
+        s, y = mpmath.mpf(s), mpmath.mpf(y)
+        prev, cur, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+        for n in range(n_modes):
+            total += cur * (2 * n + 1) ** (-s)
+            prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
+        return float(mpmath.exp(-y / 2) * total + (1 - 2 ** (-s)) * mpmath.zeta(s))
+
+
+def test_zeta_goldens_match_mpmath_reference():
+    # the values of tests/golden/zeta_one.* and zeta_fourier.*
+    assert zeta_trace(ONE, 0.0, 2.0).value == pytest.approx(np.pi ** 2 / 8.0, rel=1e-14)
+    for s in (1.1, 1.01):
+        ev = zeta_trace(ONE_PLUS_COS, 0.0, s)
+        assert ev.value.imag == 0.0
+        expected = _odd_zeta_plus_laguerre_reference(s, 2.0 * np.pi ** 2)
+        assert ev.value.real == pytest.approx(expected, rel=1e-14)
 
 
 def test_zeta_residue_extrapolation_constant():
@@ -226,9 +315,12 @@ def test_period_mean_of_narrow_bump_is_its_zeroth_coefficient(hbar):
     assert abs(period_mean(f) - bump.mean()) < 1e-15
 
 
-def test_residue_requires_periodic():
+def test_residue_raises_only_for_generic_weights():
     with pytest.raises(ValueError):
-        residue_at_1(ARCTAN)
+        residue_at_1(RealLineFunction.generic(np.arctan))
+    assert residue_at_1(ARCTAN) == 0.0
+    step = RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0)
+    assert residue_at_1(step) == zeta_trace(step, 0.0, 1.5, n_modes=50).residue_at_1 == 0.25
 
 
 # ---------------- asymptotic means ----------------

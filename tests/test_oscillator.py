@@ -188,6 +188,24 @@ def test_hermite_rows_have_no_entry_below_the_floor(basis400):
         assert (rows == 0.0).any()
 
 
+def test_hermite_rows_match_a_guard_per_row(basis400):
+    # one underflow guard per call, not per row, computes the same bits
+    for x in (basis400.grid, basis400.grid - 0.7):
+        it = _hermite_iter(x)
+        per_row = []
+        for _ in range(400):
+            with np.errstate(under="ignore"):
+                per_row.append(next(it))
+        assert np.array_equal(hermite_rows(400, x), _floor(np.array(per_row)))
+
+
+def test_suspended_hermite_iter_leaves_the_error_state_alone():
+    with np.errstate(under="warn"):
+        it = _hermite_iter(np.zeros(3))
+        next(it)
+        assert np.geterr()["under"] == "warn"
+
+
 def _unfloored_section(a, basis):
     """P pi(a) P by the same quadrature as ``represent``, without the floor."""
     def rows(x):
