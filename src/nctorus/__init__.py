@@ -56,7 +56,6 @@ from .oscillator import (
     HermiteBasis,
     algebra_diagonals,
     diagonal_elements,
-    hermite_eval,
     hermite_rows,
     ladder_matrices,
     multiplication_matrix,

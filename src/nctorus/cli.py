@@ -318,6 +318,11 @@ def _validate(parser, args):
         parser.error(f"--modes must be at least {pairing.MIN_BASIS_SIZE}")
     if hasattr(args, "grid") and (args.grid < 256 or args.grid & (args.grid - 1)):
         parser.error("--grid must be a power of two, at least 256")
+    for dest in ("n_modes", "zeta_modes", "samples"):
+        if getattr(args, dest, 1) < 1:
+            parser.error(f"--{dest.replace('_', '-')} must be at least 1")
+    if getattr(args, "xmax", 1.0) <= 0:
+        parser.error("--xmax must be positive")
 
 
 def main(argv=None):

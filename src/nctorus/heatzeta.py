@@ -173,7 +173,9 @@ def mehler_kernel_classical(t, x, y):
     """Oscillator heat kernel in the coth/cosech form of the double angle.
 
     exp((-(x^2+y^2) coth 2t + 2 x y cosech 2t)/2) / sqrt(2 pi sinh 2t);
-    equal to ``mehler_kernel`` to machine precision.
+    equal to ``mehler_kernel`` to machine precision.  No library code calls
+    it: it is the independent form the tests compare ``mehler_kernel``
+    against.
     """
     t = float(t)
     if t <= 0:
@@ -310,8 +312,11 @@ def spectral_diagonals(f, alpha, n_modes):
     ``DEFAULT_SAMPLES`` samples per period, so that the FFT does not alias.
     At alpha = 0 a weight whose samples are all real has real diagonals,
     returned as a float array.  Weights of kind 'has_limits' and 'generic'
-    keep the quadrature stream of ``diagonal_elements``.
+    keep the quadrature stream of ``diagonal_elements``.  n_modes < 1
+    raises ValueError.
     """
+    if n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
     alpha = float(alpha)
     if f.kind != "periodic":
         return diagonal_elements([(f, alpha)], n_modes)[0]
@@ -334,18 +339,49 @@ def _tail_mean(f, alpha):
     return None
 
 
-def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
+def _eigen_sum_tail(f, alpha, s, d):
+    """The 'eigen_sum_tail' value of ``zeta_trace`` at complex s from the diagonals d."""
+    mu = _tail_mean(f, alpha)
+    n = np.arange(len(d))
+    powers = np.power(2.0 * n + 1.0, -s)
+    value = complex((d * powers).sum())
+    quarter = len(d) // 4
+    mu_val = 0.0 if mu is None else complex(mu)
+    drift = float(np.abs(d[-quarter:] - mu_val).mean())
+    if alpha == 0.0 and mu is not None:
+        tail = _odd_zeta(s) - _partial_odd_sum(s, len(d))
+        value += complex(mu) * tail
+        err = abs(d[-1] * powers[-1]) + drift * abs(tail)
+    elif alpha == 0.0:
+        # no tail model available: the unmodelled tail scales with the
+        # continued odd zeta remainder at the last diagonal's size
+        err = abs(d[-1]) * abs(_odd_zeta(s.real) - _partial_odd_sum(s.real, len(d)))
+    else:
+        # oscillatory partial sums; the envelope of the neglected tail
+        # scales like |d_N| N^{1/4 - Re s} by stationary phase
+        err = abs(d[-1]) * len(d) ** max(0.0, 1.25 - s.real)
+    if mu is None:
+        residue = None
+    else:
+        residue = residue_at_1(f) if alpha == 0.0 else 0.0
+    return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
+
+
+def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     """One value of the spectral zeta function Tr(f T_alpha H^{-s}).
 
-    method 'eigen_sum_tail' sums diagonal elements against (2n+1)^{-s} and
+    method 'eigen_sum_tail' sums the first n_modes diagonal elements of
+    ``spectral_diagonals(f, alpha, n_modes)`` against (2n+1)^{-s} and
     models the tail by the asymptotic mean times the continued odd zeta; it
     is the on-diagonal default, and its ``residue_at_1`` is
     ``residue_at_1(f)``, half that mean (0 off the diagonal, None for a
-    generic weight, which has no tail model).  Its diagonals come from
-    ``spectral_diagonals``: closed-form for a periodic f, so the value for
-    ``ONE`` is the odd zeta to rounding.  method 'heat_mellin' integrates
-    the weighted heat trace against t^{s-1}/Gamma(s); it is off-diagonal
-    only (alpha = 0 raises ValueError) and the off-diagonal default, where the
+    generic weight, which has no tail model, and for which Re(s) <= 1 on the
+    diagonal raises ValueError).  The diagonals are closed-form for a
+    periodic f, so the value for ``ONE`` is the odd zeta to rounding.
+
+    method 'heat_mellin' integrates the weighted heat trace against
+    t^{s-1}/Gamma(s) and ignores n_modes; it is off-diagonal only
+    (alpha = 0 raises ValueError) and the off-diagonal default, where the
     zeta function is entire.  In v = log t the integrand
     e^{sv} heat_trace_weighted(f, alpha, e^v) decays double-exponentially
     as v -> -inf (like e^{-alpha^2 e^{-v}/4}) and exponentially in t, so it
@@ -364,35 +400,11 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000, diagonals=None):
         method = "eigen_sum_tail" if alpha == 0.0 else "heat_mellin"
 
     if method == "eigen_sum_tail":
-        mu = _tail_mean(f, alpha)
-        if alpha == 0.0 and mu is None and s.real <= 1.0:
+        if alpha == 0.0 and f.kind == "generic" and s.real <= 1.0:
             raise ValueError(
                 "generic weight with Re(s) <= 1 is outside the continued region"
             )
-        d = spectral_diagonals(f, alpha, n_modes) if diagonals is None else diagonals
-        n = np.arange(len(d))
-        powers = np.power(2.0 * n + 1.0, -s)
-        value = complex((d * powers).sum())
-        quarter = len(d) // 4
-        mu_val = 0.0 if mu is None else complex(mu)
-        drift = float(np.abs(d[-quarter:] - mu_val).mean())
-        if alpha == 0.0 and mu is not None:
-            tail = _odd_zeta(s) - _partial_odd_sum(s, len(d))
-            value += complex(mu) * tail
-            err = abs(d[-1] * powers[-1]) + drift * abs(tail)
-        elif alpha == 0.0:
-            # no tail model available: the unmodelled tail scales with the
-            # continued odd zeta remainder at the last diagonal's size
-            err = abs(d[-1]) * abs(_odd_zeta(s.real) - _partial_odd_sum(s.real, len(d)))
-        else:
-            # oscillatory partial sums; the envelope of the neglected tail
-            # scales like |d_N| N^{1/4 - Re s} by stationary phase
-            err = abs(d[-1]) * len(d) ** max(0.0, 1.25 - s.real)
-        if mu is None:
-            residue = None
-        else:
-            residue = residue_at_1(f) if alpha == 0.0 else 0.0
-        return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
+        return _eigen_sum_tail(f, alpha, s, spectral_diagonals(f, alpha, n_modes))
 
     if method == "heat_mellin":
         if alpha == 0.0:
@@ -423,18 +435,28 @@ def residue_at_1(f):
     return mu / 2.0
 
 
-def residue_by_extrapolation(f, diagonals=None):
-    """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1.1, 1.01, 1.001."""
-    if diagonals is None:
-        diagonals = spectral_diagonals(f, 0.0, 2000)
+def _intercept(x, y):
+    """Value at 0 of the polynomial through the points (x, y), y complex.
+
+    The real and imaginary parts are fitted separately, each by one
+    ``np.polyfit`` of degree len(x) - 1.
+    """
+    y = np.asarray(y)
+    deg = len(x) - 1
+    return complex(np.polyfit(x, y.real, deg)[-1], np.polyfit(x, y.imag, deg)[-1])
+
+
+def residue_by_extrapolation(f):
+    """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1.1, 1.01, 1.001.
+
+    The three values are the 'eigen_sum_tail' values of ``zeta_trace`` on
+    2000 modes, from one ``spectral_diagonals`` call; the extrapolation is
+    the quadratic through them (``_intercept``).
+    """
+    d = spectral_diagonals(f, 0.0, 2000)
     hs = np.array([0.1, 0.01, 0.001])
-    vals = []
-    for h in hs:
-        ev = zeta_trace(f, 0.0, 1.0 + h, method="eigen_sum_tail", diagonals=diagonals)
-        vals.append(h * ev.value)
-    coeffs = np.polyfit(hs, np.real(vals), len(hs) - 1)
-    coeffs_im = np.polyfit(hs, np.imag(vals), len(hs) - 1)
-    return complex(coeffs[-1] + 1j * coeffs_im[-1])
+    return _intercept(hs, [h * _eigen_sum_tail(f, 0.0, complex(1.0 + h), d).value
+                           for h in hs])
 
 
 # ---------------- asymptotic means ----------------
@@ -446,8 +468,11 @@ def asymptotic_mean(f, x_max=32.0):
     Periodic metadata short-circuits to the exact period mean.  Otherwise
     the running means at x_max/4, x_max/2 and x_max are fitted to the model
     mu + (a + b log x)/x on each side, which captures both O(1/x) tails and
-    the log x/x tails of limit-type functions.
+    the log x/x tails of limit-type functions.  x_max <= 0 raises
+    ValueError.
     """
+    if x_max <= 0:
+        raise ValueError("x_max must be positive")
     if f.kind == "periodic":
         mu = period_mean(f)
         return MeanResult(mu, mu, mu, 0.0)
@@ -590,7 +615,6 @@ def entire_check(f, alpha):
     evals = tuple(zeta_trace(f, alpha, s) for s in (1.5, 1.1, 1.01))
     proxies = tuple(abs((ev.s - 1.0) * ev.value) for ev in evals)
     hs = np.array([ev.s.real - 1.0 for ev in evals])
-    vs = np.array([((ev.s - 1.0) * ev.value).real for ev in evals])
-    extrap = float(np.polyfit(hs, vs, 2)[-1])
+    extrap = _intercept(hs, [(ev.s - 1.0) * ev.value for ev in evals]).real
     bound = max(abs(ev.value) for ev in evals)
     return EntireZetaReport(alpha, evals, proxies, extrap, float(bound), 1e-3)

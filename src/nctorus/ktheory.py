@@ -60,17 +60,20 @@ def trace_value(x, hbar):
 
 
 def gap_label_witness(value, hbar):
-    """Integers (p, q) with |value - p - q hbar| <= 1e-9, or None.
+    """The label (p, q) of value: |value - p - q hbar| <= 1e-9, |q| smallest.
 
-    Searches |q| <= 10^6 exhaustively; the label group of the deformation
-    is exactly the set of such combinations.
+    Searches |q| <= 10^6 exhaustively and returns, among the pairs within
+    the tolerance, the one of smallest |q|, q >= 0 on a tie; None if there
+    is none.  The label group of the deformation is exactly the set of such
+    combinations.
     """
     q_max, tol = 10**6, 1e-9
-    qs = np.arange(-q_max, q_max + 1, dtype=np.int64)
+    # q in the order 0, 1, -1, 2, -2, ...: the first pair within tol is the label
+    qs = np.stack([np.arange(q_max + 1), -np.arange(q_max + 1)], axis=1).ravel()[1:]
     residual = value - qs * hbar
     ps = np.rint(residual)
     err = np.abs(residual - ps)
-    k = int(err.argmin())
+    k = int(np.argmax(err <= tol))
     if err[k] <= tol:
         return int(ps[k]), int(qs[k])
     return None

@@ -39,6 +39,7 @@ asserted on the top-left floor(N/2) block only; full-matrix violations near
 the edge are expected and are not defects.
 """
 
+import itertools
 import logging
 from functools import cached_property
 
@@ -58,13 +59,29 @@ SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
 logger = logging.getLogger(__name__)
 
 
+def _rescale(step, prev, cur, log_scale):
+    """One rescale check of a three-term recurrence with a per-point log scale.
+
+    Every ``_RESCALE_EVERY`` steps, prev and cur are divided by
+    ``_RESCALE_LIMIT`` where |cur| exceeds it, and its log is added to
+    log_scale there; returns the new (prev, cur, log_scale).
+    """
+    if step % _RESCALE_EVERY == 0:
+        big = np.abs(cur) > _RESCALE_LIMIT
+        if big.any():
+            scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
+            return (prev * scale, cur * scale,
+                    log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0))
+    return prev, cur, log_scale
+
+
 def _hermite_iter(x):
     """Yield psi_0(x), psi_1(x), ... on an array, with per-point rescaling.
 
     The three-term recurrence is run on ratios u_n = psi_n * exp(-ln) with a
-    per-point log offset ln, renormalized every few steps, so values stay
-    representable far outside the classical region (where psi_0 underflows
-    but high modes do not).  ``exp(ln)`` underflows there: each consumer
+    per-point log offset ln, renormalized every few steps (``_rescale``),
+    so values stay representable far outside the classical region (where
+    psi_0 underflows but high modes do not).  ``exp(ln)`` underflows there: each consumer
     runs the whole iteration under one ``np.errstate(under="ignore")``,
     since a context entered here would be held across yields and its state
     would leak into the consumer while the generator is suspended.
@@ -73,35 +90,10 @@ def _hermite_iter(x):
     ln = -0.5 * x * x - 0.25 * np.log(np.pi)
     u_prev = np.ones_like(x)
     u = np.sqrt(2.0) * x
-    n = 0
-    while True:
+    for m in itertools.count(1):
         yield u_prev * np.exp(ln)
-        m = n + 1
-        u_next = np.sqrt(2.0 / (m + 1)) * x * u - np.sqrt(m / (m + 1.0)) * u_prev
-        u_prev, u = u, u_next
-        if m % _RESCALE_EVERY == 0:
-            mag = np.abs(u)
-            big = mag > _RESCALE_LIMIT
-            if big.any():
-                scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
-                u_prev = u_prev * scale
-                u = u * scale
-                ln = ln + np.where(big, np.log(_RESCALE_LIMIT), 0.0)
-        n += 1
-
-
-def hermite_eval(n, x):
-    """Value of the nth orthonormal Hermite function at x (scalar or array)."""
-    if n < 0:
-        raise ValueError("mode index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    it = _hermite_iter(np.atleast_1d(x))
-    with np.errstate(under="ignore"):
-        for _ in range(n):
-            next(it)
-        row = next(it)
-    return float(row[0]) if scalar else row
+        u_prev, u = u, np.sqrt(2.0 / (m + 1)) * x * u - np.sqrt(m / (m + 1.0)) * u_prev
+        u_prev, u, ln = _rescale(m, u_prev, u, ln)
 
 
 def _floor(values):
@@ -141,10 +133,6 @@ class HermiteBasis:
     def rows(self):
         """psi_n on the quadrature grid, shape (N, K)."""
         return hermite_rows(self.n_modes, self.grid)
-
-    def gram_defect(self):
-        """Max deviation of the quadrature Gram matrix from the identity."""
-        return float(np.abs(translation_matrix(0.0, self) - np.eye(self.n_modes)).max())
 
     def __repr__(self):
         return (
@@ -189,12 +177,24 @@ def _matrix_elements(values, alpha, basis):
 
 
 def multiplication_matrix(f, basis):
-    """Matrix of multiplication by f: entries quad(f psi_m psi_n)."""
+    """Matrix of multiplication by f: entries quad(f psi_m psi_n).
+
+    f is evaluated on the whole quadrature grid, every Fourier mode of a
+    ``PeriodicFunction`` included, unlike the band-limited ``represent``.
+    No library code calls it: the tests check the shared quadrature of
+    ``_matrix_elements`` through it against a Gaussian-integral oracle, and
+    the benchmark's tracing hooks it.
+    """
     return _matrix_elements(f(basis.grid), 0.0, basis)
 
 
 def translation_matrix(alpha, basis):
-    """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge."""
+    """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge.
+
+    At alpha = 0 it is the quadrature Gram matrix.  No library code calls
+    it: the tests check the Gram defect, unitarity and a Gaussian overlap
+    through it, and the benchmark's tracing hooks it.
+    """
     return _matrix_elements(1.0, alpha, basis)
 
 
@@ -268,7 +268,8 @@ def diagonal_elements(weighted_shifts, n_modes):
     a sequence of (weight, shift) pairs; the result has one row per pair.
     The quadrature is the uniform (QUAD_DENSITY n_modes + 1)-point rule on
     [-L - s, L + s], s the largest |shift|, and the Hermite recurrence is
-    streamed, so that no rows are stored.
+    streamed, so that no rows are stored.  The list-of-pairs form is the
+    one the benchmark's tracing counts.
     """
     pairs = [(w, float(a)) for w, a in weighted_shifts]
     span = max([0.0] + [abs(a) for _, a in pairs])
@@ -293,9 +294,9 @@ def _laguerre_rows(y, n_modes):
     The three-term recurrence (n + 1) L_{n+1} = (2n + 1 - y) L_n - n L_{n-1}
     runs with a per-column log scale, so that large y neither overflows L_n
     nor underflows e^{-y/2}.  The scale is checked every ``_RESCALE_EVERY``
-    steps, as in ``_hermite_iter``: one step grows |L_n| by at most about
-    y + 2 (3.3e4 at 2000 modes), so 8 steps from 1e120 stay far below
-    overflow.  Each row's log scale is kept and applied in one ``exp`` at
+    steps by ``_rescale``, as in ``_hermite_iter``: one step grows |L_n| by
+    at most about y + 2 (3.3e4 at 2000 modes), so 8 steps from 1e120 stay
+    far below overflow.  Each row's log scale is kept and applied in one ``exp`` at
     the end.
     """
     out = np.empty((n_modes, y.size))
@@ -306,12 +307,7 @@ def _laguerre_rows(y, n_modes):
             out[n] = cur
             logs[n] = log_scale
             prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
-            if (n + 1) % _RESCALE_EVERY == 0:
-                big = np.abs(cur) > _RESCALE_LIMIT
-                if big.any():
-                    scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
-                    prev, cur = prev * scale, cur * scale
-                    log_scale = log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0)
+            prev, cur, log_scale = _rescale(n + 1, prev, cur, log_scale)
         out *= np.exp(logs)
     return out
 
@@ -346,8 +342,10 @@ def algebra_diagonals(a, n_modes):
 
     by ``mode_diagonals``; no quadrature, so nothing aliases.  The dropped
     modes move each d_n by at most e^{-4 n_modes} times their mass (see
-    ``band_limit``).
+    ``band_limit``).  n_modes < 1 raises ValueError.
     """
+    if n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
     ks, shifts, cs = [], [], []
     for m, k, c in _bands(a, n_modes, "algebra_diagonals"):
         ks.append(k)

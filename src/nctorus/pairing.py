@@ -52,6 +52,7 @@ from .algebra import (
     rieffel_projection,
     trace,
 )
+from .heatzeta import _intercept
 from .oscillator import HermiteBasis, algebra_diagonals, ladder_matrices, represent
 
 GAP_FLOOR = 0.1
@@ -74,18 +75,8 @@ class PairingReport:
     basis_size: int
 
 
-def graded_heat_trace(a, t, n_modes=2000, diagonals=None):
-    """theta(t) = sum_n d_n (e^{-t lam+_n} - e^{-t lam-_n}) plus tail model.
-
-    d_n are the closed-form diagonal elements of the represented element
-    (``algebra_diagonals``), lam+ runs over the kernel-corrected even
-    spectrum 1, 2, 4, 6, ... and lam- over the odd spectrum 2, 4, 6, ...;
-    the mode tail beyond n_modes is modelled by the
-    trace of the element (the limit of the d_n), which telescopes to
-    trace(a) e^{-2 n_modes t}.  For the unit, theta(t) = e^{-t} exactly.
-    """
-    d = algebra_diagonals(a, n_modes) if diagonals is None else diagonals
-    mu = trace(a)
+def _theta(d, mu, t):
+    """The graded heat trace of ``graded_heat_trace`` from diagonals d and trace mu."""
     n = np.arange(len(d))
     lam_plus = np.where(n == 0, 1.0, 2.0 * n)
     lam_minus = 2.0 * n + 2.0
@@ -95,19 +86,30 @@ def graded_heat_trace(a, t, n_modes=2000, diagonals=None):
     )
 
 
+def graded_heat_trace(a, t, n_modes=2000):
+    """theta(t) = sum_n d_n (e^{-t lam+_n} - e^{-t lam-_n}) plus tail model.
+
+    d_n, n < n_modes, are the closed-form diagonal elements of the
+    represented element (``algebra_diagonals``), lam+ runs over the
+    kernel-corrected even spectrum 1, 2, 4, 6, ... and lam- over the odd
+    spectrum 2, 4, 6, ...; the mode tail beyond n_modes is modelled by the
+    trace of the element (the limit of the d_n), which telescopes to
+    trace(a) e^{-2 n_modes t}.  For the unit, theta(t) = e^{-t} exactly.
+    """
+    return _theta(algebra_diagonals(a, n_modes), trace(a), t)
+
+
 def character_degree0(a, n_modes=2000):
     """Degree-0 part of the index character: the graded heat-trace limit.
 
-    Extrapolates ``graded_heat_trace`` to t -> 0 by a cubic through
-    t = 0.02, 0.01, 0.005, 0.0025.  On a projection this equals its trace;
-    on elements of nonzero degree it vanishes.
+    Extrapolates ``graded_heat_trace`` on n_modes modes to t -> 0 by the
+    cubic through t = 0.02, 0.01, 0.005, 0.0025 (``heatzeta._intercept``),
+    computing the diagonals once for the four nodes.  On a projection this
+    equals its trace; on elements of nonzero degree it vanishes.
     """
-    d = algebra_diagonals(a, n_modes)
+    d, mu = algebra_diagonals(a, n_modes), trace(a)
     ts = np.array([0.02, 0.01, 0.005, 0.0025])
-    theta = np.array([graded_heat_trace(a, t, n_modes, diagonals=d) for t in ts])
-    re = np.polyfit(ts, theta.real, len(ts) - 1)[-1]
-    im = np.polyfit(ts, theta.imag, len(ts) - 1)[-1]
-    return complex(re, im)
+    return _intercept(ts, [_theta(d, mu, t) for t in ts])
 
 
 def character_degree2(a0, a1, a2):

@@ -167,23 +167,6 @@ class PeriodicFunction:
     def conjugate(self):
         return PeriodicFunction(np.conj(self._samples))
 
-    def sqrt_nonneg(self):
-        """Pointwise square root of a nonnegative real function.
-
-        Values in [-1e-10, 0) are clamped to 0 (floating-point noise at bump
-        edges); values below -1e-10 or a non-real input raise ValueError.
-        """
-        floor = -1e-10
-        s = self._samples
-        if np.abs(s.imag).max() > 1e-12:
-            raise ValueError("sqrt_nonneg requires real samples")
-        re = s.real
-        if re.min() < floor:
-            raise ValueError(
-                f"sqrt_nonneg: samples reach {re.min():.3e}, below the {floor:.0e} floor"
-            )
-        return PeriodicFunction(np.sqrt(np.clip(re, 0.0, None)))
-
     def sup_norm(self):
         return float(np.abs(self._samples).max())
 

@@ -188,6 +188,40 @@ def test_no_quad_and_modes_floor_exit_two(tmp_path, capsys, argv, config, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("zeta", "--f", "one", "--s-list", "2", "--n-modes", "0"), None,
+         "--n-modes must be at least 1"),
+        (("zeta", "--f", "one", "--s-list", "2", "--n-modes", "-3"), None,
+         "--n-modes must be at least 1"),
+        (("zeta", "--f", "one", "--s-list", "2"), "n_modes = 0", "--n-modes must be at least 1"),
+        (("pair", "--zeta-modes", "0"), None, "--zeta-modes must be at least 1"),
+        (("sweep", "--hbars", "0.3", "--zeta-modes", "-1"), None,
+         "--zeta-modes must be at least 1"),
+        (("pair",), "zeta-modes = 0", "--zeta-modes must be at least 1"),
+        (("heat-kernel", "--t", "0.5", "--samples", "0"), None, "--samples must be at least 1"),
+        (("mean", "--f", "arctan", "--xmax", "-8"), None, "--xmax must be positive"),
+        (("mean", "--f", "one", "--xmax", "0"), None, "--xmax must be positive"),
+        (("mean", "--f", "arctan"), "xmax = -8", "--xmax must be positive"),
+    ],
+    ids=["zeta-n-modes-0", "zeta-n-modes-neg", "config-n-modes-0", "pair-zeta-modes-0",
+         "sweep-zeta-modes-neg", "config-zeta-modes-0", "heat-kernel-samples-0",
+         "mean-xmax-neg", "mean-xmax-0", "config-xmax-neg"],
+)
+def test_bad_counts_and_lengths_exit_two(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv += ("--config", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_invalid_grid_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rieffel", "--hbar", "0.3", "--grid", "300"])

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from nctorus import (
     ONE,
+    AlgebraElement,
     RealLineFunction,
     asymptotic_mean,
     delta_map,
@@ -216,28 +217,24 @@ def test_zeta_goldens_match_mpmath_reference():
 
 
 def test_zeta_residue_extrapolation_constant():
-    d = spectral_diagonals(ONE, 0.0, 300)
-    res = residue_by_extrapolation(ONE, diagonals=d)
+    res = residue_by_extrapolation(ONE)
     assert abs(res - 0.5) < 1e-4
 
 
 def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():
     f = RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0)
-    d = spectral_diagonals(f, 0.0, 2000)
-    ev = zeta_trace(f, 0.0, 1.5, diagonals=d)
+    ev = zeta_trace(f, 0.0, 1.5)
     assert ev.residue_at_1 == 0.25
-    assert abs(ev.residue_at_1 - residue_by_extrapolation(f, diagonals=d)) < 1e-6
+    assert abs(ev.residue_at_1 - residue_by_extrapolation(f)) < 1e-6
 
 
 def test_zeta_mean_zero_weight_has_no_pole():
-    d = spectral_diagonals(COS, 0.0, 800)
-    ev = zeta_trace(COS, 0.0, 1.001, diagonals=d)
+    ev = zeta_trace(COS, 0.0, 1.001, n_modes=800)
     assert abs((1.001 - 1.0) * ev.value) < 1e-3
 
 
 def test_zeta_methods_cross_check():
-    d = spectral_diagonals(ONE, 1.0, 1200)
-    eigen = zeta_trace(ONE, 1.0, 1.5, method="eigen_sum_tail", diagonals=d)
+    eigen = zeta_trace(ONE, 1.0, 1.5, method="eigen_sum_tail", n_modes=1200)
     mellin = zeta_trace(ONE, 1.0, 1.5, method="heat_mellin")
     assert abs(eigen.value - mellin.value) < 5e-4
     assert mellin.residue_at_1 == 0.0
@@ -321,6 +318,18 @@ def test_residue_raises_only_for_generic_weights():
     assert residue_at_1(ARCTAN) == 0.0
     step = RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0)
     assert residue_at_1(step) == zeta_trace(step, 0.0, 1.5, n_modes=50).residue_at_1 == 0.25
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_bad_mode_count_or_length_raises(bad):
+    for call in (lambda: spectral_diagonals(ONE, 0.0, bad),
+                 lambda: spectral_diagonals(ARCTAN, 0.0, bad),
+                 lambda: oscillator.algebra_diagonals(AlgebraElement.unit(0.3), bad),
+                 lambda: zeta_trace(ONE, 0.0, 2.0, n_modes=bad)):
+        with pytest.raises(ValueError, match="n_modes must be at least 1"):
+            call()
+    with pytest.raises(ValueError, match="x_max must be positive"):
+        asymptotic_mean(ARCTAN, x_max=float(bad))
 
 
 # ---------------- asymptotic means ----------------

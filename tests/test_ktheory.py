@@ -72,6 +72,15 @@ def test_trace_value_and_membership():
     assert gap_label_witness(value, SQRT2M1) == (2, -1)
 
 
+@pytest.mark.parametrize(
+    "value, hbar, label",
+    [(0.3, 0.3, (0, 1)), (2.0, 0.3, (2, 0)), (0.6, 0.3, (0, 2)), (0.5, 0.5, (0, 1))],
+)
+def test_gap_label_witness_is_the_smallest_label(value, hbar, label):
+    # smallest |q| within the tolerance, q >= 0 on a tie (0.5 = 0 + 0.5 = 1 - 0.5)
+    assert gap_label_witness(value, hbar) == label
+
+
 def test_gap_label_rejects_outsider():
     assert not in_gap_label_group(0.5, SQRT2M1)
 

@@ -12,7 +12,6 @@ from nctorus import (
     PeriodicFunction,
     algebra_diagonals,
     diagonal_elements,
-    hermite_eval,
     hermite_rows,
     ladder_commutators,
     ladder_matrices,
@@ -29,7 +28,7 @@ HBAR = 0.3
 
 
 def test_ground_state_value():
-    assert abs(hermite_eval(0, 0.0) - np.pi ** -0.25) < 1e-14
+    assert abs(hermite_rows(1, np.array([0.0]))[0, 0] - np.pi ** -0.25) < 1e-14
 
 
 @pytest.mark.parametrize("n", [0, 5, 50])
@@ -44,7 +43,7 @@ def test_eigenvalue_by_finite_differences(n):
     h = 0.002
     half = np.sqrt(2 * n + 1.0) + 8.0
     x = np.arange(-half, half + h / 2, h)
-    psi = hermite_eval(n, x)
+    psi = hermite_rows(n + 1, x)[n]
     lap = (
         -np.roll(psi, 2) + 16 * np.roll(psi, 1) - 30 * psi
         + 16 * np.roll(psi, -1) - np.roll(psi, -2)
@@ -55,7 +54,8 @@ def test_eigenvalue_by_finite_differences(n):
 
 
 def test_gram_orthonormality(basis200):
-    assert basis200.gram_defect() < 1e-10
+    gram = translation_matrix(0.0, basis200)
+    assert np.abs(gram - np.eye(basis200.n_modes)).max() < 1e-10
 
 
 def test_ladder_matrix_entries(basis200):
@@ -175,10 +175,21 @@ def test_algebra_diagonals_unit():
     assert np.abs(d - 1.0).max() < 1e-10
 
 
-def test_hermite_rows_match_eval():
-    x = np.linspace(-30.0, 30.0, 7)
-    rows = hermite_rows(120, x)
-    assert np.abs(rows[100] - hermite_eval(100, x)).max() < 1e-13
+def test_hermite_rows_match_mpmath_reference():
+    # psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) at 60 digits, far
+    # beyond the turning point of psi_0 (x = 25, 36) and of psi_399 (x = 32)
+    x = np.array([0.0, 1.7, -10.0, 25.0, 28.0, 32.0, -36.0])
+    rows = hermite_rows(400, x)
+    with mpmath.workdps(60):
+        for n in (0, 1, 100, 399):
+            norm = mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            for j, xj in enumerate(x):
+                xm = mpmath.mpf(float(xj))
+                psi = mpmath.hermite(n, xm) * mpmath.exp(-xm * xm / 2) / norm
+                if abs(psi) > mpmath.mpf("1e-100"):
+                    assert abs(rows[n, j] / psi - 1) < 1e-12, (n, xj)
+                elif abs(psi) < mpmath.mpf("1e-110"):
+                    assert rows[n, j] == 0.0, (n, xj)
 
 
 def test_hermite_rows_have_no_entry_below_the_floor(basis400):

@@ -78,20 +78,6 @@ def test_multiply_commutative_associative():
     assert (((f * g) * h) - (f * (g * h))).sup_norm() < 1e-12
 
 
-def test_sqrt_nonneg_clamps_small_noise():
-    base = PeriodicFunction.from_callable(lambda x: np.sin(np.pi * x) ** 2)
-    noisy = base + PeriodicFunction.constant(-5e-11)
-    root = noisy.sqrt_nonneg()
-    assert np.abs(root.samples.imag).max() == 0.0
-    assert root.samples.real.min() >= 0.0
-
-
-def test_sqrt_nonneg_rejects_negative():
-    bad = PeriodicFunction.constant(-1e-9)
-    with pytest.raises(ValueError):
-        bad.sqrt_nonneg()
-
-
 def test_rieffel_coefficient_mean_matches_quadrature_oracle():
     # rebuild the ramp profile explicitly and integrate it independently
     frac, eps = 0.3, 0.1
