@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# values of |q| per chunk of the gap-label scan: 2^16 candidates, about 0.5 MB an array
+_WITNESS_CHUNK = 2**15
+
 
 @dataclass(frozen=True)
 class KClass:
@@ -65,17 +68,20 @@ def gap_label_witness(value, hbar):
     Searches |q| <= 10^6 exhaustively and returns, among the pairs within
     the tolerance, the one of smallest |q|, q >= 0 on a tie; None if there
     is none.  The label group of the deformation is exactly the set of such
-    combinations.
+    combinations.  The scan runs over ``_WITNESS_CHUNK`` values of |q| at a
+    time and stops at the first chunk with a hit, so its memory is a few
+    MB whatever the outcome.
     """
     q_max, tol = 10**6, 1e-9
     # q in the order 0, 1, -1, 2, -2, ...: the first pair within tol is the label
-    qs = np.stack([np.arange(q_max + 1), -np.arange(q_max + 1)], axis=1).ravel()[1:]
-    residual = value - qs * hbar
-    ps = np.rint(residual)
-    err = np.abs(residual - ps)
-    k = int(np.argmax(err <= tol))
-    if err[k] <= tol:
-        return int(ps[k]), int(qs[k])
+    for start in range(0, q_max + 1, _WITNESS_CHUNK):
+        mags = np.arange(start, min(start + _WITNESS_CHUNK, q_max + 1))
+        qs = np.stack([mags, -mags], axis=1).ravel()[1 if start == 0 else 0:]
+        residual = value - qs * hbar
+        ps = np.rint(residual)
+        hits = np.flatnonzero(np.abs(residual - ps) <= tol)
+        if hits.size:
+            return int(ps[hits[0]]), int(qs[hits[0]])
     return None
 
 

@@ -7,17 +7,24 @@ on the interpolant), products act pointwise on samples, and the mean is the
 zeroth coefficient.  The Nyquist coefficient of the even-length transform is
 carried at mode -M/2.
 
+Point evaluation at arbitrary real points, of an interpolant or of any
+integer-mode trigonometric sum, is ``trig_sum``: an exact reduction of each
+point mod 1, then a two-level (baby-step / giant-step) factorisation of the
+phases, about 2 sqrt(S) exponentials per point and one complex GEMM for a
+span of S modes (cf. Dutt and Rokhlin, SIAM J. Sci. Comput. 14, 1993).
+
 Instances are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
 """
+
+import math
 
 import numpy as np
 
 DEFAULT_SAMPLES = 2048
 
-# relative floor below which Fourier modes are dropped during point evaluation
-_EVAL_CUTOFF = 1e-17
-# points per block of point evaluation: 1024 x 2048 complex modes is 32 MiB
+# points per block of point evaluation: at 2048 modes the two exponential
+# matrices of a block and their product (1024 x 136 complex) take about 2 MiB
 _EVAL_BLOCK = 1024
 
 
@@ -39,16 +46,43 @@ def smooth_step(u):
 def trig_sum(k, c, x):
     """The trigonometric sum  sum_j c_j e^{2 pi i k_j x}  at real points x.
 
-    The result has the shape of ``x``.  Points are taken in blocks of
-    ``_EVAL_BLOCK``, so the points-by-modes exponential matrix never holds
-    more than one block.
+    The modes k_j are integers; repeated modes add up.  The result has the
+    shape of ``x``.
+
+    Each point is first reduced to x - round(x) in [-1/2, 1/2]; the modes
+    are integers, so the reduction is exact and the phases stay small however
+    far out x lies.  The sum is then factorised in two levels (baby-step /
+    giant-step): the coefficients are scattered into a dense A x B table over
+    the mode span [k0, kmax] of S modes, B = ceil(sqrt(S)), so that mode
+    k0 + aB + b sits at (a, b) and
+
+        sum = sum_a e^{2 pi i (k0 + aB) x} sum_b table[a, b] e^{2 pi i b x}.
+
+    A point costs A + B ~ 2 sqrt(S) exponentials and one row of a complex
+    GEMM, instead of S exponentials; modes inside the span with no
+    coefficient cost nothing extra.  Points are taken in blocks of
+    ``_EVAL_BLOCK``, so the two exponential matrices never hold more than
+    ``_EVAL_BLOCK`` x (A + B) entries.
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x).ravel()
-    vals = np.empty(xs.shape, dtype=complex)
-    for i in range(0, xs.size, _EVAL_BLOCK):
-        block = xs[i:i + _EVAL_BLOCK]
-        vals[i:i + _EVAL_BLOCK] = np.exp(2j * np.pi * np.outer(block, k)) @ c
+    xs = xs - np.round(xs)
+    k = np.asarray(k, dtype=np.int64)
+    vals = np.zeros(xs.shape, dtype=complex)
+    if k.size:
+        k0 = int(k.min())
+        span = int(k.max()) - k0 + 1
+        b = math.isqrt(span - 1) + 1
+        a = -(-span // b)
+        table = np.zeros(a * b, dtype=complex)
+        np.add.at(table, k - k0, c)
+        table = table.reshape(a, b).T
+        fine = 2j * np.pi * np.arange(b)
+        coarse = 2j * np.pi * (k0 + b * np.arange(a))
+        for i in range(0, xs.size, _EVAL_BLOCK):
+            block = xs[i:i + _EVAL_BLOCK, None]
+            inner = np.exp(block * fine) @ table
+            vals[i:i + _EVAL_BLOCK] = (np.exp(block * coarse) * inner).sum(axis=1)
     return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
 
@@ -125,12 +159,13 @@ class PeriodicFunction:
     def __call__(self, x):
         """Evaluate the trig interpolant at arbitrary real points (1-periodic).
 
-        Every mode above ``_EVAL_CUTOFF`` relative to the largest is kept;
-        the result has the shape of ``x`` (see ``trig_sum``).
+        Every coefficient slot is summed, the Nyquist one at -M/2 included,
+        by the two-level factorisation of ``trig_sum``: about 2 sqrt(M)
+        exponentials per point after the exact reduction of x to
+        [-1/2, 1/2], in blocks of ``_EVAL_BLOCK`` points.  The result has
+        the shape of ``x``.
         """
-        c = self._coeffs
-        keep = np.abs(c) > _EVAL_CUTOFF * max(1.0, float(np.abs(c).max()))
-        return trig_sum(self.modes[keep], c[keep], x)
+        return trig_sum(self.modes, self._coeffs, x)
 
     def band(self, kmax):
         """Modes |k| <= kmax with their coefficients, and the dropped mass.

@@ -120,6 +120,18 @@ def test_weighted_trace_matches_fourier_closed_form(weight, alpha, t, p03):
     assert heat_trace_weighted(f, alpha, t) == pytest.approx(expected, rel=1e-5, abs=1e-5)
 
 
+@pytest.mark.parametrize("t, rel", [(0.1, 1e-5), (1.0, 1e-10), (3.0, 1e-10)])
+def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rel):
+    # the weight as ``nctorus zeta --f riesz-ramp`` builds it: the real part
+    # of every point evaluation of the full 2048-mode bump coefficient
+    bump = p03.coefficient(0)
+    f = RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)
+    m, c = bump.n_samples, bump.coefficients
+    real_part = 0.5 * (c + np.conj(c[-np.arange(m) % m]))
+    expected = _fourier_heat_trace(bump.modes.astype(float), real_part, 0.7, t)
+    assert heat_trace_weighted(f, 0.7, t) == pytest.approx(expected, rel=rel)
+
+
 # ---------------- zeta values ----------------
 
 

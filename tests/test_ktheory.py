@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,40 @@ def test_gap_label_witness_is_the_smallest_label(value, hbar, label):
 
 def test_gap_label_rejects_outsider():
     assert not in_gap_label_group(0.5, SQRT2M1)
+
+
+def _full_witness(value, hbar):
+    """The whole |q| <= 10^6 search in one set of arrays, in the order 0, 1, -1, 2, ..."""
+    q_max = 10**6
+    qs = np.stack([np.arange(q_max + 1), -np.arange(q_max + 1)], axis=1).ravel()[1:]
+    residual = value - qs * hbar
+    ps = np.rint(residual)
+    err = np.abs(residual - ps)
+    k = int(np.argmax(err <= 1e-9))
+    return (int(ps[k]), int(qs[k])) if err[k] <= 1e-9 else None
+
+
+def test_gap_label_witness_matches_the_full_search():
+    rng = np.random.default_rng(14)
+    # labels in the first chunk, on and around the chunk edge 2^15, far out,
+    # past the search bound, and values off the label group
+    qs = [0, 7, -2**15 + 1, 2**15, -2**15, 2**15 + 1, 123457, -999999, 10**6, 10**6 + 3]
+    cases = [(float(rng.integers(-5, 6)) + q * h, h)
+             for q in qs for h in (SQRT2M1, float(rng.uniform(0.1, 3.0)))]
+    cases += [(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 3.0))) for _ in range(6)]
+    results = [gap_label_witness(v, h) for v, h in cases]
+    assert results == [_full_witness(v, h) for v, h in cases]
+    assert None in results and any(r is not None and abs(r[1]) > 2**15 for r in results)
+
+
+def test_gap_label_witness_memory_stays_small():
+    tracemalloc.start()
+    try:
+        assert gap_label_witness(0.5, SQRT2M1) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_trace_values_always_members(rng):

@@ -1,10 +1,15 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from nctorus import PeriodicFunction, smooth_step
+from nctorus.periodic import trig_sum
 
 
 def smooth_test_function():
@@ -122,6 +127,67 @@ def test_evaluation_keeps_the_shape_of_the_points():
     values = f(xs.reshape(2, 3))
     assert values.shape == (2, 3)
     assert np.array_equal(values.ravel(), f(xs))
+
+
+def _mpmath_trig_sum(k, c, x):
+    """sum_j c_j e^{2 pi i k_j x} at one point, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        total = mpmath.mpc(0)
+        for kj, cj in zip(k, c):
+            total += mpmath.mpc(cj.real, cj.imag) * mpmath.expjpi(2 * int(kj) * x)
+        return complex(total)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (30.0, 40.0), (-1e3, 1e3)])
+def test_trig_sum_of_bump_matches_mpmath(p03, lo, hi):
+    # the phases are reduced exactly mod 1, so the error does not grow with |x|
+    bump = p03.coefficient(0)
+    k, c = bump.modes, bump.coefficients
+    xs = np.random.default_rng(1414).uniform(lo, hi, 4)
+    got = trig_sum(k, c, xs)
+    err = max(abs(g - _mpmath_trig_sum(k, c, x)) for g, x in zip(got, xs))
+    assert err < 4e-15 * np.abs(c).sum()
+
+
+def test_evaluation_on_own_grid_returns_the_samples(p03):
+    bump = p03.coefficient(0)
+    assert np.abs(bump(bump.grid) - bump.samples).max() < 1e-14
+
+
+def _modes_and_coefficients():
+    # sparse, repeated, negative-only, a single mode, none
+    modes = st.one_of(
+        st.lists(st.integers(-300, 300), max_size=12),
+        st.lists(st.sampled_from([-3, 0, 2, 5]), min_size=2, max_size=12),
+        st.lists(st.integers(-300, -1), min_size=1, max_size=12),
+        st.integers(-300, 300).map(lambda m: [m]),
+        st.just([]),
+    )
+    coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    return modes.flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(coeff, min_size=len(k), max_size=len(k)))
+    )
+
+
+_POINT = st.floats(-4.0, 4.0)
+# a Python scalar, a 0-d array and a 2-d array
+_POINTS = st.one_of(
+    _POINT,
+    _POINT.map(np.array),
+    arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 5)), elements=_POINT),
+)
+
+
+@settings(database=None, deadline=None, derandomize=True)
+@given(_modes_and_coefficients(), _POINTS)
+def test_trig_sum_matches_dense_exponentials(kc, x):
+    k, c = np.array(kc[0], dtype=np.int64), np.array(kc[1], dtype=complex)
+    dense = np.exp(2j * np.pi * np.multiply.outer(np.asarray(x), k)) @ c
+    got = trig_sum(k, c, x)
+    assert np.shape(got) == np.shape(x)
+    # the dense phases 2 pi k x are rounded at |k x| <= 1200
+    assert np.abs(got - dense).max() <= 1e-11 * (1.0 + np.abs(c).sum())
 
 
 def test_validation():
