@@ -197,6 +197,41 @@ def _require_projection(e):
         )
 
 
+def _trace_product(a, b):
+    """trace(multiply(a, b)) from the degree-0 terms alone.
+
+    The terms f_n shift(g_{-n}, n hbar) are summed in ``multiply``'s order,
+    so the value has the same bits as the full product's trace.
+    """
+    a._check_hbar(b)
+    total = None
+    for n, f in a.items():
+        g = b._coeffs.get(-n)
+        if g is not None:
+            term = f * (g.shift(n * a.hbar) if n else g)
+            total = term if total is None else total + term
+    return 0j if total is None else total.mean()
+
+
+def _curvature_products(a1, a2):
+    """The products delta1(a1) delta2(a2) and delta2(a1) delta1(a2)."""
+    return multiply(delta1(a1), delta2(a2)), multiply(delta2(a1), delta1(a2))
+
+
+def _chern_number(e, products):
+    """``chern_number`` of e from its ``_curvature_products``, unchecked."""
+    d12, d21 = products
+    # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
+    # two traces round differently and move printed last digits
+    return _trace_product(e, d12 - d21) / (2j * np.pi)
+
+
+def _cocycle(a0, products):
+    """``cyclic_cocycle`` of a0 with the ``_curvature_products`` of a1, a2."""
+    d12, d21 = products
+    return _trace_product(a0, d12) - _trace_product(a0, d21)
+
+
 def chern_number(e):
     """First Chern number (1 / 2 pi i) tr(e [delta1(e), delta2(e)]).
 
@@ -205,11 +240,7 @@ def chern_number(e):
     to numerical error, with imaginary part at the same scale.
     """
     _require_projection(e)
-    # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
-    # two traces round differently and move printed last digits
-    d1, d2 = delta1(e), delta2(e)
-    comm = multiply(d1, d2) - multiply(d2, d1)
-    return trace(multiply(e, comm)) / (2j * np.pi)
+    return _chern_number(e, _curvature_products(e, e))
 
 
 def cyclic_cocycle(a0, a1, a2):
@@ -220,9 +251,7 @@ def cyclic_cocycle(a0, a1, a2):
     """
     a0._check_hbar(a1)
     a0._check_hbar(a2)
-    term1 = multiply(a0, multiply(delta1(a1), delta2(a2)))
-    term2 = multiply(a0, multiply(delta2(a1), delta1(a2)))
-    return trace(term1) - trace(term2)
+    return _cocycle(a0, _curvature_products(a1, a2))
 
 
 def ladder_commutators(a):

@@ -6,10 +6,17 @@ translation operators, the finite section of the line representation of
 rotation-algebra elements, and the diagonal matrix elements used by heat
 traces and spectral zeta sums.
 
-Matrices are quadratures on a uniform grid on [-L, L] with L = sqrt(2N+3) + 6
-and K = 8N + 1 points: integrands are products of Hermite functions with
-bounded smooth factors and decay like exp(-x^2/2) beyond the classical
-turning point, so the trapezoid weights are spectrally accurate.
+Matrices are trapezoid quadratures on one exactly symmetric grid
+u = h (-J..J): the basis' K = 8N + 1 points on [-L, L], L = sqrt(2N + 3) + 6,
+spacing h = 2L / 8N, extended by the half-span of the translations involved
+and centred at their midpoint (``_section``).  Integrands are products of
+Hermite functions with bounded smooth factors and decay like exp(-x^2/2)
+beyond the classical turning point, so the trapezoid weights are spectrally
+accurate.  Every degree of a section shares the left Hermite table and one
+GEMM, and a table at a negative offset is a stored one read in reverse,
+psi_n(u - s) = (-1)^n psi_n(-u + s), so a section runs one Hermite
+recurrence per distinct |offset|: one for the localizer's element
+e_0 / 2 + e_1 [1], centred at hbar / 2.
 
 An algebra coefficient reaches the N-mode window only through its Fourier
 modes |k| <= ``band_limit(N)``; the rest couple nothing there (the tail
@@ -28,7 +35,8 @@ limit or generic type.
 
 Hermite values and quadrature weights below ``SUBNORMAL_FLOOR`` =
 cbrt(tiny) (about 2.8e-103) are stored as 0.  A product of three kept
-factors, one entry of a quadrature GEMM, is then never subnormal, which
+factors, a weight and two Hermite values as each quadrature GEMM forms
+them, is then never subnormal, which
 x86 computes in microcode at several times the cost.  Each dropped term is
 below 2.8e-103 times a Hermite value and a weight, far under the rounding
 of any entry of order 1e-100 or more, so the sections and the Gram matrix
@@ -81,19 +89,23 @@ def _hermite_iter(x):
     The three-term recurrence is run on ratios u_n = psi_n * exp(-ln) with a
     per-point log offset ln, renormalized every few steps (``_rescale``),
     so values stay representable far outside the classical region (where
-    psi_0 underflows but high modes do not).  ``exp(ln)`` underflows there: each consumer
+    psi_0 underflows but high modes do not).  ``exp(ln)`` is recomputed only
+    when a rescale moves ln.  It underflows there: each consumer
     runs the whole iteration under one ``np.errstate(under="ignore")``,
     since a context entered here would be held across yields and its state
     would leak into the consumer while the generator is suspended.
     """
     x = np.asarray(x, dtype=float)
     ln = -0.5 * x * x - 0.25 * np.log(np.pi)
+    scale = np.exp(ln)
     u_prev = np.ones_like(x)
     u = np.sqrt(2.0) * x
     for m in itertools.count(1):
-        yield u_prev * np.exp(ln)
+        yield u_prev * scale
         u_prev, u = u, np.sqrt(2.0 / (m + 1)) * x * u - np.sqrt(m / (m + 1.0)) * u_prev
-        u_prev, u, ln = _rescale(m, u_prev, u, ln)
+        u_prev, u, rescaled = _rescale(m, u_prev, u, ln)
+        if rescaled is not ln:
+            ln, scale = rescaled, np.exp(rescaled)
 
 
 def _floor(values):
@@ -117,7 +129,11 @@ def hermite_rows(n_modes, x):
 
 
 class HermiteBasis:
-    """First N oscillator eigenfunctions with a shared uniform quadrature."""
+    """First N oscillator eigenfunctions with a shared uniform quadrature.
+
+    The grid is exactly symmetric, spacing h times -J..J with J = 4N, so
+    that it reads the same reversed; ``weight`` is h.
+    """
 
     def __init__(self, n_modes):
         n_modes = int(n_modes)
@@ -126,8 +142,8 @@ class HermiteBasis:
         self.n_modes = n_modes
         self.half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
         self.n_quad = QUAD_DENSITY * n_modes + 1
-        self.grid = np.linspace(-self.half_width, self.half_width, self.n_quad)
-        self.weight = self.grid[1] - self.grid[0]
+        self.weight = 2.0 * self.half_width / (self.n_quad - 1)
+        self.grid = self.weight * np.arange(-(self.n_quad // 2), self.n_quad // 2 + 1)
 
     @cached_property
     def rows(self):
@@ -161,19 +177,70 @@ def ladder_matrices(basis):
     return a, a.T, h, d, grading
 
 
-def _matrix_elements(values, alpha, basis):
-    """Quadrature matrix of int v psi_m psi_n(. - alpha), v sampled on the grid.
+def _section(terms, basis):
+    """Sum over (shift s, f) of the quadrature matrices of f psi_j psi_k(. - s).
 
-    A complex v runs as two real GEMMs, half the flops of the complex GEMM
-    that numpy would upcast complex-by-real to.  Weights below
-    ``SUBNORMAL_FLOOR`` are dropped, as in ``hermite_rows``.
+    One grid serves every term: u = h (-J..J) with the basis spacing h,
+    placed at x = u + c with c the midpoint of the shifts and J the basis'
+    4N plus the half-span of the shifts, so that every shifted factor keeps
+    its whole window on the grid.  With x = sign (u + |c|) and r = |c| -
+    sign s, parity gives psi_n(x) = sign^n psi_n(u + |c|) and psi_k(x - s) =
+    sign^k psi_k(u + r), and psi_k(u + r) for r < 0 is (-1)^k psi_k(u - r)
+    read in reverse (u is symmetric).  So one Hermite table per distinct
+    |offset| is computed, and the section is one GEMM, left @ right.T, of
+    the table at |c| with right = sum over terms of h f(x) times the table
+    at |r|, accumulated row by row in place.  A complex f runs as two real
+    GEMMs, one per part of right, half the flops of the complex GEMM that
+    numpy would upcast complex-by-real to.
+
+    Each f maps the points x to its values there.  Weights below
+    ``SUBNORMAL_FLOOR`` are dropped, as in ``hermite_rows``: every term of
+    right is a product of a kept weight and a kept Hermite value.
     """
-    weighted = np.atleast_1d(basis.weight * np.asarray(values))
-    shifted = basis.rows if alpha == 0 else hermite_rows(basis.n_modes, basis.grid - alpha)
-    if np.iscomplexobj(weighted):
-        return ((basis.rows * _floor(weighted.real)) @ shifted.T
-                + 1j * ((basis.rows * _floor(weighted.imag)) @ shifted.T))
-    return (basis.rows * _floor(weighted)) @ shifted.T
+    n, h = basis.n_modes, basis.weight
+    shifts = [s for s, _ in terms]
+    centre = 0.5 * (min(shifts) + max(shifts))
+    extra = int(np.ceil(0.5 * (max(shifts) - min(shifts)) / h))
+    u = h * np.arange(-(basis.n_quad // 2 + extra), basis.n_quad // 2 + extra + 1)
+    sign = -1.0 if centre < 0 else 1.0
+    tables = {}
+
+    def table(offset):
+        if offset not in tables:
+            tables[offset] = hermite_rows(n, u + offset)
+        return tables[offset]
+
+    left = table(abs(centre))
+    x = sign * (u + abs(centre))
+    factors, values = [], []
+    for s, f in terms:
+        r = abs(centre) - sign * s
+        # rows, and whether odd rows change sign (reversed tables only)
+        factors.append((table(-r)[:, ::-1], True) if r < 0 else (table(r), False))
+        values.append(h * np.broadcast_to(f(x), x.shape))
+    parts = [np.real] + ([np.imag] if any(np.iscomplexobj(v) for v in values) else [])
+    right = np.empty((n, u.size))
+    sections = []
+    for part in parts:
+        kept = []
+        for (rows, odd_flips), v in zip(factors, values):
+            w = _floor(np.array(part(v), dtype=float))
+            if w.any():
+                kept.append((rows, w, -w if odd_flips else w))
+        if not kept:
+            sections.append(np.zeros((n, n)))
+            continue
+        (first, even, odd), rest = kept[0], kept[1:]
+        for k in range(n):
+            acc = np.multiply(first[k], odd if k & 1 else even, out=right[k])
+            for rows, w, w_odd in rest:
+                acc += rows[k] * (w_odd if k & 1 else w)
+        sections.append(left @ right.T)
+    out = sections[0] if len(sections) == 1 else sections[0] + 1j * sections[1]
+    if sign < 0:
+        out[1::2] *= -1.0
+        out[:, 1::2] *= -1.0
+    return out
 
 
 def multiplication_matrix(f, basis):
@@ -182,10 +249,10 @@ def multiplication_matrix(f, basis):
     f is evaluated on the whole quadrature grid, every Fourier mode of a
     ``PeriodicFunction`` included, unlike the band-limited ``represent``.
     No library code calls it: the tests check the shared quadrature of
-    ``_matrix_elements`` through it against a Gaussian-integral oracle, and
+    ``_section`` through it against a Gaussian-integral oracle, and
     the benchmark's tracing hooks it.
     """
-    return _matrix_elements(f(basis.grid), 0.0, basis)
+    return _section([(0.0, f)], basis)
 
 
 def translation_matrix(alpha, basis):
@@ -195,7 +262,7 @@ def translation_matrix(alpha, basis):
     it: the tests check the Gram defect, unitarity and a Gaussian overlap
     through it, and the benchmark's tracing hooks it.
     """
-    return _matrix_elements(1.0, alpha, basis)
+    return _section([(float(alpha), lambda x: 1.0)], basis)
 
 
 def band_limit(n_modes):
@@ -237,27 +304,37 @@ def _bands(a, n_modes, caller):
     return bands
 
 
+def _band_function(k, c, real):
+    """x -> sum_k c_k e^{2 pi i k x} by ``trig_sum``, or its real part when real."""
+    def values(x):
+        v = trig_sum(k, c, x)
+        return v.real if real else v
+    return values
+
+
 def represent(a, basis):
     """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis.
 
-    Each degree n is one quadrature of f_n psi_j psi_k(. - n hbar): a single
-    translation by n*hbar of either sign, not a product P M_f P . P T P.
-    f_n is evaluated on the grid from its modes |k| <= ``band_limit(N)``,
-    so no out-of-band mode aliases into the section.
+    Each degree n is one term f_n psi_j psi_k(. - n hbar) of ``_section``:
+    a single translation by n*hbar of either sign, not a product
+    P M_f P . P T P, and every degree shares one grid, one left Hermite
+    table and one GEMM.  f_n is evaluated on the grid from its modes
+    |k| <= ``band_limit(N)``, so no out-of-band mode aliases into the
+    section.
 
     Multiplication by a real f_n and translation both map real functions to
     real functions, so a coefficient with real samples is taken as the real
-    part of its band, and its degree is one real GEMM.  The section of an
-    element whose coefficients are all real is a float64 array; any complex
-    coefficient makes it complex.
+    part of its band.  The section of an element whose coefficients are all
+    real is a float64 array from one real GEMM; any complex coefficient
+    makes it complex.
     """
-    out = np.zeros((basis.n_modes, basis.n_modes))
-    for n, k, c in _bands(a, basis.n_modes, "represent"):
-        values = trig_sum(k, c, basis.grid)
-        if not a.coefficient(n).samples.imag.any():
-            values = values.real
-        out = out + _matrix_elements(values, n * a.hbar, basis)
-    return out
+    terms = [
+        (n * a.hbar, _band_function(k, c, not a.coefficient(n).samples.imag.any()))
+        for n, k, c in _bands(a, basis.n_modes, "represent")
+    ]
+    if not terms:
+        return np.zeros((basis.n_modes, basis.n_modes))
+    return _section(terms, basis)
 
 
 def diagonal_elements(weighted_shifts, n_modes):
@@ -296,19 +373,29 @@ def _laguerre_rows(y, n_modes):
     nor underflows e^{-y/2}.  The scale is checked every ``_RESCALE_EVERY``
     steps by ``_rescale``, as in ``_hermite_iter``: one step grows |L_n| by
     at most about y + 2 (3.3e4 at 2000 modes), so 8 steps from 1e120 stay
-    far below overflow.  Each row's log scale is kept and applied in one ``exp`` at
-    the end.
+    far below overflow.  Each row is computed in place into the output;
+    the log scale changes only at rescale steps, so each run of rows that
+    shares one scale is multiplied by its ``exp`` once, at the end.
     """
     out = np.empty((n_modes, y.size))
-    logs = np.empty((n_modes, y.size))
-    prev, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
+    prev, cur = np.zeros_like(y), np.ones_like(y)
+    out[:1] = cur
+    step, lower = np.empty_like(y), np.empty_like(y)
+    scales = [(0, -0.5 * y)]
     with np.errstate(under="ignore"):
-        for n in range(n_modes):
-            out[n] = cur
-            logs[n] = log_scale
-            prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
-            prev, cur, log_scale = _rescale(n + 1, prev, cur, log_scale)
-        out *= np.exp(logs)
+        for n in range(n_modes - 1):
+            np.subtract(2 * n + 1, y, out=step)
+            np.multiply(step, cur, out=step)
+            np.multiply(n, prev, out=lower)
+            np.subtract(step, lower, out=step)
+            nxt = np.divide(step, n + 1, out=out[n + 1])
+            prev, rescaled, log_scale = _rescale(n + 1, cur, nxt, scales[-1][1])
+            if log_scale is not scales[-1][1]:
+                nxt[...] = rescaled
+                scales.append((n + 1, log_scale))
+            cur = nxt
+        for (start, log_scale), (end, _) in zip(scales, scales[1:] + [(n_modes, None)]):
+            out[start:end] *= np.exp(log_scale)
     return out
 
 

@@ -46,14 +46,16 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    _chern_number,
+    _cocycle,
+    _curvature_products,
     _require_projection,
-    chern_number,
     cyclic_cocycle,
     rieffel_projection,
     trace,
 )
 from .heatzeta import _intercept
-from .oscillator import HermiteBasis, algebra_diagonals, ladder_matrices, represent
+from .oscillator import HermiteBasis, algebra_diagonals, represent
 
 GAP_FLOOR = 0.1
 # smallest basis_size of fedosov_index, and so of the CLI's --modes
@@ -124,50 +126,33 @@ def character_degree2(a0, a1, a2):
 
 
 def _localizer(e, n, kappa):
-    """The localizer of ``fedosov_index`` on n modes, from the nonnegative degrees of e."""
-    basis = HermiteBasis(n)
+    """The localizer of ``fedosov_index`` on n modes, from the nonnegative degrees of e.
+
+    The blocks -(1 - 2 herm) = 2 herm - 1, its negative cut to n - 1 modes,
+    and kappa A, kappa A* are written straight into one (2n - 1)^2 array.
+    """
     upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
                                     for m, f in e.items() if m >= 0})
-    half = represent(upper, basis)
-    sym = np.eye(n) - 2.0 * (half + half.conj().T)
-    _, _, _, dirac, _ = ladder_matrices(basis)
-    return (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
+    half = represent(upper, HermiteBasis(n))
+    out = np.zeros((2 * n - 1, 2 * n - 1), dtype=half.dtype)
+    top = out[:n, :n]
+    np.add(half, half.conj().T, out=top)
+    top *= 2.0
+    diag = np.arange(n)
+    top[diag, diag] -= 1.0
+    np.negative(top[:-1, :-1], out=out[n:, n:])
+    # the lowering operator A has sqrt(2k) at (k - 1, k): D = [[0, A*], [A, 0]]
+    k = diag[1:]
+    out[k, n + k - 1] = out[n + k - 1, k] = kappa * np.sqrt(2.0 * k)
+    return out
 
 
-def fedosov_index(e, basis_size=400):
-    """Operator-index route: half the signature of the spectral localizer.
-
-    On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
-    the symmetry of the represented projection, D the block Dirac matrix and
-    grading Gamma (``ladder_matrices``), the localizer is the Hermitian
-    matrix L = kappa D - Gamma (H + H), kappa = 1 / sqrt(N), where
-    Gamma (H + H) = diag(H, -H) is built as ``np.kron(diag(1, -1), H)``,
-    with the last lower-block row and column dropped: that mode's D^2 = 0 is a truncation
-    artifact outside the window |D|^2 <= 2(N - 1).  The index is
-    (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
-    ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
-
-    e is self-adjoint (``_require_projection``), so its degrees -n are the
-    adjoints of its degrees n, and only the nonnegative degrees are
-    represented: with S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
-    herm(P e P) is S + S^H.
-
-    The smallest |eigenvalue| of L is its gap and the certificate of the
-    integer; one ``eigvalsh`` of L gives both.  When every coefficient of
-    the nonnegative degrees has real samples, as for the bump projection,
-    ``represent`` returns a real section, so L is real symmetric and numpy
-    takes the real LAPACK routine; any complex coefficient (U e U*, say)
-    makes L complex Hermitian.  A gap below ``GAP_FLOOR`` raises ValueError
-    instead of returning a number.  Large |hbar| at small N raises (see the
-    module docstring for the measured domain).  Each call logs N, kappa,
-    the signature, the gap and the localizer's dtype (spectrum=real or
-    hermitian) at DEBUG on the ``nctorus.pairing`` logger.
-    """
+def _signature_index(e, basis_size):
+    """``fedosov_index`` of e, without the projection check."""
     if basis_size < MIN_BASIS_SIZE:
         raise ValueError(
             f"operator index needs a basis of at least {MIN_BASIS_SIZE} modes"
         )
-    _require_projection(e)
     n = int(basis_size)
     kappa = 1.0 / np.sqrt(n)
     localizer = _localizer(e, n, kappa)
@@ -185,19 +170,59 @@ def fedosov_index(e, basis_size=400):
     return (signature + 1) / 2
 
 
+def fedosov_index(e, basis_size=400):
+    """Operator-index route: half the signature of the spectral localizer.
+
+    On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
+    the symmetry of the represented projection, D the block Dirac matrix and
+    grading Gamma (as in ``ladder_matrices``), the localizer is the Hermitian
+    matrix L = kappa D - Gamma (H + H) = [[-H, kappa A*], [kappa A, H]],
+    kappa = 1 / sqrt(N), with the last lower-block row and column dropped:
+    that mode's D^2 = 0 is a truncation artifact outside the window
+    |D|^2 <= 2(N - 1).  Its blocks are written into one (2N - 1)^2 array
+    (``_localizer``).  The index is
+    (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
+    ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
+
+    e is self-adjoint (``_require_projection``), so its degrees -n are the
+    adjoints of its degrees n, and only the nonnegative degrees are
+    represented: with S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
+    herm(P e P) is S + S^H.
+
+    The smallest |eigenvalue| of L is its gap and the certificate of the
+    integer; one ``eigvalsh`` of L gives both.  A basis_size below
+    ``MIN_BASIS_SIZE`` raises ValueError, after the projection check.  When
+    every coefficient of the nonnegative degrees has real samples, as for the
+    bump projection, ``represent`` returns a real section, so L is real
+    symmetric and numpy takes the real LAPACK routine; any complex
+    coefficient (U e U*, say) makes L complex Hermitian.  A gap below ``GAP_FLOOR`` raises ValueError
+    instead of returning a number.  Large |hbar| at small N raises (see the
+    module docstring for the measured domain).  Each call logs N, kappa,
+    the signature, the gap and the localizer's dtype (spectrum=real or
+    hermitian) at DEBUG on the ``nctorus.pairing`` logger.
+    """
+    _require_projection(e)
+    return _signature_index(e, basis_size)
+
+
 def index_pairing(e, basis_size=400, n_modes=2000):
     """All three routes for one projection, reconciled in a PairingReport.
 
-    The operator route runs before the local formula's n_modes diagonal
+    e is checked once to be a projection (``_require_projection``), and the
+    curvature products delta1(e) delta2(e) and delta2(e) delta1(e) are
+    built once for the Chern number and the degree-2 character.  The
+    operator route runs before the local formula's n_modes diagonal
     elements, so a localizer gap below ``GAP_FLOOR`` raises without
     computing them.
     """
+    _require_projection(e)
     hbar = e.hbar
-    c1 = chern_number(e)
-    closed = trace(e) - hbar * c1
-    fed = fedosov_index(e, basis_size=basis_size)
+    products = _curvature_products(e, e)
+    closed = trace(e) - hbar * _chern_number(e, products)
+    fed = _signature_index(e, basis_size)
     half = e - 0.5 * AlgebraElement.unit(hbar, e.n_samples)
-    local = character_degree0(e, n_modes=n_modes) - character_degree2(half, e, e)
+    degree2 = half.hbar / (2j * np.pi) * _cocycle(half, products)
+    local = character_degree0(e, n_modes=n_modes) - degree2
     rounded = int(round(fed))
     residuals = (
         abs(closed.real - rounded),

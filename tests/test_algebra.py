@@ -20,6 +20,7 @@ from nctorus import (
     to_json_dict,
     trace,
 )
+from nctorus.algebra import _trace_product
 
 HBAR = 0.3
 
@@ -181,6 +182,20 @@ def test_cyclic_cocycle_kills_unit_slot(rng):
 def test_cyclic_cocycle_vs_chern(p03):
     value = cyclic_cocycle(p03, p03, p03)
     assert abs(value - 2j * np.pi * chern_number(p03)) < 1e-6
+
+
+def test_trace_product_matches_the_full_product(rng, p03):
+    # degree-0 terms summed in multiply's order: the same bits as trace(a b)
+    a, b = (random_smooth_element(rng, n_samples=2048) for _ in range(2))
+    disjoint = AlgebraElement(HBAR, {3: a.coefficient(1)})
+    for x, y in ((a, b), (b, a), (p03, p03), (a, disjoint)):
+        assert _trace_product(x, y) == trace(multiply(x, y))
+    d1, d2 = delta1(p03), delta2(p03)
+    comm = multiply(d1, d2) - multiply(d2, d1)
+    assert chern_number(p03) == trace(multiply(p03, comm)) / (2j * np.pi)
+    assert cyclic_cocycle(a, b, p03) == (
+        trace(multiply(a, multiply(delta1(b), delta2(p03))))
+        - trace(multiply(a, multiply(delta2(b), delta1(p03)))))
 
 
 def test_cyclic_cocycle_half_unit_invariance(p03):

@@ -2,7 +2,8 @@
 
 Each case runs ``nctorus.cli.main`` in-process and compares its stdout with
 a file under ``tests/golden/``.  All eight README examples are pinned in
-CSV; the six that finish in under a second are pinned in JSON as well.
+CSV and in JSON; the JSON of ``pair`` and ``sweep`` prints every digit of
+the three routes, closed form, local formula and operator index.
 
 The ``zeta_one`` and ``zeta_fourier`` goldens were re-captured when the
 diagonals of periodic weights became closed-form (Laguerre) instead of a
@@ -36,11 +37,7 @@ EXAMPLES = {
     "heat_kernel": "heat-kernel --t 0.5 --range 4 --samples 81",
     "ktheory": "ktheory --m 0 --n 1 --hbar 0.3 --b 2",
 }
-SLOW = {"sweep", "pair"}
-
-CASES = [(name, "csv") for name in EXAMPLES] + [
-    (name, "json") for name in EXAMPLES if name not in SLOW
-]
+CASES = [(name, fmt) for fmt in ("csv", "json") for name in EXAMPLES]
 
 
 @pytest.mark.parametrize("name, fmt", CASES, ids=[f"{n}-{f}" for n, f in CASES])

@@ -20,8 +20,17 @@ from nctorus import (
     rieffel_projection,
     translation_matrix,
 )
-from nctorus.oscillator import SUBNORMAL_FLOOR, _floor, _hermite_iter, band_limit
+from nctorus.oscillator import (
+    _RESCALE_EVERY,
+    _RESCALE_LIMIT,
+    SUBNORMAL_FLOOR,
+    _floor,
+    _hermite_iter,
+    _laguerre_rows,
+    band_limit,
+)
 from nctorus.periodic import trig_sum
+from nctorus import adjoint as alg_adjoint
 from nctorus import multiply as alg_multiply
 
 HBAR = 0.3
@@ -217,29 +226,53 @@ def test_suspended_hermite_iter_leaves_the_error_state_alone():
         assert np.geterr()["under"] == "warn"
 
 
-def _unfloored_section(a, basis):
-    """P pi(a) P by the same quadrature as ``represent``, without the floor."""
-    def rows(x):
-        return np.array(list(itertools.islice(_hermite_iter(x), basis.n_modes)))
+def _centred_grid(a, basis):
+    """The grid of ``represent``: u = h (-J..J) and its centre c, the shifts' midpoint."""
+    shifts = [n * a.hbar for n, _ in a.items()]
+    centre = 0.5 * (min(shifts) + max(shifts))
+    j = basis.n_quad // 2 + int(np.ceil(0.5 * (max(shifts) - min(shifts)) / basis.weight))
+    return basis.weight * np.arange(-j, j + 1), centre
 
-    base = rows(basis.grid)
-    out = np.zeros((basis.n_modes, basis.n_modes))
+
+def _centred_section(a, basis, rows, floor, complex_weights=False):
+    """P pi(a) P by the quadrature of ``represent`` on its centred grid, c >= 0.
+
+    The shifted factors are recurrences at u + c - n hbar themselves, not
+    reversed tables; right is accumulated degree by degree and a complex
+    weight runs as two real GEMMs, as in ``represent``.  complex_weights
+    keeps the imaginary part of real coefficients' weights too.
+    """
+    u, centre = _centred_grid(a, basis)
+    assert centre >= 0.0
+    x = u + centre
+    left = rows(u + centre)
+    weights, shifted = [], []
     for n, f in a.items():
         k, c, _ = f.band(band_limit(basis.n_modes))
-        weight = basis.weight * trig_sum(k, c, basis.grid)
-        shifted = base if n == 0 else rows(basis.grid - n * a.hbar)
-        term = (base * weight.real) @ shifted.T
-        if f.samples.imag.any():
-            term = term + 1j * ((base * weight.imag) @ shifted.T)
-        out = out + term
-    return out
+        values = trig_sum(k, c, x)
+        real = not (complex_weights or f.samples.imag.any())
+        weights.append(basis.weight * (values.real if real else values))
+        shifted.append(rows(u + (centre - n * a.hbar)))
+    parts = [np.real] + ([np.imag] if any(np.iscomplexobj(w) for w in weights) else [])
+    sections = []
+    for part in parts:
+        right = 0.0
+        for w, table in zip(weights, shifted):
+            right = right + table * floor(np.array(part(w)))
+        sections.append(left @ right.T)
+    return sections[0] if len(sections) == 1 else sections[0] + 1j * sections[1]
+
+
+def _unfloored_rows(n_modes):
+    return lambda x: np.array(list(itertools.islice(_hermite_iter(x), n_modes)))
 
 
 @pytest.mark.parametrize("element", ["p03", "U"])
 def test_represent_is_unchanged_by_the_floor(element, p03, basis400):
     # the dropped terms are below 2.8e-103 times O(1): no entry moves a bit
     a = p03 if element == "p03" else AlgebraElement.circle_generator(HBAR)
-    assert np.array_equal(represent(a, basis400), _unfloored_section(a, basis400))
+    unfloored = _centred_section(a, basis400, _unfloored_rows(400), lambda w: w)
+    assert np.array_equal(represent(a, basis400), unfloored)
 
 
 def test_represent_of_real_coefficients_is_real(p03, basis400):
@@ -249,15 +282,122 @@ def test_represent_of_real_coefficients_is_real(p03, basis400):
     section = represent(upper, basis400)
     assert section.dtype == np.float64
     # the complex quadrature, whose imaginary part is rounding only
-    reference = np.zeros(section.shape, dtype=complex)
-    for n, f in upper.items():
-        k, c, _ = f.band(band_limit(basis400.n_modes))
-        weight = basis400.weight * trig_sum(k, c, basis400.grid)
-        shifted = (basis400.rows if n == 0
-                   else hermite_rows(basis400.n_modes, basis400.grid - n * p03.hbar))
-        reference += ((basis400.rows * _floor(weight.real)) @ shifted.T
-                      + 1j * ((basis400.rows * _floor(weight.imag)) @ shifted.T))
+    reference = _centred_section(upper, basis400, lambda x: hermite_rows(400, x), _floor,
+                                 complex_weights=True)
+    assert np.iscomplexobj(reference)
     assert np.array_equal(section, reference.real)
+
+
+def _asymmetric_element(hbar, degrees, rng):
+    """Random low-mode complex coefficients on the given degrees."""
+    x = np.arange(2048) / 2048
+    coeffs = {}
+    for n in degrees:
+        c = rng.normal(size=5) + 1j * rng.normal(size=5)
+        coeffs[n] = PeriodicFunction(sum(c[j] * np.exp(2j * np.pi * (j - 2) * x)
+                                         for j in range(5)) / 5.0)
+    return AlgebraElement(hbar, coeffs)
+
+
+def _linspace_section(a, n_modes, density=32):
+    """sum_n quad(f_n psi_j psi_k(. - n hbar)) on a plain linspace, f_n band-limited.
+
+    density points per mode over [-L - s, L + s], s the largest |n hbar|,
+    independent of the centred grid, its reversed tables and its one GEMM.
+    """
+    span = max(abs(n * a.hbar) for n, _ in a.items())
+    half = np.sqrt(2.0 * n_modes + 3.0) + 6.0 + span
+    x = np.linspace(-half, half, density * n_modes + 1)
+    base = hermite_rows(n_modes, x)
+    out = np.zeros((n_modes, n_modes), dtype=complex)
+    for n, f in a.items():
+        k, c, _ = f.band(band_limit(n_modes))
+        w = (x[1] - x[0]) * trig_sum(k, c, x)
+        shifted = hermite_rows(n_modes, x - n * a.hbar)
+        out += (base * w.real) @ shifted.T + 1j * ((base * w.imag) @ shifted.T)
+    return out
+
+
+def _section_case(case):
+    rng = np.random.default_rng(20240817)
+    if case == "UeU*":
+        u = AlgebraElement.circle_generator(1.3)
+        return alg_multiply(alg_multiply(u, rieffel_projection(1.3)), alg_adjoint(u))
+    if case == "degrees -2..2":
+        return _asymmetric_element(0.7, range(-2, 3), rng)
+    if case == "upper -0.6":
+        # the localizer's element at negative hbar: centre -0.3, reversed left table
+        e = rieffel_projection(-0.6)
+        return AlgebraElement(-0.6, {n: f for n, f in e.items() if n >= 0})
+    if case == "degrees -2, 1":
+        return _asymmetric_element(2.6, (-2, 1), rng)
+    return rieffel_projection(case)
+
+
+@pytest.mark.parametrize(
+    "case", [-0.6, 0.3, 2.6, 6.88, "UeU*", "degrees -2..2", "upper -0.6", "degrees -2, 1"])
+def test_centred_section_matches_a_dense_linspace_quadrature(case, basis200):
+    a = _section_case(case)
+    assert np.abs(represent(a, basis200) - _linspace_section(a, 200)).max() < 1e-12
+
+
+def test_multiplication_and_translation_share_the_section(basis200):
+    # both are single terms of the section: against the plain quadrature
+    f = PeriodicFunction.exponential(3)
+    mult = AlgebraElement(HBAR, {0: f})
+    assert np.abs(multiplication_matrix(f, basis200)
+                  - _linspace_section(mult, 200)).max() < 1e-12
+    for alpha in (0.45, -1.7):
+        shift = AlgebraElement(alpha, {1: PeriodicFunction.constant(1.0)})
+        assert np.abs(translation_matrix(alpha, basis200)
+                      - _linspace_section(shift, 200)).max() < 1e-12
+
+
+def _reference_rescale(step, prev, cur, log_scale):
+    if step % _RESCALE_EVERY == 0:
+        big = np.abs(cur) > _RESCALE_LIMIT
+        if big.any():
+            scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
+            return (prev * scale, cur * scale,
+                    log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0))
+    return prev, cur, log_scale
+
+
+def _reference_hermite_iter(x):
+    """The Hermite recurrence with exp(ln) recomputed on every row."""
+    ln = -0.5 * x * x - 0.25 * np.log(np.pi)
+    u_prev = np.ones_like(x)
+    u = np.sqrt(2.0) * x
+    for m in itertools.count(1):
+        yield u_prev * np.exp(ln)
+        u_prev, u = u, np.sqrt(2.0 / (m + 1)) * x * u - np.sqrt(m / (m + 1.0)) * u_prev
+        u_prev, u, ln = _reference_rescale(m, u_prev, u, ln)
+
+
+def _reference_laguerre_rows(y, n_modes):
+    """The Laguerre recurrence with every row's log scale stored and applied at the end."""
+    out = np.empty((n_modes, y.size))
+    logs = np.empty((n_modes, y.size))
+    prev, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
+    for n in range(n_modes):
+        out[n] = cur
+        logs[n] = log_scale
+        prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
+        prev, cur, log_scale = _reference_rescale(n + 1, prev, cur, log_scale)
+    return out * np.exp(logs)
+
+
+def test_lean_recurrences_are_bit_identical(basis400):
+    # far points (x = 45) and large y (3e4) both rescale many times
+    x = np.concatenate([basis400.grid - 2.6, np.linspace(-45.0, 45.0, 301)])
+    with np.errstate(under="ignore"):
+        reference = np.array(list(itertools.islice(_reference_hermite_iter(x), 400)))
+        assert np.array_equal(hermite_rows(400, x), _floor(reference))
+        y = np.concatenate([np.linspace(0.0, 3.0e4, 300),
+                            np.random.default_rng(0).uniform(0.0, 100.0, 50)])
+        for n_modes in (1, 9, 2000):
+            assert np.array_equal(_laguerre_rows(y, n_modes),
+                                  _reference_laguerre_rows(y, n_modes))
 
 
 def _band_values(f, kmax, x):

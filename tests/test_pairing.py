@@ -24,7 +24,7 @@ from nctorus import (
     rieffel_projection,
 )
 from nctorus.cli import _pair_rows
-from nctorus import pairing
+from nctorus import algebra, oscillator, pairing
 from nctorus.pairing import GAP_FLOOR
 from test_acceptance import STAIRCASE
 
@@ -147,6 +147,63 @@ def test_fedosov_staircase_gap_margin(caplog):
         (record,) = caplog.records
         gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
         assert gap >= 1.5 * GAP_FLOOR, (hbar, gap)
+
+
+# the verified pools of the module docstring's measured margins
+VERIFIED_POOL = (-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
+                 2.4, 2.6)
+VERIFIED_POOL_200 = (-0.6, -0.4, -0.25, 0.3, 0.55, 1.3, 1.45, 1.65, 2.4, 2.6)
+
+
+@pytest.mark.parametrize("n", [200, 300, 400, 500])
+def test_verified_pool_margins(caplog, n):
+    # every integer is -floor(hbar), with gap at least 0.15 (smallest 0.1504)
+    caplog.set_level(logging.DEBUG, logger="nctorus.pairing")
+    for hbar in VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL:
+        caplog.clear()
+        assert fedosov_index(rieffel_projection(hbar), basis_size=n) == -np.floor(hbar)
+        (record,) = caplog.records
+        gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
+        assert gap >= 0.15, (n, hbar, gap)
+
+
+def test_real_localizer_runs_one_hermite_recurrence(monkeypatch):
+    hermite_rows = oscillator.hermite_rows
+    calls = []
+
+    def counted(n_modes, x):
+        calls.append(n_modes)
+        return hermite_rows(n_modes, x)
+
+    monkeypatch.setattr(oscillator, "hermite_rows", counted)
+    assert fedosov_index(rieffel_projection(1.3), basis_size=200) == -1
+    assert calls == [200]
+
+
+def test_index_pairing_checks_the_projection_once(monkeypatch):
+    require = pairing._require_projection
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return require(e)
+
+    monkeypatch.setattr(pairing, "_require_projection", counted)
+    monkeypatch.setattr(algebra, "_require_projection", counted)
+    index_pairing(rieffel_projection(1.3), basis_size=200, n_modes=400)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("hbar", [0.3, -0.4, 2.6])
+def test_index_pairing_shares_products_bit_identically(hbar):
+    # the shared curvature products give the public functions' bits
+    e = rieffel_projection(hbar)
+    report = index_pairing(e, basis_size=200, n_modes=400)
+    half = e - 0.5 * AlgebraElement.unit(hbar, e.n_samples)
+    closed = algebra.trace(e) - hbar * chern_number(e)
+    local = character_degree0(e, n_modes=400) - character_degree2(half, e, e)
+    assert report.closed_form == float(closed.real)
+    assert report.local_formula == float(local.real)
 
 
 def _logged_spectrum(caplog, e):
