@@ -3,33 +3,40 @@
 The closed-form Gaussian heat kernel of the oscillator drives everything:
 heat traces and their alpha-shifted weighted variants come from its
 diagonal, which by Mehler's formula is a Gaussian in x, so a weighted trace
-is one Gaussian average of the weight on the same uniform rule as the
+is one Gaussian average of the weight, as is each inner average of the
 Dixmier limit.  Spectral zeta values are computed either from eigenbasis
 diagonal sums with an asymptotic-mean tail model (on-diagonal) or through
 the Mellin integral of the weighted heat trace (off-diagonal, where the
 zeta function is entire), and residues at the pole are extracted by
-polynomial extrapolation of (s-1) times the zeta value.  The eigenbasis
-diagonals of a periodic weight are closed-form in its Fourier data (the
-Laguerre form of ``oscillator.mode_diagonals``); only limit-type and
+polynomial extrapolation of (s-1) times the zeta value.
+
+A periodic weight is sampled once, at ``DEFAULT_SAMPLES`` points per period,
+into one cached Fourier record (``_fourier_record``): the ``math.fsum`` mean
+of its samples, their FFT coefficients and whether they are all real.  The
+record serves everything periodic: the period mean, the eigenbasis
+diagonals (the Laguerre closed form of ``oscillator.mode_diagonals``) and
+every Gaussian average, which for a Fourier series is a closed-form sum
+of its few modes the Gaussian does not suppress.  So a periodic weight must
+be resolved by ``DEFAULT_SAMPLES`` samples per period.  Limit-type and
 generic weights take the quadrature stream of
-``oscillator.diagonal_elements``.
+``oscillator.diagonal_elements`` and the uniform rule below.
 
 Asymptotic means of bounded functions, the Dixmier-trace double-integral
 limit and the mean-subtracted antiderivative map complete the calculus.
 
-Every integral is a fixed rule, exponentially accurate for its integrand
-class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is adaptive:
+Every other integral is a fixed rule, exponentially accurate for its
+integrand class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is
+adaptive:
 
-* Gaussian-suppressed integrands: the heat-trace diagonal and every
-  Gaussian average on the 4096-point uniform rule of ``_gl_rule``; the
+* Gaussian-suppressed integrands: the Gaussian averages of limit-type and
+  generic weights on the 4096-point uniform rule of ``_gl_rule``; the
   Mellin integral as a uniform trapezoid in v = log t.
 * Smooth integrands on a period or a finite interval: the period mean as
   the ``DEFAULT_SAMPLES``-point trapezoid, the Dixmier levels and the
   antiderivative on 16-point Gauss-Legendre panels (``_gl_panels``).
 
-A periodic weight is sampled once, at ``DEFAULT_SAMPLES`` points per period
-(cached per function object); its period mean and its Fourier coefficients
-come from those samples, so it must be resolved by them.
+mpmath (the odd zeta and Gamma) and the Gauss-Legendre nodes are loaded on
+first use, so importing the package costs neither.
 """
 
 import math
@@ -37,13 +44,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from mpmath import gamma as _mp_gamma
-from mpmath import zeta as _mp_zeta
 
 from .oscillator import band_limit, diagonal_elements, hermite_rows, mode_diagonals
 from .periodic import DEFAULT_SAMPLES
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# e^{-(pi k / (P u))^2} stays a normal double while |k| <= _GAUSS_MODES * P u
+_GAUSS_MODES = math.sqrt(-math.log(np.finfo(float).tiny)) / math.pi
 
 
 class RealLineFunction:
@@ -133,14 +139,27 @@ class EntireZetaReport:
         return decreasing and abs(self.residue_extrapolated) <= self.tolerance
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=1)
+def _gl16():
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1], read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(16))
+
+
 def _gl_panels(a, b, n_panels):
     """Nodes and weights of n_panels equal 16-point Gauss-Legendre panels on [a, b].
 
     For b < a the weights are negative, so the sum is the oriented integral.
     """
+    nodes, weights = _gl16()
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel(), (half * _GL_WEIGHTS).ravel()
+    return (edges[:-1, None] + half * (1.0 + nodes)).ravel(), (half * weights).ravel()
 
 
 def _integral_from_zero(f, x):
@@ -219,21 +238,19 @@ def heat_trace_weighted(f, alpha, t):
     By Mehler's formula the shifted diagonal k_t(x - alpha, x) is
     e^{-alpha^2 coth(t)/4} / (2 sinh t) times a normalized Gaussian centred
     at alpha/2 of width 1/sqrt(tanh t), so the trace is that factor times
-    ``_gaussian_average(f, sqrt(tanh t), alpha/2)`` on the uniform rule of
-    ``_gl_rule``.
+    ``_gaussian_average(f, sqrt(tanh t), alpha/2)``.
 
-    Resolution limit: a Fourier mode e^{2 pi i k x} of f aliases on the rule
-    when its frequency 2 pi k / sqrt(tanh t) in the rule's variable comes
-    within a few units of a nonzero multiple of 2 pi / h (h = 17/4095, the
-    node spacing), so the error is set by f's coefficients at those modes.
-    Measured against the Fourier closed form
-    e^{-alpha^2 coth(t)/4} / (2 sinh t) sum_k c_k e^{i pi k alpha - pi^2 k^2 / tanh t}
-    for alpha in {0, 0.3, 1} and t in {1e-5, 1e-4, 1e-2, 0.1, 1}: cos 2 pi x
-    is within 3e-10 absolute.  The real part of the 2048-mode hbar = 0.3 bump
-    coefficient (the CLI's riesz-ramp weight) is within 2e-6 relative at
-    t = 1e-4; at t = 1e-2 and 0.1 it is about 7e-7 off for alpha in
-    {0, 0.3, 1} but 1.9e-6 and 2.1e-6 at alpha = 0.7, so 2.1e-6 is the
-    bound over these alpha; at t = 1 it is within 1e-11.
+    Resolution limit: for a periodic f the average is the closed form
+    sum_k c_k e^{i pi k alpha} e^{-pi^2 k^2 / tanh t} over the modes of its
+    Fourier record, so the trace is f's Fourier closed form up to rounding
+    and to the aliasing of its ``DEFAULT_SAMPLES`` samples per period.
+    Measured for cos 2 pi x, the 2048-mode hbar = 0.3 bump coefficient and
+    its real part (the CLI's riesz-ramp weight), alpha in {0, 0.3, 0.7, 1}
+    and t from 1e-5 to 3: within 1e-11 of that closed form relative to
+    max(1, |value|) (the uniform rule that served periodic weights before
+    was 2.1e-6 off on the bump).  A limit-type or generic f is averaged on
+    the uniform rule of ``_gl_rule``, whose error is set by how fast
+    f(alpha/2 + x / sqrt(tanh t)) varies on its node spacing 17/4095.
     """
     t = float(t)
     if t <= 0:
@@ -250,39 +267,40 @@ def heat_trace_weighted(f, alpha, t):
 @lru_cache(maxsize=256)
 def _odd_zeta(s):
     """sum_{n>=0} (2n+1)^{-s} = (1 - 2^{-s}) zeta(s), meromorphically continued."""
-    return complex(_mp_zeta(s)) * (1.0 - 2.0 ** (-complex(s)))
+    from mpmath import zeta
 
-
-def _partial_odd_sum(s, n):
-    k = 2.0 * np.arange(n) + 1.0
-    return np.power(k, -complex(s)).sum()
+    return complex(zeta(s)) * (1.0 - 2.0 ** (-complex(s)))
 
 
 @lru_cache(maxsize=64)
-def _period_samples(f):
-    """f at the ``DEFAULT_SAMPLES`` points period * j / DEFAULT_SAMPLES, read-only.
+def _fourier_record(f):
+    """The Fourier record (mean, c, real) of a periodic weight, cached per function object.
 
-    Cached per function object, so that ``period_mean`` and
-    ``spectral_diagonals`` evaluate a weight once between them.
+    f is evaluated once, at the ``DEFAULT_SAMPLES`` points
+    period * j / DEFAULT_SAMPLES.  mean is the ``math.fsum`` trapezoid mean
+    of those samples, c their FFT divided by ``DEFAULT_SAMPLES`` (read-only,
+    in numpy's order: mode k at index k mod DEFAULT_SAMPLES), and real
+    whether every sample is real.  The samples themselves are not kept.
     """
     if f.kind != "periodic":
         raise ValueError("periodic metadata required")
     vals = np.asarray(f(f.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES), dtype=complex)
-    vals.flags.writeable = False
-    return vals
+    mean = complex(math.fsum(vals.real), math.fsum(vals.imag)) / DEFAULT_SAMPLES
+    c = np.fft.fft(vals) / DEFAULT_SAMPLES
+    c.flags.writeable = False
+    return mean, c, not vals.imag.any()
 
 
 def period_mean(f):
     """Ordinary mean of a periodic callable over one period.
 
-    The ``DEFAULT_SAMPLES``-point trapezoid rule on the cached samples of
-    ``_period_samples``, summed with ``math.fsum``: exact for every Fourier
-    mode |k| < DEFAULT_SAMPLES, so exponentially accurate for smooth f.
+    The ``DEFAULT_SAMPLES``-point trapezoid rule, summed with ``math.fsum``
+    (the mean of ``_fourier_record``): exact for every Fourier mode
+    |k| < DEFAULT_SAMPLES, so exponentially accurate for smooth f.
     Precondition, as for ``spectral_diagonals``: f is resolved by
     ``DEFAULT_SAMPLES`` samples per period.
     """
-    vals = _period_samples(f)
-    return complex(math.fsum(vals.real), math.fsum(vals.imag)) / DEFAULT_SAMPLES
+    return _fourier_record(f)[0]
 
 
 @lru_cache(maxsize=8)
@@ -296,19 +314,16 @@ def _fourier_table(n_modes, period, alpha):
     """
     kmax = min(int(band_limit(n_modes) * period), DEFAULT_SAMPLES // 2 - 1)
     k = np.arange(-kmax, kmax + 1)
-    rows, phase = mode_diagonals(k, alpha, n_modes, period)
-    for arr in (k, rows, phase):
-        arr.flags.writeable = False
-    return k, rows, phase
+    return _read_only(k, *mode_diagonals(k, alpha, n_modes, period))
 
 
 def spectral_diagonals(f, alpha, n_modes):
     """Diagonal elements int f(x) psi_n(x - alpha) psi_n(x) dx for n < n_modes.
 
     A periodic f goes through its Fourier data: the FFT of its
-    ``DEFAULT_SAMPLES`` samples per period (``_period_samples``, shared with
-    ``period_mean``), its modes within the band limit of ``_fourier_table``,
-    and the closed form of ``oscillator.mode_diagonals``; the dropped modes
+    ``DEFAULT_SAMPLES`` samples per period (``_fourier_record``, shared with
+    ``period_mean`` and the Gaussian averages), its modes within the band
+    limit of ``_fourier_table``, and the closed form of ``oscillator.mode_diagonals``; the dropped modes
     move each d_n by at most e^{-4 n_modes} times their mass (see
     ``oscillator.band_limit``).  Precondition: f is resolved by
     ``DEFAULT_SAMPLES`` samples per period, so that the FFT does not alias.
@@ -322,10 +337,10 @@ def spectral_diagonals(f, alpha, n_modes):
     alpha = float(alpha)
     if f.kind != "periodic":
         return diagonal_elements([(f, alpha)], n_modes)[0]
-    samples = _period_samples(f)
+    _, c, real = _fourier_record(f)
     k, rows, phase = _fourier_table(n_modes, f.period, alpha)
-    v = np.fft.fft(samples)[k] / DEFAULT_SAMPLES * phase
-    if alpha == 0.0 and not samples.imag.any():
+    v = c[k] * phase
+    if alpha == 0.0 and real:
         return rows @ v.real
     return rows @ v.real + 1j * (rows @ v.imag)
 
@@ -351,13 +366,14 @@ def _eigen_sum_tail(f, alpha, s, d):
     mu_val = 0.0 if mu is None else complex(mu)
     drift = float(np.abs(d[-quarter:] - mu_val).mean())
     if alpha == 0.0 and mu is not None:
-        tail = _odd_zeta(s) - _partial_odd_sum(s, len(d))
+        tail = _odd_zeta(s) - powers.sum()
         value += complex(mu) * tail
         err = abs(d[-1] * powers[-1]) + drift * abs(tail)
     elif alpha == 0.0:
         # no tail model available: the unmodelled tail scales with the
         # continued odd zeta remainder at the last diagonal's size
-        err = abs(d[-1]) * abs(_odd_zeta(s.real) - _partial_odd_sum(s.real, len(d)))
+        partial = np.power(2.0 * n + 1.0, -complex(s.real)).sum()
+        err = abs(d[-1]) * abs(_odd_zeta(s.real) - partial)
     else:
         # oscillatory partial sums; the envelope of the neglected tail
         # scales like |d_N| N^{1/4 - Re s} by stationary phase
@@ -418,7 +434,9 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
         terms = np.array([np.exp(s * vk) * heat_trace_weighted(f, alpha, np.exp(vk))
                           for vk in v])
         fine, coarse = h * terms.sum(), 2.0 * h * terms[::2].sum()
-        g = complex(_mp_gamma(s))
+        from mpmath import gamma
+
+        g = complex(gamma(s))
         return ZetaEvaluation(s, fine / g, 0.0, abs(fine - coarse) / abs(g), "heat_mellin")
 
     raise ValueError(f"unknown method {method!r}")
@@ -501,26 +519,54 @@ def asymptotic_mean(f, x_max=32.0):
 # ---------------- Dixmier-trace limit ----------------
 
 
+@lru_cache(maxsize=1)
 def _gl_rule():
-    """Nodes and equal weight of the 4096-point uniform rule on [-8.5, 8.5].
+    """Nodes x, equal weight h and e^{-x^2} of the 4096-point uniform rule on [-8.5, 8.5].
 
-    For Gaussian-decaying integrands the uniform rule is exponentially
-    accurate (Trefethen and Weideman, SIAM Review 56, 2014); the neglected
-    tails are below e^{-72}.  It serves every Gaussian integral of this
-    module: the inner average of ``dixmier_limit``, the weighted heat trace
-    ``heat_trace_weighted`` and the plain ``heat_trace``.  The name is kept
-    from the Gauss-Legendre rule it replaced because ``bench/workloads.py``
-    calls it.
+    Built once, read-only.  For Gaussian-decaying integrands the uniform
+    rule is exponentially accurate (Trefethen and Weideman, SIAM Review 56,
+    2014); the neglected tails are below e^{-72}.  It serves the Gaussian
+    averages of limit-type and generic weights (the weighted heat trace and
+    the inner averages of ``dixmier_limit``); periodic weights are averaged
+    in closed form from their Fourier record.  The name is kept from the
+    Gauss-Legendre rule it replaced because ``bench/workloads.py`` calls it.
     """
     x = np.linspace(-8.5, 8.5, 4096)
-    return x, x[1] - x[0]
+    gauss = np.exp(-x * x)
+    _read_only(x, gauss)
+    return x, x[1] - x[0], gauss
+
+
+def _rule_average(f, u, center):
+    x, h, gauss = _gl_rule()
+    return (h * f(center + x / u) * gauss).sum() / np.sqrt(np.pi)
 
 
 def _gaussian_average(f, u, center=0.0):
-    """(1/sqrt(pi)) int f(center + x/u) e^{-x^2} dx by the fixed uniform rule."""
-    x, w = _gl_rule()
-    vals = f(center + x / u)
-    return (w * vals * np.exp(-x * x)).sum() / np.sqrt(np.pi)
+    """(1/sqrt(pi)) int f(center + x/u) e^{-x^2} dx, elementwise over an array u.
+
+    A periodic f, sum_k c_k e^{2 pi i k x / P}, averages in closed form to
+    sum_{|k| <= K} c_k e^{2 pi i k center / P} e^{-(pi k / (P u))^2}, with
+    the coefficients of its Fourier record.  K is the last mode whose
+    Gaussian factor at the largest u stays a normal double (about 8.5 P u),
+    capped at DEFAULT_SAMPLES / 2 - 1; a weight with real samples returns
+    the real part.  Other weights take the uniform rule of ``_gl_rule``,
+    one weight evaluation of 4096 points per u.
+    """
+    if f.kind != "periodic":
+        if np.ndim(u) == 0:
+            return _rule_average(f, u, center)
+        return np.array([_rule_average(f, v, center) for v in u])
+    _, c, real = _fourier_record(f)
+    u = np.asarray(u, dtype=float)
+    kmax = min(int(_GAUSS_MODES * f.period * u.max()), DEFAULT_SAMPLES // 2 - 1)
+    k = np.arange(-kmax, kmax + 1)
+    xi = (np.pi / f.period) * k
+    terms = c[k] * np.exp((2j * center) * xi)
+    with np.errstate(under="ignore"):
+        gauss = np.exp(-np.square(xi / u[..., None]))
+    out = gauss @ terms
+    return out.real if real else out
 
 
 def dixmier_limit(f):
@@ -528,10 +574,11 @@ def dixmier_limit(f):
 
     Evaluated at a = 4 and a = 8 with the substitution u = t^a concentrating
     the measure away from t = 0, then Richardson extrapolated in 1/a.  The
-    inner Gaussian average is one fixed uniform rule (``_gl_rule``); the
     outer integral over u runs in log u on 16-point Gauss-Legendre panels of
     length at most 1 (``_gl_panels``), and both levels share one set of
-    Gaussian averages at those nodes.  Below
+    inner Gaussian averages at those nodes, taken in one
+    ``_gaussian_average`` call: in closed form from the Fourier record of a
+    periodic weight, on the uniform rule of ``_gl_rule`` otherwise.  Below
     a metadata-dependent floor in u the inner average has converged to its
     limit and is frozen there: the rescaled argument x/u oscillates too fast
     for honest quadrature but the averaged value no longer moves (this is
@@ -539,10 +586,10 @@ def dixmier_limit(f):
     asymptotic mean property the result is mu(f)/2.
     """
     u_floor = 0.05 if f.kind == "periodic" else 1e-5
-    g_floor = _gaussian_average(f, u_floor)
     # int_{u_floor}^1 g(u) u^{1/a - 1} du = int g(e^w) e^{w/a} dw over w = log u
     w, weights = _gl_panels(math.log(u_floor), 0.0, math.ceil(-math.log(u_floor)))
-    g = np.array([_gaussian_average(f, u) for u in np.exp(w)])
+    averages = _gaussian_average(f, np.concatenate(([u_floor], np.exp(w))))
+    g_floor, g = averages[0], averages[1:]
 
     def level(a):
         inner = (weights * np.exp(w / a)) @ g

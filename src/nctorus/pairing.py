@@ -29,9 +29,15 @@ hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
 1.65, 2.4, 2.6} at N = 200, all 52 integers are -floor(hbar) and the
 smallest gap is 0.1504 (hbar 2.25, N = 300).  Off those sets, -0.75, 1.8
 and 2.75 at N = 300/400/500 and 0.45, 0.7 and 2.25 at N = 200 are right as
-well, with gaps of at least 0.131.  The largest gap of a wrong localizer
-integer among all values measured is 0.078 (hbar 6.88, N = 200), so the
-floor of 0.1 sits 1.28x above every wrong and 1.5x below every verified gap.
+well, with gaps of at least 0.131.
+
+The gap floor does not certify every integer.  Near integer frac(hbar) the
+window must resolve ramps of width min(frac, 1 - frac) / 3, and at N = 200
+the localizers of hbar 0.9, 1.9, 2.9, -1.1 and -2.1 all give the wrong
+integer 1, with gaps 0.139-0.167: above the floor, and up to 0.167, above
+the smallest verified gap.  So ``index_pairing`` compares the operator integer with the other
+two routes and raises ValueError when either differs from it by more than
+1/2; ``fedosov_index`` alone has no second route to compare with.
 
 Domain: the gap closes as |hbar| grows at fixed N.  At N = 200 the hbar
 values 4.13, 5.21, 6.3, 6.88, 9.3, 9.78, 14.3 and 14.71 all raise (largest
@@ -213,7 +219,10 @@ def index_pairing(e, basis_size=400, n_modes=2000):
     built once for the Chern number and the degree-2 character.  The
     operator route runs before the local formula's n_modes diagonal
     elements, so a localizer gap below ``GAP_FLOOR`` raises without
-    computing them.
+    computing them.  An operator integer that differs from the closed form
+    or from the local formula by more than 1/2 is contradicted: ValueError,
+    naming all three values, instead of a report (see the module docstring
+    for the near-integer frac(hbar) cases that reach it).
     """
     _require_projection(e)
     hbar = e.hbar
@@ -229,6 +238,12 @@ def index_pairing(e, basis_size=400, n_modes=2000):
         abs(local.real - rounded),
         abs(fed - rounded),
     )
+    if max(residuals[:2]) > 0.5:
+        raise ValueError(
+            f"operator index {rounded} at hbar={hbar} contradicts the closed form "
+            f"{closed.real:.6g} and the local formula {local.real:.6g}: "
+            f"no integer at basis_size={basis_size}"
+        )
     return PairingReport(
         hbar=hbar,
         closed_form=float(closed.real),

@@ -248,6 +248,14 @@ def test_pair_row(capsys):
     assert abs(row["closed_form"]) < 1e-6
 
 
+def test_pair_contradicted_integer_exits_one(capsys):
+    # the 200-mode localizer reads 1; the closed form and local formula read 0
+    code, out, err = run_cli(capsys, "pair", "--hbar", "0.9", "--modes", "200")
+    assert code == 1
+    assert "operator index 1 at hbar=0.9 contradicts the closed form" in err
+    assert out == ""
+
+
 def test_sweep_rows_end_in_integers(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--hbars", "0.3,1.3", "--modes", "200",
@@ -269,10 +277,19 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("m,n,hbar,b,")
 
 
-def test_cli_import_loads_no_scipy():
+def _modules_after_cli_import(prefix):
     src = str(Path(nctorus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, nctorus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import sys, nctorus.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_mpmath():
+    # mpmath is imported on first use, by the odd zeta and the Mellin route's Gamma
+    assert _modules_after_cli_import("mpmath") == "[]"

@@ -78,12 +78,12 @@ def test_mehler_rejects_nonpositive_time():
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
 def test_heat_trace_closed_form(t):
-    assert abs(heat_trace(t) - 1.0 / (2.0 * np.sinh(t))) < 1e-10
+    assert abs(heat_trace(t) - 1.0 / (2.0 * np.sinh(t))) < 1e-14
 
 
 def test_heat_trace_scaled_identity_range():
     for t in np.linspace(0.05, 5.0, 12):
-        assert abs(heat_trace(t) * 2.0 * np.sinh(t) - 1.0) < 1e-10
+        assert abs(heat_trace(t) * 2.0 * np.sinh(t) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -105,8 +105,8 @@ def _fourier_heat_trace(modes, coeffs, alpha, t):
     return np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t)) * terms.sum()
 
 
-@pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-2, 0.1, 1.0])
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-2, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
 @pytest.mark.parametrize("weight", ["cos", "bump"])
 def test_weighted_trace_matches_fourier_closed_form(weight, alpha, t, p03):
     if weight == "cos":
@@ -117,10 +117,10 @@ def test_weighted_trace_matches_fourier_closed_form(weight, alpha, t, p03):
         modes, coeffs = bump.modes.astype(float), bump.coefficients
     expected = _fourier_heat_trace(modes, coeffs, alpha, t)
     # relative to max(1, |expected|): cos's trace underflows to 0 for small t
-    assert heat_trace_weighted(f, alpha, t) == pytest.approx(expected, rel=1e-5, abs=1e-5)
+    assert heat_trace_weighted(f, alpha, t) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
 
-@pytest.mark.parametrize("t, rel", [(0.1, 1e-5), (1.0, 1e-10), (3.0, 1e-10)])
+@pytest.mark.parametrize("t, rel", [(0.1, 1e-11), (1.0, 1e-11), (3.0, 1e-11)])
 def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rel):
     # the weight as ``nctorus zeta --f riesz-ramp`` builds it: the real part
     # of every point evaluation of the full 2048-mode bump coefficient
@@ -130,6 +130,53 @@ def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rel)
     real_part = 0.5 * (c + np.conj(c[-np.arange(m) % m]))
     expected = _fourier_heat_trace(bump.modes.astype(float), real_part, 0.7, t)
     assert heat_trace_weighted(f, 0.7, t) == pytest.approx(expected, rel=rel)
+
+
+def _rule_trace(f, alpha, t):
+    """heat_trace_weighted by the uniform rule, the route periodic weights took before."""
+    th = np.tanh(t)
+    scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t))
+    return scale * heatzeta._rule_average(f, np.sqrt(th), alpha / 2.0)
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
+def test_periodic_averages_stay_within_the_rule_error(p03, alpha, t):
+    # the documented error of the uniform rule on periodic weights: 3e-10
+    # absolute for cos 2 pi x and 2.1e-6 relative for the bump (2.13e-6 at
+    # alpha 0.7, t 0.1, its largest; 1.95e-6 at t 1e-4)
+    assert abs(heat_trace_weighted(COS, alpha, t) - _rule_trace(COS, alpha, t)) < 3e-10
+    bump = p03.coefficient(0)
+    f = RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)
+    assert heat_trace_weighted(f, alpha, t) == pytest.approx(_rule_trace(f, alpha, t),
+                                                             rel=2.2e-6)
+
+
+def test_gaussian_average_takes_an_array_of_widths(p03):
+    u = np.array([0.05, 0.3, 1.0])
+    bump = p03.coefficient(0)
+    for f in (COS, RealLineFunction.periodic_fn(bump, 1.0), ARCTAN):
+        together = heatzeta._gaussian_average(f, u, 0.35)
+        apart = [heatzeta._gaussian_average(f, v, 0.35) for v in u]
+        assert np.abs(together - apart).max() < 1e-15
+
+
+def test_periodic_weight_is_evaluated_once():
+    points = []
+
+    def func(x):
+        points.append(np.size(x))
+        return 1.0 + np.cos(2 * np.pi * np.asarray(x))
+
+    f = RealLineFunction.periodic_fn(func, 1.0)
+    period_mean(f)
+    spectral_diagonals(f, 0.0, 50)
+    heat_trace_weighted(f, 0.3, 0.5)
+    dixmier_limit(f)
+    zeta_trace(f, 0.5, 1.5)
+    assert points == [heatzeta.DEFAULT_SAMPLES]
+    mean, c, real = heatzeta._fourier_record(f)
+    assert mean == 1.0 and real and not c.flags.writeable
 
 
 # ---------------- zeta values ----------------
@@ -226,6 +273,43 @@ def test_zeta_goldens_match_mpmath_reference():
         assert ev.value.imag == 0.0
         expected = _odd_zeta_plus_laguerre_reference(s, 2.0 * np.pi ** 2)
         assert ev.value.real == pytest.approx(expected, rel=1e-14)
+
+
+# (value.real, value.imag, error_estimate) of zeta_trace(f, 0, s) and the
+# residue_by_extrapolation of f, as float.hex, from before the Gaussian
+# averages of periodic weights moved onto their Fourier record
+UNCHANGED_EIGEN_SUMS = {
+    "one": ([("0x1.f4a2a2df83fd8p+8", "0x0.0p+0", "0x1.040b3898b20cfp-12"),
+             ("0x1.b052a73370761p+0", "0x0.0p+0", "0x1.095edea0bf203p-18"),
+             ("0x1.3bd3cc9be45dep+0", "0x0.0p+0", "0x1.0c91d96fe4034p-24"),
+             ("0x1.b3ac846a0f261p-1", "0x1.d7b83470eaa8ap-4", "0x1.8f584fc197e36p-15")],
+            "0x1.fffffebedb766p-2"),
+    "1+cos": ([("0x1.f4a2a72f93d0cp+8", "0x0.0p+0", "0x1.a2b661f50906fp+3"),
+               ("0x1.b053e07f1f5efp+0", "0x0.0p+0", "0x1.b9c5084a8ba19p-12"),
+               ("0x1.3bd577dcb9636p+0", "0x0.0p+0", "0x1.c36155f07426ap-19"),
+               ("0x1.b3b3a25ed7b59p-1", "0x1.d82badfcd8086p-4", "0x1.cfc5ed4effce5p-11")],
+              "0x1.fffffed7b7bc4p-2"),
+    "bump": ([("0x1.2c61957fa57ddp+7", "0x0.0p+0", "0x1.68acf445f9fd1p+1"),
+              ("0x1.03652ab169ce7p-1", "0x0.0p+0", "0x1.7dcec054922d5p-14"),
+              ("0x1.7aff372f2ce8fp-2", "0x0.0p+0", "0x1.8763d7592459ap-21"),
+              ("0x1.0569782185742p-2", "0x1.1b2c1944816cep-5", "0x1.9726faa85d2cfp-13")],
+             "0x1.33333275015e0p-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHANGED_EIGEN_SUMS))
+def test_eigen_sum_values_are_bit_identical(p03, name):
+    bump = p03.coefficient(0)
+    f = {"one": ONE, "1+cos": ONE_PLUS_COS,
+         "bump": RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)}[name]
+    values, residue = UNCHANGED_EIGEN_SUMS[name]
+    for s, expected in zip((1.001, 1.5, 2.0, 1.2 + 3j), values):
+        ev = zeta_trace(f, 0.0, s)
+        got = (ev.value.real.hex(), ev.value.imag.hex(), float(ev.error_estimate).hex())
+        assert got == expected, s
+        assert ev.residue_at_1 == {"one": 0.5, "1+cos": 0.5, "bump": 0.14999999999999988}[name]
+    r = residue_by_extrapolation(f)
+    assert (r.real.hex(), r.imag) == (residue, 0.0)
 
 
 def test_zeta_residue_extrapolation_constant():

@@ -275,6 +275,30 @@ def test_index_pairing_gap_failure_skips_the_diagonal_stream(monkeypatch):
         index_pairing(rieffel_projection(1.2), basis_size=200)
 
 
+# at N = 200 the localizer of each gives the wrong integer 1 with a gap of
+# 0.139-0.167, above GAP_FLOOR (frac(hbar) is 0.1 from an integer)
+NEAR_INTEGER_FRAC_200 = [0.9, 1.9, 2.9, -1.1, -2.1]
+
+
+@pytest.mark.parametrize("hbar", NEAR_INTEGER_FRAC_200)
+def test_index_pairing_refuses_a_contradicted_integer(hbar):
+    with pytest.raises(ValueError, match="contradicts the closed form") as raised:
+        index_pairing(rieffel_projection(hbar), basis_size=200)
+    numbers = [float(v) for v in re.findall(r"-?\d+\.?\d*(?:e-?\d+)?", str(raised.value))]
+    operator, closed, local = numbers[0], numbers[2], numbers[3]
+    assert operator == 1.0
+    assert abs(closed + np.floor(hbar)) < 1e-9
+    assert abs(local + np.floor(hbar)) < 1e-5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="near integer frac(hbar) the 200-mode localizer certifies a "
+                          "wrong integer; only index_pairing's cross-check catches it")
+@pytest.mark.parametrize("hbar", NEAR_INTEGER_FRAC_200)
+def test_fedosov_index_near_integer_frac_at_200_modes(hbar):
+    assert fedosov_index(rieffel_projection(hbar), basis_size=200) == -np.floor(hbar)
+
+
 def test_index_pairing_unit():
     report = index_pairing(
         AlgebraElement.unit(HBAR), basis_size=200, n_modes=400
