@@ -120,8 +120,16 @@ def test_weighted_trace_matches_fourier_closed_form(weight, alpha, t, p03):
     assert heat_trace_weighted(f, alpha, t) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
 
-@pytest.mark.parametrize("t, rel", [(0.1, 1e-11), (1.0, 1e-11), (3.0, 1e-11)])
-def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rel):
+def _rule_trace(f, alpha, t):
+    """heat_trace_weighted by the uniform rule, the route periodic weights took before."""
+    th = np.tanh(t)
+    scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t))
+    return scale * heatzeta._rule_average(f, np.sqrt(th), alpha / 2.0)
+
+
+# rule_rel: the error of the uniform rule at t, which the Fourier route beats
+@pytest.mark.parametrize("t, rule_rel", [(0.1, 1e-5), (1.0, 1e-10), (3.0, 1e-10)])
+def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rule_rel):
     # the weight as ``nctorus zeta --f riesz-ramp`` builds it: the real part
     # of every point evaluation of the full 2048-mode bump coefficient
     bump = p03.coefficient(0)
@@ -129,14 +137,8 @@ def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rel)
     m, c = bump.n_samples, bump.coefficients
     real_part = 0.5 * (c + np.conj(c[-np.arange(m) % m]))
     expected = _fourier_heat_trace(bump.modes.astype(float), real_part, 0.7, t)
-    assert heat_trace_weighted(f, 0.7, t) == pytest.approx(expected, rel=rel)
-
-
-def _rule_trace(f, alpha, t):
-    """heat_trace_weighted by the uniform rule, the route periodic weights took before."""
-    th = np.tanh(t)
-    scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t))
-    return scale * heatzeta._rule_average(f, np.sqrt(th), alpha / 2.0)
+    assert heat_trace_weighted(f, 0.7, t) == pytest.approx(expected, rel=1e-11)
+    assert _rule_trace(f, 0.7, t) == pytest.approx(expected, rel=rule_rel)
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-2, 0.1, 1.0])
