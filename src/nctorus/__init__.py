@@ -45,7 +45,6 @@ from .heatzeta import (
 )
 from .ktheory import (
     KClass,
-    classical_pairing,
     gap_label_witness,
     in_gap_label_group,
     k_pairing,

@@ -16,6 +16,8 @@ the gauge circle action and is chosen so the bump projection built by
 ``rieffel_projection`` has first Chern number +1.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .periodic import DEFAULT_SAMPLES, PeriodicFunction, smooth_step
@@ -183,8 +185,9 @@ def sup_norm(a):
     return max(f.sup_norm() for _, f in a.items()) if a.items() else 0.0
 
 
+@lru_cache(maxsize=2)
 def projection_defect(e):
-    """Pair (||e^2 - e||, ||e* - e||) in the coefficient sup-norm."""
+    """Pair (||e^2 - e||, ||e* - e||) in the coefficient sup-norm, memoised by identity."""
     return sup_norm(multiply(e, e) - e), sup_norm(adjoint(e) - e)
 
 
@@ -213,23 +216,10 @@ def _trace_product(a, b):
     return 0j if total is None else total.mean()
 
 
+@lru_cache(maxsize=2)
 def _curvature_products(a1, a2):
-    """The products delta1(a1) delta2(a2) and delta2(a1) delta1(a2)."""
+    """The products delta1(a1) delta2(a2) and delta2(a1) delta1(a2), memoised by identity."""
     return multiply(delta1(a1), delta2(a2)), multiply(delta2(a1), delta1(a2))
-
-
-def _chern_number(e, products):
-    """``chern_number`` of e from its ``_curvature_products``, unchecked."""
-    d12, d21 = products
-    # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
-    # two traces round differently and move printed last digits
-    return _trace_product(e, d12 - d21) / (2j * np.pi)
-
-
-def _cocycle(a0, products):
-    """``cyclic_cocycle`` of a0 with the ``_curvature_products`` of a1, a2."""
-    d12, d21 = products
-    return _trace_product(a0, d12) - _trace_product(a0, d21)
 
 
 def chern_number(e):
@@ -240,7 +230,10 @@ def chern_number(e):
     to numerical error, with imaginary part at the same scale.
     """
     _require_projection(e)
-    return _chern_number(e, _curvature_products(e, e))
+    d12, d21 = _curvature_products(e, e)
+    # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
+    # two traces round differently and move printed last digits
+    return _trace_product(e, d12 - d21) / (2j * np.pi)
 
 
 def cyclic_cocycle(a0, a1, a2):
@@ -251,7 +244,8 @@ def cyclic_cocycle(a0, a1, a2):
     """
     a0._check_hbar(a1)
     a0._check_hbar(a2)
-    return _cocycle(a0, _curvature_products(a1, a2))
+    d12, d21 = _curvature_products(a1, a2)
+    return _trace_product(a0, d12) - _trace_product(a0, d21)
 
 
 def ladder_commutators(a):

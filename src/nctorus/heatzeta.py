@@ -240,6 +240,9 @@ def heat_trace_weighted(f, alpha, t):
     at alpha/2 of width 1/sqrt(tanh t), so the trace is that factor times
     ``_gaussian_average(f, sqrt(tanh t), alpha/2)``.
 
+    t > 0 is a scalar or a 1-D array, all of it in one Gaussian average
+    call; each entry has the scalar call's bits.
+
     Resolution limit: for a periodic f the average is the closed form
     sum_k c_k e^{i pi k alpha} e^{-pi^2 k^2 / tanh t} over the modes of its
     Fourier record, so the trace is f's Fourier closed form up to rounding
@@ -252,13 +255,14 @@ def heat_trace_weighted(f, alpha, t):
     the uniform rule of ``_gl_rule``, whose error is set by how fast
     f(alpha/2 + x / sqrt(tanh t)) varies on its node spacing 17/4095.
     """
-    t = float(t)
-    if t <= 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if (ts <= 0).any():
         raise ValueError("time must be positive")
     alpha = float(alpha)
-    th = np.tanh(t)
-    scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(t))
-    return complex(scale * _gaussian_average(f, np.sqrt(th), alpha / 2.0))
+    th = np.tanh(ts)
+    scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(ts))
+    out = scale * _gaussian_average(f, np.sqrt(th), alpha / 2.0)
+    return complex(out[0]) if np.ndim(t) == 0 else out.astype(complex)
 
 
 # ---------------- zeta machinery ----------------
@@ -404,7 +408,8 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     e^{sv} heat_trace_weighted(f, alpha, e^v) decays double-exponentially
     as v -> -inf (like e^{-alpha^2 e^{-v}/4}) and exponentially in t, so it
     is one uniform trapezoid of step 0.2 from t = alpha^2/160 (factor
-    e^{-40}) to t = 60: 36-77 nodes for alpha in [0.05, 3].  Its
+    e^{-40}) to t = 60: 36-77 nodes for alpha in [0.05, 3], whose weighted
+    traces come from one ``heat_trace_weighted`` call on the array of t.  Its
     ``error_estimate`` is |T_h - T_2h| / |Gamma(s)|, the change from the
     same sum on every other node, so it bounds the coarser rule; the rule
     at step h is far more accurate.  Measured for ``ONE`` at (alpha, s) =
@@ -431,8 +436,7 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
         v_min, v_max = math.log(alpha * alpha / 160.0), math.log(60.0)
         v = v_min + h * np.arange(math.ceil((v_max - v_min) / h) + 1)
         # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum
-        terms = np.array([np.exp(s * vk) * heat_trace_weighted(f, alpha, np.exp(vk))
-                          for vk in v])
+        terms = np.exp(s * v) * heat_trace_weighted(f, alpha, np.exp(v))
         fine, coarse = h * terms.sum(), 2.0 * h * terms[::2].sum()
         from mpmath import gamma
 
@@ -543,29 +547,29 @@ def _rule_average(f, u, center):
 
 
 def _gaussian_average(f, u, center=0.0):
-    """(1/sqrt(pi)) int f(center + x/u) e^{-x^2} dx, elementwise over an array u.
+    """(1/sqrt(pi)) int f(center + x/u) e^{-x^2} dx, elementwise over u in (0, 1].
 
     A periodic f, sum_k c_k e^{2 pi i k x / P}, averages in closed form to
     sum_{|k| <= K} c_k e^{2 pi i k center / P} e^{-(pi k / (P u))^2}, with
     the coefficients of its Fourier record.  K is the last mode whose
-    Gaussian factor at the largest u stays a normal double (about 8.5 P u),
-    capped at DEFAULT_SAMPLES / 2 - 1; a weight with real samples returns
-    the real part.  Other weights take the uniform rule of ``_gl_rule``,
-    one weight evaluation of 4096 points per u.
+    Gaussian factor at u = 1 stays a normal double (about 8.5 P), capped at
+    DEFAULT_SAMPLES / 2 - 1, and each u takes its own dot product over them,
+    so no entry depends on the others.  A weight with real samples returns
+    the real part.  Other weights take the uniform rule of ``_gl_rule``, one
+    weight evaluation of 4096 points per u.
     """
-    if f.kind != "periodic":
-        if np.ndim(u) == 0:
-            return _rule_average(f, u, center)
-        return np.array([_rule_average(f, v, center) for v in u])
-    _, c, real = _fourier_record(f)
     u = np.asarray(u, dtype=float)
-    kmax = min(int(_GAUSS_MODES * f.period * u.max()), DEFAULT_SAMPLES // 2 - 1)
+    if f.kind != "periodic":
+        return np.array([_rule_average(f, v, center) for v in u.ravel()]).reshape(u.shape)
+    _, c, real = _fourier_record(f)
+    kmax = min(int(_GAUSS_MODES * f.period), DEFAULT_SAMPLES // 2 - 1)
     k = np.arange(-kmax, kmax + 1)
     xi = (np.pi / f.period) * k
     terms = c[k] * np.exp((2j * center) * xi)
     with np.errstate(under="ignore"):
         gauss = np.exp(-np.square(xi / u[..., None]))
-    out = gauss @ terms
+    # a stack of 1 x K by K x 1 products: one dot product per u
+    out = (gauss[..., None, :] @ terms[:, None])[..., 0, 0]
     return out.real if real else out
 
 

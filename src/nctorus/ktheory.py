@@ -88,8 +88,3 @@ def gap_label_witness(value, hbar):
 def in_gap_label_group(value, hbar):
     """Whether the value lies in Z + hbar Z within 1e-9 (bounded search)."""
     return gap_label_witness(value, hbar) is not None
-
-
-def classical_pairing(dim, c1, n):
-    """Undeformed pairing with the n-th family member: dim + n * c1."""
-    return int(dim) + int(n) * int(c1)

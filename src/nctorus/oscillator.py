@@ -147,7 +147,9 @@ class HermiteBasis:
 
     @cached_property
     def rows(self):
-        """psi_n on the quadrature grid, shape (N, K)."""
+        """psi_n on the quadrature grid, shape (N, K).
+
+        No library code reads it; the tests and the benchmark warm-up do."""
         return hermite_rows(self.n_modes, self.grid)
 
     def __repr__(self):

@@ -52,10 +52,8 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    _chern_number,
-    _cocycle,
-    _curvature_products,
     _require_projection,
+    chern_number,
     cyclic_cocycle,
     rieffel_projection,
     trace,
@@ -83,17 +81,6 @@ class PairingReport:
     basis_size: int
 
 
-def _theta(d, mu, t):
-    """The graded heat trace of ``graded_heat_trace`` from diagonals d and trace mu."""
-    n = np.arange(len(d))
-    lam_plus = np.where(n == 0, 1.0, 2.0 * n)
-    lam_minus = 2.0 * n + 2.0
-    return complex(
-        (d * (np.exp(-t * lam_plus) - np.exp(-t * lam_minus))).sum()
-        + mu * np.exp(-2.0 * len(d) * t)
-    )
-
-
 def graded_heat_trace(a, t, n_modes=2000):
     """theta(t) = sum_n d_n (e^{-t lam+_n} - e^{-t lam-_n}) plus tail model.
 
@@ -103,8 +90,17 @@ def graded_heat_trace(a, t, n_modes=2000):
     spectrum 2, 4, 6, ...; the mode tail beyond n_modes is modelled by the
     trace of the element (the limit of the d_n), which telescopes to
     trace(a) e^{-2 n_modes t}.  For the unit, theta(t) = e^{-t} exactly.
+    t is a scalar or a 1-D array: one set of diagonals serves every t, and
+    each entry has the scalar call's bits.
     """
-    return _theta(algebra_diagonals(a, n_modes), trace(a), t)
+    d = algebra_diagonals(a, n_modes)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    n = np.arange(len(d))
+    lam_plus = np.where(n == 0, 1.0, 2.0 * n)
+    lam_minus = 2.0 * n + 2.0
+    decay = np.exp(-ts[:, None] * lam_plus) - np.exp(-ts[:, None] * lam_minus)
+    theta = (d * decay).sum(axis=-1) + trace(a) * np.exp(-2.0 * len(d) * ts)
+    return complex(theta[0]) if np.ndim(t) == 0 else theta
 
 
 def character_degree0(a, n_modes=2000):
@@ -112,12 +108,11 @@ def character_degree0(a, n_modes=2000):
 
     Extrapolates ``graded_heat_trace`` on n_modes modes to t -> 0 by the
     cubic through t = 0.02, 0.01, 0.005, 0.0025 (``heatzeta._intercept``),
-    computing the diagonals once for the four nodes.  On a projection this
-    equals its trace; on elements of nonzero degree it vanishes.
+    one call for the four nodes.  On a projection this equals its trace; on
+    elements of nonzero degree it vanishes.
     """
-    d, mu = algebra_diagonals(a, n_modes), trace(a)
     ts = np.array([0.02, 0.01, 0.005, 0.0025])
-    return _intercept(ts, [_theta(d, mu, t) for t in ts])
+    return _intercept(ts, graded_heat_trace(a, ts, n_modes))
 
 
 def character_degree2(a0, a1, a2):
@@ -153,8 +148,40 @@ def _localizer(e, n, kappa):
     return out
 
 
-def _signature_index(e, basis_size):
-    """``fedosov_index`` of e, without the projection check."""
+def fedosov_index(e, basis_size=400):
+    """Operator-index route: half the signature of the spectral localizer.
+
+    On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
+    the symmetry of the represented projection, D the block Dirac matrix and
+    grading Gamma (as in ``ladder_matrices``), the localizer is the Hermitian
+    matrix L = kappa D - Gamma (H + H) = [[-H, kappa A*], [kappa A, H]],
+    kappa = 1 / sqrt(N), with the last lower-block row and column dropped:
+    that mode's D^2 = 0 is a truncation artifact outside the window
+    |D|^2 <= 2(N - 1).  Its blocks are written into one (2N - 1)^2 array
+    (``_localizer``).  The index is
+    (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
+    ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
+
+    e is self-adjoint (``_require_projection``, its defect memoised), so
+    its degrees -n are the adjoints of its degrees n, and only the
+    nonnegative degrees are represented: with
+    S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
+    herm(P e P) is S + S^H.
+
+    The smallest |eigenvalue| of L is its gap and the certificate of the
+    integer; one ``eigvalsh`` of L gives both.  A basis_size below
+    ``MIN_BASIS_SIZE`` raises ValueError, after the projection check.  When
+    every coefficient of the nonnegative degrees has real samples, as for the
+    bump projection, ``represent`` returns a real section, so L is real
+    symmetric and numpy takes the real LAPACK routine; any complex
+    coefficient (U e U*, say) makes L complex Hermitian.  A gap below
+    ``GAP_FLOOR`` raises ValueError instead of returning a number.  Large
+    |hbar| at small N raises (see the module docstring for the measured
+    domain).  Each call logs N, kappa, the signature, the gap and the
+    localizer's dtype (spectrum=real or hermitian) at DEBUG on the
+    ``nctorus.pairing`` logger.
+    """
+    _require_projection(e)
     if basis_size < MIN_BASIS_SIZE:
         raise ValueError(
             f"operator index needs a basis of at least {MIN_BASIS_SIZE} modes"
@@ -176,62 +203,27 @@ def _signature_index(e, basis_size):
     return (signature + 1) / 2
 
 
-def fedosov_index(e, basis_size=400):
-    """Operator-index route: half the signature of the spectral localizer.
-
-    On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
-    the symmetry of the represented projection, D the block Dirac matrix and
-    grading Gamma (as in ``ladder_matrices``), the localizer is the Hermitian
-    matrix L = kappa D - Gamma (H + H) = [[-H, kappa A*], [kappa A, H]],
-    kappa = 1 / sqrt(N), with the last lower-block row and column dropped:
-    that mode's D^2 = 0 is a truncation artifact outside the window
-    |D|^2 <= 2(N - 1).  Its blocks are written into one (2N - 1)^2 array
-    (``_localizer``).  The index is
-    (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
-    ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
-
-    e is self-adjoint (``_require_projection``), so its degrees -n are the
-    adjoints of its degrees n, and only the nonnegative degrees are
-    represented: with S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
-    herm(P e P) is S + S^H.
-
-    The smallest |eigenvalue| of L is its gap and the certificate of the
-    integer; one ``eigvalsh`` of L gives both.  A basis_size below
-    ``MIN_BASIS_SIZE`` raises ValueError, after the projection check.  When
-    every coefficient of the nonnegative degrees has real samples, as for the
-    bump projection, ``represent`` returns a real section, so L is real
-    symmetric and numpy takes the real LAPACK routine; any complex
-    coefficient (U e U*, say) makes L complex Hermitian.  A gap below ``GAP_FLOOR`` raises ValueError
-    instead of returning a number.  Large |hbar| at small N raises (see the
-    module docstring for the measured domain).  Each call logs N, kappa,
-    the signature, the gap and the localizer's dtype (spectrum=real or
-    hermitian) at DEBUG on the ``nctorus.pairing`` logger.
-    """
-    _require_projection(e)
-    return _signature_index(e, basis_size)
-
-
 def index_pairing(e, basis_size=400, n_modes=2000):
     """All three routes for one projection, reconciled in a PairingReport.
 
-    e is checked once to be a projection (``_require_projection``), and the
-    curvature products delta1(e) delta2(e) and delta2(e) delta1(e) are
-    built once for the Chern number and the degree-2 character.  The
-    operator route runs before the local formula's n_modes diagonal
-    elements, so a localizer gap below ``GAP_FLOOR`` raises without
-    computing them.  An operator integer that differs from the closed form
-    or from the local formula by more than 1/2 is contradicted: ValueError,
-    naming all three values, instead of a report (see the module docstring
-    for the near-integer frac(hbar) cases that reach it).
+    Each route is its public call: trace(e) - hbar chern_number(e),
+    fedosov_index(e, basis_size) and character_degree0(e, n_modes) -
+    character_degree2(e - 1/2, e, e).  The projection check of the first two
+    and the curvature products of the first and last are memoised per
+    element (``algebra.projection_defect``, ``algebra._curvature_products``),
+    so each is computed once.  The operator route runs before the local
+    formula's n_modes diagonal elements, so a localizer gap below
+    ``GAP_FLOOR`` raises without computing them.  An operator integer that
+    differs from the closed form or from the local formula by more than 1/2
+    is contradicted: ValueError, naming all three values, instead of a
+    report (see the module docstring for the near-integer frac(hbar) cases
+    that reach it).
     """
-    _require_projection(e)
     hbar = e.hbar
-    products = _curvature_products(e, e)
-    closed = trace(e) - hbar * _chern_number(e, products)
-    fed = _signature_index(e, basis_size)
+    closed = trace(e) - hbar * chern_number(e)
+    fed = fedosov_index(e, basis_size)
     half = e - 0.5 * AlgebraElement.unit(hbar, e.n_samples)
-    degree2 = half.hbar / (2j * np.pi) * _cocycle(half, products)
-    local = character_degree0(e, n_modes=n_modes) - degree2
+    local = character_degree0(e, n_modes=n_modes) - character_degree2(half, e, e)
     rounded = int(round(fed))
     residuals = (
         abs(closed.real - rounded),

@@ -82,6 +82,17 @@ def test_heat_kernel_deviation(capsys):
     assert dev < 1e-8
 
 
+def test_heat_kernel_single_sample(capsys):
+    # one sample at -range: the kernels are arrays of one point
+    code, out, _ = run_cli(
+        capsys, "heat-kernel", "--t", "0.5", "--range", "4", "--samples", "1"
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert len(rows) == 1 and rows[0][0] == -4.0
+    assert rows[0][3] < 1e-12
+
+
 def test_ktheory_row(capsys):
     code, out, _ = run_cli(
         capsys, "ktheory", "--m", "0", "--n", "1", "--hbar", "0.3", "--b", "2"

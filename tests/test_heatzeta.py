@@ -1,6 +1,9 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from nctorus import (
@@ -120,6 +123,21 @@ def test_weighted_trace_matches_fourier_closed_form(weight, alpha, t, p03):
     assert heat_trace_weighted(f, alpha, t) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
 
+@settings(database=None, deadline=None, derandomize=True, max_examples=25)
+@given(arrays(np.float64, st.integers(1, 8), elements=st.floats(1e-4, 3.0)),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_weighted_trace_array_matches_scalar_bits(p03, ts, alpha):
+    # one call on an array of t gives each scalar call's bits, on the
+    # closed-form route of periodic weights and on the rule of ARCTAN
+    bump = p03.coefficient(0)
+    for f in (ONE, COS, RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0),
+              ARCTAN):
+        values = heat_trace_weighted(f, alpha, ts)
+        scalars = np.array([heat_trace_weighted(f, alpha, t) for t in ts])
+        assert values.shape == ts.shape
+        assert np.array_equal(values.view(np.uint64), scalars.view(np.uint64))
+
+
 def _rule_trace(f, alpha, t):
     """heat_trace_weighted by the uniform rule, the route periodic weights took before."""
     th = np.tanh(t)
@@ -160,7 +178,7 @@ def test_gaussian_average_takes_an_array_of_widths(p03):
     for f in (COS, RealLineFunction.periodic_fn(bump, 1.0), ARCTAN):
         together = heatzeta._gaussian_average(f, u, 0.35)
         apart = [heatzeta._gaussian_average(f, v, 0.35) for v in u]
-        assert np.abs(together - apart).max() < 1e-15
+        assert np.array_equal(together, apart)
 
 
 def test_periodic_weight_is_evaluated_once():
@@ -360,15 +378,19 @@ def test_mellin_matches_mpmath_reference(alpha, s):
 
 
 def test_mellin_heat_trace_calls(monkeypatch):
+    # one weighted-trace call on all the nodes: 36-77 for alpha in [0.05, 3]
     calls = []
 
     def counted(f, alpha, t):
-        calls.append(t)
+        calls.append(np.size(t))
         return heat_trace_weighted(f, alpha, t)
 
     monkeypatch.setattr(heatzeta, "heat_trace_weighted", counted)
-    zeta_trace(ONE, 0.7, 1.5)
-    assert 0 < len(calls) <= 80
+    for alpha in (0.05, 0.7, 3.0):
+        calls.clear()
+        zeta_trace(ONE, alpha, 1.5)
+        assert len(calls) == 1
+        assert 36 <= calls[0] <= 77
 
 
 def test_zeta_error_paths():

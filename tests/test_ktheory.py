@@ -7,7 +7,6 @@ import pytest
 
 from nctorus import (
     KClass,
-    classical_pairing,
     gap_label_witness,
     in_gap_label_group,
     k_pairing,
@@ -124,12 +123,6 @@ def test_trace_values_always_members(rng):
     for _ in range(20):
         x = KClass(int(rng.integers(-50, 51)), int(rng.integers(-50, 51)))
         assert in_gap_label_group(trace_value(x, SQRT2M1), SQRT2M1)
-
-
-def test_classical_pairing_examples():
-    assert classical_pairing(1, 0, 5) == 1
-    assert classical_pairing(1, 1, 1) == 2
-    assert classical_pairing(2, -3, 2) == -4
 
 
 def test_kclass_requires_integers():

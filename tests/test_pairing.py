@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nctorus import (
     AlgebraElement,
@@ -59,6 +62,16 @@ def test_graded_heat_trace_matches_generating_function(p03):
         series += (phased * np.exp(-0.5 * y - y * r / (1.0 - r))).sum()
     closed = d0 * (np.exp(-t) - 1.0) + series
     assert abs(graded_heat_trace(p03, t) - closed) < 1e-11
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=20)
+@given(arrays(np.float64, st.integers(1, 8), elements=st.floats(1e-4, 3.0)))
+def test_graded_heat_trace_array_matches_scalar_bits(p03, ts):
+    # one call on an array of t gives each scalar call's bits
+    values = graded_heat_trace(p03, ts, n_modes=400)
+    scalars = np.array([graded_heat_trace(p03, t, n_modes=400) for t in ts])
+    assert values.shape == ts.shape
+    assert np.array_equal(values.view(np.uint64), scalars.view(np.uint64))
 
 
 def test_degree0_of_nonzero_degree(p03):
@@ -180,18 +193,33 @@ def test_real_localizer_runs_one_hermite_recurrence(monkeypatch):
     assert calls == [200]
 
 
-def test_index_pairing_checks_the_projection_once(monkeypatch):
-    require = pairing._require_projection
+def test_index_pairing_checks_the_projection_once():
+    # chern_number and fedosov_index both check e, and chern_number and
+    # character_degree2 both use its curvature products: the memoised
+    # defect and products are each computed once (one cache miss) per call
+    e = rieffel_projection(1.3)
+    defect = algebra.projection_defect.cache_info()
+    products = algebra._curvature_products.cache_info()
+    index_pairing(e, basis_size=200, n_modes=400)
+    assert algebra.projection_defect.cache_info().misses == defect.misses + 1
+    assert algebra.projection_defect.cache_info().hits == defect.hits + 1
+    assert algebra._curvature_products.cache_info().misses == products.misses + 1
+    assert algebra._curvature_products.cache_info().hits == products.hits + 1
+
+
+def test_index_pairing_calls_each_public_route_once(monkeypatch):
+    # the names bench/tracing.py spans: each route's time lands in its own span
     calls = []
+    routes = ("chern_number", "fedosov_index", "character_degree0", "character_degree2")
+    for name in routes:
+        def counted(*args, _name=name, _route=getattr(pairing, name), **kwargs):
+            calls.append(_name)
+            return _route(*args, **kwargs)
 
-    def counted(e):
-        calls.append(e)
-        return require(e)
-
-    monkeypatch.setattr(pairing, "_require_projection", counted)
-    monkeypatch.setattr(algebra, "_require_projection", counted)
+        monkeypatch.setattr(pairing, name, counted)
     index_pairing(rieffel_projection(1.3), basis_size=200, n_modes=400)
-    assert len(calls) == 1
+    # the operator route runs before the local formula's diagonals
+    assert calls == list(routes)
 
 
 @pytest.mark.parametrize("hbar", [0.3, -0.4, 2.6])
