@@ -73,8 +73,7 @@ def _write(args, header, rows, json_payload=None):
 def _cmd_heat_kernel(args):
     xs = np.linspace(-args.range, args.range, args.samples)
     mehler = heatzeta.mehler_kernel(args.t, xs, xs)
-    # mehler_eigen_sum returns a float for a single point
-    eigen = np.atleast_1d(heatzeta.mehler_eigen_sum(args.t, xs, xs))
+    eigen = heatzeta.mehler_eigen_sum(args.t, xs, xs)
     rows = [(x, m, e, abs(m - e)) for x, m, e in zip(xs, mehler, eigen)]
     _write(
         args,

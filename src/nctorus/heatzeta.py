@@ -24,6 +24,14 @@ generic weights take the quadrature stream of
 Asymptotic means of bounded functions, the Dixmier-trace double-integral
 limit and the mean-subtracted antiderivative map complete the calculus.
 
+Each quantity that several calls read is computed once and cached in
+memory, never keyed on a weight's callable: the Fourier record per weight
+object, the closed-form diagonal table per (n_modes, period, alpha), the
+powers (2n+1)^{-s} and their sum per (n_modes, s) (``_odd_powers``), the
+odd zeta and Gamma values per s, and the weighted traces on the Mellin
+nodes for the last two (weight object, alpha) (``_mellin_trace``).  Cached
+arrays are read-only.
+
 Every other integral is a fixed rule, exponentially accurate for its
 integrand class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is
 adaptive:
@@ -209,19 +217,21 @@ def mehler_kernel_classical(t, x, y):
 
 
 def mehler_eigen_sum(t, x, y):
-    """Eigenfunction sum  sum_{n<200} e^{-(2n+1)t} psi_n(x) psi_n(y)  (elementwise)."""
+    """Eigenfunction sum  sum_{n<200} e^{-(2n+1)t} psi_n(x) psi_n(y)  (elementwise).
+
+    The result has the broadcast shape of x and y; as in ``mehler_kernel``,
+    only 0-d x and y give a float.
+    """
     n_modes = 200
     t = float(t)
     if t <= 0:
         raise ValueError("time must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x, y = np.broadcast_arrays(x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     rx = hermite_rows(n_modes, x.ravel())
     ry = rx if np.array_equal(x, y) else hermite_rows(n_modes, y.ravel())
     w = np.exp(-(2.0 * np.arange(n_modes) + 1.0) * t)
     out = (w[:, None] * rx * ry).sum(axis=0).reshape(x.shape)
-    return out.item() if out.size == 1 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def heat_trace(t):
@@ -276,6 +286,26 @@ def _odd_zeta(s):
     return complex(zeta(s)) * (1.0 - 2.0 ** (-complex(s)))
 
 
+@lru_cache(maxsize=256)
+def _gamma(s):
+    """Gamma(s) of the Mellin route, by mpmath."""
+    from mpmath import gamma
+
+    return complex(gamma(s))
+
+
+@lru_cache(maxsize=16)
+def _odd_powers(n_modes, s):
+    """The powers (2n+1)^{-s}, n < n_modes (read-only), and their sum.
+
+    Cached per (n_modes, s): the residue extrapolation reads the same three
+    s on every call.  An entry of 2000 modes takes 32 KB.
+    """
+    powers = np.power(2.0 * np.arange(n_modes) + 1.0, -s)
+    powers.flags.writeable = False
+    return powers, powers.sum()
+
+
 @lru_cache(maxsize=64)
 def _fourier_record(f):
     """The Fourier record (mean, c, real) of a periodic weight, cached per function object.
@@ -285,14 +315,21 @@ def _fourier_record(f):
     of those samples, c their FFT divided by ``DEFAULT_SAMPLES`` (read-only,
     in numpy's order: mode k at index k mod DEFAULT_SAMPLES), and real
     whether every sample is real.  The samples themselves are not kept.
+
+    The correctly rounded sums run over Python lists of the parts, which
+    ``math.fsum`` reads faster than numpy arrays.  The imaginary sum is
+    taken only when some sample has a nonzero imaginary part; otherwise it
+    is 0.0, which is also what ``math.fsum`` gives for zeros of either sign.
     """
     if f.kind != "periodic":
         raise ValueError("periodic metadata required")
     vals = np.asarray(f(f.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES), dtype=complex)
-    mean = complex(math.fsum(vals.real), math.fsum(vals.imag)) / DEFAULT_SAMPLES
+    real = not vals.imag.any()
+    im = 0.0 if real else math.fsum(vals.imag.tolist())
+    mean = complex(math.fsum(vals.real.tolist()), im) / DEFAULT_SAMPLES
     c = np.fft.fft(vals) / DEFAULT_SAMPLES
     c.flags.writeable = False
-    return mean, c, not vals.imag.any()
+    return mean, c, real
 
 
 def period_mean(f):
@@ -363,20 +400,19 @@ def _tail_mean(f, alpha):
 def _eigen_sum_tail(f, alpha, s, d):
     """The 'eigen_sum_tail' value of ``zeta_trace`` at complex s from the diagonals d."""
     mu = _tail_mean(f, alpha)
-    n = np.arange(len(d))
-    powers = np.power(2.0 * n + 1.0, -s)
+    powers, power_sum = _odd_powers(len(d), s)
     value = complex((d * powers).sum())
     quarter = len(d) // 4
     mu_val = 0.0 if mu is None else complex(mu)
     drift = float(np.abs(d[-quarter:] - mu_val).mean())
     if alpha == 0.0 and mu is not None:
-        tail = _odd_zeta(s) - powers.sum()
+        tail = _odd_zeta(s) - power_sum
         value += complex(mu) * tail
         err = abs(d[-1] * powers[-1]) + drift * abs(tail)
     elif alpha == 0.0:
         # no tail model available: the unmodelled tail scales with the
         # continued odd zeta remainder at the last diagonal's size
-        partial = np.power(2.0 * n + 1.0, -complex(s.real)).sum()
+        partial = _odd_powers(len(d), complex(s.real))[1]
         err = abs(d[-1]) * abs(_odd_zeta(s.real) - partial)
     else:
         # oscillatory partial sums; the envelope of the neglected tail
@@ -387,6 +423,22 @@ def _eigen_sum_tail(f, alpha, s, d):
     else:
         residue = residue_at_1(f) if alpha == 0.0 else 0.0
     return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
+
+
+_MELLIN_STEP = 0.2
+
+
+@lru_cache(maxsize=2)
+def _mellin_trace(f, alpha):
+    """Nodes v = log t of the Mellin rule at shift alpha and the weighted traces there.
+
+    Both read-only; cached for the last two (weight, alpha), keyed by the
+    weight object as ``_fourier_record`` is, so the zeta values of one
+    weight and shift at several s share one ``heat_trace_weighted`` call.
+    """
+    v_min, v_max = math.log(alpha * alpha / 160.0), math.log(60.0)
+    v = v_min + _MELLIN_STEP * np.arange(math.ceil((v_max - v_min) / _MELLIN_STEP) + 1)
+    return _read_only(v, heat_trace_weighted(f, alpha, np.exp(v)))
 
 
 def zeta_trace(f, alpha, s, method=None, n_modes=2000):
@@ -409,7 +461,10 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     as v -> -inf (like e^{-alpha^2 e^{-v}/4}) and exponentially in t, so it
     is one uniform trapezoid of step 0.2 from t = alpha^2/160 (factor
     e^{-40}) to t = 60: 36-77 nodes for alpha in [0.05, 3], whose weighted
-    traces come from one ``heat_trace_weighted`` call on the array of t.  Its
+    traces come from one ``heat_trace_weighted`` call on the array of t.
+    The nodes and traces depend on f and alpha only, so ``_mellin_trace``
+    keeps them for the last two (weight object, alpha): the values of one
+    weight and shift at several s share one trace call.  Its
     ``error_estimate`` is |T_h - T_2h| / |Gamma(s)|, the change from the
     same sum on every other node, so it bounds the coarser rule; the rule
     at step h is far more accurate.  Measured for ``ONE`` at (alpha, s) =
@@ -432,15 +487,11 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     if method == "heat_mellin":
         if alpha == 0.0:
             raise ValueError("heat_mellin is off-diagonal only: alpha must be nonzero")
-        h = 0.2
-        v_min, v_max = math.log(alpha * alpha / 160.0), math.log(60.0)
-        v = v_min + h * np.arange(math.ceil((v_max - v_min) / h) + 1)
+        v, trace = _mellin_trace(f, alpha)
         # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum
-        terms = np.exp(s * v) * heat_trace_weighted(f, alpha, np.exp(v))
-        fine, coarse = h * terms.sum(), 2.0 * h * terms[::2].sum()
-        from mpmath import gamma
-
-        g = complex(gamma(s))
+        terms = np.exp(s * v) * trace
+        fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
+        g = _gamma(s)
         return ZetaEvaluation(s, fine / g, 0.0, abs(fine - coarse) / abs(g), "heat_mellin")
 
     raise ValueError(f"unknown method {method!r}")
@@ -657,10 +708,11 @@ def delta_map(f):
 def entire_check(f, alpha):
     """Probe the off-diagonal zeta near s = 1 for the absence of a pole.
 
-    Evaluates the zeta values at s = 1.5, 1.1 and 1.01, reports the proxies
-    |(s-1) value|, extrapolates them to s = 1 by a quadratic and checks the
-    extrapolation vanishes within 1e-3 while the values themselves stay
-    bounded.
+    Evaluates the zeta values at s = 1.5, 1.1 and 1.01 (three
+    ``zeta_trace`` calls on the Mellin route, which share one weighted heat
+    trace on the Mellin nodes), reports the proxies |(s-1) value|,
+    extrapolates them to s = 1 by a quadratic and checks the extrapolation
+    vanishes within 1e-3 while the values themselves stay bounded.
     """
     alpha = float(alpha)
     if alpha == 0.0:

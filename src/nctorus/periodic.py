@@ -13,8 +13,14 @@ point mod 1, then a two-level (baby-step / giant-step) factorisation of the
 phases, about 2 sqrt(S) exponentials per point and one complex GEMM for a
 span of S modes (cf. Dutt and Rokhlin, SIAM J. Sci. Comput. 14, 1993).
 
-Instances are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+The samples are fixed at construction and all operations are pure, so
+values can be shared freely across threads.  The Fourier coefficients are
+computed once, by one FFT on their first read (through ``coefficients``,
+which ``mean``, ``band``, ``shift``, ``derivative`` and point evaluation
+use), and kept.  Pointwise arithmetic, ``conjugate`` and ``sup_norm`` never
+need them, so an intermediate product that is only multiplied on costs no
+transform.  Two threads that race on the first read compute the same array,
+and either one is kept.
 """
 
 import math
@@ -101,9 +107,7 @@ class PeriodicFunction:
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "_samples", samples)
-        coeffs = np.fft.fft(samples) / m
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicFunction is immutable")
@@ -145,8 +149,16 @@ class PeriodicFunction:
 
     @property
     def coefficients(self):
-        """Fourier coefficients c_k in FFT order (mode k at index k mod M)."""
-        return self._coeffs
+        """Fourier coefficients c_k in FFT order (mode k at index k mod M), read-only.
+
+        The FFT of the samples divided by M, computed on first read and kept.
+        """
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = np.fft.fft(self._samples) / self.n_samples
+            coeffs.flags.writeable = False
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     @property
     def modes(self):
@@ -165,7 +177,7 @@ class PeriodicFunction:
         [-1/2, 1/2], in blocks of ``_EVAL_BLOCK`` points.  The result has
         the shape of ``x``.
         """
-        return trig_sum(self.modes, self._coeffs, x)
+        return trig_sum(self.modes, self.coefficients, x)
 
     def band(self, kmax):
         """Modes |k| <= kmax with their coefficients, and the dropped mass.
@@ -173,9 +185,9 @@ class PeriodicFunction:
         Returns (k, c_k, tail) with tail = sum over |k| > kmax of |c_k|; a
         kmax of M/2 or more keeps every slot, the Nyquist one included.
         """
-        k = self.modes
+        k, c = self.modes, self.coefficients
         keep = np.abs(k) <= kmax
-        return k[keep], self._coeffs[keep], float(np.abs(self._coeffs[~keep]).sum())
+        return k[keep], c[keep], float(np.abs(c[~keep]).sum())
 
     # ---------------- diagonal operations ----------------
 
@@ -186,16 +198,16 @@ class PeriodicFunction:
         """d/dx on the interpolant: mode k times 2 pi i k; Nyquist mode dropped."""
         factor = 2j * np.pi * self.modes.astype(float)
         factor[self.n_samples // 2] = 0.0
-        return self._from_coeffs(self._coeffs * factor)
+        return self._from_coeffs(self.coefficients * factor)
 
     def shift(self, alpha):
         """The translate x -> f(x - alpha): mode k times e^{-2 pi i k alpha}."""
         phase = np.exp(-2j * np.pi * self.modes * float(alpha))
-        return self._from_coeffs(self._coeffs * phase)
+        return self._from_coeffs(self.coefficients * phase)
 
     def mean(self):
         """Mean over one period (the zeroth Fourier coefficient)."""
-        return complex(self._coeffs[0])
+        return complex(self.coefficients[0])
 
     # ---------------- pointwise operations ----------------
 

@@ -20,5 +20,19 @@ def basis400():
 
 
 @pytest.fixture()
+def fft_calls(monkeypatch):
+    """The list of forward FFTs run while the test runs, one entry per call."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return calls
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -67,6 +69,18 @@ def test_eigen_sum_agreement_grid():
     exact = mehler_kernel(0.2, gx, gy)
     series = mehler_eigen_sum(0.2, gx, gy)
     assert np.abs(exact - series).max() < 1e-8
+
+
+def test_mehler_eigen_sum_shapes():
+    # array in, array out, as for mehler_kernel; only 0-d x and y give a float
+    assert type(mehler_eigen_sum(0.5, 0.3, 0.3)) is float
+    assert type(mehler_eigen_sum(0.5, np.array(0.3), 0.3)) is float
+    xs = np.linspace(-4.0, 4.0, 41)
+    for x in (xs[:1], xs):
+        out = mehler_eigen_sum(0.5, x, x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        assert out == pytest.approx([mehler_eigen_sum(0.5, v, v) for v in x], rel=1e-13)
+    assert mehler_eigen_sum(0.5, 0.3, xs).shape == xs.shape
 
 
 def test_mehler_rejects_nonpositive_time():
@@ -197,6 +211,25 @@ def test_periodic_weight_is_evaluated_once():
     assert points == [heatzeta.DEFAULT_SAMPLES]
     mean, c, real = heatzeta._fourier_record(f)
     assert mean == 1.0 and real and not c.flags.writeable
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("func", [
+    lambda x: 1.0 + np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x),
+    lambda x: 0.3 + np.exp(2j * np.pi * x) - 0.2j * np.cos(4 * np.pi * x),
+    # every imaginary part is -0.0: fsum of them is +0.0
+    lambda x: np.full(x.shape, complex(0.7, -0.0)) * (1.0 + np.cos(2 * np.pi * x)),
+], ids=["real", "complex", "negative-zero-imag"])
+def test_fourier_record_mean_is_the_exact_fsum(func):
+    x = np.arange(heatzeta.DEFAULT_SAMPLES) / heatzeta.DEFAULT_SAMPLES
+    vals = np.asarray(func(x), dtype=complex)
+    expected = complex(math.fsum(vals.real), math.fsum(vals.imag)) / heatzeta.DEFAULT_SAMPLES
+    mean, _, real = heatzeta._fourier_record(RealLineFunction.periodic_fn(func, 1.0))
+    assert _bits(mean) == _bits(expected)
+    assert real == (not vals.imag.any())
 
 
 # ---------------- zeta values ----------------
@@ -335,6 +368,21 @@ def test_eigen_sum_values_are_bit_identical(p03, name):
 def test_zeta_residue_extrapolation_constant():
     res = residue_by_extrapolation(ONE)
     assert abs(res - 0.5) < 1e-4
+
+
+def test_residue_reuses_its_power_tables():
+    # the (2n+1)^{-s} tables depend on s only: a fresh weight object adds no miss
+    def weight():
+        return RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(2 * np.pi * x), 1.0)
+
+    first = residue_by_extrapolation(weight())
+    before = heatzeta._odd_powers.cache_info()
+    second = residue_by_extrapolation(weight())
+    after = heatzeta._odd_powers.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 3
+    assert _bits(second) == _bits(first)
+    powers, _ = heatzeta._odd_powers(2000, complex(1.1))
+    assert not powers.flags.writeable
 
 
 def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():
@@ -547,6 +595,33 @@ def test_entire_check_extrapolates_to_zero():
     assert abs(report.residue_extrapolated) <= 1e-3
     proxies = report.residue_proxies
     assert all(a >= b - 1e-12 for a, b in zip(proxies, proxies[1:]))
+
+
+def test_entire_check_takes_one_weighted_trace(monkeypatch):
+    # the three Mellin values share one trace on the nodes of one rule
+    calls = []
+
+    def counted(f, alpha, t):
+        calls.append(np.size(t))
+        return heat_trace_weighted(f, alpha, t)
+
+    monkeypatch.setattr(heatzeta, "heat_trace_weighted", counted)
+    alpha = 0.7
+
+    def weight():
+        return RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(2 * np.pi * x), 1.0)
+
+    report = entire_check(weight(), alpha)
+    assert len(calls) == 1
+    v_min = math.log(alpha * alpha / 160.0)
+    v = v_min + 0.2 * np.arange(math.ceil((math.log(60.0) - v_min) / 0.2) + 1)
+    trace = heat_trace_weighted(weight(), alpha, np.exp(v))
+    for ev in report.evaluations:
+        terms = np.exp(ev.s * v) * trace
+        fine, coarse = 0.2 * terms.sum(), 0.4 * terms[::2].sum()
+        g = complex(mpmath.gamma(ev.s))
+        assert _bits(ev.value) == _bits(fine / g)
+        assert ev.error_estimate == abs(fine - coarse) / abs(g)
 
 
 def test_entire_check_large_shift_suppression():

@@ -222,6 +222,13 @@ def test_index_pairing_calls_each_public_route_once(monkeypatch):
     assert calls == list(routes)
 
 
+def test_index_pairing_transforms_only_what_it_reads(fft_calls):
+    # coefficients are computed on first read: intermediate products that
+    # are only multiplied on cost no FFT (110 when every product ran one)
+    index_pairing(rieffel_projection(0.3), basis_size=300)
+    assert len(fft_calls) <= 18
+
+
 @pytest.mark.parametrize("hbar", [0.3, -0.4, 2.6])
 def test_index_pairing_shares_products_bit_identically(hbar):
     # the shared curvature products give the public functions' bits

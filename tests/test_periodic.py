@@ -190,6 +190,46 @@ def test_trig_sum_matches_dense_exponentials(kc, x):
     assert np.abs(got - dense).max() <= 1e-11 * (1.0 + np.abs(c).sum())
 
 
+def test_pointwise_operations_run_no_fft(fft_calls):
+    f = PeriodicFunction.from_callable(lambda x: np.exp(np.sin(2 * np.pi * x)))
+    g = PeriodicFunction(np.arange(16.0))
+    h = PeriodicFunction.constant(2.0, 16) + g * g.conjugate() - 3.0 * g
+    (-f).sup_norm()
+    assert fft_calls == []
+    # the coefficients are transformed once, on first read
+    c = h.coefficients
+    assert h.coefficients is c and h.mean() == c[0]
+    assert len(fft_calls) == 1 and not c.flags.writeable
+
+
+_SAMPLES = st.sampled_from([4, 6, 16, 64]).flatmap(
+    lambda m: arrays(complex, m, elements=st.complex_numbers(
+        max_magnitude=4.0, allow_nan=False, allow_infinity=False)))
+_OPERATION = st.one_of(
+    st.sampled_from(["add", "mul", "conjugate", "sup_norm"]),
+    st.floats(-3.0, 3.0).map(lambda a: ("shift", a)),
+)
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=40)
+@given(_SAMPLES, st.lists(_OPERATION, max_size=5))
+def test_lazy_coefficients_are_the_fft_of_the_samples(samples, operations):
+    f = g = PeriodicFunction(samples)
+    for op in operations:
+        if op == "add":
+            g = g + f
+        elif op == "mul":
+            g = g * f
+        elif op == "conjugate":
+            g = g.conjugate()
+        elif op == "sup_norm":
+            g.sup_norm()
+        else:
+            g = g.shift(op[1])
+    for h in (g, f):
+        assert np.array_equal(h.coefficients, np.fft.fft(h.samples) / h.n_samples)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         PeriodicFunction(np.ones(7))  # odd length
