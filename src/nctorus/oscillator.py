@@ -7,13 +7,22 @@ rotation-algebra elements, and the diagonal matrix elements used by heat
 traces and spectral zeta sums.
 
 Matrices are trapezoid quadratures on one exactly symmetric grid
-u = h (-J..J): the basis' K = 8N + 1 points on [-L, L], L = sqrt(2N + 3) + 6,
-spacing h = 2L / 8N, extended by the half-span of the translations involved
-and centred at their midpoint (``_section``).  Integrands are products of
-Hermite functions with bounded smooth factors and decay like exp(-x^2/2)
-beyond the classical turning point, so the trapezoid weights are spectrally
-accurate.  Every degree of a section shares the left Hermite table and one
-GEMM, and a table at a negative offset is a stored one read in reverse,
+u = h (-J..J): the basis' K = 2J + 1 points on [-L, L], L = sqrt(2N + 3) + 6,
+extended by the half-span of the translations involved and centred at their
+midpoint (``_section``).  The spacing is set by the band the integrands
+carry, not by N alone: h = L / J with J = ceil(L / h_max) and
+h_max = pi / (pi kmax + L), kmax = ``band_limit(N)``.  Each psi_n is its own
+Fourier transform up to a phase, so for n < N it is band-limited by the
+same L that bounds it in space, and a coefficient cut to |k| <= kmax
+carries angular frequencies up to 2 pi kmax.  The integrand
+f psi_j psi_k(. - s) then has its spectrum within 2 pi kmax + 2L, and a
+trapezoid rule with 2 pi / h at least that is exact for it up to rounding
+(Trefethen and Weideman, SIAM Rev. 56, 2014).  K is 133 at N = 8 and 1575,
+2057 and 2487 at N = 300, 400 and 500: a fixed number of points per mode
+would alias at small N and over-resolve at large N.
+
+Every degree of a section shares the left Hermite table and one GEMM, and a
+table at a negative offset is a stored one read in reverse,
 psi_n(u - s) = (-1)^n psi_n(-u + s), so a section runs one Hermite
 recurrence per distinct |offset|: one for the localizer's element
 e_0 / 2 + e_1 [1], centred at hbar / 2.
@@ -21,7 +30,8 @@ e_0 / 2 + e_1 [1], centred at hbar / 2.
 An algebra coefficient reaches the N-mode window only through its Fourier
 modes |k| <= ``band_limit(N)``; the rest couple nothing there (the tail
 bound is in ``band_limit``) and would only alias into the grid, so
-``represent`` and ``algebra_diagonals`` drop them.  Diagonal elements of
+``represent``, ``algebra_diagonals`` and ``multiplication_matrix`` (of a
+``PeriodicFunction``) drop them.  Diagonal elements of
 algebra elements need no quadrature: in the Weyl (Laguerre) form
 
     <psi_n, e^{2 pi i k x} psi_n(. - a)> = e^{i pi k a} e^{-y/2} L_n(y),
@@ -53,13 +63,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .periodic import trig_sum
+from .periodic import PeriodicFunction, trig_sum
 
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 1e120
 # quadrature half-width beyond the classical turning point sqrt(2N + 3)
 QUAD_PAD = 6.0
-# quadrature points per mode: K = QUAD_DENSITY * N + 1
+# quadrature points per mode of ``diagonal_elements``, whose weights have no
+# band limit: K = QUAD_DENSITY * N + 1 (the basis grid is set by band_limit)
 QUAD_DENSITY = 8
 # kept Hermite values and quadrature weights are at least this in magnitude
 SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
@@ -131,8 +142,11 @@ def hermite_rows(n_modes, x):
 class HermiteBasis:
     """First N oscillator eigenfunctions with a shared uniform quadrature.
 
-    The grid is exactly symmetric, spacing h times -J..J with J = 4N, so
-    that it reads the same reversed; ``weight`` is h.
+    The grid is h (-J..J) on [-L, L], exactly symmetric so that it reads the
+    same reversed; ``weight`` is h and ``n_quad`` is 2J + 1.  h = L / J with
+    J = ceil(L / h_max) is the widest such spacing at or below the Nyquist
+    spacing h_max = pi / (pi kmax + L), kmax = ``band_limit(N)``, of the
+    band-limited integrands of ``represent`` (see the module docstring).
     """
 
     def __init__(self, n_modes):
@@ -141,9 +155,12 @@ class HermiteBasis:
             raise ValueError("need at least two modes")
         self.n_modes = n_modes
         self.half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
-        self.n_quad = QUAD_DENSITY * n_modes + 1
-        self.weight = 2.0 * self.half_width / (self.n_quad - 1)
-        self.grid = self.weight * np.arange(-(self.n_quad // 2), self.n_quad // 2 + 1)
+        # the integrands' angular frequencies stay below 2 pi kmax + 2 L
+        h_max = np.pi / (np.pi * band_limit(n_modes) + self.half_width)
+        half = int(np.ceil(self.half_width / h_max))
+        self.n_quad = 2 * half + 1
+        self.weight = self.half_width / half
+        self.grid = self.weight * np.arange(-half, half + 1)
 
     @cached_property
     def rows(self):
@@ -184,7 +201,7 @@ def _section(terms, basis):
 
     One grid serves every term: u = h (-J..J) with the basis spacing h,
     placed at x = u + c with c the midpoint of the shifts and J the basis'
-    4N plus the half-span of the shifts, so that every shifted factor keeps
+    J plus the half-span of the shifts, so that every shifted factor keeps
     its whole window on the grid.  With x = sign (u + |c|) and r = |c| -
     sign s, parity gives psi_n(x) = sign^n psi_n(u + |c|) and psi_k(x - s) =
     sign^k psi_k(u + r), and psi_k(u + r) for r < 0 is (-1)^k psi_k(u - r)
@@ -248,12 +265,18 @@ def _section(terms, basis):
 def multiplication_matrix(f, basis):
     """Matrix of multiplication by f: entries quad(f psi_m psi_n).
 
-    f is evaluated on the whole quadrature grid, every Fourier mode of a
-    ``PeriodicFunction`` included, unlike the band-limited ``represent``.
+    A ``PeriodicFunction`` is evaluated from its modes |k| <= ``band_limit(N)``,
+    as in ``represent``: those are the modes the grid resolves and the only
+    ones that couple the N-mode window, so none of the rest aliases into
+    the matrix.  Any other callable is evaluated on the grid as it is, and
+    is resolved when its Fourier transform lies within |xi| <= 2 pi kmax.
     No library code calls it: the tests check the shared quadrature of
     ``_section`` through it against a Gaussian-integral oracle, and
     the benchmark's tracing hooks it.
     """
+    if isinstance(f, PeriodicFunction):
+        k, c, _ = f.band(band_limit(basis.n_modes))
+        f = _band_function(k, c, not f.samples.imag.any())
     return _section([(0.0, f)], basis)
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import logging
 import re
@@ -334,11 +335,45 @@ def _section_case(case):
     return rieffel_projection(case)
 
 
-@pytest.mark.parametrize(
-    "case", [-0.6, 0.3, 2.6, 6.88, "UeU*", "degrees -2..2", "upper -0.6", "degrees -2, 1"])
+SECTION_CASES = (-0.6, 0.3, 2.6, 6.88, "UeU*", "degrees -2..2", "upper -0.6", "degrees -2, 1")
+
+
+@pytest.mark.parametrize("case", SECTION_CASES)
 def test_centred_section_matches_a_dense_linspace_quadrature(case, basis200):
     a = _section_case(case)
     assert np.abs(represent(a, basis200) - _linspace_section(a, 200)).max() < 1e-12
+
+
+def refined(basis, factor=4):
+    """A copy of basis whose grid has factor times as many intervals on [-L, L]."""
+    dense = copy.copy(basis)
+    half = factor * (basis.n_quad // 2)
+    dense.n_quad, dense.weight = 2 * half + 1, basis.weight / factor
+    dense.grid = dense.weight * np.arange(-half, half + 1)
+    return dense
+
+
+@pytest.mark.parametrize("n_modes", [8, 16, 32, 64, 200, 400, 800])
+def test_grid_resolves_the_band_limited_section(n_modes):
+    # the spacing is sized from band_limit(N): a 4x-denser grid adds rounding only
+    basis = HermiteBasis(n_modes)
+    dense = refined(basis)
+    for case in SECTION_CASES:
+        a = _section_case(case)
+        diff = np.abs(represent(a, basis) - represent(a, dense)).max()
+        assert diff < 1e-13, (case, diff)
+
+
+def test_grid_is_sized_at_the_nyquist_rate():
+    # h <= pi / (pi kmax + L), the fewest odd points h (-J..J) on [-L, L]
+    for n_modes, n_quad in ((8, 133), (32, 301), (64, 475), (300, 1575), (400, 2057),
+                            (500, 2487)):
+        basis = HermiteBasis(n_modes)
+        bound = np.pi / (np.pi * band_limit(n_modes) + basis.half_width)
+        assert basis.n_quad == n_quad
+        assert basis.weight <= bound < basis.half_width / (basis.n_quad // 2 - 1)
+        assert np.array_equal(basis.grid, -basis.grid[::-1])
+        assert basis.grid[-1] == pytest.approx(basis.half_width, rel=1e-15)
 
 
 def test_multiplication_and_translation_share_the_section(basis200):
@@ -351,6 +386,15 @@ def test_multiplication_and_translation_share_the_section(basis200):
         shift = AlgebraElement(alpha, {1: PeriodicFunction.constant(1.0)})
         assert np.abs(translation_matrix(alpha, basis200)
                       - _linspace_section(shift, 200)).max() < 1e-12
+
+
+def test_multiplication_matrix_drops_out_of_band_modes(basis200):
+    # mode kmax + 5 couples nothing in the window (band_limit's tail bound),
+    # but its raw samples alias into the grid: 0.14 at N = 200
+    low = PeriodicFunction.exponential(3)
+    f = low + PeriodicFunction.exponential(band_limit(200) + 5)
+    assert np.abs(multiplication_matrix(f, basis200)
+                  - multiplication_matrix(low, basis200)).max() < 1e-14
 
 
 def _reference_rescale(step, prev, cur, log_scale):

@@ -30,6 +30,7 @@ from nctorus.cli import _pair_rows
 from nctorus import algebra, oscillator, pairing
 from nctorus.pairing import GAP_FLOOR
 from test_acceptance import STAIRCASE
+from test_oscillator import refined
 
 HBAR = 0.3
 
@@ -178,6 +179,20 @@ def test_verified_pool_margins(caplog, n):
         (record,) = caplog.records
         gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
         assert gap >= 0.15, (n, hbar, gap)
+
+
+@pytest.mark.parametrize("n", [200, 300, 400, 500])
+def test_localizer_is_unmoved_by_a_denser_grid(monkeypatch, n):
+    # the section's grid resolves its band-limited integrand: on a 4x-denser
+    # grid the localizer's spectrum moves by rounding only
+    pool = [rieffel_projection(h) for h in (VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL)]
+    kappa = 1.0 / np.sqrt(n)
+    evals = [np.linalg.eigvalsh(pairing._localizer(e, n, kappa)) for e in pool]
+    monkeypatch.setattr(pairing, "HermiteBasis", lambda m: refined(HermiteBasis(m)))
+    for e, sparse in zip(pool, evals):
+        dense = np.linalg.eigvalsh(pairing._localizer(e, n, kappa))
+        assert np.sign(sparse).sum() == np.sign(dense).sum(), (n, e.hbar)
+        assert np.abs(sparse - dense).max() < 1e-12, (n, e.hbar)
 
 
 def test_real_localizer_runs_one_hermite_recurrence(monkeypatch):
