@@ -192,9 +192,9 @@ def projection_defect(e):
 
 
 def _require_projection(e):
-    """Raise ValueError unless both defects of e are within PROJECTION_TOL."""
+    """Raise ValueError unless both defects of e are within PROJECTION_TOL (NaN is not)."""
     d_idem, d_adj = projection_defect(e)
-    if d_idem > PROJECTION_TOL or d_adj > PROJECTION_TOL:
+    if not (d_idem <= PROJECTION_TOL and d_adj <= PROJECTION_TOL):
         raise ValueError(
             f"not a projection: ||e^2-e||={d_idem:.2e}, ||e*-e||={d_adj:.2e}"
         )
@@ -281,10 +281,12 @@ def rieffel_projection(hbar, n_samples=DEFAULT_SAMPLES):
     at 0.05: for frac(hbar) within about 0.1 of an integer the default grid
     misses ``PROJECTION_TOL`` (1e-8), which ``index_pairing`` requires.
 
-    Raises ValueError for hbar within 1e-3 of an integer, where the width
-    degenerates and no such representative exists.
+    Raises ValueError for a non-finite hbar, and for hbar within 1e-3 of an
+    integer, where the width degenerates and no such representative exists.
     """
     hbar = float(hbar)
+    if not np.isfinite(hbar):
+        raise ValueError(f"hbar must be finite, got {hbar}")
     frac = hbar - np.floor(hbar)
     if min(frac, 1.0 - frac) <= 1e-3:
         raise ValueError(

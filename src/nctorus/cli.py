@@ -7,6 +7,7 @@ code 1 and a diagnostic line on stderr; configuration errors exit with 2.
 """
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -322,6 +323,18 @@ def _validate(parser, args):
             parser.error(f"--{dest.replace('_', '-')} must be at least 1")
     if getattr(args, "xmax", 1.0) <= 0:
         parser.error("--xmax must be positive")
+    # every float read, from flags or the config file, and each list item
+    numbers = [(dest, [v]) for dest, v in vars(args).items() if isinstance(v, float)]
+    numbers += [(dest, getattr(args, dest).split(","))
+                for dest in ("hbars", "s_list", "coeffs") if getattr(args, dest, None)]
+    for dest, values in numbers:
+        for v in values:
+            try:
+                finite = cmath.isfinite(complex(v))
+            except ValueError:
+                continue  # not a number: the subcommand reports it
+            if not finite:
+                parser.error(f"--{dest.replace('_', '-')} must be finite, got {v}")
 
 
 def main(argv=None):

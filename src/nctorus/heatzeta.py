@@ -4,11 +4,11 @@ The closed-form Gaussian heat kernel of the oscillator drives everything:
 heat traces and their alpha-shifted weighted variants come from its
 diagonal, which by Mehler's formula is a Gaussian in x, so a weighted trace
 is one Gaussian average of the weight, as is each inner average of the
-Dixmier limit.  Spectral zeta values are computed either from eigenbasis
-diagonal sums with an asymptotic-mean tail model (on-diagonal) or through
-the Mellin integral of the weighted heat trace (off-diagonal, where the
-zeta function is entire), and residues at the pole are extracted by
-polynomial extrapolation of (s-1) times the zeta value.
+Dixmier limit.  Each spectral zeta value has one route, set by the shift:
+on the diagonal an eigenbasis diagonal sum with an asymptotic-mean tail
+model, off it the Mellin integral of the weighted heat trace (where the
+zeta function is entire).  Residues at the pole are extracted by
+polynomial extrapolation of (s-1) times the on-diagonal zeta value.
 
 A periodic weight is sampled once, at ``DEFAULT_SAMPLES`` points per period,
 into one cached Fourier record (``_fourier_record``): the ``math.fsum`` mean
@@ -26,7 +26,7 @@ limit and the mean-subtracted antiderivative map complete the calculus.
 
 Each quantity that several calls read is computed once and cached in
 memory, never keyed on a weight's callable: the Fourier record per weight
-object, the closed-form diagonal table per (n_modes, period, alpha), the
+object, the closed-form diagonal table per (n_modes, period), the
 powers (2n+1)^{-s} and their sum per (n_modes, s) (``_odd_powers``), the
 odd zeta and Gamma values per s, and the weighted traces on the Mellin
 nodes for the last two (weight object, alpha) (``_mellin_trace``).  Cached
@@ -345,51 +345,50 @@ def period_mean(f):
 
 
 @lru_cache(maxsize=8)
-def _fourier_table(n_modes, period, alpha):
-    """Modes and closed-form table (``mode_diagonals``) of a periodic weight's diagonals.
+def _fourier_table(n_modes, period):
+    """Modes and closed-form rows (``mode_diagonals``) of a periodic weight's diagonals.
 
     The modes are |k| <= band_limit(n_modes) * period, the frequencies
     2 pi k / period up to the band limit's, and at most the
     DEFAULT_SAMPLES / 2 - 1 that the samples resolve.  Read-only; cached per
-    (n_modes, period, alpha), so repeated zeta values run no recurrence.
+    (n_modes, period), so repeated zeta values run no recurrence.
     """
     kmax = min(int(band_limit(n_modes) * period), DEFAULT_SAMPLES // 2 - 1)
     k = np.arange(-kmax, kmax + 1)
-    return _read_only(k, *mode_diagonals(k, alpha, n_modes, period))
+    return _read_only(k, mode_diagonals(k, 0.0, n_modes, period)[0])
 
 
-def spectral_diagonals(f, alpha, n_modes):
-    """Diagonal elements int f(x) psi_n(x - alpha) psi_n(x) dx for n < n_modes.
+def spectral_diagonals(f, n_modes):
+    """Diagonal elements int f(x) psi_n(x)^2 dx for n < n_modes.
 
+    These feed the on-diagonal zeta values; off the diagonal the zeta
+    function is a Mellin integral of the heat trace and needs no diagonals.
     A periodic f goes through its Fourier data: the FFT of its
     ``DEFAULT_SAMPLES`` samples per period (``_fourier_record``, shared with
     ``period_mean`` and the Gaussian averages), its modes within the band
-    limit of ``_fourier_table``, and the closed form of ``oscillator.mode_diagonals``; the dropped modes
-    move each d_n by at most e^{-4 n_modes} times their mass (see
-    ``oscillator.band_limit``).  Precondition: f is resolved by
-    ``DEFAULT_SAMPLES`` samples per period, so that the FFT does not alias.
-    At alpha = 0 a weight whose samples are all real has real diagonals,
-    returned as a float array.  Weights of kind 'has_limits' and 'generic'
-    keep the quadrature stream of ``diagonal_elements``.  n_modes < 1
-    raises ValueError.
+    limit of ``_fourier_table``, and the closed form of
+    ``oscillator.mode_diagonals``; the dropped modes move each d_n by at
+    most e^{-4 n_modes} times their mass (see ``oscillator.band_limit``).
+    Precondition: f is resolved by ``DEFAULT_SAMPLES`` samples per period,
+    so that the FFT does not alias.  A weight whose samples are all real
+    has real diagonals, returned as a float array.  Weights of kind
+    'has_limits' and 'generic' keep the quadrature stream of
+    ``diagonal_elements``.  n_modes < 1 raises ValueError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    alpha = float(alpha)
     if f.kind != "periodic":
-        return diagonal_elements([(f, alpha)], n_modes)[0]
+        return diagonal_elements([(f, 0.0)], n_modes)[0]
     _, c, real = _fourier_record(f)
-    k, rows, phase = _fourier_table(n_modes, f.period, alpha)
-    v = c[k] * phase
-    if alpha == 0.0 and real:
+    k, rows = _fourier_table(n_modes, f.period)
+    v = c[k]
+    if real:
         return rows @ v.real
     return rows @ v.real + 1j * (rows @ v.imag)
 
 
-def _tail_mean(f, alpha):
-    """Limit of the diagonal elements: the asymptotic mean on, zero off diagonal."""
-    if alpha != 0.0:
-        return 0.0
+def _tail_mean(f):
+    """Limit of the diagonal elements: the asymptotic mean, None for a generic weight."""
     if f.kind == "periodic":
         return period_mean(f)
     if f.kind == "has_limits":
@@ -397,32 +396,22 @@ def _tail_mean(f, alpha):
     return None
 
 
-def _eigen_sum_tail(f, alpha, s, d):
+def _eigen_sum_tail(f, s, d):
     """The 'eigen_sum_tail' value of ``zeta_trace`` at complex s from the diagonals d."""
-    mu = _tail_mean(f, alpha)
+    mu = _tail_mean(f)
     powers, power_sum = _odd_powers(len(d), s)
     value = complex((d * powers).sum())
-    quarter = len(d) // 4
-    mu_val = 0.0 if mu is None else complex(mu)
-    drift = float(np.abs(d[-quarter:] - mu_val).mean())
-    if alpha == 0.0 and mu is not None:
-        tail = _odd_zeta(s) - power_sum
-        value += complex(mu) * tail
-        err = abs(d[-1] * powers[-1]) + drift * abs(tail)
-    elif alpha == 0.0:
+    if mu is None:
         # no tail model available: the unmodelled tail scales with the
         # continued odd zeta remainder at the last diagonal's size
         partial = _odd_powers(len(d), complex(s.real))[1]
         err = abs(d[-1]) * abs(_odd_zeta(s.real) - partial)
-    else:
-        # oscillatory partial sums; the envelope of the neglected tail
-        # scales like |d_N| N^{1/4 - Re s} by stationary phase
-        err = abs(d[-1]) * len(d) ** max(0.0, 1.25 - s.real)
-    if mu is None:
-        residue = None
-    else:
-        residue = residue_at_1(f) if alpha == 0.0 else 0.0
-    return ZetaEvaluation(s, value, residue, float(err), "eigen_sum_tail")
+        return ZetaEvaluation(s, value, None, float(err), "eigen_sum_tail")
+    tail = _odd_zeta(s) - power_sum
+    value += complex(mu) * tail
+    drift = float(np.abs(d[-(len(d) // 4):] - complex(mu)).mean())
+    err = abs(d[-1] * powers[-1]) + drift * abs(tail)
+    return ZetaEvaluation(s, value, residue_at_1(f), float(err), "eigen_sum_tail")
 
 
 _MELLIN_STEP = 0.2
@@ -444,19 +433,22 @@ def _mellin_trace(f, alpha):
 def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     """One value of the spectral zeta function Tr(f T_alpha H^{-s}).
 
-    method 'eigen_sum_tail' sums the first n_modes diagonal elements of
-    ``spectral_diagonals(f, alpha, n_modes)`` against (2n+1)^{-s} and
-    models the tail by the asymptotic mean times the continued odd zeta; it
-    is the on-diagonal default, and its ``residue_at_1`` is
-    ``residue_at_1(f)``, half that mean (0 off the diagonal, None for a
-    generic weight, which has no tail model, and for which Re(s) <= 1 on the
-    diagonal raises ValueError).  The diagonals are closed-form for a
+    The shift alpha picks the one route for the value, and method only
+    names it: None, or the name of that route (any other name raises
+    ValueError).  ``bench/tracing.py`` passes the name on every traced call,
+    so the parameter stays until the benchmark stops passing it.
+
+    On the diagonal (alpha = 0), 'eigen_sum_tail' sums the first n_modes
+    diagonal elements of ``spectral_diagonals(f, n_modes)`` against
+    (2n+1)^{-s} and models the tail by the asymptotic mean times the
+    continued odd zeta.  Its ``residue_at_1`` is ``residue_at_1(f)``, half
+    that mean, or None for a generic weight, which has no tail model and for
+    which Re(s) <= 1 raises ValueError.  The diagonals are closed-form for a
     periodic f, so the value for ``ONE`` is the odd zeta to rounding.
 
-    method 'heat_mellin' integrates the weighted heat trace against
-    t^{s-1}/Gamma(s) and ignores n_modes; it is off-diagonal only
-    (alpha = 0 raises ValueError) and the off-diagonal default, where the
-    zeta function is entire.  In v = log t the integrand
+    Off the diagonal, where the zeta function is entire, 'heat_mellin'
+    integrates the weighted heat trace against t^{s-1}/Gamma(s) and ignores
+    n_modes; its ``residue_at_1`` is 0.  In v = log t the integrand
     e^{sv} heat_trace_weighted(f, alpha, e^v) decays double-exponentially
     as v -> -inf (like e^{-alpha^2 e^{-v}/4}) and exponentially in t, so it
     is one uniform trapezoid of step 0.2 from t = alpha^2/160 (factor
@@ -474,27 +466,25 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     """
     alpha = float(alpha)
     s = complex(s)
-    if method is None:
-        method = "eigen_sum_tail" if alpha == 0.0 else "heat_mellin"
+    if method not in (None, "eigen_sum_tail", "heat_mellin"):
+        raise ValueError(f"unknown method {method!r}")
+    if method not in (None, "eigen_sum_tail" if alpha == 0.0 else "heat_mellin"):
+        raise ValueError(f"{method} does not serve alpha={alpha}: 'eigen_sum_tail' "
+                         "is on-diagonal only, 'heat_mellin' off-diagonal only")
 
-    if method == "eigen_sum_tail":
-        if alpha == 0.0 and f.kind == "generic" and s.real <= 1.0:
+    if alpha == 0.0:
+        if f.kind == "generic" and s.real <= 1.0:
             raise ValueError(
                 "generic weight with Re(s) <= 1 is outside the continued region"
             )
-        return _eigen_sum_tail(f, alpha, s, spectral_diagonals(f, alpha, n_modes))
+        return _eigen_sum_tail(f, s, spectral_diagonals(f, n_modes))
 
-    if method == "heat_mellin":
-        if alpha == 0.0:
-            raise ValueError("heat_mellin is off-diagonal only: alpha must be nonzero")
-        v, trace = _mellin_trace(f, alpha)
-        # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum
-        terms = np.exp(s * v) * trace
-        fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
-        g = _gamma(s)
-        return ZetaEvaluation(s, fine / g, 0.0, abs(fine - coarse) / abs(g), "heat_mellin")
-
-    raise ValueError(f"unknown method {method!r}")
+    v, trace = _mellin_trace(f, alpha)
+    # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum
+    terms = np.exp(s * v) * trace
+    fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
+    g = _gamma(s)
+    return ZetaEvaluation(s, fine / g, 0.0, abs(fine - coarse) / abs(g), "heat_mellin")
 
 
 def residue_at_1(f):
@@ -504,7 +494,7 @@ def residue_at_1(f):
     two declared limits of a limit-type one.  A generic weight has no tail
     model, so ValueError.
     """
-    mu = _tail_mean(f, 0.0)
+    mu = _tail_mean(f)
     if mu is None:
         raise ValueError("residue_at_1 requires periodic or limit metadata")
     return mu / 2.0
@@ -528,9 +518,9 @@ def residue_by_extrapolation(f):
     2000 modes, from one ``spectral_diagonals`` call; the extrapolation is
     the quadratic through them (``_intercept``).
     """
-    d = spectral_diagonals(f, 0.0, 2000)
+    d = spectral_diagonals(f, 2000)
     hs = np.array([0.1, 0.01, 0.001])
-    return _intercept(hs, [h * _eigen_sum_tail(f, 0.0, complex(1.0 + h), d).value
+    return _intercept(hs, [h * _eigen_sum_tail(f, complex(1.0 + h), d).value
                            for h in hs])
 
 

@@ -11,6 +11,7 @@ used here.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,20 @@ def twist(x, b):
     """Twist endomorphism on classes: (m, n) -> (m - b n, n).
 
     Powers compose additively, twist(twist(x, a), b) = twist(x, a + b).
+    b is an integer (numpy integers too); any other type raises TypeError.
     """
-    return KClass(x.m - int(b) * x.n, x.n)
+    return KClass(x.m - operator.index(b) * x.n, x.n)
 
 
 def k_pairing(x, hbar, b=0):
     """Closed-form pairing of the class with the family member at hbar + b.
 
     Equals m + n (frac(hbar) - (hbar + b)); at b = 0 the projection class
-    alone gives -floor(hbar), the integer staircase.
+    alone gives -floor(hbar), the integer staircase.  b is an integer, as
+    for ``twist``.
     """
     frac = _check_fraction(hbar)
-    return x.m + x.n * (frac - (float(hbar) + int(b)))
+    return x.m + x.n * (frac - (float(hbar) + operator.index(b)))
 
 
 def trace_value(x, hbar):

@@ -11,6 +11,7 @@ from nctorus import (
     cyclic_cocycle,
     delta1,
     delta2,
+    fedosov_index,
     from_json_dict,
     ladder_commutators,
     multiply,
@@ -162,10 +163,25 @@ def test_rieffel_rejects_near_integer(hbar):
         rieffel_projection(hbar)
 
 
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
+def test_rieffel_rejects_non_finite(hbar):
+    with pytest.raises(ValueError, match="hbar must be finite"):
+        rieffel_projection(hbar)
+
+
 def test_chern_number_rejects_non_projection(rng):
     a = random_smooth_element(rng)
     with pytest.raises(ValueError, match="not a projection"):
         chern_number(a)
+
+
+def test_nan_defects_are_not_a_projection():
+    # nan > PROJECTION_TOL is False, so the check must ask for d <= PROJECTION_TOL
+    nan = AlgebraElement(HBAR, {0: PeriodicFunction(np.full(512, np.nan))})
+    assert np.isnan(projection_defect(nan)).all()
+    for call in (chern_number, fedosov_index):
+        with pytest.raises(ValueError, match="not a projection"):
+            call(nan)
 
 
 def test_chern_number_of_unit():

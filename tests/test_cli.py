@@ -215,10 +215,28 @@ def test_no_quad_and_modes_floor_exit_two(tmp_path, capsys, argv, config, messag
         (("mean", "--f", "arctan", "--xmax", "-8"), None, "--xmax must be positive"),
         (("mean", "--f", "one", "--xmax", "0"), None, "--xmax must be positive"),
         (("mean", "--f", "arctan"), "xmax = -8", "--xmax must be positive"),
+        (("heat-kernel", "--t", "nan"), None, "--t must be finite, got nan"),
+        (("heat-kernel", "--t", "0.5", "--range", "nan"), None, "--range must be finite"),
+        (("zeta", "--f", "one", "--s-list", "2,nan"), None, "--s-list must be finite, got nan"),
+        (("zeta", "--f", "one", "--s-list", "2", "--alpha", "nan"), None,
+         "--alpha must be finite"),
+        (("zeta", "--f", "fourier", "--coeffs", "1,inf", "--s-list", "2"), None,
+         "--coeffs must be finite, got inf"),
+        (("mean", "--f", "one", "--xmax", "nan"), None, "--xmax must be finite"),
+        (("rieffel", "--hbar", "nan"), None, "--hbar must be finite, got nan"),
+        (("rieffel", "--hbar", "inf"), None, "--hbar must be finite, got inf"),
+        (("pair", "--hbar", "nan"), None, "--hbar must be finite"),
+        (("sweep", "--hbars", "0.3,nan"), None, "--hbars must be finite, got nan"),
+        (("ktheory", "--m", "1", "--n", "1", "--hbar=-inf"), None,
+         "--hbar must be finite, got -inf"),
+        (("ktheory", "--m", "1", "--n", "1"), "hbar = nan", "--hbar must be finite"),
     ],
     ids=["zeta-n-modes-0", "zeta-n-modes-neg", "config-n-modes-0", "pair-zeta-modes-0",
          "sweep-zeta-modes-neg", "config-zeta-modes-0", "heat-kernel-samples-0",
-         "mean-xmax-neg", "mean-xmax-0", "config-xmax-neg"],
+         "mean-xmax-neg", "mean-xmax-0", "config-xmax-neg",
+         "heat-kernel-t-nan", "heat-kernel-range-nan", "zeta-s-list-nan", "zeta-alpha-nan",
+         "zeta-coeffs-inf", "mean-xmax-nan", "rieffel-hbar-nan", "rieffel-hbar-inf",
+         "pair-hbar-nan", "sweep-hbars-nan", "ktheory-hbar-inf", "config-hbar-nan"],
 )
 def test_bad_counts_and_lengths_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -49,6 +49,21 @@ def test_k_pairing_family_member():
     assert k_pairing(KClass(0, 1), 0.3, 2) == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("b", [0.3, 0.9, 1.0])
+def test_twist_and_pairing_reject_non_integer_b(b):
+    # int(b) would truncate: 0.9 to the identity twist, 0.3 to the b = 0 pairing
+    with pytest.raises(TypeError):
+        twist(KClass(0, 1), b)
+    with pytest.raises(TypeError):
+        k_pairing(KClass(0, 1), 0.3, b)
+
+
+def test_twist_and_pairing_take_numpy_integers():
+    x = KClass(2, -3)
+    assert twist(x, np.int64(2)) == twist(x, 2) == KClass(8, -3)
+    assert k_pairing(x, 0.3, np.int32(2)) == k_pairing(x, 0.3, 2)
+
+
 def test_k_pairing_rejects_integer_parameter():
     with pytest.raises(ValueError):
         k_pairing(KClass(0, 1), 2.0, 0)
