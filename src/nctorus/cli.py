@@ -229,7 +229,8 @@ def _build_parser():
                    help="one | cos | riesz-ramp | arctan | fourier")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--s-list", required=True, help="comma-separated s values")
-    p.add_argument("--n-modes", type=int, default=2000)
+    p.add_argument("--n-modes", type=int, default=2000,
+                   help="eigen-sum modes, read only for arctan at --alpha 0 (default 2000)")
     p.add_argument("--coeffs", default=None,
                    help="cosine-series coefficients c0,c1,... for --f fourier")
     p.set_defaults(func=_cmd_zeta)
@@ -323,16 +324,17 @@ def _validate(parser, args):
             parser.error(f"--{dest.replace('_', '-')} must be at least 1")
     if getattr(args, "xmax", 1.0) <= 0:
         parser.error("--xmax must be positive")
-    # every float read, from flags or the config file, and each list item
+    # every float read, from flags or the config file, and each list item,
+    # parsed as its subcommand parses it
     numbers = [(dest, [v]) for dest, v in vars(args).items() if isinstance(v, float)]
     numbers += [(dest, getattr(args, dest).split(","))
                 for dest in ("hbars", "s_list", "coeffs") if getattr(args, dest, None)]
     for dest, values in numbers:
         for v in values:
             try:
-                finite = cmath.isfinite(complex(v))
+                finite = cmath.isfinite((complex if dest == "s_list" else float)(v))
             except ValueError:
-                continue  # not a number: the subcommand reports it
+                parser.error(f"--{dest.replace('_', '-')} item {v!r} is not a number")
             if not finite:
                 parser.error(f"--{dest.replace('_', '-')} must be finite, got {v}")
 

@@ -4,33 +4,34 @@ The closed-form Gaussian heat kernel of the oscillator drives everything:
 heat traces and their alpha-shifted weighted variants come from its
 diagonal, which by Mehler's formula is a Gaussian in x, so a weighted trace
 is one Gaussian average of the weight, as is each inner average of the
-Dixmier limit.  Each spectral zeta value has one route, set by the shift:
-on the diagonal an eigenbasis diagonal sum with an asymptotic-mean tail
-model, off it the Mellin integral of the weighted heat trace (where the
-zeta function is entire).  Residues at the pole are extracted by
-polynomial extrapolation of (s-1) times the on-diagonal zeta value.
+Dixmier limit.  Each spectral zeta value has one route: the Mellin
+integral of the weighted heat trace, as the paper computes it by Mehler's
+formula, for a periodic weight at every shift and for every weight off the
+diagonal.  On the diagonal the period mean's part of the trace is
+transformed in closed form (the odd zeta), so the rest is entire.  Only
+limit-type and generic weights on the diagonal, which the integral cannot
+reach yet, take an eigenbasis diagonal sum with an asymptotic-mean tail
+model.  Residues at the pole are extracted by polynomial extrapolation of
+(s-1) times the on-diagonal zeta value.
 
 A periodic weight is sampled once, at ``DEFAULT_SAMPLES`` points per period,
 into one cached Fourier record (``_fourier_record``): the ``math.fsum`` mean
 of its samples, their FFT coefficients and whether they are all real.  The
-record serves everything periodic: the period mean, the eigenbasis
-diagonals (the Laguerre closed form of ``oscillator.mode_diagonals``) and
-every Gaussian average, which for a Fourier series is a closed-form sum
-of its few modes the Gaussian does not suppress.  So a periodic weight must
-be resolved by ``DEFAULT_SAMPLES`` samples per period.  Limit-type and
-generic weights take the quadrature stream of
-``oscillator.diagonal_elements`` and the uniform rule below.
+record serves everything periodic: the period mean and every Gaussian
+average, which for a Fourier series is a closed-form sum of its few modes
+the Gaussian does not suppress.  So a periodic weight must be resolved by
+``DEFAULT_SAMPLES`` samples per period.  Limit-type and generic weights
+take the quadrature stream of ``oscillator.diagonal_elements`` and the
+uniform rule below.
 
 Asymptotic means of bounded functions, the Dixmier-trace double-integral
 limit and the mean-subtracted antiderivative map complete the calculus.
 
 Each quantity that several calls read is computed once and cached in
 memory, never keyed on a weight's callable: the Fourier record per weight
-object, the closed-form diagonal table per (n_modes, period), the
-powers (2n+1)^{-s} and their sum per (n_modes, s) (``_odd_powers``), the
-odd zeta and Gamma values per s, and the weighted traces on the Mellin
-nodes for the last two (weight object, alpha) (``_mellin_trace``).  Cached
-arrays are read-only.
+object, the odd zeta and 1/Gamma values per s, and the weighted traces on
+the Mellin nodes for the last two (weight object, alpha)
+(``_mellin_trace``).  Cached arrays are read-only.
 
 Every other integral is a fixed rule, exponentially accurate for its
 integrand class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is
@@ -43,7 +44,7 @@ adaptive:
   the ``DEFAULT_SAMPLES``-point trapezoid, the Dixmier levels and the
   antiderivative on 16-point Gauss-Legendre panels (``_gl_panels``).
 
-mpmath (the odd zeta and Gamma) and the Gauss-Legendre nodes are loaded on
+mpmath (the odd zeta and 1/Gamma) and the Gauss-Legendre nodes are loaded on
 first use, so importing the package costs neither.
 """
 
@@ -53,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .oscillator import band_limit, diagonal_elements, hermite_rows, mode_diagonals
+from .oscillator import diagonal_elements, hermite_rows
 from .periodic import DEFAULT_SAMPLES
 
 # e^{-(pi k / (P u))^2} stays a normal double while |k| <= _GAUSS_MODES * P u
@@ -287,23 +288,11 @@ def _odd_zeta(s):
 
 
 @lru_cache(maxsize=256)
-def _gamma(s):
-    """Gamma(s) of the Mellin route, by mpmath."""
-    from mpmath import gamma
+def _rgamma(s):
+    """1/Gamma(s) of the Mellin route, by mpmath: entire, 0 at s = 0, -1, -2, ..."""
+    from mpmath import rgamma
 
-    return complex(gamma(s))
-
-
-@lru_cache(maxsize=16)
-def _odd_powers(n_modes, s):
-    """The powers (2n+1)^{-s}, n < n_modes (read-only), and their sum.
-
-    Cached per (n_modes, s): the residue extrapolation reads the same three
-    s on every call.  An entry of 2000 modes takes 32 KB.
-    """
-    powers = np.power(2.0 * np.arange(n_modes) + 1.0, -s)
-    powers.flags.writeable = False
-    return powers, powers.sum()
+    return complex(rgamma(s))
 
 
 @lru_cache(maxsize=64)
@@ -338,59 +327,32 @@ def period_mean(f):
     The ``DEFAULT_SAMPLES``-point trapezoid rule, summed with ``math.fsum``
     (the mean of ``_fourier_record``): exact for every Fourier mode
     |k| < DEFAULT_SAMPLES, so exponentially accurate for smooth f.
-    Precondition, as for ``spectral_diagonals``: f is resolved by
-    ``DEFAULT_SAMPLES`` samples per period.
+    Precondition: f is resolved by ``DEFAULT_SAMPLES`` samples per period.
     """
     return _fourier_record(f)[0]
 
 
-@lru_cache(maxsize=8)
-def _fourier_table(n_modes, period):
-    """Modes and closed-form rows (``mode_diagonals``) of a periodic weight's diagonals.
-
-    The modes are |k| <= band_limit(n_modes) * period, the frequencies
-    2 pi k / period up to the band limit's, and at most the
-    DEFAULT_SAMPLES / 2 - 1 that the samples resolve.  Read-only; cached per
-    (n_modes, period), so repeated zeta values run no recurrence.
-    """
-    kmax = min(int(band_limit(n_modes) * period), DEFAULT_SAMPLES // 2 - 1)
-    k = np.arange(-kmax, kmax + 1)
-    return _read_only(k, mode_diagonals(k, 0.0, n_modes, period)[0])
-
-
 def spectral_diagonals(f, n_modes):
-    """Diagonal elements int f(x) psi_n(x)^2 dx for n < n_modes.
+    """Diagonal elements int f(x) psi_n(x)^2 dx, n < n_modes, of a limit-type or generic f.
 
-    These feed the on-diagonal zeta values; off the diagonal the zeta
-    function is a Mellin integral of the heat trace and needs no diagonals.
-    A periodic f goes through its Fourier data: the FFT of its
-    ``DEFAULT_SAMPLES`` samples per period (``_fourier_record``, shared with
-    ``period_mean`` and the Gaussian averages), its modes within the band
-    limit of ``_fourier_table``, and the closed form of
-    ``oscillator.mode_diagonals``; the dropped modes move each d_n by at
-    most e^{-4 n_modes} times their mass (see ``oscillator.band_limit``).
-    Precondition: f is resolved by ``DEFAULT_SAMPLES`` samples per period,
-    so that the FFT does not alias.  A weight whose samples are all real
-    has real diagonals, returned as a float array.  Weights of kind
-    'has_limits' and 'generic' keep the quadrature stream of
-    ``diagonal_elements``.  n_modes < 1 raises ValueError.
+    These feed the on-diagonal eigen-sum of ``zeta_trace``, by the
+    quadrature stream of ``oscillator.diagonal_elements``.  A periodic f
+    raises ValueError: its zeta values are Mellin integrals of its heat
+    trace and need no diagonals, and the fixed grid of ``diagonal_elements``
+    would alias its modes.  n_modes < 1 raises ValueError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    if f.kind != "periodic":
-        return diagonal_elements([(f, 0.0)], n_modes)[0]
-    _, c, real = _fourier_record(f)
-    k, rows = _fourier_table(n_modes, f.period)
-    v = c[k]
-    if real:
-        return rows @ v.real
-    return rows @ v.real + 1j * (rows @ v.imag)
+    if f.kind == "periodic":
+        raise ValueError("a periodic weight's zeta values take the Mellin route")
+    return diagonal_elements([(f, 0.0)], n_modes)[0]
 
 
 def _tail_mean(f):
-    """Limit of the diagonal elements: the asymptotic mean, None for a generic weight."""
-    if f.kind == "periodic":
-        return period_mean(f)
+    """Limit of the diagonal elements of a limit-type or generic weight.
+
+    The mean of the two declared limits, or None for a generic weight.
+    """
     if f.kind == "has_limits":
         return 0.5 * (f.limits[0] + f.limits[1])
     return None
@@ -399,15 +361,15 @@ def _tail_mean(f):
 def _eigen_sum_tail(f, s, d):
     """The 'eigen_sum_tail' value of ``zeta_trace`` at complex s from the diagonals d."""
     mu = _tail_mean(f)
-    powers, power_sum = _odd_powers(len(d), s)
+    powers = np.power(2.0 * np.arange(len(d)) + 1.0, -s)
     value = complex((d * powers).sum())
     if mu is None:
         # no tail model available: the unmodelled tail scales with the
-        # continued odd zeta remainder at the last diagonal's size
-        partial = _odd_powers(len(d), complex(s.real))[1]
-        err = abs(d[-1]) * abs(_odd_zeta(s.real) - partial)
+        # continued odd zeta remainder at the last diagonal's size, where
+        # |(2n+1)^{-s}| = (2n+1)^{-Re s}
+        err = abs(d[-1]) * abs(_odd_zeta(s.real) - np.abs(powers).sum())
         return ZetaEvaluation(s, value, None, float(err), "eigen_sum_tail")
-    tail = _odd_zeta(s) - power_sum
+    tail = _odd_zeta(s) - powers.sum()
     value += complex(mu) * tail
     drift = float(np.abs(d[-(len(d) // 4):] - complex(mu)).mean())
     err = abs(d[-1] * powers[-1]) + drift * abs(tail)
@@ -421,58 +383,81 @@ _MELLIN_STEP = 0.2
 def _mellin_trace(f, alpha):
     """Nodes v = log t of the Mellin rule at shift alpha and the weighted traces there.
 
-    Both read-only; cached for the last two (weight, alpha), keyed by the
-    weight object as ``_fourier_record`` is, so the zeta values of one
-    weight and shift at several s share one ``heat_trace_weighted`` call.
+    On the diagonal the traces are those of f minus the period mean times
+    1/(2 sinh t), whose Mellin transform is the odd zeta in closed form.
+    Both arrays read-only; cached for the last two (weight, alpha), keyed
+    by the weight object as ``_fourier_record`` is, so the zeta values of
+    one weight and shift at several s share one ``heat_trace_weighted`` call.
     """
-    v_min, v_max = math.log(alpha * alpha / 160.0), math.log(60.0)
+    # the traces decay like e^{-a/t} as t -> 0: a = alpha^2/4 off the
+    # diagonal, (pi/P)^2 for the mean-free part of a periodic weight on it
+    a = alpha * alpha / 4.0 if alpha else (math.pi / f.period) ** 2
+    v_min, v_max = math.log(a / 40.0), math.log(60.0)
     v = v_min + _MELLIN_STEP * np.arange(math.ceil((v_max - v_min) / _MELLIN_STEP) + 1)
-    return _read_only(v, heat_trace_weighted(f, alpha, np.exp(v)))
+    t = np.exp(v)
+    mean = 0.0 if alpha else period_mean(f)
+    return _read_only(v, heat_trace_weighted(f, alpha, t) - mean / (2.0 * np.sinh(t)))
 
 
 def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     """One value of the spectral zeta function Tr(f T_alpha H^{-s}).
 
-    The shift alpha picks the one route for the value, and method only
-    names it: None, or the name of that route (any other name raises
-    ValueError).  ``bench/tracing.py`` passes the name on every traced call,
-    so the parameter stays until the benchmark stops passing it.
+    A periodic weight, at every shift, and every weight off the diagonal
+    take the Mellin integral of the weighted heat trace ('heat_mellin').
+    Only a limit-type or generic weight on the diagonal takes the eigen-sum
+    ('eigen_sum_tail'), which the integral cannot reach yet.
+    ``ZetaEvaluation.method`` names the route taken.  The method argument
+    only names the shift class: None, 'eigen_sum_tail' at alpha = 0 or
+    'heat_mellin' at alpha != 0; any other name raises ValueError.
+    ``bench/tracing.py`` passes 'eigen_sum_tail' on every on-diagonal
+    traced call, so the parameter stays until the benchmark stops passing
+    it.  n_modes < 1 raises ValueError on either route.
 
-    On the diagonal (alpha = 0), 'eigen_sum_tail' sums the first n_modes
-    diagonal elements of ``spectral_diagonals(f, n_modes)`` against
-    (2n+1)^{-s} and models the tail by the asymptotic mean times the
-    continued odd zeta.  Its ``residue_at_1`` is ``residue_at_1(f)``, half
-    that mean, or None for a generic weight, which has no tail model and for
-    which Re(s) <= 1 raises ValueError.  The diagonals are closed-form for a
-    periodic f, so the value for ``ONE`` is the odd zeta to rounding.
+    The Mellin route is Gamma(s)^{-1} int t^{s-1} Tr(f T_alpha e^{-tH}) dt.
+    Off the diagonal the trace decays like e^{-a/t} as t -> 0 with
+    a = alpha^2/4, so the zeta function is entire and ``residue_at_1`` is 0.
+    On the diagonal the trace of the period mean c_0, c_0/(2 sinh t), is
+    subtracted (``_mellin_trace``) and its transform c_0 (1 - 2^{-s}) zeta(s)
+    added in closed form; the rest decays like e^{-a/t} with a = (pi/P)^2,
+    so it is entire too, and ``residue_at_1`` is ``residue_at_1(f)`` = c_0/2.
+    In v = log t the integrand decays double-exponentially as v -> -inf and
+    exponentially in t, so it is one uniform trapezoid of step 0.2 from
+    t = a/40 (factor e^{-40}) to t = 60: 36-77 nodes for alpha in
+    [0.05, 3] and 29 on the diagonal at P = 1, whose traces come from one
+    ``heat_trace_weighted`` call on the array of t.  1/Gamma is entire
+    (``mpmath.rgamma``), so s = 0, -1, -2, ... need no special case: off
+    the diagonal the value there is 0.  The nodes and traces depend on f
+    and alpha only, so ``_mellin_trace`` keeps them for the last two
+    (weight object, alpha): the values of one weight and shift at several s
+    share one trace call.  n_modes is not read.  Its ``error_estimate`` is
+    |T_h - T_2h| / |Gamma(s)|, the change from the same sum on every other
+    node, so it bounds the coarser rule; the rule at step h is far more
+    accurate.  Measured against 30-digit mpmath quadratures of the Mehler
+    closed form: for ``ONE`` at (alpha, s) = (0.05, 1.1), (0.05, 3),
+    (0.3, 1.01), (1, 1.5) and (3, 2) within 4e-15 relative, while the
+    estimate reads 2e-11 to 3e-8; on the diagonal for 1 + cos 2 pi x at
+    s = 1.01, 1.1, 1.5, 2, 3, 0.5, 0.25, -0.5, -2.5, 0.5 + 3i and 1.2 + 3i
+    within 2e-15 relative.  For ``ONE`` on the diagonal the subtracted
+    trace is 0, so the value is the odd zeta to the bit.
 
-    Off the diagonal, where the zeta function is entire, 'heat_mellin'
-    integrates the weighted heat trace against t^{s-1}/Gamma(s) and ignores
-    n_modes; its ``residue_at_1`` is 0.  In v = log t the integrand
-    e^{sv} heat_trace_weighted(f, alpha, e^v) decays double-exponentially
-    as v -> -inf (like e^{-alpha^2 e^{-v}/4}) and exponentially in t, so it
-    is one uniform trapezoid of step 0.2 from t = alpha^2/160 (factor
-    e^{-40}) to t = 60: 36-77 nodes for alpha in [0.05, 3], whose weighted
-    traces come from one ``heat_trace_weighted`` call on the array of t.
-    The nodes and traces depend on f and alpha only, so ``_mellin_trace``
-    keeps them for the last two (weight object, alpha): the values of one
-    weight and shift at several s share one trace call.  Its
-    ``error_estimate`` is |T_h - T_2h| / |Gamma(s)|, the change from the
-    same sum on every other node, so it bounds the coarser rule; the rule
-    at step h is far more accurate.  Measured for ``ONE`` at (alpha, s) =
-    (0.05, 1.1), (0.05, 3), (0.3, 1.01), (1, 1.5) and (3, 2): within 4e-15
-    relative of a 30-digit mpmath quadrature, while the estimate reads
-    2e-11 to 3e-8.
+    The eigen-sum route sums the first n_modes diagonal elements of
+    ``spectral_diagonals(f, n_modes)`` against (2n+1)^{-s} and models the
+    tail by the asymptotic mean times the continued odd zeta.  Its
+    ``residue_at_1`` is ``residue_at_1(f)``, half that mean, or None for a
+    generic weight, which has no tail model and for which Re(s) <= 1
+    raises ValueError.
     """
     alpha = float(alpha)
     s = complex(s)
     if method not in (None, "eigen_sum_tail", "heat_mellin"):
         raise ValueError(f"unknown method {method!r}")
     if method not in (None, "eigen_sum_tail" if alpha == 0.0 else "heat_mellin"):
-        raise ValueError(f"{method} does not serve alpha={alpha}: 'eigen_sum_tail' "
-                         "is on-diagonal only, 'heat_mellin' off-diagonal only")
+        raise ValueError(f"{method} names the other shift class: 'eigen_sum_tail' is "
+                         "on-diagonal only, 'heat_mellin' off-diagonal only")
+    if n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
 
-    if alpha == 0.0:
+    if alpha == 0.0 and f.kind != "periodic":
         if f.kind == "generic" and s.real <= 1.0:
             raise ValueError(
                 "generic weight with Re(s) <= 1 is outside the continued region"
@@ -483,8 +468,13 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum
     terms = np.exp(s * v) * trace
     fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
-    g = _gamma(s)
-    return ZetaEvaluation(s, fine / g, 0.0, abs(fine - coarse) / abs(g), "heat_mellin")
+    rg = _rgamma(s)
+    value, residue = fine * rg, 0.0
+    if alpha == 0.0:
+        # the transform of the mean's trace that _mellin_trace subtracted
+        value += period_mean(f) * _odd_zeta(s)
+        residue = residue_at_1(f)
+    return ZetaEvaluation(s, value, residue, abs(fine - coarse) * abs(rg), "heat_mellin")
 
 
 def residue_at_1(f):
@@ -494,7 +484,7 @@ def residue_at_1(f):
     two declared limits of a limit-type one.  A generic weight has no tail
     model, so ValueError.
     """
-    mu = _tail_mean(f)
+    mu = period_mean(f) if f.kind == "periodic" else _tail_mean(f)
     if mu is None:
         raise ValueError("residue_at_1 requires periodic or limit metadata")
     return mu / 2.0
@@ -514,14 +504,17 @@ def _intercept(x, y):
 def residue_by_extrapolation(f):
     """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1.1, 1.01, 1.001.
 
-    The three values are the 'eigen_sum_tail' values of ``zeta_trace`` on
-    2000 modes, from one ``spectral_diagonals`` call; the extrapolation is
-    the quadratic through them (``_intercept``).
+    The three values are on-diagonal values of ``zeta_trace``: for a
+    periodic weight its Mellin values, which share one cached trace, and
+    otherwise its eigen-sum values on 2000 modes, from one
+    ``spectral_diagonals`` call.  The extrapolation is the quadratic
+    through them (``_intercept``).
     """
-    d = spectral_diagonals(f, 2000)
     hs = np.array([0.1, 0.01, 0.001])
-    return _intercept(hs, [h * _eigen_sum_tail(f, complex(1.0 + h), d).value
-                           for h in hs])
+    if f.kind == "periodic":
+        return _intercept(hs, [h * zeta_trace(f, 0.0, 1.0 + h).value for h in hs])
+    d = spectral_diagonals(f, 2000)
+    return _intercept(hs, [h * _eigen_sum_tail(f, complex(1.0 + h), d).value for h in hs])
 
 
 # ---------------- asymptotic means ----------------

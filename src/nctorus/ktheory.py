@@ -32,8 +32,15 @@ class KClass:
             raise TypeError("class coordinates must be integers")
 
 
+def _frac(hbar):
+    """frac(hbar); a NaN or infinite hbar raises ValueError."""
+    if not math.isfinite(hbar):
+        raise ValueError(f"hbar must be finite, got {hbar}")
+    return hbar - math.floor(hbar)
+
+
 def _check_fraction(hbar):
-    frac = hbar - math.floor(hbar)
+    frac = _frac(hbar)
     if min(frac, 1.0 - frac) <= 1e-9:
         raise ValueError(f"hbar={hbar} is integer; the bump-projection class degenerates")
     return frac
@@ -53,7 +60,8 @@ def k_pairing(x, hbar, b=0):
 
     Equals m + n (frac(hbar) - (hbar + b)); at b = 0 the projection class
     alone gives -floor(hbar), the integer staircase.  b is an integer, as
-    for ``twist``.
+    for ``twist``.  A NaN or infinite hbar raises ValueError, as it does
+    for ``trace_value``, ``gap_label_witness`` and ``in_gap_label_group``.
     """
     frac = _check_fraction(hbar)
     return x.m + x.n * (frac - (float(hbar) + operator.index(b)))
@@ -61,8 +69,7 @@ def k_pairing(x, hbar, b=0):
 
 def trace_value(x, hbar):
     """Value of the canonical trace on the class: m + n frac(hbar)."""
-    frac = hbar - math.floor(hbar)
-    return x.m + x.n * frac
+    return x.m + x.n * _frac(hbar)
 
 
 def gap_label_witness(value, hbar):
@@ -73,8 +80,9 @@ def gap_label_witness(value, hbar):
     is none.  The label group of the deformation is exactly the set of such
     combinations.  The scan runs over ``_WITNESS_CHUNK`` values of |q| at a
     time and stops at the first chunk with a hit, so its memory is a few
-    MB whatever the outcome.
+    MB whatever the outcome.  A NaN or infinite hbar raises ValueError.
     """
+    _frac(hbar)  # raises for a non-finite hbar
     q_max, tol = 10**6, 1e-9
     # q in the order 0, 1, -1, 2, -2, ...: the first pair within tol is the label
     for start in range(0, q_max + 1, _WITNESS_CHUNK):

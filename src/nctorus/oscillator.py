@@ -37,11 +37,11 @@ algebra elements need no quadrature: in the Weyl (Laguerre) form
     <psi_n, e^{2 pi i k x} psi_n(. - a)> = e^{i pi k a} e^{-y/2} L_n(y),
     y = (a^2 + 4 pi^2 k^2) / 2.
 
-``mode_diagonals`` is this closed form for any Fourier modes, of any
-period; it serves ``algebra_diagonals`` and the periodic weights of
-``heatzeta.spectral_diagonals``.  ``diagonal_elements`` keeps the
-quadrature for weights with no Fourier data: callables on the line of
-limit or generic type.
+``mode_diagonals`` is this closed form for any modes and shifts; it serves
+``algebra_diagonals``.  ``diagonal_elements`` keeps the quadrature for
+weights with no Fourier data: callables on the line of limit or generic
+type (periodic weights need no diagonals: their zeta values are Mellin
+integrals of their heat traces in ``heatzeta``).
 
 Hermite values and quadrature weights below ``SUBNORMAL_FLOOR`` =
 cbrt(tiny) (about 2.8e-103) are stored as 0.  A product of three kept
@@ -365,7 +365,7 @@ def represent(a, basis):
 def diagonal_elements(weighted_shifts, n_modes):
     """Diagonal matrix elements d_n = quad(w(x) psi_n(x - a) psi_n(x)), n < n_modes.
 
-    For weights known only as callables on the line (periodic weights have
+    For weights known only as callables on the line (Fourier modes have
     the closed form of ``mode_diagonals``).  ``weighted_shifts`` is
     a sequence of (weight, shift) pairs; the result has one row per pair.
     The quadrature is the uniform (QUAD_DENSITY n_modes + 1)-point rule on
@@ -424,23 +424,22 @@ def _laguerre_rows(y, n_modes):
     return out
 
 
-def mode_diagonals(k, shift, n_modes, period=1.0):
+def mode_diagonals(k, shift, n_modes):
     """Closed-form diagonal elements of Fourier modes, as rows and phases.
 
-    For the mode e^{i xi x}, xi = 2 pi k / period, and a shift a (arrays of
-    one length, or a scalar shift),
+    For the mode e^{2 pi i k x} and a shift a (arrays of one length, or a
+    scalar shift),
 
-        <e^{i xi x} psi_n(. - a), psi_n> = e^{i xi a / 2} e^{-y/2} L_n(y),
-        y = (a^2 + xi^2) / 2.
+        <e^{2 pi i k x} psi_n(. - a), psi_n> = e^{i pi k a} e^{-y/2} L_n(y),
+        y = (a^2 + 4 pi^2 k^2) / 2.
 
     Returns (rows, phase): rows[n, j] = e^{-y_j/2} L_n(y_j) for n < n_modes
-    by ``_laguerre_rows``, and phase[j] = e^{i xi_j a_j / 2}, so a weight
+    by ``_laguerre_rows``, and phase[j] = e^{i pi k_j a_j}, so a weight
     with coefficients c_j on these modes has diagonals rows @ (c * phase).
-    This is the one closed form behind ``algebra_diagonals`` and the
-    periodic route of ``heatzeta.spectral_diagonals``.
+    This is the closed form behind ``algebra_diagonals``.
     """
-    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k / period ** 2)
-    return _laguerre_rows(y, n_modes), np.exp(1j * np.pi * k * shift / period)
+    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k)
+    return _laguerre_rows(y, n_modes), np.exp(1j * np.pi * k * shift)
 
 
 def algebra_diagonals(a, n_modes):

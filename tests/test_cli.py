@@ -63,6 +63,15 @@ def test_zeta_fourier_registry(capsys):
     assert np.isfinite(rows[0][2])
 
 
+def test_zeta_at_gamma_poles_exits_zero(capsys):
+    # 1/Gamma is entire: off the diagonal the zeta function is 0 at s = 0, -1, -2
+    code, out, _ = run_cli(capsys, "zeta", "--f", "one", "--alpha", "0.5",
+                           "--s-list=0,-1,-2")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row[2:] for row in rows] == [[0.0, 0.0, 0.0]] * 3
+
+
 def test_mean_arctan(capsys):
     code, out, _ = run_cli(capsys, "mean", "--f", "arctan", "--xmax", "32")
     assert code == 0
@@ -230,13 +239,21 @@ def test_no_quad_and_modes_floor_exit_two(tmp_path, capsys, argv, config, messag
         (("ktheory", "--m", "1", "--n", "1", "--hbar=-inf"), None,
          "--hbar must be finite, got -inf"),
         (("ktheory", "--m", "1", "--n", "1"), "hbar = nan", "--hbar must be finite"),
+        (("sweep", "--hbars", "0.3,abc"), None, "--hbars item 'abc' is not a number"),
+        (("sweep", "--hbars", "0.3,1j"), None, "--hbars item '1j' is not a number"),
+        (("zeta", "--f", "one", "--s-list", "2,x"), None, "--s-list item 'x' is not a number"),
+        (("zeta", "--f", "fourier", "--coeffs", "1,a", "--s-list", "2"), None,
+         "--coeffs item 'a' is not a number"),
+        (("zeta", "--f", "one"), "s-list = 2,x", "--s-list item 'x' is not a number"),
     ],
     ids=["zeta-n-modes-0", "zeta-n-modes-neg", "config-n-modes-0", "pair-zeta-modes-0",
          "sweep-zeta-modes-neg", "config-zeta-modes-0", "heat-kernel-samples-0",
          "mean-xmax-neg", "mean-xmax-0", "config-xmax-neg",
          "heat-kernel-t-nan", "heat-kernel-range-nan", "zeta-s-list-nan", "zeta-alpha-nan",
          "zeta-coeffs-inf", "mean-xmax-nan", "rieffel-hbar-nan", "rieffel-hbar-inf",
-         "pair-hbar-nan", "sweep-hbars-nan", "ktheory-hbar-inf", "config-hbar-nan"],
+         "pair-hbar-nan", "sweep-hbars-nan", "ktheory-hbar-inf", "config-hbar-nan",
+         "sweep-hbars-malformed", "sweep-hbars-complex", "zeta-s-list-malformed",
+         "zeta-coeffs-malformed", "config-s-list-malformed"],
 )
 def test_bad_counts_and_lengths_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -1,16 +1,23 @@
 """Byte-exact golden outputs of the README command-line examples.
 
 Each case runs ``nctorus.cli.main`` in-process and compares its stdout with
-a file under ``tests/golden/``.  All eight README examples are pinned in
+a file under ``tests/golden/``.  All nine README examples are pinned in
 CSV and in JSON; the JSON of ``pair`` and ``sweep`` prints every digit of
 the three routes, closed form, local formula and operator index.
 
-The ``zeta_one`` and ``zeta_fourier`` goldens were re-captured when the
-diagonals of periodic weights became closed-form (Laguerre) instead of a
-quadrature stream: their values moved in the 12th-13th digits onto the
-exact ones, pi^2/8 for ``zeta_one`` and a 40-digit mpmath sum for
-``zeta_fourier``, which ``tests/test_heatzeta.py`` pins within 1e-14
-relative.  Every other golden was unchanged.
+The ``zeta_one`` and ``zeta_fourier`` goldens were re-captured twice.
+First when the diagonals of periodic weights became closed-form (Laguerre)
+instead of a quadrature stream.  Then when periodic weights on the
+diagonal moved from the 2000-mode eigen-sum onto the Mellin integral of
+their Mehler heat trace: ``zeta_fourier``'s values moved in the 5th-6th
+digits (5.64666475217474 to 5.64664030985796 at s = 1.1, 50.6364049044733
+to 50.6363533076787 at s = 1.01), the eigen-sum's truncation error, and its
+error estimates from 0.058 and 1.2 to 3.1e-11; ``zeta_one``'s value kept
+its digits and its estimate became 0; the JSON ``method`` of both reads
+``heat_mellin``.  ``zeta_cos`` pins the values left of s = 1, where the
+eigen-sum printed 14.34 and 3.6e-3.  ``tests/test_heatzeta.py`` holds all
+three within 1e-14 relative of 30-digit mpmath quadratures of the Mehler
+closed form (pi^2/8 for ``zeta_one``).  Every other golden was unchanged.
 
 The files were captured with Python 3.11.7, numpy 2.4.6 and mpmath 1.3.0.
 The library does not import scipy, so the goldens do not depend on it.
@@ -33,6 +40,7 @@ EXAMPLES = {
     "pair": "pair --hbar 0.7 --modes 400",
     "zeta_one": "zeta --f one --alpha 0 --s-list 2",
     "zeta_fourier": "zeta --f fourier --coeffs 1,1 --s-list 1.1,1.01",
+    "zeta_cos": "zeta --f cos --s-list=-0.5,0.5",
     "mean": "mean --f arctan --xmax 32",
     "heat_kernel": "heat-kernel --t 0.5 --range 4 --samples 81",
     "ktheory": "ktheory --m 0 --n 1 --hbar 0.3 --b 2",

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -204,7 +205,7 @@ def test_periodic_weight_is_evaluated_once():
 
     f = RealLineFunction.periodic_fn(func, 1.0)
     period_mean(f)
-    spectral_diagonals(f, 50)
+    zeta_trace(f, 0.0, 1.5)
     heat_trace_weighted(f, 0.3, 0.5)
     dixmier_limit(f)
     zeta_trace(f, 0.5, 1.5)
@@ -237,7 +238,7 @@ def test_fourier_record_mean_is_the_exact_fsum(func):
 
 def test_zeta_at_two_is_odd_series():
     ev = zeta_trace(ONE, 0.0, 2.0, n_modes=300)
-    assert ev.method == "eigen_sum_tail"
+    assert ev.method == "heat_mellin"
     assert abs(ev.value - np.pi ** 2 / 8.0) < 1e-8
 
 
@@ -272,97 +273,160 @@ def _fine_diagonals(coefficient, n_modes):
 
 
 def test_spectral_diagonals_of_bump_match_fine_quadrature():
+    # kept name: periodic weights have no spectral diagonals now, and the
+    # same Laguerre closed form serves the diagonals of algebra elements
     bump = rieffel_projection(0.3).coefficient(0)
-    f = RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)
-    d = spectral_diagonals(f, 600)
-    assert d.dtype == np.float64
+    d = oscillator.algebra_diagonals(AlgebraElement(0.3, {0: bump}), 600).real
     assert np.abs(d - _fine_diagonals(bump, 600)).max() < 1e-10
 
 
 def test_spectral_diagonals_of_one_are_exactly_one():
-    d = spectral_diagonals(ONE, 2000)
-    assert d.dtype == np.float64 and (d == 1.0).all()
+    # kept name: the unit weight's zeta values are the odd zeta to the bit
+    # on the Mellin route, and a periodic weight has no spectral diagonals
+    for s in (2.0, 1.5, 0.5, -1.0, 1.2 + 3j):
+        ev = zeta_trace(ONE, 0.0, s)
+        assert ev.value == heatzeta._odd_zeta(complex(s)) and ev.error_estimate == 0.0
+    with pytest.raises(ValueError, match="Mellin route"):
+        spectral_diagonals(ONE, 2000)
 
 
-def test_spectral_table_is_reused(monkeypatch):
-    calls = []
+def _mehler_mellin_reference(coeffs, s, period=1.0):
+    """Tr(f H^-s) of f = sum_k c_k e^{2 pi i k x / P}, coeffs = {k: c_k}, 30 digits.
 
-    def counted(y, n_modes):
-        calls.append(n_modes)
-        return laguerre_rows(y, n_modes)
+    By Mehler's formula the heat trace of f is
+    sum_k c_k e^{-(pi k / P)^2 coth t} / (2 sinh t), so the value is
+    c_0 (1 - 2^-s) zeta(s) plus 1/Gamma(s) times the Mellin integral of the
+    other modes' trace, by ``mpmath.quad``.
+    """
+    with mpmath.workdps(30):
+        s, period = mpmath.mpmathify(s), mpmath.mpf(period)
+        rest = {}
+        for k, c in coeffs.items():
+            if k:
+                xi2 = (mpmath.pi * k / period) ** 2
+                rest[xi2] = rest.get(xi2, 0) + mpmath.mpmathify(c)
 
-    laguerre_rows = oscillator._laguerre_rows
-    monkeypatch.setattr(oscillator, "_laguerre_rows", counted)
-    heatzeta._fourier_table.cache_clear()
-    first = spectral_diagonals(ONE_PLUS_COS, 123)
-    assert calls == [123]
-    assert np.abs(spectral_diagonals(COS, 123) + 1.0 - first).max() < 1e-15
-    assert calls == [123]
+        def integrand(t):
+            ct = mpmath.coth(t)
+            modes = mpmath.fsum(c * mpmath.exp(-xi2 * ct) for xi2, c in rest.items())
+            return t ** (s - 1) * modes / (2 * mpmath.sinh(t))
+
+        a = (mpmath.pi / period) ** 2
+        breaks = sorted({mpmath.mpf(0), a / 16, a / 4, a, mpmath.mpf(1), mpmath.mpf(4),
+                         mpmath.mpf(16), mpmath.mpf(64)}) + [mpmath.inf]
+        value = mpmath.quad(integrand, breaks) * mpmath.rgamma(s) if rest else 0
+        if coeffs.get(0, 0):
+            value += coeffs[0] * (1 - 2 ** (-s)) * mpmath.zeta(s)
+        return complex(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_diagonals(k, n_modes=2000):
+    """e^{-y/2} L_n(y), y = 2 pi^2 k^2, n < n_modes, 40 digits: diagonals of e^{2 pi i k x}."""
+    with mpmath.workdps(40):
+        y = 2 * mpmath.pi ** 2 * k * k
+        prev, cur, rows = mpmath.mpf(0), mpmath.exp(-y / 2), []
+        for n in range(n_modes):
+            rows.append(cur)
+            prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
+        return rows
+
+
+def _laguerre_references(coeffs, s_values, n_modes=2000):
+    """The n_modes-mode eigen-sum of sum_k c_k e^{2 pi i k x} with its mean tail, 40 digits.
+
+    At each s, c_0 (1 - 2^-s) zeta(s) + sum_{n < n_modes} d_n (2n+1)^-s,
+    with the exact diagonals d_n of the modes k != 0: the sum the retired
+    eigen-sum route approximated.
+    """
+    with mpmath.workdps(40):
+        d = [mpmath.fsum(mpmath.mpmathify(c) * _laguerre_diagonals(abs(k), n_modes)[n]
+                         for k, c in coeffs.items() if k)
+             for n in range(n_modes)]
+        out = []
+        for s in map(mpmath.mpmathify, s_values):
+            total = mpmath.fdot(d, [(2 * n + 1) ** (-s) for n in range(n_modes)])
+            out.append(complex(total + coeffs.get(0, 0) * (1 - 2 ** (-s)) * mpmath.zeta(s)))
+        return out
 
 
 @pytest.mark.parametrize("alpha", [0.0])
 def test_spectral_diagonals_period_two_pi_match_quadrature(alpha):
-    sin_fn = RealLineFunction.periodic_fn(lambda x: np.sin(np.asarray(x)), 2 * np.pi)
-    d = spectral_diagonals(sin_fn, 600)
-    assert np.abs(d - heatzeta.diagonal_elements([(sin_fn, alpha)], 600)[0]).max() < 1e-12
-
-
-def _odd_zeta_plus_laguerre_reference(s, y, n_modes=2000):
-    """(1 - 2^-s) zeta(s) + sum_{n < n_modes} e^{-y/2} L_n(y) (2n+1)^-s, 40 digits."""
-    with mpmath.workdps(40):
-        s, y = mpmath.mpf(s), mpmath.mpf(y)
-        prev, cur, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
-        for n in range(n_modes):
-            total += cur * (2 * n + 1) ** (-s)
-            prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
-        return float(mpmath.exp(-y / 2) * total + (1 - 2 ** (-s)) * mpmath.zeta(s))
+    # kept name: 1 + cos x, period 2 pi, on the Mellin route (47 nodes)
+    f = RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(np.asarray(x)), 2 * np.pi)
+    for s in (1.5, 1.01, 0.5, -0.5, 0.5 + 3j):
+        ev = zeta_trace(f, alpha, s)
+        assert ev.method == "heat_mellin"
+        expected = _mehler_mellin_reference({0: 1.0, -1: 0.5, 1: 0.5}, s, 2 * np.pi)
+        assert abs(ev.value - expected) <= 1e-14 * abs(expected)
 
 
 def test_zeta_goldens_match_mpmath_reference():
-    # the values of tests/golden/zeta_one.* and zeta_fourier.*
+    # the values of tests/golden/zeta_one.*, zeta_fourier.* and zeta_cos.*
     assert zeta_trace(ONE, 0.0, 2.0).value == pytest.approx(np.pi ** 2 / 8.0, rel=1e-14)
-    for s in (1.1, 1.01):
+    one_plus_cos = {0: 1.0, -1: 0.5, 1: 0.5}
+    # the error estimates the eigen-sum route printed in the old zeta_fourier golden
+    s_values, eigen_sum_errors = (1.1, 1.01), (0.0576, 1.21)
+    for s, eigen_sum_error, eigen_sum in zip(s_values, eigen_sum_errors,
+                                             _laguerre_references(one_plus_cos, s_values)):
         ev = zeta_trace(ONE_PLUS_COS, 0.0, s)
+        assert ev.value.imag == 0.0 and ev.residue_at_1 == 0.5
+        expected = _mehler_mellin_reference(one_plus_cos, s)
+        assert ev.value.real == pytest.approx(expected.real, rel=1e-14)
+        assert abs(ev.value - eigen_sum) < eigen_sum_error
+    for s in (-0.5, 0.5):
+        ev = zeta_trace(COS, 0.0, s)
+        expected = _mehler_mellin_reference({-1: 0.5, 1: 0.5}, s)
+        assert ev.value.real == pytest.approx(expected.real, rel=1e-14)
         assert ev.value.imag == 0.0
-        expected = _odd_zeta_plus_laguerre_reference(s, 2.0 * np.pi ** 2)
-        assert ev.value.real == pytest.approx(expected, rel=1e-14)
 
 
-# (value.real, value.imag, error_estimate) of zeta_trace(f, 0, s) and the
-# residue_by_extrapolation of f, as float.hex, from before the Gaussian
-# averages of periodic weights moved onto their Fourier record
-UNCHANGED_EIGEN_SUMS = {
-    "one": ([("0x1.f4a2a2df83fd8p+8", "0x0.0p+0", "0x1.040b3898b20cfp-12"),
-             ("0x1.b052a73370761p+0", "0x0.0p+0", "0x1.095edea0bf203p-18"),
-             ("0x1.3bd3cc9be45dep+0", "0x0.0p+0", "0x1.0c91d96fe4034p-24"),
-             ("0x1.b3ac846a0f261p-1", "0x1.d7b83470eaa8ap-4", "0x1.8f584fc197e36p-15")],
-            "0x1.fffffebedb766p-2"),
-    "1+cos": ([("0x1.f4a2a72f93d0cp+8", "0x0.0p+0", "0x1.a2b661f50906fp+3"),
-               ("0x1.b053e07f1f5efp+0", "0x0.0p+0", "0x1.b9c5084a8ba19p-12"),
-               ("0x1.3bd577dcb9636p+0", "0x0.0p+0", "0x1.c36155f07426ap-19"),
-               ("0x1.b3b3a25ed7b59p-1", "0x1.d82badfcd8086p-4", "0x1.cfc5ed4effce5p-11")],
-              "0x1.fffffed7b7bc4p-2"),
-    "bump": ([("0x1.2c61957fa57ddp+7", "0x0.0p+0", "0x1.68acf445f9fd1p+1"),
-              ("0x1.03652ab169ce7p-1", "0x0.0p+0", "0x1.7dcec054922d5p-14"),
-              ("0x1.7aff372f2ce8fp-2", "0x0.0p+0", "0x1.8763d7592459ap-21"),
-              ("0x1.0569782185742p-2", "0x1.1b2c1944816cep-5", "0x1.9726faa85d2cfp-13")],
-             "0x1.33333275015e0p-3"),
+# the error estimates of the retired on-diagonal eigen-sum of each weight at
+# s = 1.001, 1.5, 2 and 1.2 + 3i (rounded down), which bound its distance
+# from the exact 2000-mode sum
+EIGEN_SUM_ERRORS = {
+    "one": (2.47e-4, 3.95e-6, 6.25e-8, 4.76e-5),
+    "1+cos": (13.0, 4.21e-4, 3.36e-6, 8.84e-4),
+    "bump": (2.81, 9.10e-5, 7.29e-7, 1.94e-4),
 }
 
 
-@pytest.mark.parametrize("name", sorted(UNCHANGED_EIGEN_SUMS))
+@pytest.mark.parametrize("name", sorted(EIGEN_SUM_ERRORS))
 def test_eigen_sum_values_are_bit_identical(p03, name):
+    # kept name: the values the eigen-sum route pinned to the bit now come
+    # from the Mellin route and match a 30-digit quadrature of the Mehler
+    # closed form; the 40-digit 2000-mode sum stays within the old estimates
     bump = p03.coefficient(0)
     f = {"one": ONE, "1+cos": ONE_PLUS_COS,
          "bump": RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)}[name]
-    values, residue = UNCHANGED_EIGEN_SUMS[name]
-    for s, expected in zip((1.001, 1.5, 2.0, 1.2 + 3j), values):
+    if name == "bump":
+        # the modes |k| <= 8 of its Fourier record: the ones its Gaussian
+        # averages keep at P = 1
+        c = heatzeta._fourier_record(f)[1]
+        coeffs = {k: complex(c[k]) for k in range(-8, 9)}
+    else:
+        coeffs = {"one": {0: 1.0}, "1+cos": {0: 1.0, -1: 0.5, 1: 0.5}}[name]
+    s_values = (1.001, 1.5, 2.0, 1.2 + 3j)
+    for s, eigen_sum_error, eigen_sum in zip(s_values, EIGEN_SUM_ERRORS[name],
+                                             _laguerre_references(coeffs, s_values)):
         ev = zeta_trace(f, 0.0, s)
-        got = (ev.value.real.hex(), ev.value.imag.hex(), float(ev.error_estimate).hex())
-        assert got == expected, s
+        expected = _mehler_mellin_reference(coeffs, s)
+        assert abs(ev.value - expected) <= 1e-14 * abs(expected), s
+        assert abs(ev.value - eigen_sum) < eigen_sum_error, s
         assert ev.residue_at_1 == {"one": 0.5, "1+cos": 0.5, "bump": 0.14999999999999988}[name]
     r = residue_by_extrapolation(f)
-    assert (r.real.hex(), r.imag) == (residue, 0.0)
+    assert abs(r - ev.residue_at_1) < 1e-7 and r.imag == 0.0
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, -2.0])
+def test_zeta_at_gamma_poles(s):
+    # 1/Gamma is entire and vanishes here: off the diagonal the zeta
+    # function is 0, on it only the mean's odd zeta is left
+    for f in (ONE, ONE_PLUS_COS):
+        ev = zeta_trace(f, 0.5, s)
+        assert ev.value == 0.0 and ev.error_estimate == 0.0
+        assert zeta_trace(f, 0.0, s).value == heatzeta._odd_zeta(complex(s))
+    assert zeta_trace(ONE, 0.0, -1).value == 1.0 / 12.0
 
 
 def test_zeta_residue_extrapolation_constant():
@@ -370,19 +434,18 @@ def test_zeta_residue_extrapolation_constant():
     assert abs(res - 0.5) < 1e-4
 
 
-def test_residue_reuses_its_power_tables():
-    # the (2n+1)^{-s} tables depend on s only: a fresh weight object adds no miss
-    def weight():
-        return RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(2 * np.pi * x), 1.0)
+def test_periodic_residue_takes_one_weighted_trace(monkeypatch):
+    # the three Mellin values share one trace on the 29 on-diagonal nodes
+    calls = []
 
-    first = residue_by_extrapolation(weight())
-    before = heatzeta._odd_powers.cache_info()
-    second = residue_by_extrapolation(weight())
-    after = heatzeta._odd_powers.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 3
-    assert _bits(second) == _bits(first)
-    powers, _ = heatzeta._odd_powers(2000, complex(1.1))
-    assert not powers.flags.writeable
+    def counted(f, alpha, t):
+        calls.append(np.size(t))
+        return heat_trace_weighted(f, alpha, t)
+
+    monkeypatch.setattr(heatzeta, "heat_trace_weighted", counted)
+    f = RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(2 * np.pi * x), 1.0)
+    assert abs(residue_by_extrapolation(f) - 0.5) < 1e-7
+    assert calls == [29]
 
 
 def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():
@@ -619,9 +682,9 @@ def test_entire_check_takes_one_weighted_trace(monkeypatch):
     for ev in report.evaluations:
         terms = np.exp(ev.s * v) * trace
         fine, coarse = 0.2 * terms.sum(), 0.4 * terms[::2].sum()
-        g = complex(mpmath.gamma(ev.s))
-        assert _bits(ev.value) == _bits(fine / g)
-        assert ev.error_estimate == abs(fine - coarse) / abs(g)
+        rg = complex(mpmath.rgamma(ev.s))
+        assert _bits(ev.value) == _bits(fine * rg)
+        assert ev.error_estimate == abs(fine - coarse) * abs(rg)
 
 
 def test_entire_check_large_shift_suppression():

@@ -143,3 +143,12 @@ def test_trace_values_always_members(rng):
 def test_kclass_requires_integers():
     with pytest.raises(TypeError):
         KClass(0.5, 1)
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_hbar_raises(hbar):
+    x = KClass(0, 1)
+    for call in (lambda: k_pairing(x, hbar), lambda: trace_value(x, hbar),
+                 lambda: gap_label_witness(0.3, hbar), lambda: in_gap_label_group(0.3, hbar)):
+        with pytest.raises(ValueError, match="hbar must be finite"):
+            call()
