@@ -29,9 +29,11 @@ limit and the mean-subtracted antiderivative map complete the calculus.
 
 Each quantity that several calls read is computed once and cached in
 memory, never keyed on a weight's callable: the Fourier record per weight
-object, the odd zeta and 1/Gamma values per s, and the weighted traces on
+object, the odd zeta and 1/Gamma values per s, the weighted traces on
 the Mellin nodes for the last two (weight object, alpha)
-(``_mellin_trace``).  Cached arrays are read-only.
+(``_mellin_trace``), and the quadrature diagonals of a limit-type or
+generic weight for the last two (weight object, n_modes)
+(``spectral_diagonals``).  Cached arrays are read-only.
 
 Every other integral is a fixed rule, exponentially accurate for its
 integrand class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is
@@ -297,13 +299,14 @@ def _rgamma(s):
 
 @lru_cache(maxsize=64)
 def _fourier_record(f):
-    """The Fourier record (mean, c, real) of a periodic weight, cached per function object.
+    """The Fourier record (mean, c, real, sup) of a periodic weight, cached per function object.
 
     f is evaluated once, at the ``DEFAULT_SAMPLES`` points
     period * j / DEFAULT_SAMPLES.  mean is the ``math.fsum`` trapezoid mean
     of those samples, c their FFT divided by ``DEFAULT_SAMPLES`` (read-only,
-    in numpy's order: mode k at index k mod DEFAULT_SAMPLES), and real
-    whether every sample is real.  The samples themselves are not kept.
+    in numpy's order: mode k at index k mod DEFAULT_SAMPLES), real whether
+    every sample is real and sup the largest sample magnitude, the scale of
+    the mean's rounding.  The samples themselves are not kept.
 
     The correctly rounded sums run over Python lists of the parts, which
     ``math.fsum`` reads faster than numpy arrays.  The imaginary sum is
@@ -318,7 +321,7 @@ def _fourier_record(f):
     mean = complex(math.fsum(vals.real.tolist()), im) / DEFAULT_SAMPLES
     c = np.fft.fft(vals) / DEFAULT_SAMPLES
     c.flags.writeable = False
-    return mean, c, real
+    return mean, c, real, float(np.abs(vals).max())
 
 
 def period_mean(f):
@@ -332,20 +335,24 @@ def period_mean(f):
     return _fourier_record(f)[0]
 
 
+@lru_cache(maxsize=2)
 def spectral_diagonals(f, n_modes):
     """Diagonal elements int f(x) psi_n(x)^2 dx, n < n_modes, of a limit-type or generic f.
 
     These feed the on-diagonal eigen-sum of ``zeta_trace``, by the
-    quadrature stream of ``oscillator.diagonal_elements``.  A periodic f
-    raises ValueError: its zeta values are Mellin integrals of its heat
-    trace and need no diagonals, and the fixed grid of ``diagonal_elements``
-    would alias its modes.  n_modes < 1 raises ValueError.
+    quadrature stream of ``oscillator.diagonal_elements``.  The read-only
+    result is cached for the last two (weight object, n_modes), as
+    ``_mellin_trace`` is, so the values of one weight at several s share
+    one stream.  A periodic f raises ValueError: its zeta values are Mellin
+    integrals of its heat trace and need no diagonals, and the fixed grid
+    of ``diagonal_elements`` would alias its modes.  n_modes < 1 raises
+    ValueError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     if f.kind == "periodic":
         raise ValueError("a periodic weight's zeta values take the Mellin route")
-    return diagonal_elements([(f, 0.0)], n_modes)[0]
+    return _read_only(diagonal_elements([(f, 0.0)], n_modes)[0])[0]
 
 
 def _tail_mean(f):
@@ -420,6 +427,12 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     subtracted (``_mellin_trace``) and its transform c_0 (1 - 2^{-s}) zeta(s)
     added in closed form; the rest decays like e^{-a/t} with a = (pi/P)^2,
     so it is entire too, and ``residue_at_1`` is ``residue_at_1(f)`` = c_0/2.
+    At s = 1 itself the odd zeta has its pole: a weight with
+    |c_0| <= eps max|samples| (the largest sample magnitude of its Fourier
+    record), whose mean is zero up to the rounding of its samples, as
+    cos 2 pi x's fsum mean of -1.9e-17 is, has an entire zeta function and
+    the c_0 term is dropped; any other weight raises ValueError naming
+    s = 1 and the residue c_0/2.
     In v = log t the integrand decays double-exponentially as v -> -inf and
     exponentially in t, so it is one uniform trapezoid of step 0.2 from
     t = a/40 (factor e^{-40}) to t = 60: 36-77 nodes for alpha in
@@ -471,8 +484,13 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     rg = _rgamma(s)
     value, residue = fine * rg, 0.0
     if alpha == 0.0:
-        # the transform of the mean's trace that _mellin_trace subtracted
-        value += period_mean(f) * _odd_zeta(s)
+        mean, _, _, sup = _fourier_record(f)
+        if s != 1.0:
+            # the transform of the mean's trace that _mellin_trace subtracted
+            value += mean * _odd_zeta(s)
+        elif abs(mean) > np.finfo(float).eps * sup:
+            raise ValueError(f"the zeta function has a pole at s = 1, with residue "
+                             f"c_0/2 = {mean / 2.0:.6g}")
         residue = residue_at_1(f)
     return ZetaEvaluation(s, value, residue, abs(fine - coarse) * abs(rg), "heat_mellin")
 
@@ -595,7 +613,7 @@ def _gaussian_average(f, u, center=0.0):
     u = np.asarray(u, dtype=float)
     if f.kind != "periodic":
         return np.array([_rule_average(f, v, center) for v in u.ravel()]).reshape(u.shape)
-    _, c, real = _fourier_record(f)
+    _, c, real, _ = _fourier_record(f)
     kmax = min(int(_GAUSS_MODES * f.period), DEFAULT_SAMPLES // 2 - 1)
     k = np.arange(-kmax, kmax + 1)
     xi = (np.pi / f.period) * k

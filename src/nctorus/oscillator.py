@@ -196,7 +196,7 @@ def ladder_matrices(basis):
     return a, a.T, h, d, grading
 
 
-def _section(terms, basis):
+def _section(terms, basis, parity_blocks=False):
     """Sum over (shift s, f) of the quadrature matrices of f psi_j psi_k(. - s).
 
     One grid serves every term: u = h (-J..J) with the basis spacing h,
@@ -215,6 +215,11 @@ def _section(terms, basis):
     Each f maps the points x to its values there.  Weights below
     ``SUBNORMAL_FLOOR`` are dropped, as in ``hermite_rows``: every term of
     right is a product of a kept weight and a kept Hermite value.
+
+    With parity_blocks, only the two same-parity blocks, rows and columns
+    p, p + 2, ... for p = 0 and 1, are computed, as the list of the GEMMs
+    left[p::2] @ right[p::2].T: half the flops of the whole section.  The
+    sign of a negative centre cancels in such a block.
     """
     n, h = basis.n_modes, basis.weight
     shifts = [s for s, _ in terms]
@@ -238,6 +243,7 @@ def _section(terms, basis):
         factors.append((table(-r)[:, ::-1], True) if r < 0 else (table(r), False))
         values.append(h * np.broadcast_to(f(x), x.shape))
     parts = [np.real] + ([np.imag] if any(np.iscomplexobj(v) for v in values) else [])
+    blocks = [slice(0, None, 2), slice(1, None, 2)] if parity_blocks else [slice(None)]
     right = np.empty((n, u.size))
     sections = []
     for part in parts:
@@ -247,15 +253,18 @@ def _section(terms, basis):
             if w.any():
                 kept.append((rows, w, -w if odd_flips else w))
         if not kept:
-            sections.append(np.zeros((n, n)))
+            sections.append([np.zeros((len(range(n)[b]),) * 2) for b in blocks])
             continue
         (first, even, odd), rest = kept[0], kept[1:]
         for k in range(n):
             acc = np.multiply(first[k], odd if k & 1 else even, out=right[k])
             for rows, w, w_odd in rest:
                 acc += rows[k] * (w_odd if k & 1 else w)
-        sections.append(left @ right.T)
-    out = sections[0] if len(sections) == 1 else sections[0] + 1j * sections[1]
+        sections.append([left[b] @ right[b].T for b in blocks])
+    out = sections[0] if len(sections) == 1 else [re + 1j * im for re, im in zip(*sections)]
+    if parity_blocks:
+        return out
+    (out,) = out
     if sign < 0:
         out[1::2] *= -1.0
         out[:, 1::2] *= -1.0
@@ -337,6 +346,21 @@ def _band_function(k, c, real):
     return values
 
 
+def _terms(a, n_modes, centre=0.0):
+    """The (shift, values) terms of a's section, each coefficient read at x + centre.
+
+    The shift by a nonzero centre rotates each kept mode k by
+    e^{2 pi i k centre}; a coefficient with real samples stays real.
+    """
+    terms = []
+    for n, k, c in _bands(a, n_modes, "represent"):
+        if centre:
+            c = c * np.exp(2j * np.pi * centre * k)
+        terms.append((n * a.hbar,
+                      _band_function(k, c, not a.coefficient(n).samples.imag.any())))
+    return terms
+
+
 def represent(a, basis):
     """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis.
 
@@ -353,13 +377,25 @@ def represent(a, basis):
     real is a float64 array from one real GEMM; any complex coefficient
     makes it complex.
     """
-    terms = [
-        (n * a.hbar, _band_function(k, c, not a.coefficient(n).samples.imag.any()))
-        for n, k, c in _bands(a, basis.n_modes, "represent")
-    ]
+    terms = _terms(a, basis.n_modes)
     if not terms:
         return np.zeros((basis.n_modes, basis.n_modes))
     return _section(terms, basis)
+
+
+def _parity_sections(a, basis, centre):
+    """The two same-parity blocks of the section of a on the window centred at centre.
+
+    The window is psi_n(x - centre), n < N, and the blocks are its rows and
+    columns of parity p = 0 and 1 under the reflection x -> 2 centre - x.
+    Translating by centre turns this into the section of the element whose
+    coefficients are read at x + centre, so each kept Fourier mode is
+    rotated by e^{2 pi i k centre} (``_terms``): no new ``PeriodicFunction``
+    and no transform.  The blocks are the two same-parity GEMMs of
+    ``_section``, half the flops of ``represent``; a has at least one
+    degree.
+    """
+    return _section(_terms(a, basis.n_modes, centre), basis, parity_blocks=True)
 
 
 def diagonal_elements(weighted_shifts, n_modes):

@@ -23,25 +23,44 @@ degrees of the bump projection, maps real functions to real functions: its
 section and localizer are real symmetric, and their spectrum is computed as
 such.  A complex coefficient gives a complex Hermitian localizer.
 
+The bump projection is reflection symmetric: x -> 2c - x, with c the centre
+of its degree-0 bump, takes f[n] to f(2c - .)[-n] and leaves it unchanged.
+On the Hermite window centred at c the reflection acts on psi_n(x - c) by
+(-1)^n and sends D to -D, which the grading undoes, so the localizer
+commutes with the parity involution that pairs top-block modes of parity
+p with bottom-block modes of parity 1 - p.  ``fedosov_index`` then takes
+the signature and the gap from the two blocks, of sizes about N each,
+with one ``eigvalsh`` per block and only the same-parity blocks of the
+section: about a quarter of the eigenvalue flops and half the GEMM flops
+of the whole localizer.  The centre is read from the element (see
+``_reflection_centre``); any element whose reflection defect there exceeds
+``PROJECTION_TOL``, such as U e U*, takes the whole localizer on the
+window centred at 0.  The cross-parity entries the split drops are of the
+order of that defect (at most 4e-12 on the pools below at N = 200 and
+400), far under ``GAP_FLOOR``.  The window centred at c is the one of the
+translated operator D - c, a scalar perturbation of D, so the index is the
+same and only the gap moves: by at most 0.006 on the pools below.
+
 Measured margins (numpy 2.4 with OpenBLAS): over the bump projections with
 hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
 2.4, 2.6} at N = 300/400/500 and {-0.6, -0.4, -0.25, 0.3, 0.55, 1.3, 1.45,
-1.65, 2.4, 2.6} at N = 200, all 52 integers are -floor(hbar) and the
-smallest gap is 0.1504 (hbar 2.25, N = 300).  Off those sets, -0.75, 1.8
-and 2.75 at N = 300/400/500 and 0.45, 0.7 and 2.25 at N = 200 are right as
-well, with gaps of at least 0.131.
+1.65, 2.4, 2.6} at N = 200, all 52 integers are -floor(hbar), all from the
+two parity blocks, and the smallest gap is 0.1501 (hbar 2.25, N = 300).
+Off those sets, -0.75, 1.8 and 2.75 at N = 300/400/500 and 0.45, 0.7 and
+2.25 at N = 200 are right as well, with gaps of at least 0.131.
 
 The gap floor does not certify every integer.  Near integer frac(hbar) the
 window must resolve ramps of width min(frac, 1 - frac) / 3, and at N = 200
 the localizers of hbar 0.9, 1.9, 2.9, -1.1 and -2.1 all give the wrong
-integer 1, with gaps 0.139-0.167: above the floor, and up to 0.167, above
-the smallest verified gap.  So ``index_pairing`` compares the operator integer with the other
-two routes and raises ValueError when either differs from it by more than
-1/2; ``fedosov_index`` alone has no second route to compare with.
+integer 1, with gaps 0.139-0.168: above the floor, and up to 0.168, above
+the smallest verified gap.  So ``index_pairing`` compares the operator
+integer with the other two routes and raises ValueError when either
+differs from it by more than 1/2; ``fedosov_index`` alone has no second
+route to compare with.
 
 Domain: the gap closes as |hbar| grows at fixed N.  At N = 200 the hbar
 values 4.13, 5.21, 6.3, 6.88, 9.3, 9.78, 14.3 and 14.71 all raise (largest
-gap 0.078); at N = 400, 5.21, 6.3 and 9.3 are certified and the rest raise.
+gap 0.079); at N = 400, 5.21, 6.3 and 9.3 are certified and the rest raise.
 hbar = 1.2 at N = 200 raises too (gap 0.093).
 """
 
@@ -51,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    PROJECTION_TOL,
     AlgebraElement,
     _require_projection,
     chern_number,
@@ -59,7 +79,13 @@ from .algebra import (
     trace,
 )
 from .heatzeta import _intercept
-from .oscillator import HermiteBasis, algebra_diagonals, represent
+from .oscillator import (
+    HermiteBasis,
+    _parity_sections,
+    algebra_diagonals,
+    band_limit,
+    represent,
+)
 
 GAP_FLOOR = 0.1
 # smallest basis_size of fedosov_index, and so of the CLI's --modes
@@ -126,26 +152,92 @@ def character_degree2(a0, a1, a2):
     return a0.hbar / (2j * np.pi) * cyclic_cocycle(a0, a1, a2)
 
 
-def _localizer(e, n, kappa):
-    """The localizer of ``fedosov_index`` on n modes, from the nonnegative degrees of e.
+def _reflection_centre(e, kmax):
+    """The centre c about which e is reflection symmetric, and the defect there.
 
-    The blocks -(1 - 2 herm) = 2 herm - 1, its negative cut to n - 1 modes,
-    and kappa A, kappa A* are written straight into one (2n - 1)^2 array.
+    c = -arg(c_1) / 2 pi, with c_1 the first Fourier mode of the degree-0
+    coefficient: a coefficient even about c has c_1 = |c_1| e^{-2 pi i c}
+    when its mode 1 about c is positive, as the bump's is.  Reflection
+    about c takes f[n] to f(2c - .)[-n], so with every mode k phased by
+    e^{2 pi i k c} the defect is
+
+        sum_n sum_{|k| <= kmax} |c^(-n)_k - c^(n)_-k|
+
+    over the modes of the band that ``represent`` keeps.  Returns
+    (None, None) when e has no degree 0 or its c_1 is 0.
+    """
+    coeffs = dict(e.items())
+    f0 = coeffs.get(0)
+    if f0 is None or f0.coefficients[1] == 0:
+        return None, None
+    centre = -float(np.angle(f0.coefficients[1])) / (2.0 * np.pi)
+    phased = {}
+    for n, f in coeffs.items():
+        k, c, _ = f.band(kmax)
+        phased[n] = c * np.exp(2j * np.pi * centre * k)
+    defect = 0.0
+    for n, c in phased.items():
+        # the band is in FFT order, so mode -k sits at index -i mod size
+        mirror = c[-np.arange(c.size) % c.size]
+        defect += float(np.abs(phased.get(-n, 0.0) - mirror).sum())
+    return centre, defect
+
+
+def _symmetry(half):
+    """-(1 - 2 herm) = 2 (S + S^H) - 1 of a section block S."""
+    top = half + half.conj().T
+    top *= 2.0
+    diag = np.arange(top.shape[0])
+    top[diag, diag] -= 1.0
+    return top
+
+
+def _block(top, bottom, n, p, step, kappa):
+    """One block [[top, kappa A*], [kappa A, -bottom]] of the localizer on n modes.
+
+    Its top modes are p, p + step, ... < n and its bottom modes q, q + step,
+    ... < n - 1, q = (p + 1) mod step; top and bottom are -(1 - 2 herm) on
+    the modes p, p + step, ... < n and q, q + step, ... < n.  The lowering
+    operator A has sqrt(2k) at (k - 1, k), so it couples top mode k to
+    bottom mode k - 1.  step = 1 is the whole localizer; step = 2 is its
+    block of top parity p.
+    """
+    q = (p + 1) % step
+    nt, nb = top.shape[0], len(range(q, n - 1, step))
+    out = np.zeros((nt + nb, nt + nb), dtype=np.result_type(top, bottom))
+    out[:nt, :nt] = top
+    np.negative(bottom[:nb, :nb], out=out[nt:, nt:])
+    k = np.arange(p, n, step)
+    k = k[k > 0]
+    i, j = (k - p) // step, nt + (k - 1 - q) // step
+    out[i, j] = out[j, i] = kappa * np.sqrt(2.0 * k)
+    return out
+
+
+def _localizer(e, n, kappa):
+    """The localizer of ``fedosov_index`` on n modes, as a list of blocks.
+
+    Returns (blocks, centre, defect) from ``_reflection_centre``.  When e
+    is reflection symmetric about its centre within ``PROJECTION_TOL``, the
+    blocks are the two of top parity p = 0 and 1 on the Hermite window
+    centred there, from the same-parity blocks of the section
+    (``_parity_sections``); otherwise the one block is the whole localizer
+    on the window centred at 0, from ``represent``.  Either way the section
+    is of the nonnegative degrees of e.
     """
     upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
                                     for m, f in e.items() if m >= 0})
-    half = represent(upper, HermiteBasis(n))
-    out = np.zeros((2 * n - 1, 2 * n - 1), dtype=half.dtype)
-    top = out[:n, :n]
-    np.add(half, half.conj().T, out=top)
-    top *= 2.0
-    diag = np.arange(n)
-    top[diag, diag] -= 1.0
-    np.negative(top[:-1, :-1], out=out[n:, n:])
-    # the lowering operator A has sqrt(2k) at (k - 1, k): D = [[0, A*], [A, 0]]
-    k = diag[1:]
-    out[k, n + k - 1] = out[n + k - 1, k] = kappa * np.sqrt(2.0 * k)
-    return out
+    basis = HermiteBasis(n)
+    centre, defect = _reflection_centre(e, band_limit(n))
+    if defect is None or defect > PROJECTION_TOL:
+        top = _symmetry(represent(upper, basis))
+        return [_block(top, top, n, 0, 1, kappa)], centre, defect
+    tops = [_symmetry(half) for half in _parity_sections(upper, basis, centre)]
+    return [_block(tops[p], tops[1 - p], n, p, 2, kappa) for p in (0, 1)], centre, defect
+
+
+def _fmt(value):
+    return "none" if value is None else f"{value:.6g}"
 
 
 def fedosov_index(e, basis_size=400):
@@ -157,10 +249,18 @@ def fedosov_index(e, basis_size=400):
     matrix L = kappa D - Gamma (H + H) = [[-H, kappa A*], [kappa A, H]],
     kappa = 1 / sqrt(N), with the last lower-block row and column dropped:
     that mode's D^2 = 0 is a truncation artifact outside the window
-    |D|^2 <= 2(N - 1).  Its blocks are written into one (2N - 1)^2 array
-    (``_localizer``).  The index is
-    (Sig L + 1) / 2; the offset is minus Sig L at e = 0, where ker A is the
-    ground state, so e = 1 gives 1 and e = 0 gives 0 exactly.
+    |D|^2 <= 2(N - 1).  The index is (Sig L + 1) / 2; the offset is minus
+    Sig L at e = 0, where ker A is the ground state, so e = 1 gives 1 and
+    e = 0 gives 0 exactly.
+
+    Reflection condition: let c = -arg(c_1) / 2 pi, with c_1 the first
+    Fourier mode of e's degree-0 coefficient.  When c_1 != 0 and the
+    reflection defect of e about c (``_reflection_centre``) is at most
+    ``PROJECTION_TOL``, the window is the first N eigenfunctions
+    psi_n(x - c) and L splits into two blocks: top modes of parity p with
+    bottom modes of parity 1 - p, of sizes N - 1 and N (``_localizer``).
+    Sig L and the gap come from one ``eigvalsh`` per block.  Any other e
+    takes the window centred at 0 and one (2N - 1)^2 block, the whole L.
 
     e is self-adjoint (``_require_projection``, its defect memoised), so
     its degrees -n are the adjoints of its degrees n, and only the
@@ -169,17 +269,18 @@ def fedosov_index(e, basis_size=400):
     herm(P e P) is S + S^H.
 
     The smallest |eigenvalue| of L is its gap and the certificate of the
-    integer; one ``eigvalsh`` of L gives both.  A basis_size below
+    integer.  A basis_size below
     ``MIN_BASIS_SIZE`` raises ValueError, after the projection check.  When
     every coefficient of the nonnegative degrees has real samples, as for the
-    bump projection, ``represent`` returns a real section, so L is real
-    symmetric and numpy takes the real LAPACK routine; any complex
-    coefficient (U e U*, say) makes L complex Hermitian.  A gap below
-    ``GAP_FLOOR`` raises ValueError instead of returning a number.  Large
-    |hbar| at small N raises (see the module docstring for the measured
-    domain).  Each call logs N, kappa, the signature, the gap and the
-    localizer's dtype (spectrum=real or hermitian) at DEBUG on the
-    ``nctorus.pairing`` logger.
+    bump projection, the section is real, so L is real symmetric and numpy
+    takes the real LAPACK routine; any complex coefficient (U e U*, say)
+    makes L complex Hermitian.  A gap below ``GAP_FLOOR`` raises ValueError
+    instead of returning a number.  Large |hbar| at small N raises (see the
+    module docstring for the measured domain).  Each call logs N, kappa,
+    the number of blocks, the centre c and the reflection defect (none
+    when c_1 = 0), the signature, the gap and the localizer's dtype
+    (spectrum=real or hermitian) at DEBUG on the ``nctorus.pairing``
+    logger.
     """
     _require_projection(e)
     if basis_size < MIN_BASIS_SIZE:
@@ -188,13 +289,15 @@ def fedosov_index(e, basis_size=400):
         )
     n = int(basis_size)
     kappa = 1.0 / np.sqrt(n)
-    localizer = _localizer(e, n, kappa)
-    evals = np.linalg.eigvalsh(localizer)
+    blocks, centre, defect = _localizer(e, n, kappa)
+    evals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     signature = int(np.count_nonzero(evals > 0) - np.count_nonzero(evals < 0))
     gap = float(np.abs(evals).min())
-    spectrum = "hermitian" if np.iscomplexobj(localizer) else "real"
-    logger.debug("operator index: N=%d kappa=%.6g signature=%d gap=%.6g spectrum=%s",
-                 n, kappa, signature, gap, spectrum)
+    spectrum = "hermitian" if np.iscomplexobj(blocks[0]) else "real"
+    logger.debug("operator index: N=%d kappa=%.6g blocks=%d centre=%s "
+                 "reflection_defect=%s signature=%d gap=%.6g spectrum=%s",
+                 n, kappa, len(blocks), _fmt(centre), _fmt(defect), signature, gap,
+                 spectrum)
     if gap < GAP_FLOOR:
         raise ValueError(
             f"localizer gap {gap:.3g} is below the floor {GAP_FLOOR}: "

@@ -72,6 +72,20 @@ def test_zeta_at_gamma_poles_exits_zero(capsys):
     assert [row[2:] for row in rows] == [[0.0, 0.0, 0.0]] * 3
 
 
+def test_zeta_of_cos_at_one_exits_zero(capsys):
+    # cos has mean zero, so its zeta function is entire
+    code, out, _ = run_cli(capsys, "zeta", "--f", "cos", "--s-list", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][:2] == [1.0, 0.0] and np.isfinite(rows[0][2])
+
+
+def test_zeta_at_a_pole_exits_one(capsys):
+    code, out, err = run_cli(capsys, "zeta", "--f", "one", "--s-list", "1")
+    assert code == 1 and out == ""
+    assert "pole at s = 1, with residue c_0/2 = 0.5" in err
+
+
 def test_mean_arctan(capsys):
     code, out, _ = run_cli(capsys, "mean", "--f", "arctan", "--xmax", "32")
     assert code == 0

@@ -210,8 +210,8 @@ def test_periodic_weight_is_evaluated_once():
     dixmier_limit(f)
     zeta_trace(f, 0.5, 1.5)
     assert points == [heatzeta.DEFAULT_SAMPLES]
-    mean, c, real = heatzeta._fourier_record(f)
-    assert mean == 1.0 and real and not c.flags.writeable
+    mean, c, real, sup = heatzeta._fourier_record(f)
+    assert mean == 1.0 and real and sup == 2.0 and not c.flags.writeable
 
 
 def _bits(z):
@@ -228,7 +228,7 @@ def test_fourier_record_mean_is_the_exact_fsum(func):
     x = np.arange(heatzeta.DEFAULT_SAMPLES) / heatzeta.DEFAULT_SAMPLES
     vals = np.asarray(func(x), dtype=complex)
     expected = complex(math.fsum(vals.real), math.fsum(vals.imag)) / heatzeta.DEFAULT_SAMPLES
-    mean, _, real = heatzeta._fourier_record(RealLineFunction.periodic_fn(func, 1.0))
+    mean, _, real, _ = heatzeta._fourier_record(RealLineFunction.periodic_fn(func, 1.0))
     assert _bits(mean) == _bits(expected)
     assert real == (not vals.imag.any())
 
@@ -458,6 +458,45 @@ def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():
 def test_zeta_mean_zero_weight_has_no_pole():
     ev = zeta_trace(COS, 0.0, 1.001, n_modes=800)
     assert abs((1.001 - 1.0) * ev.value) < 1e-3
+
+
+def test_zeta_of_a_mean_zero_weight_is_finite_at_one():
+    # the fsum mean of cos's samples is -1.9e-17, rounding of the samples,
+    # so there is no pole: the value at s = 1 lies on the smooth curve
+    # through its neighbours, off their midpoint by the curvature term only
+    mean, _, _, sup = heatzeta._fourier_record(COS)
+    assert mean != 0.0 and abs(mean) <= np.finfo(float).eps * sup
+    below, at, above = (zeta_trace(COS, 0.0, s).value for s in (0.999, 1.0, 1.001))
+    assert below.real < at.real < above.real
+    assert abs(at - 0.5 * (below + above)) < 1e-6 * abs(at)
+    assert zeta_trace(COS, 0.0, 1.0).residue_at_1 == residue_at_1(COS)
+
+
+@pytest.mark.parametrize("f, residue", [(ONE, "0.5"), (ONE_PLUS_COS, "0.5")])
+def test_zeta_pole_at_one_raises_with_its_residue(f, residue):
+    with pytest.raises(ValueError, match=rf"pole at s = 1, with residue c_0/2 = {residue}"):
+        zeta_trace(f, 0.0, 1.0)
+
+
+def test_limit_weight_zeta_values_share_one_diagonal_stream(monkeypatch):
+    # the diagonals of the last two (weight, n_modes) are kept: the values
+    # at three s take one quadrature stream and keep their bits
+    f = RealLineFunction.with_limits(np.arctan, -np.pi / 2, np.pi / 2)
+    s_values = (1.5, 2.0, 3.0)
+    expected = [heatzeta._eigen_sum_tail(f, complex(s), oscillator.diagonal_elements(
+        [(f, 0.0)], 400)[0]).value for s in s_values]
+    calls = []
+
+    def counted(pairs, n_modes):
+        calls.append(n_modes)
+        return oscillator.diagonal_elements(pairs, n_modes)
+
+    monkeypatch.setattr(heatzeta, "diagonal_elements", counted)
+    values = [zeta_trace(f, 0.0, s, n_modes=400).value for s in s_values]
+    assert calls == [400]
+    assert [_bits(v) for v in values] == [_bits(v) for v in expected]
+    assert not spectral_diagonals(f, 400).flags.writeable
+    assert calls == [400]
 
 
 def _mellin_one_reference(alpha, s):

@@ -171,14 +171,44 @@ VERIFIED_POOL_200 = (-0.6, -0.4, -0.25, 0.3, 0.55, 1.3, 1.45, 1.65, 2.4, 2.6)
 
 @pytest.mark.parametrize("n", [200, 300, 400, 500])
 def test_verified_pool_margins(caplog, n):
-    # every integer is -floor(hbar), with gap at least 0.15 (smallest 0.1504)
+    # every integer is -floor(hbar), with gap at least 0.15 (smallest 0.1501),
+    # from the two reflection-parity blocks of the localizer
     caplog.set_level(logging.DEBUG, logger="nctorus.pairing")
     for hbar in VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL:
         caplog.clear()
         assert fedosov_index(rieffel_projection(hbar), basis_size=n) == -np.floor(hbar)
         (record,) = caplog.records
-        gap = float(re.search(r"gap=(\S+)", record.getMessage()).group(1))
-        assert gap >= 0.15, (n, hbar, gap)
+        fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+        assert fields["blocks"] == "2", (n, hbar)
+        assert float(fields["gap"]) >= 0.15, (n, hbar, fields["gap"])
+
+
+def _spectrum(blocks):
+    """The joint spectrum of the localizer's blocks, ascending."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+
+
+def _whole_localizer(e, n, kappa):
+    """The whole localizer on the window centred at 0, written into one
+    (2n - 1)^2 array: the reference for the blocks of ``pairing._localizer``."""
+    upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
+                                    for m, f in e.items() if m >= 0})
+    half = represent(upper, HermiteBasis(n))
+    out = np.zeros((2 * n - 1, 2 * n - 1), dtype=half.dtype)
+    top = out[:n, :n]
+    np.add(half, half.conj().T, out=top)
+    top *= 2.0
+    diag = np.arange(n)
+    top[diag, diag] -= 1.0
+    np.negative(top[:-1, :-1], out=out[n:, n:])
+    k = diag[1:]
+    out[k, n + k - 1] = out[n + k - 1, k] = kappa * np.sqrt(2.0 * k)
+    return out
+
+
+def _centred(e, centre):
+    """e with every coefficient read at x + centre."""
+    return AlgebraElement(e.hbar, {m: f.shift(-centre) for m, f in e.items()})
 
 
 @pytest.mark.parametrize("n", [200, 300, 400, 500])
@@ -187,12 +217,77 @@ def test_localizer_is_unmoved_by_a_denser_grid(monkeypatch, n):
     # grid the localizer's spectrum moves by rounding only
     pool = [rieffel_projection(h) for h in (VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL)]
     kappa = 1.0 / np.sqrt(n)
-    evals = [np.linalg.eigvalsh(pairing._localizer(e, n, kappa)) for e in pool]
+    evals = []
+    for e in pool:
+        blocks, _, _ = pairing._localizer(e, n, kappa)
+        assert len(blocks) == 2, (n, e.hbar)
+        evals.append(_spectrum(blocks))
     monkeypatch.setattr(pairing, "HermiteBasis", lambda m: refined(HermiteBasis(m)))
     for e, sparse in zip(pool, evals):
-        dense = np.linalg.eigvalsh(pairing._localizer(e, n, kappa))
+        dense = _spectrum(pairing._localizer(e, n, kappa)[0])
         assert np.sign(sparse).sum() == np.sign(dense).sum(), (n, e.hbar)
         assert np.abs(sparse - dense).max() < 1e-12, (n, e.hbar)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_parity_blocks_match_the_whole_localizer_of_the_centred_element(n):
+    # the bump is reflection symmetric about the centre of its degree-0
+    # bump, so on the window centred there the localizer splits into two
+    # parity blocks; the cross-parity entries dropped are at rounding level
+    kappa = 1.0 / np.sqrt(n)
+    for hbar in VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL:
+        e = rieffel_projection(hbar)
+        blocks, centre, defect = pairing._localizer(e, n, kappa)
+        frac = hbar - np.floor(hbar)
+        assert abs(centre - (frac + min(frac, 1.0 - frac) / 3.0) / 2.0) < 1e-12
+        assert len(blocks) == 2 and defect <= algebra.PROJECTION_TOL, (n, hbar, defect)
+        assert [b.shape[0] for b in blocks] == [n - 1, n]
+        whole = np.linalg.eigvalsh(_whole_localizer(_centred(e, centre), n, kappa))
+        diff = np.abs(_spectrum(blocks) - whole).max()
+        assert diff < 1e-12, (n, hbar, diff)
+
+
+def _perturbed_bump(hbar):
+    """The bump with 1e-6 added to its degree -1 coefficient."""
+    e = rieffel_projection(hbar)
+    coeffs = dict(e.items())
+    coeffs[-1] = coeffs[-1] + 1e-6
+    return AlgebraElement(hbar, coeffs)
+
+
+def _conjugated_bump(hbar):
+    u = AlgebraElement.circle_generator(hbar)
+    return multiply(multiply(u, rieffel_projection(hbar)), adjoint(u))
+
+
+@pytest.mark.parametrize("element", [_conjugated_bump, _perturbed_bump])
+@pytest.mark.parametrize("hbar", [0.3, 1.3])
+def test_parity_fallback_takes_the_whole_localizer_bit_identically(element, hbar):
+    # without reflection symmetry the one block is the whole localizer on
+    # the window centred at 0, with the bits it had before the split
+    n = 200
+    kappa = 1.0 / np.sqrt(n)
+    e = element(hbar)
+    (block,), centre, defect = pairing._localizer(e, n, kappa)
+    assert centre is not None and defect > algebra.PROJECTION_TOL
+    whole = _whole_localizer(e, n, kappa)
+    assert block.dtype == whole.dtype
+    evals, expected = np.linalg.eigvalsh(block), np.linalg.eigvalsh(whole)
+    assert np.array_equal(evals.view(np.uint64), expected.view(np.uint64))
+
+
+def test_parity_path_logs_blocks_centre_and_defect(caplog):
+    caplog.set_level(logging.DEBUG, logger="nctorus.pairing")
+    for e, blocks in ((rieffel_projection(2.25), "2"), (_conjugated_bump(2.25), "1")):
+        caplog.clear()
+        assert fedosov_index(e, basis_size=300) == -2
+        (record,) = caplog.records
+        fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+        assert fields["blocks"] == blocks
+        # frac + eps = 0.25 + 0.25 / 3, halved
+        assert abs(float(fields["centre"]) - 1.0 / 6.0) < 1e-6
+        defect = float(fields["reflection_defect"])
+        assert (defect <= algebra.PROJECTION_TOL) == (blocks == "2"), defect
 
 
 def test_real_localizer_runs_one_hermite_recurrence(monkeypatch):
@@ -281,13 +376,18 @@ def test_fedosov_invariant_under_unitary_conjugation(caplog, hbar, expected):
     assert gap >= GAP_FLOOR
 
 
-@pytest.mark.parametrize("conjugate, dtype", [(False, np.float64), (True, np.complex128)])
-def test_fedosov_takes_one_spectrum_of_the_localizer(monkeypatch, conjugate, dtype):
+@pytest.mark.parametrize("conjugate, dtype, sizes", [
+    (False, np.float64, [199, 200]),
+    (True, np.complex128, [399]),
+], ids=["False-float64", "True-complex128"])
+def test_fedosov_takes_one_spectrum_of_the_localizer(monkeypatch, conjugate, dtype, sizes):
+    # one eigvalsh per block: the bump's two parity blocks of sizes N - 1
+    # and N, or the whole (2N - 1)^2 localizer of U e U*
     eigvalsh = np.linalg.eigvalsh
     seen = []
 
     def spy(a, *args, **kwargs):
-        seen.append(a.dtype)
+        seen.append((a.dtype, a.shape[0]))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
@@ -296,22 +396,24 @@ def test_fedosov_takes_one_spectrum_of_the_localizer(monkeypatch, conjugate, dty
         u = AlgebraElement.circle_generator(1.3)
         e = multiply(multiply(u, e), adjoint(u))
     assert fedosov_index(e, basis_size=200) == -1
-    assert seen == [dtype]
+    assert seen == [(dtype, size) for size in sizes]
 
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_nonnegative_degree_localizer_matches_full_section(n):
-    # herm(P e P) from all degrees against S + S^H from the degrees n >= 0
+    # herm(P e P) from all degrees of the centred element against the parity
+    # blocks of S + S^H from the degrees n >= 0
     kappa = 1.0 / np.sqrt(n)
     basis = HermiteBasis(n)
     _, _, _, dirac, _ = ladder_matrices(basis)
     for hbar in (0.3, 2.6):
         e = rieffel_projection(hbar)
-        rep = represent(e, basis)
+        blocks, centre, _ = pairing._localizer(e, n, kappa)
+        assert len(blocks) == 2
+        rep = represent(_centred(e, centre), basis)
         sym = np.eye(n) - (rep + rep.conj().T)
         full = (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
-        reduced = pairing._localizer(e, n, kappa)
-        diff = np.abs(np.linalg.eigvalsh(full) - np.linalg.eigvalsh(reduced)).max()
+        diff = np.abs(np.linalg.eigvalsh(full) - _spectrum(blocks)).max()
         assert diff < 1e-12, (n, hbar, diff)
 
 
@@ -326,7 +428,7 @@ def test_index_pairing_gap_failure_skips_the_diagonal_stream(monkeypatch):
 
 
 # at N = 200 the localizer of each gives the wrong integer 1 with a gap of
-# 0.139-0.167, above GAP_FLOOR (frac(hbar) is 0.1 from an integer)
+# 0.139-0.168, above GAP_FLOOR (frac(hbar) is 0.1 from an integer)
 NEAR_INTEGER_FRAC_200 = [0.9, 1.9, 2.9, -1.1, -2.1]
 
 
