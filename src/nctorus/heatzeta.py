@@ -455,10 +455,14 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
 
     The eigen-sum route sums the first n_modes diagonal elements of
     ``spectral_diagonals(f, n_modes)`` against (2n+1)^{-s} and models the
-    tail by the asymptotic mean times the continued odd zeta.  Its
+    tail by the asymptotic mean mu times the continued odd zeta.  Its
     ``residue_at_1`` is ``residue_at_1(f)``, half that mean, or None for a
     generic weight, which has no tail model and for which Re(s) <= 1
-    raises ValueError.
+    raises ValueError.  At s = 1 the odd zeta of the tail model has its
+    pole, so a limit-type weight raises ValueError there, naming its kind
+    and the residue mu/2, before any diagonal is computed; that holds for
+    mu = 0 too (arctan), whose value at s = 1 would rest on the decay of
+    its diagonals, which the tail model does not know.
     """
     alpha = float(alpha)
     s = complex(s)
@@ -475,6 +479,12 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
             raise ValueError(
                 "generic weight with Re(s) <= 1 is outside the continued region"
             )
+        if s == 1.0:
+            residue = residue_at_1(f)
+            raise ValueError(
+                f"the eigen-sum of a limit-type ({f.kind}) weight has no value at s = 1: "
+                f"the odd zeta of its tail model has a pole there, with residue mu/2 = "
+                f"{residue.real if residue.imag == 0 else residue:.6g}")
         return _eigen_sum_tail(f, s, spectral_diagonals(f, n_modes))
 
     v, trace = _mellin_trace(f, alpha)

@@ -25,7 +25,11 @@ Every degree of a section shares the left Hermite table and one GEMM, and a
 table at a negative offset is a stored one read in reverse,
 psi_n(u - s) = (-1)^n psi_n(-u + s), so a section runs one Hermite
 recurrence per distinct |offset|: one for the localizer's element
-e_0 / 2 + e_1 [1], centred at hbar / 2.
+e_0 / 2 + e_1 [1], centred at hbar / 2.  Its working set is that N x K'
+table and one buffer of the weighted right factor, sized to the largest
+block of rows a GEMM reads: N x K' for a whole section, ceil(N/2) x K' for
+the two same-parity blocks of the operator route, so about 1.5 N K'
+doubles there (K' the section grid's size).
 
 An algebra coefficient reaches the N-mode window only through its Fourier
 modes |k| <= ``band_limit(N)``; the rest couple nothing there (the tail
@@ -37,9 +41,11 @@ algebra elements need no quadrature: in the Weyl (Laguerre) form
     <psi_n, e^{2 pi i k x} psi_n(. - a)> = e^{i pi k a} e^{-y/2} L_n(y),
     y = (a^2 + 4 pi^2 k^2) / 2.
 
-``mode_diagonals`` is this closed form for any modes and shifts; it serves
-``algebra_diagonals``.  ``diagonal_elements`` keeps the quadrature for
-weights with no Fourier data: callables on the line of limit or generic
+``algebra_diagonals`` runs the Laguerre recurrence on the distinct y only,
+since k and -k, and degrees m and -m, share y, and forms its product in row
+blocks from a gather of those columns cast to complex in C order (the
+order fixes the GEMV kernel, and so the bits).  ``diagonal_elements`` keeps
+the quadrature for weights with no Fourier data: callables on the line of limit or generic
 type (periodic weights need no diagonals: their zeta values are Mellin
 integrals of their heat traces in ``heatzeta``).
 
@@ -74,6 +80,10 @@ QUAD_PAD = 6.0
 QUAD_DENSITY = 8
 # kept Hermite values and quadrature weights are at least this in magnitude
 SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
+# rows of a Hermite table floored at a time
+_FLOOR_ROWS = 32
+# rows of the Laguerre table gathered and cast to complex at a time
+_GATHER_ROWS = 256
 
 logger = logging.getLogger(__name__)
 
@@ -128,15 +138,20 @@ def _floor(values):
 def hermite_rows(n_modes, x):
     """Matrix of psi_n(x_j) for n = 0..n_modes-1 over the points x.
 
-    Values below ``SUBNORMAL_FLOOR`` in magnitude are stored as 0.
+    Values below ``SUBNORMAL_FLOOR`` in magnitude are stored as 0.  The
+    floor runs on blocks of ``_FLOOR_ROWS`` rows as they are filled, so its
+    masks are never the size of the table.
     """
     x = np.asarray(x, dtype=float)
     rows = np.empty((n_modes, x.shape[0]))
     it = _hermite_iter(x)
     with np.errstate(under="ignore"):
-        for n in range(n_modes):
-            rows[n] = next(it)
-    return _floor(rows)
+        for start in range(0, n_modes, _FLOOR_ROWS):
+            block = rows[start:start + _FLOOR_ROWS]
+            for row in block:
+                row[...] = next(it)
+            _floor(block)
+    return rows
 
 
 class HermiteBasis:
@@ -212,6 +227,14 @@ def _section(terms, basis, parity_blocks=False):
     GEMMs, one per part of right, half the flops of the complex GEMM that
     numpy would upcast complex-by-real to.
 
+    right is built one block of rows at a time, each block just before its
+    GEMM, in one buffer sized to the largest block and reused across the
+    blocks and the real and imaginary parts: N x K' for a whole section and
+    ceil(N/2) x K' for parity blocks, so the parity route holds about
+    1.5 N K' doubles with the left table.  Each block is one GEMM: the
+    rows of right are the same wherever they are stored, but a block split
+    into chunks of output columns rounds differently in OpenBLAS.
+
     Each f maps the points x to its values there.  Weights below
     ``SUBNORMAL_FLOOR`` are dropped, as in ``hermite_rows``: every term of
     right is a product of a kept weight and a kept Hermite value.
@@ -244,7 +267,9 @@ def _section(terms, basis, parity_blocks=False):
         values.append(h * np.broadcast_to(f(x), x.shape))
     parts = [np.real] + ([np.imag] if any(np.iscomplexobj(v) for v in values) else [])
     blocks = [slice(0, None, 2), slice(1, None, 2)] if parity_blocks else [slice(None)]
-    right = np.empty((n, u.size))
+    # one buffer for the right factor of every block and part: the first
+    # block is the largest
+    right = np.empty((len(range(n)[blocks[0]]), u.size))
     sections = []
     for part in parts:
         kept = []
@@ -256,11 +281,15 @@ def _section(terms, basis, parity_blocks=False):
             sections.append([np.zeros((len(range(n)[b]),) * 2) for b in blocks])
             continue
         (first, even, odd), rest = kept[0], kept[1:]
-        for k in range(n):
-            acc = np.multiply(first[k], odd if k & 1 else even, out=right[k])
-            for rows, w, w_odd in rest:
-                acc += rows[k] * (w_odd if k & 1 else w)
-        sections.append([left[b] @ right[b].T for b in blocks])
+        section = []
+        for b in blocks:
+            modes = range(n)[b]
+            for i, k in enumerate(modes):
+                acc = np.multiply(first[k], odd if k & 1 else even, out=right[i])
+                for rows, w, w_odd in rest:
+                    acc += rows[k] * (w_odd if k & 1 else w)
+            section.append(left[b] @ right[:len(modes)].T)
+        sections.append(section)
     out = sections[0] if len(sections) == 1 else [re + 1j * im for re, im in zip(*sections)]
     if parity_blocks:
         return out
@@ -402,7 +431,7 @@ def diagonal_elements(weighted_shifts, n_modes):
     """Diagonal matrix elements d_n = quad(w(x) psi_n(x - a) psi_n(x)), n < n_modes.
 
     For weights known only as callables on the line (Fourier modes have
-    the closed form of ``mode_diagonals``).  ``weighted_shifts`` is
+    the closed form of ``algebra_diagonals``).  ``weighted_shifts`` is
     a sequence of (weight, shift) pairs; the result has one row per pair.
     The quadrature is the uniform (QUAD_DENSITY n_modes + 1)-point rule on
     [-L - s, L + s], s the largest |shift|, and the Hermite recurrence is
@@ -460,36 +489,30 @@ def _laguerre_rows(y, n_modes):
     return out
 
 
-def mode_diagonals(k, shift, n_modes):
-    """Closed-form diagonal elements of Fourier modes, as rows and phases.
-
-    For the mode e^{2 pi i k x} and a shift a (arrays of one length, or a
-    scalar shift),
-
-        <e^{2 pi i k x} psi_n(. - a), psi_n> = e^{i pi k a} e^{-y/2} L_n(y),
-        y = (a^2 + 4 pi^2 k^2) / 2.
-
-    Returns (rows, phase): rows[n, j] = e^{-y_j/2} L_n(y_j) for n < n_modes
-    by ``_laguerre_rows``, and phase[j] = e^{i pi k_j a_j}, so a weight
-    with coefficients c_j on these modes has diagonals rows @ (c * phase).
-    This is the closed form behind ``algebra_diagonals``.
-    """
-    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k)
-    return _laguerre_rows(y, n_modes), np.exp(1j * np.pi * k * shift)
-
-
 def algebra_diagonals(a, n_modes):
     """Diagonal elements <pi(a) psi_n, psi_n>, n < n_modes, in closed form.
 
     With c_k the modes |k| <= ``band_limit(n_modes)`` of the degree-m
-    coefficient and s = m hbar,
+    coefficient and s = m hbar, the Weyl (Laguerre) form of each mode gives
 
         d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
         y = (s^2 + 4 pi^2 k^2) / 2,
 
-    by ``mode_diagonals``; no quadrature, so nothing aliases.  The dropped
-    modes move each d_n by at most e^{-4 n_modes} times their mass (see
-    ``band_limit``).  n_modes < 1 raises ValueError.
+    so d = rows @ (c * phase) with rows[n, j] = e^{-y_j/2} L_n(y_j); no
+    quadrature, so nothing aliases.  The dropped modes move each d_n by at
+    most e^{-4 n_modes} times their mass (see ``band_limit``).  n_modes < 1
+    raises ValueError.
+
+    Modes k and -k, and degrees m and -m, share y, so ``_laguerre_rows`` runs
+    on the distinct y only (84 columns, not 249, for the bump at 2000
+    modes); its columns are computed independently, so each has the bits
+    it has in a table over every mode.  The product is formed
+    ``_GATHER_ROWS`` rows at a time from a gather of those columns into the
+    modes' order, cast to complex in C order, so neither the table over
+    every mode nor its complex cast is built.  The bits are those of
+    rows @ (c * phase) over every mode, whose cast numpy builds in C order:
+    a column gather is Fortran ordered, and its cast would take another
+    GEMV kernel with other rounding.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
@@ -498,5 +521,15 @@ def algebra_diagonals(a, n_modes):
         ks.append(k)
         shifts.append(np.full(k.shape, m * a.hbar))
         cs.append(c)
-    rows, phase = mode_diagonals(np.concatenate(ks), np.concatenate(shifts), n_modes)
-    return rows @ (np.concatenate(cs) * phase)
+    k, shift = np.concatenate(ks), np.concatenate(shifts)
+    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k)
+    distinct, column = np.unique(y, return_inverse=True)
+    rows = _laguerre_rows(distinct, n_modes)
+    weights = np.concatenate(cs) * np.exp(1j * np.pi * k * shift)
+    d = np.empty(n_modes, dtype=complex)
+    # one row times a vector is a dot product, not a GEMV row, and rounds
+    # otherwise: a one-row tail joins the chunk before it
+    bounds = [0, *range(_GATHER_ROWS, n_modes - 1, _GATHER_ROWS), n_modes]
+    for lo, hi in zip(bounds, bounds[1:]):
+        d[lo:hi] = rows[lo:hi][:, column].astype(complex, order="C") @ weights
+    return d

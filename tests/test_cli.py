@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import nctorus
+from nctorus import cli
 from nctorus.cli import main
+from nctorus.heatzeta import RealLineFunction
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,20 @@ def test_zeta_at_a_pole_exits_one(capsys):
     code, out, err = run_cli(capsys, "zeta", "--f", "one", "--s-list", "1")
     assert code == 1 and out == ""
     assert "pole at s = 1, with residue c_0/2 = 0.5" in err
+
+
+@pytest.mark.parametrize("name, residue", [("arctan", "0"), ("tanh-step", "0.25")])
+def test_zeta_of_a_limit_weight_at_one_exits_one(capsys, monkeypatch, name, residue):
+    # the registry has no (1 + tanh x) / 2; it is added here to reach the same path
+    registry = cli._registry_function
+    step = RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0)
+    monkeypatch.setattr(cli, "_registry_function",
+                        lambda f, *args: step if f == "tanh-step" else registry(f, *args))
+    code, out, err = run_cli(capsys, "zeta", "--f", name, "--s-list", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the eigen-sum of a limit-type (has_limits) weight "
+                          "has no value at s = 1")
+    assert err.endswith(f"with residue mu/2 = {residue}\n")
 
 
 def test_mean_arctan(capsys):

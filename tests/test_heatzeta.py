@@ -478,6 +478,20 @@ def test_zeta_pole_at_one_raises_with_its_residue(f, residue):
         zeta_trace(f, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("f, residue", [
+    (ARCTAN, "0"),
+    (RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0), "0.25"),
+], ids=["arctan", "tanh_step"])
+def test_limit_weight_zeta_at_one_raises_with_its_residue(f, residue, monkeypatch):
+    # the tail model's odd zeta has its pole at s = 1: the error names s = 1,
+    # the weight kind and mu/2 before any diagonal or odd zeta is computed
+    monkeypatch.setattr(heatzeta, "diagonal_elements", None)
+    monkeypatch.setattr(heatzeta, "_odd_zeta", None)
+    message = rf"limit-type \(has_limits\) weight has no value at s = 1: .* mu/2 = {residue}$"
+    with pytest.raises(ValueError, match=message):
+        zeta_trace(f, 0.0, 1.0)
+
+
 def test_limit_weight_zeta_values_share_one_diagonal_stream(monkeypatch):
     # the diagonals of the last two (weight, n_modes) are kept: the values
     # at three s take one quadrature stream and keep their bits

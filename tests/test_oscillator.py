@@ -28,8 +28,11 @@ from nctorus.oscillator import (
     _floor,
     _hermite_iter,
     _laguerre_rows,
+    _parity_sections,
+    _terms,
     band_limit,
 )
+from nctorus import pairing
 from nctorus.periodic import trig_sum
 from nctorus import adjoint as alg_adjoint
 from nctorus import multiply as alg_multiply
@@ -442,6 +445,97 @@ def test_lean_recurrences_are_bit_identical(basis400):
         for n_modes in (1, 9, 2000):
             assert np.array_equal(_laguerre_rows(y, n_modes),
                                   _reference_laguerre_rows(y, n_modes))
+
+
+def _reference_section(terms, basis, parity_blocks=False):
+    """``_section`` with its whole right factor built before any GEMM.
+
+    right is one N x K' array, filled for every mode and read by the parity
+    blocks as the strided views right[p::2]; ``_section`` fills one buffer
+    of the larger block's rows, block by block and part by part.
+    """
+    n, h = basis.n_modes, basis.weight
+    shifts = [s for s, _ in terms]
+    centre = 0.5 * (min(shifts) + max(shifts))
+    extra = int(np.ceil(0.5 * (max(shifts) - min(shifts)) / h))
+    u = h * np.arange(-(basis.n_quad // 2 + extra), basis.n_quad // 2 + extra + 1)
+    sign = -1.0 if centre < 0 else 1.0
+    left = hermite_rows(n, u + abs(centre))
+    x = sign * (u + abs(centre))
+    factors, values = [], []
+    for s, f in terms:
+        r = abs(centre) - sign * s
+        factors.append((hermite_rows(n, u - r)[:, ::-1], True) if r < 0
+                       else (hermite_rows(n, u + r), False))
+        values.append(h * np.broadcast_to(f(x), x.shape))
+    parts = [np.real] + ([np.imag] if any(np.iscomplexobj(v) for v in values) else [])
+    blocks = [slice(0, None, 2), slice(1, None, 2)] if parity_blocks else [slice(None)]
+    sections = []
+    for part in parts:
+        kept = []
+        for (rows, odd_flips), v in zip(factors, values):
+            w = _floor(np.array(part(v), dtype=float))
+            if w.any():
+                kept.append((rows, w, -w if odd_flips else w))
+        (first, even, odd), rest = kept[0], kept[1:]
+        right = np.empty((n, u.size))
+        for k in range(n):
+            acc = np.multiply(first[k], odd if k & 1 else even, out=right[k])
+            for rows, w, w_odd in rest:
+                acc += rows[k] * (w_odd if k & 1 else w)
+        sections.append([left[b] @ right[b].T for b in blocks])
+    out = sections[0] if len(sections) == 1 else [re + 1j * im for re, im in zip(*sections)]
+    if parity_blocks:
+        return out
+    (out,) = out
+    if sign < 0:
+        out[1::2] *= -1.0
+        out[:, 1::2] *= -1.0
+    return out
+
+
+def _bit_identical(got, expected):
+    return got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n_modes", [200, 300, 500])
+@pytest.mark.parametrize("case", ["bump", "UeU*"])
+def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes):
+    # the real bump, the localizer's element of it (two shifts, a reversed
+    # table) and the complex U e U* (real and imaginary parts share the buffer)
+    bump = rieffel_projection(1.3)
+    elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
+                                            for m, f in bump.items() if m >= 0})]
+                if case == "bump" else [_section_case("UeU*")])
+    basis = HermiteBasis(n_modes)
+    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
+    for a in elements:
+        assert _bit_identical(represent(a, basis), _reference_section(_terms(a, n_modes), basis))
+        blocks = _parity_sections(a, basis, centre)
+        expected = _reference_section(_terms(a, n_modes, centre), basis, parity_blocks=True)
+        assert len(blocks) == 2 and all(map(_bit_identical, blocks, expected))
+
+
+def _reference_algebra_diagonals(a, n_modes):
+    """rows @ (c * phase) with one Laguerre column per mode, in one complex GEMV."""
+    ks, shifts, cs = [], [], []
+    for m, f in a.items():
+        k, c, _ = f.band(band_limit(n_modes))
+        ks.append(k)
+        shifts.append(np.full(k.shape, m * a.hbar))
+        cs.append(c)
+    k, shift = np.concatenate(ks), np.concatenate(shifts)
+    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k)
+    return _laguerre_rows(y, n_modes) @ (np.concatenate(cs) * np.exp(1j * np.pi * k * shift))
+
+
+# 257 modes leave a one-row tail after the first gathered block
+@pytest.mark.parametrize("n_modes", [257, 600, 2000])
+def test_algebra_diagonals_are_bit_identical_to_the_whole_table(n_modes):
+    for hbar in (0.3, 1.3, 2.05, -4.13, 9.78, -14.3):
+        for a in (rieffel_projection(hbar), AlgebraElement.circle_generator(hbar)):
+            d = algebra_diagonals(a, n_modes)
+            assert _bit_identical(d, _reference_algebra_diagonals(a, n_modes)), hbar
 
 
 def _band_values(f, kmax, x):

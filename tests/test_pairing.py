@@ -2,6 +2,7 @@ import argparse
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,3 +493,31 @@ def test_report_emission(p03, capsys):
     assert back["integer"] == report.rounded_integer
     _pair_rows(args, [report])
     assert capsys.readouterr().out == csv_text  # deterministic
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_localizer_peak_allocation():
+    # the parity route's working set: the Hermite table (N x K'), one right
+    # factor of the larger parity block (ceil(N/2) x K') and the blocks
+    n, e = 500, rieffel_projection(1.3)
+    pairing._localizer(e, n, n ** -0.5)  # the coefficients' cached FFT data
+    basis = HermiteBasis(n)
+    k = basis.n_quad + 2 * int(np.ceil(0.5 * e.hbar / basis.weight))
+    peak = _peak_bytes(lambda: pairing._localizer(e, n, n ** -0.5))
+    assert peak < (1.5 * n * k + 2 * n * n) * 8 + 2**20
+
+
+def test_character_degree0_peak_allocation():
+    # Laguerre rows for the distinct y only, gathered and cast in row blocks
+    e = rieffel_projection(1.3)
+    character_degree0(e, 2000)
+    assert _peak_bytes(lambda: character_degree0(e, 2000)) < 5 * 10**6
