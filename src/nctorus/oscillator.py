@@ -25,11 +25,15 @@ Every degree of a section shares the left Hermite table and one GEMM, and a
 table at a negative offset is a stored one read in reverse,
 psi_n(u - s) = (-1)^n psi_n(-u + s), so a section runs one Hermite
 recurrence per distinct |offset|: one for the localizer's element
-e_0 / 2 + e_1 [1], centred at hbar / 2.  Its working set is that N x K'
-table and one buffer of the weighted right factor, sized to the largest
-block of rows a GEMM reads: N x K' for a whole section, ceil(N/2) x K' for
-the two same-parity blocks of the operator route, so about 1.5 N K'
-doubles there (K' the section grid's size).
+e_0 / 2 + e_1 [1], centred at hbar / 2.  The quadrature is summed over
+mirror-closed panels of the grid's columns, so a reversed read stays in its
+panel, and its working set is one panel of each table and of the weighted
+right factor, about ``_PANEL_DOUBLES`` = 2^20 doubles (8.4 MB) for one
+table.  On the operator route (hbar 1.3) that is the whole grid up to
+N = 300, one panel and one GEMM per block, and two panels at N = 400 and
+500, five at 800 and ten at 1200; the route then holds the budget and its
+O(N^2) blocks, where whole-grid tables would take about 1.5 N K' doubles
+(K' the section grid's size, about 5N).
 
 An algebra coefficient reaches the N-mode window only through its Fourier
 modes |k| <= ``band_limit(N)``; the rest couple nothing there (the tail
@@ -65,6 +69,7 @@ the edge are expected and are not defects.
 
 import itertools
 import logging
+import math
 from functools import cached_property
 
 import numpy as np
@@ -84,23 +89,26 @@ SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
 _FLOOR_ROWS = 32
 # rows of the Laguerre table gathered and cast to complex at a time
 _GATHER_ROWS = 256
+# doubles of one grid panel of a section's Hermite table and right factor:
+# one panel up to N = 300 on the operator route, two at N = 400 and 500
+_PANEL_DOUBLES = 2**20
 
 logger = logging.getLogger(__name__)
 
 
-def _rescale(step, prev, cur, log_scale):
-    """One rescale check of a three-term recurrence with a per-point log scale.
+def _rescale(prev, cur, log_scale):
+    """One rescale of a three-term recurrence with a per-point log scale.
 
-    Every ``_RESCALE_EVERY`` steps, prev and cur are divided by
-    ``_RESCALE_LIMIT`` where |cur| exceeds it, and its log is added to
-    log_scale there; returns the new (prev, cur, log_scale).
+    prev and cur are divided by ``_RESCALE_LIMIT`` where |cur| exceeds it,
+    and its log is added to log_scale there; returns the new (prev, cur,
+    log_scale), the inputs themselves when no point exceeds it.  The
+    recurrences call it every ``_RESCALE_EVERY`` steps.
     """
-    if step % _RESCALE_EVERY == 0:
-        big = np.abs(cur) > _RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
-            return (prev * scale, cur * scale,
-                    log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0))
+    big = np.abs(cur) > _RESCALE_LIMIT
+    if big.any():
+        scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
+        return (prev * scale, cur * scale,
+                log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0))
     return prev, cur, log_scale
 
 
@@ -110,8 +118,9 @@ def _hermite_iter(x):
     The three-term recurrence is run on ratios u_n = psi_n * exp(-ln) with a
     per-point log offset ln, renormalized every few steps (``_rescale``),
     so values stay representable far outside the classical region (where
-    psi_0 underflows but high modes do not).  ``exp(ln)`` is recomputed only
-    when a rescale moves ln.  It underflows there: each consumer
+    psi_0 underflows but high modes do not).  The two rows are updated in
+    place, with the coefficients as ``math.sqrt`` scalars, and ``exp(ln)`` is
+    recomputed only when a rescale moves ln.  It underflows there: each consumer
     runs the whole iteration under one ``np.errstate(under="ignore")``,
     since a context entered here would be held across yields and its state
     would leak into the consumer while the generator is suspended.
@@ -120,13 +129,20 @@ def _hermite_iter(x):
     ln = -0.5 * x * x - 0.25 * np.log(np.pi)
     scale = np.exp(ln)
     u_prev = np.ones_like(x)
-    u = np.sqrt(2.0) * x
+    u = math.sqrt(2.0) * x
+    term = np.empty_like(x)
     for m in itertools.count(1):
         yield u_prev * scale
-        u_prev, u = u, np.sqrt(2.0 / (m + 1)) * x * u - np.sqrt(m / (m + 1.0)) * u_prev
-        u_prev, u, rescaled = _rescale(m, u_prev, u, ln)
-        if rescaled is not ln:
-            ln, scale = rescaled, np.exp(rescaled)
+        # u_{m+1} = sqrt(2 / (m + 1)) x u_m - sqrt(m / (m + 1)) u_{m-1}, into u_prev
+        np.multiply(math.sqrt(2.0 / (m + 1)), x, out=term)
+        term *= u
+        u_prev *= math.sqrt(m / (m + 1.0))
+        np.subtract(term, u_prev, out=u_prev)
+        u_prev, u = u, u_prev
+        if m % _RESCALE_EVERY == 0:
+            u_prev, u, rescaled = _rescale(u_prev, u, ln)
+            if rescaled is not ln:
+                ln, scale = rescaled, np.exp(rescaled)
 
 
 def _floor(values):
@@ -135,15 +151,16 @@ def _floor(values):
     return values
 
 
-def hermite_rows(n_modes, x):
+def hermite_rows(n_modes, x, out=None):
     """Matrix of psi_n(x_j) for n = 0..n_modes-1 over the points x.
 
     Values below ``SUBNORMAL_FLOOR`` in magnitude are stored as 0.  The
     floor runs on blocks of ``_FLOOR_ROWS`` rows as they are filled, so its
-    masks are never the size of the table.
+    masks are never the size of the table.  out, an (n_modes, len(x))
+    array, is filled in place and returned instead of a new array.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.empty((n_modes, x.shape[0]))
+    rows = np.empty((n_modes, x.shape[0])) if out is None else out
     it = _hermite_iter(x)
     with np.errstate(under="ignore"):
         for start in range(0, n_modes, _FLOOR_ROWS):
@@ -211,6 +228,43 @@ def ladder_matrices(basis):
     return a, a.T, h, d, grading
 
 
+def _panels(size, width):
+    """Mirror-closed column panels of a symmetric grid of size = 2J + 1 points.
+
+    The J columns left of the centre are cut into as few near-equal runs
+    [a, b) as keep every panel within width columns.  A panel is its run
+    followed by the run's mirrors size - b .. size - a - 1, so that the
+    mirror of its column i is its column c - 1 - i (c its size), and the
+    centre column closes the last panel, the contiguous [a, size - a).
+    Each column lies in one panel; a single panel is the whole grid in
+    order.
+    """
+    half = size // 2
+    count = -(-half // max((width - 1) // 2, 1))
+    bounds = [half * i // count for i in range(count)] + [half + 1]
+    return [np.r_[a:b, max(b, size - b):size - a] for a, b in zip(bounds, bounds[1:])]
+
+
+def _fill_right(right, factors, modes):
+    """right[i] = sum over factors (rows, w, w_odd) of rows[modes[i]] times w.
+
+    w_odd replaces w on odd modes.  modes is a range of step 1 or 2; the
+    rows of each parity are filled ``_FLOOR_ROWS`` at a time, term by term
+    in order, so each entry is rounded as it is row by row.
+    """
+    runs = [(right, modes)] if modes.step == 2 else [(right[q::2], modes[q::2]) for q in (0, 1)]
+    (first, even, odd), rest = factors[0], factors[1:]
+    for out, run in runs:
+        odd_run = run.start & 1
+        for i in range(0, len(run), _FLOOR_ROWS):
+            chunk = run[i:i + _FLOOR_ROWS]
+            rows = slice(chunk.start, chunk.stop, chunk.step)
+            acc = np.multiply(first[rows], odd if odd_run else even,
+                              out=out[i:i + _FLOOR_ROWS])
+            for table, w, w_odd in rest:
+                acc += table[rows] * (w_odd if odd_run else w)
+
+
 def _section(terms, basis, parity_blocks=False):
     """Sum over (shift s, f) of the quadrature matrices of f psi_j psi_k(. - s).
 
@@ -223,21 +277,32 @@ def _section(terms, basis, parity_blocks=False):
     read in reverse (u is symmetric).  So one Hermite table per distinct
     |offset| is computed, and the section is one GEMM, left @ right.T, of
     the table at |c| with right = sum over terms of h f(x) times the table
-    at |r|, accumulated row by row in place.  A complex f runs as two real
-    GEMMs, one per part of right, half the flops of the complex GEMM that
-    numpy would upcast complex-by-real to.
+    at |r|.  A complex f runs as two real GEMMs, one per part of right,
+    half the flops of the complex GEMM that numpy would upcast complex-by-
+    real to.
 
-    right is built one block of rows at a time, each block just before its
-    GEMM, in one buffer sized to the largest block and reused across the
-    blocks and the real and imaginary parts: N x K' for a whole section and
-    ceil(N/2) x K' for parity blocks, so the parity route holds about
-    1.5 N K' doubles with the left table.  Each block is one GEMM: the
-    rows of right are the same wherever they are stored, but a block split
-    into chunks of output columns rounds differently in OpenBLAS.
+    The quadrature is summed over mirror-closed panels of the grid's
+    columns (``_panels``), so a reversed table is read within its panel,
+    and each column's Hermite values are computed once per |offset|.  The
+    panels are as wide as ``_PANEL_DOUBLES`` allows for one N-row table and
+    the right factor: one panel, the whole grid and one GEMM per block,
+    up to N = 300 on the operator route, and two at N = 400 and 500.  Each
+    call holds one table buffer (an N-row table per |offset|: one for the
+    localizer's element e_0 / 2 + e_1 [1], two for represent of a
+    three-degree element) and one right-factor buffer, both sized to a
+    panel and reused across panels; each block's GEMMs add up across
+    panels.  right is filled per parity, ``_FLOOR_ROWS`` rows at a time,
+    one block of rows just before its GEMM, in a buffer of the largest
+    block's rows reused across blocks and parts: N rows for a whole
+    section, ceil(N/2) for parity blocks.  Within a panel each block is one
+    GEMM: the rows of right are the same wherever they are stored, but a
+    block split into chunks of output columns rounds differently in
+    OpenBLAS.
 
-    Each f maps the points x to its values there.  Weights below
-    ``SUBNORMAL_FLOOR`` are dropped, as in ``hermite_rows``: every term of
-    right is a product of a kept weight and a kept Hermite value.
+    Each f maps the points x to its values there, evaluated once on the
+    whole grid.  Weights below ``SUBNORMAL_FLOOR`` are dropped, as in
+    ``hermite_rows``: every term of right is a product of a kept weight and
+    a kept Hermite value.
 
     With parity_blocks, only the two same-parity blocks, rows and columns
     p, p + 2, ... for p = 0 and 1, are computed, as the list of the GEMMs
@@ -250,46 +315,53 @@ def _section(terms, basis, parity_blocks=False):
     extra = int(np.ceil(0.5 * (max(shifts) - min(shifts)) / h))
     u = h * np.arange(-(basis.n_quad // 2 + extra), basis.n_quad // 2 + extra + 1)
     sign = -1.0 if centre < 0 else 1.0
-    tables = {}
-
-    def table(offset):
-        if offset not in tables:
-            tables[offset] = hermite_rows(n, u + offset)
-        return tables[offset]
-
-    left = table(abs(centre))
     x = sign * (u + abs(centre))
+    # the index of each distinct |offset|'s table, the left one first
+    offsets = {abs(centre): 0}
     factors, values = [], []
     for s, f in terms:
         r = abs(centre) - sign * s
-        # rows, and whether odd rows change sign (reversed tables only)
-        factors.append((table(-r)[:, ::-1], True) if r < 0 else (table(r), False))
+        # the table, and whether it is read reversed with odd rows' signs changed
+        factors.append((offsets.setdefault(abs(r), len(offsets)), r < 0))
         values.append(h * np.broadcast_to(f(x), x.shape))
     parts = [np.real] + ([np.imag] if any(np.iscomplexobj(v) for v in values) else [])
-    blocks = [slice(0, None, 2), slice(1, None, 2)] if parity_blocks else [slice(None)]
-    # one buffer for the right factor of every block and part: the first
-    # block is the largest
-    right = np.empty((len(range(n)[blocks[0]]), u.size))
-    sections = []
+    kept = []
     for part in parts:
-        kept = []
-        for (rows, odd_flips), v in zip(factors, values):
+        kept.append([])
+        for (index, flips), v in zip(factors, values):
             w = _floor(np.array(part(v), dtype=float))
             if w.any():
-                kept.append((rows, w, -w if odd_flips else w))
-        if not kept:
-            sections.append([np.zeros((len(range(n)[b]),) * 2) for b in blocks])
-            continue
-        (first, even, odd), rest = kept[0], kept[1:]
-        section = []
-        for b in blocks:
-            modes = range(n)[b]
-            for i, k in enumerate(modes):
-                acc = np.multiply(first[k], odd if k & 1 else even, out=right[i])
-                for rows, w, w_odd in rest:
-                    acc += rows[k] * (w_odd if k & 1 else w)
-            section.append(left[b] @ right[:len(modes)].T)
-        sections.append(section)
+                kept[-1].append((index, flips, w, -w if flips else w))
+    blocks = [slice(0, None, 2), slice(1, None, 2)] if parity_blocks else [slice(None)]
+    # the first block is the largest
+    rows = len(range(n)[blocks[0]])
+    panels = _panels(u.size, _PANEL_DOUBLES // (n + rows))
+    width = max(cols.size for cols in panels)
+    table_buffer = np.empty(len(offsets) * n * width)
+    right_buffer = np.empty(rows * width)
+    sums = [[None] * len(blocks) for _ in parts]
+    for cols in panels:
+        size = n * cols.size
+        tables = [hermite_rows(n, u[cols] + offset,
+                               out=table_buffer[i * size:(i + 1) * size].reshape(n, -1))
+                  for offset, i in offsets.items()]
+        left = tables[0]
+        for part_kept, part_sums in zip(kept, sums):
+            if not part_kept:
+                continue
+            panel_factors = [(tables[i][:, ::-1] if flips else tables[i], w[cols], w_odd[cols])
+                             for i, flips, w, w_odd in part_kept]
+            for j, b in enumerate(blocks):
+                modes = range(n)[b]
+                right = right_buffer[:len(modes) * cols.size].reshape(len(modes), -1)
+                _fill_right(right, panel_factors, modes)
+                product = left[b] @ right.T
+                if part_sums[j] is None:
+                    part_sums[j] = product
+                else:
+                    part_sums[j] += product
+    sections = [[np.zeros((len(range(n)[b]),) * 2) if s is None else s
+                 for s, b in zip(part_sums, blocks)] for part_sums in sums]
     out = sections[0] if len(sections) == 1 else [re + 1j * im for re, im in zip(*sections)]
     if parity_blocks:
         return out
@@ -463,27 +535,31 @@ def _laguerre_rows(y, n_modes):
     nor underflows e^{-y/2}.  The scale is checked every ``_RESCALE_EVERY``
     steps by ``_rescale``, as in ``_hermite_iter``: one step grows |L_n| by
     at most about y + 2 (3.3e4 at 2000 modes), so 8 steps from 1e120 stay
-    far below overflow.  Each row is computed in place into the output;
-    the log scale changes only at rescale steps, so each run of rows that
-    shares one scale is multiplied by its ``exp`` once, at the end.
+    far below overflow.  Row n + 1 of the output starts as 2n + 1 - y, all
+    rows from one ``np.subtract.outer``, and is finished in place from the
+    two rows before it; the log scale changes only at rescale steps, so each
+    run of rows that shares one scale is multiplied by its ``exp`` once, at
+    the end.
     """
     out = np.empty((n_modes, y.size))
-    prev, cur = np.zeros_like(y), np.ones_like(y)
-    out[:1] = cur
-    step, lower = np.empty_like(y), np.empty_like(y)
+    out[0] = 1.0
+    np.subtract.outer(2.0 * np.arange(n_modes - 1) + 1.0, y, out=out[1:])
+    rows = list(out)
+    prev, cur = np.zeros_like(y), rows[0]
+    lower = np.empty_like(y)
     scales = [(0, -0.5 * y)]
     with np.errstate(under="ignore"):
-        for n in range(n_modes - 1):
-            np.subtract(2 * n + 1, y, out=step)
-            np.multiply(step, cur, out=step)
+        for n, nxt in enumerate(rows[1:]):
+            nxt *= cur
             np.multiply(n, prev, out=lower)
-            np.subtract(step, lower, out=step)
-            nxt = np.divide(step, n + 1, out=out[n + 1])
-            prev, rescaled, log_scale = _rescale(n + 1, cur, nxt, scales[-1][1])
-            if log_scale is not scales[-1][1]:
-                nxt[...] = rescaled
-                scales.append((n + 1, log_scale))
-            cur = nxt
+            nxt -= lower
+            nxt /= n + 1
+            prev, cur = cur, nxt
+            if (n + 1) % _RESCALE_EVERY == 0:
+                prev, rescaled, log_scale = _rescale(prev, nxt, scales[-1][1])
+                if log_scale is not scales[-1][1]:
+                    nxt[...] = rescaled
+                    scales.append((n + 1, log_scale))
         for (start, log_scale), (end, _) in zip(scales, scales[1:] + [(n_modes, None)]):
             out[start:end] *= np.exp(log_scale)
     return out

@@ -65,6 +65,7 @@ hbar = 1.2 at N = 200 raises too (gap 0.093).
 """
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,8 +270,9 @@ def fedosov_index(e, basis_size=400):
     herm(P e P) is S + S^H.
 
     The smallest |eigenvalue| of L is its gap and the certificate of the
-    integer.  A basis_size below
-    ``MIN_BASIS_SIZE`` raises ValueError, after the projection check.  When
+    integer.  basis_size is an integer (numpy integers too); any other type
+    raises TypeError, before the projection check, and a basis_size below
+    ``MIN_BASIS_SIZE`` raises ValueError, after it.  When
     every coefficient of the nonnegative degrees has real samples, as for the
     bump projection, the section is real, so L is real symmetric and numpy
     takes the real LAPACK routine; any complex coefficient (U e U*, say)
@@ -282,12 +284,12 @@ def fedosov_index(e, basis_size=400):
     (spectrum=real or hermitian) at DEBUG on the ``nctorus.pairing``
     logger.
     """
+    n = operator.index(basis_size)
     _require_projection(e)
-    if basis_size < MIN_BASIS_SIZE:
+    if n < MIN_BASIS_SIZE:
         raise ValueError(
             f"operator index needs a basis of at least {MIN_BASIS_SIZE} modes"
         )
-    n = int(basis_size)
     kappa = 1.0 / np.sqrt(n)
     blocks, centre, defect = _localizer(e, n, kappa)
     evals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
@@ -320,8 +322,10 @@ def index_pairing(e, basis_size=400, n_modes=2000):
     differs from the closed form or from the local formula by more than 1/2
     is contradicted: ValueError, naming all three values, instead of a
     report (see the module docstring for the near-integer frac(hbar) cases
-    that reach it).
+    that reach it).  basis_size and n_modes are integers (numpy integers
+    too), as reported; any other type raises TypeError before any route runs.
     """
+    basis_size, n_modes = operator.index(basis_size), operator.index(n_modes)
     hbar = e.hbar
     closed = trace(e) - hbar * chern_number(e)
     fed = fedosov_index(e, basis_size)
@@ -351,7 +355,12 @@ def index_pairing(e, basis_size=400, n_modes=2000):
 
 
 def sweep(hbars, basis_size=400, n_modes=2000):
-    """Index pairing of the bump projection across deformation parameters."""
+    """Index pairing of the bump projection across deformation parameters.
+
+    basis_size and n_modes are integers, as for ``index_pairing``; any other
+    type raises TypeError before the first parameter is paired.
+    """
+    basis_size, n_modes = operator.index(basis_size), operator.index(n_modes)
     return [
         index_pairing(rieffel_projection(h), basis_size=basis_size, n_modes=n_modes)
         for h in hbars

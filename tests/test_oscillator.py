@@ -28,16 +28,26 @@ from nctorus.oscillator import (
     _floor,
     _hermite_iter,
     _laguerre_rows,
+    _panels,
     _parity_sections,
     _terms,
     band_limit,
 )
-from nctorus import pairing
+from nctorus import oscillator, pairing
 from nctorus.periodic import trig_sum
 from nctorus import adjoint as alg_adjoint
 from nctorus import multiply as alg_multiply
 
 HBAR = 0.3
+
+
+# a panel budget that holds every grid here whole: one GEMM per block
+ONE_PANEL = 2**40
+
+
+@pytest.fixture
+def one_panel(monkeypatch):
+    monkeypatch.setattr(oscillator, "_PANEL_DOUBLES", ONE_PANEL)
 
 
 def test_ground_state_value():
@@ -272,15 +282,17 @@ def _unfloored_rows(n_modes):
 
 
 @pytest.mark.parametrize("element", ["p03", "U"])
-def test_represent_is_unchanged_by_the_floor(element, p03, basis400):
-    # the dropped terms are below 2.8e-103 times O(1): no entry moves a bit
+def test_represent_is_unchanged_by_the_floor(element, p03, basis400, one_panel):
+    # the dropped terms are below 2.8e-103 times O(1): no entry moves a bit;
+    # the reference is one whole-grid GEMM, so the section is one panel too
     a = p03 if element == "p03" else AlgebraElement.circle_generator(HBAR)
     unfloored = _centred_section(a, basis400, _unfloored_rows(400), lambda w: w)
     assert np.array_equal(represent(a, basis400), unfloored)
 
 
-def test_represent_of_real_coefficients_is_real(p03, basis400):
-    # the localizer's element: e_0 / 2 + e_1 [1], whose coefficients are real
+def test_represent_of_real_coefficients_is_real(p03, basis400, one_panel):
+    # the localizer's element: e_0 / 2 + e_1 [1], whose coefficients are real;
+    # one panel, as the reference's whole-grid GEMM
     upper = AlgebraElement(p03.hbar, {n: 0.5 * f if n == 0 else f
                                       for n, f in p03.items() if n >= 0})
     section = represent(upper, basis400)
@@ -448,11 +460,12 @@ def test_lean_recurrences_are_bit_identical(basis400):
 
 
 def _reference_section(terms, basis, parity_blocks=False):
-    """``_section`` with its whole right factor built before any GEMM.
+    """``_section`` with whole-grid tables and its whole right factor built before any GEMM.
 
-    right is one N x K' array, filled for every mode and read by the parity
-    blocks as the strided views right[p::2]; ``_section`` fills one buffer
-    of the larger block's rows, block by block and part by part.
+    right is one N x K' array, filled row by row for every mode and read by
+    the parity blocks as the strided views right[p::2]; ``_section`` fills
+    one panel-sized buffer of the larger block's rows, panel by panel,
+    block by block and part by part.
     """
     n, h = basis.n_modes, basis.weight
     shifts = [s for s, _ in terms]
@@ -500,9 +513,13 @@ def _bit_identical(got, expected):
 
 @pytest.mark.parametrize("n_modes", [200, 300, 500])
 @pytest.mark.parametrize("case", ["bump", "UeU*"])
-def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes):
+def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes,
+                                                                   monkeypatch):
     # the real bump, the localizer's element of it (two shifts, a reversed
-    # table) and the complex U e U* (real and imaginary parts share the buffer)
+    # table) and the complex U e U* (real and imaginary parts share the buffer);
+    # N = 200 and 300 are one panel at the default budget, N = 500 is made one
+    if n_modes > 300:
+        monkeypatch.setattr(oscillator, "_PANEL_DOUBLES", ONE_PANEL)
     bump = rieffel_projection(1.3)
     elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
                                             for m, f in bump.items() if m >= 0})]
@@ -514,6 +531,47 @@ def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes
         blocks = _parity_sections(a, basis, centre)
         expected = _reference_section(_terms(a, n_modes, centre), basis, parity_blocks=True)
         assert len(blocks) == 2 and all(map(_bit_identical, blocks, expected))
+
+
+@pytest.mark.parametrize("size, width", [(3, 1), (3, 3), (5, 4), (133, 7), (133, 133),
+                                         (2531, 1398), (2531, 2531), (3745, 873), (3777, 10**6)])
+def test_panels_cover_every_column_once_and_are_mirror_closed(size, width):
+    panels = _panels(size, width)
+    assert np.array_equal(np.sort(np.concatenate(panels)), np.arange(size))
+    for cols in panels:
+        # the mirror of panel column i is panel column c - 1 - i
+        assert np.array_equal(size - 1 - cols, cols[::-1])
+        assert cols.size <= max(width, 3)
+    assert size // 2 in panels[-1]
+    # as few panels as the width allows
+    assert len(panels) == max(1, -(-(size // 2) // max((width - 1) // 2, 1)))
+    if width >= size:
+        assert len(panels) == 1 and np.array_equal(panels[0], np.arange(size))
+
+
+# a panel split reorders the quadrature's additions only: entries are O(1),
+# so the two sums agree to a few units of float64 rounding
+PANEL_TOL = 32 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n_modes", [400, 500, 800])
+def test_panelled_sections_match_the_whole_grid(n_modes):
+    # N = 400 and 500 take two panels on the operator route, 800 five: the
+    # localizer's element (one table, real) and U e U* (two tables, complex)
+    bump = rieffel_projection(1.3)
+    upper = AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f for m, f in bump.items() if m >= 0})
+    basis = HermiteBasis(n_modes)
+    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
+    for a in (upper, _section_case("UeU*")):
+        section = represent(a, basis)
+        expected = _reference_section(_terms(a, n_modes), basis)
+        assert section.dtype == expected.dtype
+        assert np.abs(section - expected).max() < PANEL_TOL
+        blocks = _parity_sections(a, basis, centre)
+        expected = _reference_section(_terms(a, n_modes, centre), basis, parity_blocks=True)
+        for block, reference in zip(blocks, expected, strict=True):
+            assert block.dtype == reference.dtype
+            assert np.abs(block - reference).max() < PANEL_TOL
 
 
 def _reference_algebra_diagonals(a, n_modes):

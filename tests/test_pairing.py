@@ -26,6 +26,7 @@ from nctorus import (
     report_to_json_dict,
     represent,
     rieffel_projection,
+    sweep,
 )
 from nctorus.cli import _pair_rows
 from nctorus import algebra, oscillator, pairing
@@ -126,6 +127,29 @@ def test_fedosov_branch(p03):
 def test_fedosov_rejects_basis_too_small(p03):
     with pytest.raises(ValueError):
         fedosov_index(p03, basis_size=100)
+
+
+@pytest.mark.parametrize("size", [250.7, 300.0, float("nan"), "300"])
+def test_sizes_must_be_integers(size):
+    # a float is neither truncated to another N nor reported as given
+    e = rieffel_projection(1.3)
+    with pytest.raises(TypeError):
+        fedosov_index(e, basis_size=size)
+    with pytest.raises(TypeError):
+        index_pairing(e, basis_size=size)
+    with pytest.raises(TypeError):
+        index_pairing(e, basis_size=200, n_modes=size)
+    with pytest.raises(TypeError):
+        sweep([1.3], basis_size=size)
+    with pytest.raises(TypeError):
+        sweep([1.3], basis_size=200, n_modes=size)
+
+
+def test_numpy_integer_sizes_are_reported_as_ints():
+    report = index_pairing(rieffel_projection(1.3), basis_size=np.int64(200),
+                           n_modes=np.int32(400))
+    assert report == index_pairing(rieffel_projection(1.3), basis_size=200, n_modes=400)
+    assert type(report.basis_size) is int and report.basis_size == 200
 
 
 def test_fedosov_rejects_non_projection():
@@ -291,17 +315,31 @@ def test_parity_path_logs_blocks_centre_and_defect(caplog):
         assert (defect <= algebra.PROJECTION_TOL) == (blocks == "2"), defect
 
 
-def test_real_localizer_runs_one_hermite_recurrence(monkeypatch):
+def _count_hermite_rows(monkeypatch):
+    """The list that each later oscillator.hermite_rows call appends its n_modes to."""
     hermite_rows = oscillator.hermite_rows
     calls = []
 
-    def counted(n_modes, x):
+    def counted(n_modes, x, out=None):
         calls.append(n_modes)
-        return hermite_rows(n_modes, x)
+        return hermite_rows(n_modes, x, out=out)
 
     monkeypatch.setattr(oscillator, "hermite_rows", counted)
+    return calls
+
+
+def test_real_localizer_runs_one_hermite_recurrence(monkeypatch):
+    calls = _count_hermite_rows(monkeypatch)
     assert fedosov_index(rieffel_projection(1.3), basis_size=200) == -1
     assert calls == [200]
+
+
+@pytest.mark.parametrize("n, panels", [(300, 1), (400, 2), (500, 2)])
+def test_real_localizer_runs_one_hermite_recurrence_per_panel(monkeypatch, n, panels):
+    # one table (one |offset|) per grid panel; N <= 300 is one panel
+    calls = _count_hermite_rows(monkeypatch)
+    assert fedosov_index(rieffel_projection(1.3), basis_size=n) == -1
+    assert calls == [n] * panels
 
 
 def test_index_pairing_checks_the_projection_once():
@@ -514,6 +552,15 @@ def test_localizer_peak_allocation():
     k = basis.n_quad + 2 * int(np.ceil(0.5 * e.hbar / basis.weight))
     peak = _peak_bytes(lambda: pairing._localizer(e, n, n ** -0.5))
     assert peak < (1.5 * n * k + 2 * n * n) * 8 + 2**20
+
+
+def test_localizer_peak_allocation_is_the_panel_budget():
+    # N = 800 takes five panels: their tables and right factors within the
+    # panel budget, then the two blocks (about 2 N^2 doubles) and their tops
+    n, e = 800, rieffel_projection(1.3)
+    pairing._localizer(e, n, n ** -0.5)
+    peak = _peak_bytes(lambda: pairing._localizer(e, n, n ** -0.5))
+    assert peak < (oscillator._PANEL_DOUBLES + 2.5 * n * n) * 8 + 2**20
 
 
 def test_character_degree0_peak_allocation():
