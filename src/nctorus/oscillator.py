@@ -6,61 +6,39 @@ translation operators, the finite section of the line representation of
 rotation-algebra elements, and the diagonal matrix elements used by heat
 traces and spectral zeta sums.
 
-Matrices are trapezoid quadratures on one exactly symmetric grid
-u = h (-J..J): the basis' K = 2J + 1 points on [-L, L], L = sqrt(2N + 3) + 6,
-extended by the half-span of the translations involved and centred at their
-midpoint (``_section``).  The spacing is set by the band the integrands
-carry, not by N alone: h = L / J with J = ceil(L / h_max) and
-h_max = pi / (pi kmax + L), kmax = ``band_limit(N)``.  Each psi_n is its own
-Fourier transform up to a phase, so for n < N it is band-limited by the
-same L that bounds it in space, and a coefficient cut to |k| <= kmax
-carries angular frequencies up to 2 pi kmax.  The integrand
-f psi_j psi_k(. - s) then has its spectrum within 2 pi kmax + 2L, and a
-trapezoid rule with 2 pi / h at least that is exact for it up to rounding
-(Trefethen and Weideman, SIAM Rev. 56, 2014).  K is 133 at N = 8 and 1575,
-2057 and 2487 at N = 300, 400 and 500: a fixed number of points per mode
-would alias at small N and over-resolve at large N.
+Sections need no quadrature.  A coefficient acts by multiplication and
+[1] by translation, so each Fourier mode of a degree-m coefficient is a
+Weyl displacement operator (Cahill and Glauber, Phys. Rev. 177, 1969):
 
-Every degree of a section shares the left Hermite table and one GEMM, and a
-table at a negative offset is a stored one read in reverse,
-psi_n(u - s) = (-1)^n psi_n(-u + s), so a section runs one Hermite
-recurrence per distinct |offset|: one for the localizer's element
-e_0 / 2 + e_1 [1], centred at hbar / 2.  The quadrature is summed over
-mirror-closed panels of the grid's columns, so a reversed read stays in its
-panel, and its working set is one panel of each table and of the weighted
-right factor, about ``_PANEL_DOUBLES`` = 2^20 doubles (8.4 MB) for one
-table.  On the operator route (hbar 1.3) that is the whole grid up to
-N = 300, one panel and one GEMM per block, and two panels at N = 400 and
-500, five at 800 and ten at 1200; the route then holds the budget and its
-O(N^2) blocks, where whole-grid tables would take about 1.5 N K' doubles
-(K' the section grid's size, about 5N).
+    <psi_i, e^{2 pi i k x} psi_j(. - s)> = e^{i pi k s} D(beta)[i, j],
+    beta = (s + 2 pi i k) / sqrt 2,  y = |beta|^2 = (s^2 + 4 pi^2 k^2) / 2,
 
-An algebra coefficient reaches the N-mode window only through its Fourier
-modes |k| <= ``band_limit(N)``; the rest couple nothing there (the tail
-bound is in ``band_limit``) and would only alias into the grid, so
-``represent``, ``algebra_diagonals`` and ``multiplication_matrix`` (of a
-``PeriodicFunction``) drop them.  Diagonal elements of
-algebra elements need no quadrature: in the Weyl (Laguerre) form
+with s = m hbar, D(beta)[n + d, n] = (beta / |beta|)^d H_n^(d)(y) and
+D(beta)[n, n + d] = (-conj(beta) / |beta|)^d H_n^(d)(y), H_n^(d)(y) =
+e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y).  ``_weyl_sums`` runs the
+Laguerre recurrence in n once over every degree d and distinct y, modes
+that share y (k and -k, degrees m and -m) summed first: N steps over a
+(degrees) x (distinct y) array, the sections' only working set besides
+themselves.  ``represent`` takes every d and both triangles,
+``_parity_sections`` the even d, writing the two reflection-parity blocks
+of S + S^H, and ``multiplication_matrix`` and ``translation_matrix`` are
+one-term sections.  Nothing aliases, and a y whose tail bound
+(``band_limit``) is below ``SUBNORMAL_FLOOR`` on the window is skipped.
 
-    <psi_n, e^{2 pi i k x} psi_n(. - a)> = e^{i pi k a} e^{-y/2} L_n(y),
-    y = (a^2 + 4 pi^2 k^2) / 2.
+A coefficient reaches the N-mode window only through its modes
+|k| <= ``band_limit(N)``, so ``represent``, ``algebra_diagonals`` and
+``multiplication_matrix`` drop the rest.  The diagonal, d = 0, is
+``algebra_diagonals``, d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
+from ``_laguerre_rows`` on the distinct y and a gather of its columns cast
+to complex in C order (the order fixes the GEMV kernel, and so the bits).
+``diagonal_elements`` keeps a quadrature for callables on the line of
+limit or generic type (periodic weights need no diagonals: their zeta
+values are Mellin integrals of their heat traces in ``heatzeta``).
 
-``algebra_diagonals`` runs the Laguerre recurrence on the distinct y only,
-since k and -k, and degrees m and -m, share y, and forms its product in row
-blocks from a gather of those columns cast to complex in C order (the
-order fixes the GEMV kernel, and so the bits).  ``diagonal_elements`` keeps
-the quadrature for weights with no Fourier data: callables on the line of limit or generic
-type (periodic weights need no diagonals: their zeta values are Mellin
-integrals of their heat traces in ``heatzeta``).
-
-Hermite values and quadrature weights below ``SUBNORMAL_FLOOR`` =
-cbrt(tiny) (about 2.8e-103) are stored as 0.  A product of three kept
-factors, a weight and two Hermite values as each quadrature GEMM forms
-them, is then never subnormal, which
-x86 computes in microcode at several times the cost.  Each dropped term is
-below 2.8e-103 times a Hermite value and a weight, far under the rounding
-of any entry of order 1e-100 or more, so the sections and the Gram matrix
-are unchanged in practice.
+``HermiteBasis``' grid serves only its ``rows``; ``hermite_rows`` stores
+values below ``SUBNORMAL_FLOOR`` = cbrt(tiny) (about 2.8e-103) as 0, so a
+product of three kept factors is never subnormal, which x86 computes in
+microcode at several times the cost.
 
 Truncation-edge convention: homomorphism and commutation identities are
 asserted on the top-left floor(N/2) block only; full-matrix violations near
@@ -74,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .periodic import PeriodicFunction, trig_sum
+from .periodic import PeriodicFunction
 
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 1e120
@@ -83,15 +61,20 @@ QUAD_PAD = 6.0
 # quadrature points per mode of ``diagonal_elements``, whose weights have no
 # band limit: K = QUAD_DENSITY * N + 1 (the basis grid is set by band_limit)
 QUAD_DENSITY = 8
-# kept Hermite values and quadrature weights are at least this in magnitude
+# kept Hermite values are at least this in magnitude, and so is the tail
+# bound of every distinct y a section keeps
 SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
 # rows of a Hermite table floored at a time
 _FLOOR_ROWS = 32
 # rows of the Laguerre table gathered and cast to complex at a time
 _GATHER_ROWS = 256
-# doubles of one grid panel of a section's Hermite table and right factor:
-# one panel up to N = 300 on the operator route, two at N = 400 and 500
-_PANEL_DOUBLES = 2**20
+# the sections' recurrence divides by 2^_RESCALE_BITS (about _RESCALE_LIMIT)
+_RESCALE_BITS = 400
+# ln 2 = _LN2_HI + _LN2_LO, _LN2_HI with 21 trailing zero bits (fdlibm's split)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# rows of sqrt(y / d) multiplied between exponent carries in _weyl_start
+_START_ROWS = 16
 
 logger = logging.getLogger(__name__)
 
@@ -172,13 +155,14 @@ def hermite_rows(n_modes, x, out=None):
 
 
 class HermiteBasis:
-    """First N oscillator eigenfunctions with a shared uniform quadrature.
+    """First N oscillator eigenfunctions, with a uniform grid for their ``rows``.
 
-    The grid is h (-J..J) on [-L, L], exactly symmetric so that it reads the
-    same reversed; ``weight`` is h and ``n_quad`` is 2J + 1.  h = L / J with
-    J = ceil(L / h_max) is the widest such spacing at or below the Nyquist
-    spacing h_max = pi / (pi kmax + L), kmax = ``band_limit(N)``, of the
-    band-limited integrands of ``represent`` (see the module docstring).
+    The sections read only ``n_modes``; the grid serves only ``rows``:
+    h (-J..J) on [-L, L], exactly symmetric, ``weight`` h and ``n_quad``
+    2J + 1, with J = ceil(L / h_max) and h_max = pi / (pi kmax + L),
+    kmax = ``band_limit(N)``, the Nyquist spacing of f psi_j psi_k(. - s)
+    for f cut to |k| <= kmax, so a trapezoid rule on it integrates such
+    products up to rounding (Trefethen and Weideman, SIAM Rev. 56, 2014).
     """
 
     def __init__(self, n_modes):
@@ -228,176 +212,30 @@ def ladder_matrices(basis):
     return a, a.T, h, d, grading
 
 
-def _panels(size, width):
-    """Mirror-closed column panels of a symmetric grid of size = 2J + 1 points.
-
-    The J columns left of the centre are cut into as few near-equal runs
-    [a, b) as keep every panel within width columns.  A panel is its run
-    followed by the run's mirrors size - b .. size - a - 1, so that the
-    mirror of its column i is its column c - 1 - i (c its size), and the
-    centre column closes the last panel, the contiguous [a, size - a).
-    Each column lies in one panel; a single panel is the whole grid in
-    order.
-    """
-    half = size // 2
-    count = -(-half // max((width - 1) // 2, 1))
-    bounds = [half * i // count for i in range(count)] + [half + 1]
-    return [np.r_[a:b, max(b, size - b):size - a] for a, b in zip(bounds, bounds[1:])]
-
-
-def _fill_right(right, factors, modes):
-    """right[i] = sum over factors (rows, w, w_odd) of rows[modes[i]] times w.
-
-    w_odd replaces w on odd modes.  modes is a range of step 1 or 2; the
-    rows of each parity are filled ``_FLOOR_ROWS`` at a time, term by term
-    in order, so each entry is rounded as it is row by row.
-    """
-    runs = [(right, modes)] if modes.step == 2 else [(right[q::2], modes[q::2]) for q in (0, 1)]
-    (first, even, odd), rest = factors[0], factors[1:]
-    for out, run in runs:
-        odd_run = run.start & 1
-        for i in range(0, len(run), _FLOOR_ROWS):
-            chunk = run[i:i + _FLOOR_ROWS]
-            rows = slice(chunk.start, chunk.stop, chunk.step)
-            acc = np.multiply(first[rows], odd if odd_run else even,
-                              out=out[i:i + _FLOOR_ROWS])
-            for table, w, w_odd in rest:
-                acc += table[rows] * (w_odd if odd_run else w)
-
-
-def _section(terms, basis, parity_blocks=False):
-    """Sum over (shift s, f) of the quadrature matrices of f psi_j psi_k(. - s).
-
-    One grid serves every term: u = h (-J..J) with the basis spacing h,
-    placed at x = u + c with c the midpoint of the shifts and J the basis'
-    J plus the half-span of the shifts, so that every shifted factor keeps
-    its whole window on the grid.  With x = sign (u + |c|) and r = |c| -
-    sign s, parity gives psi_n(x) = sign^n psi_n(u + |c|) and psi_k(x - s) =
-    sign^k psi_k(u + r), and psi_k(u + r) for r < 0 is (-1)^k psi_k(u - r)
-    read in reverse (u is symmetric).  So one Hermite table per distinct
-    |offset| is computed, and the section is one GEMM, left @ right.T, of
-    the table at |c| with right = sum over terms of h f(x) times the table
-    at |r|.  A complex f runs as two real GEMMs, one per part of right,
-    half the flops of the complex GEMM that numpy would upcast complex-by-
-    real to.
-
-    The quadrature is summed over mirror-closed panels of the grid's
-    columns (``_panels``), so a reversed table is read within its panel,
-    and each column's Hermite values are computed once per |offset|.  The
-    panels are as wide as ``_PANEL_DOUBLES`` allows for one N-row table and
-    the right factor: one panel, the whole grid and one GEMM per block,
-    up to N = 300 on the operator route, and two at N = 400 and 500.  Each
-    call holds one table buffer (an N-row table per |offset|: one for the
-    localizer's element e_0 / 2 + e_1 [1], two for represent of a
-    three-degree element) and one right-factor buffer, both sized to a
-    panel and reused across panels; each block's GEMMs add up across
-    panels.  right is filled per parity, ``_FLOOR_ROWS`` rows at a time,
-    one block of rows just before its GEMM, in a buffer of the largest
-    block's rows reused across blocks and parts: N rows for a whole
-    section, ceil(N/2) for parity blocks.  Within a panel each block is one
-    GEMM: the rows of right are the same wherever they are stored, but a
-    block split into chunks of output columns rounds differently in
-    OpenBLAS.
-
-    Each f maps the points x to its values there, evaluated once on the
-    whole grid.  Weights below ``SUBNORMAL_FLOOR`` are dropped, as in
-    ``hermite_rows``: every term of right is a product of a kept weight and
-    a kept Hermite value.
-
-    With parity_blocks, only the two same-parity blocks, rows and columns
-    p, p + 2, ... for p = 0 and 1, are computed, as the list of the GEMMs
-    left[p::2] @ right[p::2].T: half the flops of the whole section.  The
-    sign of a negative centre cancels in such a block.
-    """
-    n, h = basis.n_modes, basis.weight
-    shifts = [s for s, _ in terms]
-    centre = 0.5 * (min(shifts) + max(shifts))
-    extra = int(np.ceil(0.5 * (max(shifts) - min(shifts)) / h))
-    u = h * np.arange(-(basis.n_quad // 2 + extra), basis.n_quad // 2 + extra + 1)
-    sign = -1.0 if centre < 0 else 1.0
-    x = sign * (u + abs(centre))
-    # the index of each distinct |offset|'s table, the left one first
-    offsets = {abs(centre): 0}
-    factors, values = [], []
-    for s, f in terms:
-        r = abs(centre) - sign * s
-        # the table, and whether it is read reversed with odd rows' signs changed
-        factors.append((offsets.setdefault(abs(r), len(offsets)), r < 0))
-        values.append(h * np.broadcast_to(f(x), x.shape))
-    parts = [np.real] + ([np.imag] if any(np.iscomplexobj(v) for v in values) else [])
-    kept = []
-    for part in parts:
-        kept.append([])
-        for (index, flips), v in zip(factors, values):
-            w = _floor(np.array(part(v), dtype=float))
-            if w.any():
-                kept[-1].append((index, flips, w, -w if flips else w))
-    blocks = [slice(0, None, 2), slice(1, None, 2)] if parity_blocks else [slice(None)]
-    # the first block is the largest
-    rows = len(range(n)[blocks[0]])
-    panels = _panels(u.size, _PANEL_DOUBLES // (n + rows))
-    width = max(cols.size for cols in panels)
-    table_buffer = np.empty(len(offsets) * n * width)
-    right_buffer = np.empty(rows * width)
-    sums = [[None] * len(blocks) for _ in parts]
-    for cols in panels:
-        size = n * cols.size
-        tables = [hermite_rows(n, u[cols] + offset,
-                               out=table_buffer[i * size:(i + 1) * size].reshape(n, -1))
-                  for offset, i in offsets.items()]
-        left = tables[0]
-        for part_kept, part_sums in zip(kept, sums):
-            if not part_kept:
-                continue
-            panel_factors = [(tables[i][:, ::-1] if flips else tables[i], w[cols], w_odd[cols])
-                             for i, flips, w, w_odd in part_kept]
-            for j, b in enumerate(blocks):
-                modes = range(n)[b]
-                right = right_buffer[:len(modes) * cols.size].reshape(len(modes), -1)
-                _fill_right(right, panel_factors, modes)
-                product = left[b] @ right.T
-                if part_sums[j] is None:
-                    part_sums[j] = product
-                else:
-                    part_sums[j] += product
-    sections = [[np.zeros((len(range(n)[b]),) * 2) if s is None else s
-                 for s, b in zip(part_sums, blocks)] for part_sums in sums]
-    out = sections[0] if len(sections) == 1 else [re + 1j * im for re, im in zip(*sections)]
-    if parity_blocks:
-        return out
-    (out,) = out
-    if sign < 0:
-        out[1::2] *= -1.0
-        out[:, 1::2] *= -1.0
-    return out
-
-
 def multiplication_matrix(f, basis):
-    """Matrix of multiplication by f: entries quad(f psi_m psi_n).
+    """Matrix of multiplication by the ``PeriodicFunction`` f on the basis' window.
 
-    A ``PeriodicFunction`` is evaluated from its modes |k| <= ``band_limit(N)``,
-    as in ``represent``: those are the modes the grid resolves and the only
-    ones that couple the N-mode window, so none of the rest aliases into
-    the matrix.  Any other callable is evaluated on the grid as it is, and
-    is resolved when its Fourier transform lies within |xi| <= 2 pi kmax.
-    No library code calls it: the tests check the shared quadrature of
-    ``_section`` through it against a Gaussian-integral oracle, and
-    the benchmark's tracing hooks it.
+    One term of ``represent`` at shift 0, from f's modes |k| <= ``band_limit(N)``.
+    No library code calls it: the tests check it against Gaussian-integral
+    and quadrature oracles, and the benchmark's tracing hooks it.
     """
-    if isinstance(f, PeriodicFunction):
-        k, c, _ = f.band(band_limit(basis.n_modes))
-        f = _band_function(k, c, not f.samples.imag.any())
-    return _section([(0.0, f)], basis)
+    if not isinstance(f, PeriodicFunction):
+        raise TypeError("multiplication_matrix takes a PeriodicFunction")
+    k, c, _ = f.band(band_limit(basis.n_modes))
+    (section,) = _weyl_blocks(_displacements(0.0, k, c, not f.samples.imag.any()), basis.n_modes)
+    return section
 
 
 def translation_matrix(alpha, basis):
     """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge.
 
-    At alpha = 0 it is the quadrature Gram matrix.  No library code calls
-    it: the tests check the Gram defect, unitarity and a Gaussian overlap
-    through it, and the benchmark's tracing hooks it.
+    One term of ``represent``, the displacement D(alpha / sqrt 2); alpha = 0
+    gives the identity exactly.  No library code calls it: the tests check
+    it, and the benchmark's tracing hooks it.
     """
-    return _section([(float(alpha), lambda x: 1.0)], basis)
+    (section,) = _weyl_blocks(_displacements(float(alpha), np.zeros(1), np.ones(1), True),
+                              basis.n_modes)
+    return section
 
 
 def band_limit(n_modes):
@@ -418,6 +256,11 @@ def band_limit(n_modes):
     entry of an N-mode section by at most e^{-4N} sum_{|k|>kmax} |c_k|,
     which is zero in double precision: a K-point quadrature of such an
     element reads rounding only, of order sqrt(K) times the unit roundoff.
+
+    The sections cull the kept modes by the same bound: for y >= N it grows
+    with m and n, so a distinct y where it is below ``SUBNORMAL_FLOOR`` at
+    m = n = N - 1 is skipped (``_kept_columns``), moving an entry by at most
+    the floor times the coefficients' mass: 28 of 44 y stay at N = 500.
     """
     return int(np.ceil(2.0 * np.sqrt(2.0 * n_modes) / np.pi))
 
@@ -439,64 +282,201 @@ def _bands(a, n_modes, caller):
     return bands
 
 
-def _band_function(k, c, real):
-    """x -> sum_k c_k e^{2 pi i k x} by ``trig_sum``, or its real part when real."""
-    def values(x):
-        v = trig_sum(k, c, x)
-        return v.real if real else v
-    return values
+def _displacements(shift, k, c, real, centre=0.0):
+    """The modes k of one coefficient c at one shift as displacements: (y, weight, angle, real).
 
-
-def _terms(a, n_modes, centre=0.0):
-    """The (shift, values) terms of a's section, each coefficient read at x + centre.
-
-    The shift by a nonzero centre rotates each kept mode k by
-    e^{2 pi i k centre}; a coefficient with real samples stays real.
+    On the window psi_n(x - centre) the mode e^{2 pi i k x} translated by
+    shift acts as c e^{2 pi i k centre} e^{i pi k shift} D(beta), with
+    beta = (shift + 2 pi i k) / sqrt 2; y = |beta|^2, angle = arg beta, and
+    real (one flag for the coefficient) says its samples are real.
     """
-    terms = []
-    for n, k, c in _bands(a, n_modes, "represent"):
-        if centre:
-            c = c * np.exp(2j * np.pi * centre * k)
-        terms.append((n * a.hbar,
-                      _band_function(k, c, not a.coefficient(n).samples.imag.any())))
-    return terms
+    k = np.asarray(k, dtype=float)
+    weight = c * np.exp(1j * np.pi * k * shift)
+    if centre:
+        weight = weight * np.exp(2j * np.pi * centre * k)
+    return (0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k), weight,
+            np.arctan2(2.0 * np.pi * k, shift), np.full(k.shape, bool(real)))
+
+
+def _element_displacements(a, n_modes, centre=0.0):
+    """``_displacements`` of every degree of a, concatenated, with its band logged."""
+    parts = [_displacements(m * a.hbar, k, c, not a.coefficient(m).samples.imag.any(), centre)
+             for m, k, c in _bands(a, n_modes, "represent")]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _kept_columns(y, n_modes):
+    """Whether each y couples the N-mode window above ``SUBNORMAL_FLOOR``.
+
+    A y >= N is dropped when the tail bound of ``band_limit`` at
+    m = n = N - 1, -y/2 + (N - 1) ln y + (N - 1)^2 / y - ln (N - 1)!, is
+    below ln ``SUBNORMAL_FLOOR``: for y >= N that bound grows with m and n,
+    so it bounds every entry of the window.
+    """
+    kept = y < n_modes
+    far = y[~kept]
+    m = n_modes - 1
+    bound = -0.5 * far + m * np.log(far) + m * m / far - math.lgamma(n_modes)
+    kept[~kept] = bound >= math.log(SUBNORMAL_FLOOR)
+    return kept
+
+
+def _column_weights(displacements, n_modes, degrees, hermitian):
+    """The kept distinct y, the weights of ``_weyl_sums`` on them, and whether they are complex.
+
+    Modes that share y share a column, their weights times the phase
+    (beta / |beta|)^d of the lower triangle, or (-conj(beta) / |beta|)^d of
+    the upper, summed first.  With hermitian, S + S^H on even d, whose lower
+    entries take 2 Re(weight) (beta / |beta|)^d.  A coefficient with real
+    samples adds the real part of its sums; complex weights come as a real
+    and an imaginary part per triangle.
+    """
+    y, weight, angle, real = displacements
+    distinct, column = np.unique(y, return_inverse=True)
+    kept = np.flatnonzero(_kept_columns(distinct, n_modes))
+    onehot = (column[:, None] == kept).astype(float)
+    phase = np.exp(1j * np.outer(degrees, angle))
+    if hermitian:
+        sums = [2.0 * weight.real * phase]
+    else:
+        sign = (1 - 2 * (degrees & 1))[:, None]
+        sums = [weight * phase, weight * sign * phase.conj()]
+    complex_ = not real.all()
+    parts = []
+    for terms in sums:
+        if complex_:
+            total = (terms[:, real] @ onehot[real]).real + terms[:, ~real] @ onehot[~real]
+            parts += [total.real, total.imag]
+        else:
+            parts.append((terms @ onehot).real)
+    return distinct[kept], np.stack(parts), complex_
+
+
+def _weyl_start(y, d_max):
+    """Mantissas and binary exponents of H_0^(d)(y) = e^{-y/2} y^{d/2} / sqrt(d!), d <= d_max.
+
+    A log scale L puts |L| eps into exp(L): 3e-14 in the sections at
+    N = 400.  So e^{-y/2} = 2^{-q} e^r, q = rint(y / 2 ln 2), r reduced by
+    ln 2 in two parts (Cody and Waite), and the factors sqrt(y / d) are
+    multiplied ``_START_ROWS`` rows at a time, the exponent carried by
+    ``np.frexp``: each value is rounded about d times, not |L| / eps.
+    """
+    q = np.rint(0.5 * y / math.log(2.0))
+    mantissa = np.empty((d_max + 1, y.size))
+    exponent = np.empty((d_max + 1, y.size), dtype=int)
+    mantissa[0], exponent[0] = np.frexp(np.exp((q * _LN2_HI - 0.5 * y) + q * _LN2_LO))
+    exponent[0] -= q.astype(int)
+    factors = np.sqrt(y / np.arange(1.0, d_max + 1.0)[:, None])
+    for lo in range(1, d_max + 1, _START_ROWS):
+        hi = min(lo + _START_ROWS, d_max + 1)
+        mantissa[lo:hi], exponent[lo:hi] = np.frexp(
+            np.cumprod(factors[lo - 1:hi - 1], axis=0) * mantissa[lo - 1])
+        exponent[lo:hi] += exponent[lo - 1]
+    return mantissa, exponent
+
+
+def _weyl_sums(y, degrees, weights, n_modes):
+    """Yield sum_j H_n^(d)(y_j) weights[:, d, j] for n < n_modes, over the degrees d < n_modes - n.
+
+    H_n^(d) = e^{-y/2} y^{d/2} G_n^(d) / sqrt(d!), G_n^(d) = sqrt(n! d! /
+    (n + d)!) L_n^(d)(y); degrees ascend from 0, weights has shape (K,
+    len(degrees), len(y)) and each yield (K, count).  The recurrence
+
+        G_{n+1} = ((2n + d + 1 - y) G_n - sqrt(n (n + d)) G_{n-1})
+                  / sqrt((n + 1) (n + d + 1)),
+
+    that of ``_laguerre_rows`` at d = 0, runs over all degrees and y at
+    once, in this division form (a reciprocal multiply drifts), from the
+    mantissas of ``_weyl_start``.  Every ``_RESCALE_EVERY`` steps a |G|
+    above ``_RESCALE_LIMIT`` is divided by 2^``_RESCALE_BITS`` and its
+    binary exponent raised, both exactly, and the weights are rescaled.
+    Consumers hold ``np.errstate(under="ignore")``, as for ``_hermite_iter``.
+    """
+    mantissa, exponent = _weyl_start(y, degrees[-1])
+    d = degrees.astype(float)[:, None]
+    cur, exponent = mantissa[degrees], exponent[degrees]
+    scaled = weights * np.ldexp(1.0, exponent)
+    prev, nxt, lower = np.zeros_like(cur), np.empty_like(cur), np.empty_like(cur)
+    # n (n + d), an exact integer, and its root
+    square, root = np.zeros_like(d), np.zeros_like(d)
+    counts = np.searchsorted(degrees, n_modes - np.arange(n_modes)).tolist()
+    for n, count in enumerate(counts):
+        if count < d.size:
+            prev, cur, nxt, lower = prev[:count], cur[:count], nxt[:count], lower[:count]
+            d, square, root, exponent = d[:count], square[:count], root[:count], exponent[:count]
+            weights, scaled = weights[:, :count], scaled[:, :count]
+        yield np.einsum("ij,kij->ki", cur, scaled)
+        step = d + (2.0 * n + 1.0)
+        np.subtract(step, y, out=nxt)
+        nxt *= cur
+        np.multiply(root, prev, out=lower)
+        nxt -= lower
+        # (n + 1) (n + 1 + d) = n (n + d) + 2n + 1 + d
+        square += step
+        root = np.sqrt(square)
+        nxt /= root
+        prev, cur, nxt = cur, nxt, prev
+        if (n + 1) % _RESCALE_EVERY == 0:
+            big = np.abs(cur) > _RESCALE_LIMIT
+            if big.any():
+                bits = np.where(big, _RESCALE_BITS, 0)
+                prev, cur = np.ldexp(prev, -bits), np.ldexp(cur, -bits)
+                exponent = exponent + bits
+                scaled = weights * np.ldexp(1.0, exponent)
+
+
+def _weyl_blocks(displacements, n_modes, hermitian=False):
+    """The section sum over displacements of weight D(beta), from ``_weyl_sums``, as blocks.
+
+    Without hermitian, one block, the N x N section: each n writes column n
+    below the diagonal and row n right of it.  With it, the two parity
+    blocks of S + S^H: each n writes column n // 2 of block n mod 2 below
+    the diagonal and its conjugate as the row, so they are Hermitian by
+    construction.  float64 when every coefficient has real samples.
+    """
+    step = 2 if hermitian else 1
+    degrees = np.arange(0, n_modes, step)
+    y, weights, complex_ = _column_weights(displacements, n_modes, degrees, hermitian)
+    blocks = [np.zeros((len(range(p, n_modes, step)),) * 2, dtype=complex if complex_ else float)
+              for p in range(step)]
+    with np.errstate(under="ignore"):
+        for n, sums in enumerate(_weyl_sums(y, degrees, weights, n_modes)):
+            if complex_:
+                sums = sums[0::2] + 1j * sums[1::2]
+            block, i = blocks[n % step], n // step
+            block[i:, i] = sums[0]
+            block[i, i:] = sums[0].conj() if hermitian else sums[1]
+    return blocks
 
 
 def represent(a, basis):
-    """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis.
+    """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis, in closed form.
 
-    Each degree n is one term f_n psi_j psi_k(. - n hbar) of ``_section``:
-    a single translation by n*hbar of either sign, not a product
-    P M_f P . P T P, and every degree shares one grid, one left Hermite
-    table and one GEMM.  f_n is evaluated on the grid from its modes
-    |k| <= ``band_limit(N)``, so no out-of-band mode aliases into the
-    section.
-
-    Multiplication by a real f_n and translation both map real functions to
-    real functions, so a coefficient with real samples is taken as the real
-    part of its band.  The section of an element whose coefficients are all
-    real is a float64 array from one real GEMM; any complex coefficient
-    makes it complex.
+    Each mode |k| <= ``band_limit(N)`` of f_n, translated by n hbar, is a
+    displacement (module docstring), so the section is one recurrence in n
+    over every degree d = i - j and distinct y (``_weyl_sums``): no grid,
+    nothing aliases.  Multiplication by a real f_n and translation map real
+    functions to real functions, so a coefficient with real samples is
+    taken as the real part of its band; the section of an element whose
+    coefficients are all real is float64, and any complex one makes it
+    complex.
     """
-    terms = _terms(a, basis.n_modes)
-    if not terms:
-        return np.zeros((basis.n_modes, basis.n_modes))
-    return _section(terms, basis)
+    n_modes = basis.n_modes
+    if not a.items():
+        return np.zeros((n_modes, n_modes))
+    (section,) = _weyl_blocks(_element_displacements(a, n_modes), n_modes)
+    return section
 
 
-def _parity_sections(a, basis, centre):
-    """The two same-parity blocks of the section of a on the window centred at centre.
+def _parity_sections(a, n_modes, centre):
+    """The two same-parity blocks of S + S^H, S the section of a on the window centred at centre.
 
     The window is psi_n(x - centre), n < N, and the blocks are its rows and
-    columns of parity p = 0 and 1 under the reflection x -> 2 centre - x.
-    Translating by centre turns this into the section of the element whose
-    coefficients are read at x + centre, so each kept Fourier mode is
-    rotated by e^{2 pi i k centre} (``_terms``): no new ``PeriodicFunction``
-    and no transform.  The blocks are the two same-parity GEMMs of
-    ``_section``, half the flops of ``represent``; a has at least one
-    degree.
+    columns of parity p = 0 and 1 under the reflection x -> 2 centre - x,
+    the even degrees of ``_weyl_sums``; translating by centre rotates each
+    kept Fourier mode by e^{2 pi i k centre}.  a has at least one degree.
     """
-    return _section(_terms(a, basis.n_modes, centre), basis, parity_blocks=True)
+    return _weyl_blocks(_element_displacements(a, n_modes, centre), n_modes, hermitian=True)
 
 
 def diagonal_elements(weighted_shifts, n_modes):

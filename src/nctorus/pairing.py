@@ -30,22 +30,25 @@ On the Hermite window centred at c the reflection acts on psi_n(x - c) by
 commutes with the parity involution that pairs top-block modes of parity
 p with bottom-block modes of parity 1 - p.  ``fedosov_index`` then takes
 the signature and the gap from the two blocks, of sizes about N each,
-with one ``eigvalsh`` per block and only the same-parity blocks of the
-section: about a quarter of the eigenvalue flops and half the GEMM flops
-of the whole localizer.  The centre is read from the element (see
-``_reflection_centre``); any element whose reflection defect there exceeds
-``PROJECTION_TOL``, such as U e U*, takes the whole localizer on the
-window centred at 0.  The cross-parity entries the split drops are of the
-order of that defect (at most 4e-12 on the pools below at N = 200 and
-400), far under ``GAP_FLOOR``.  The window centred at c is the one of the
-translated operator D - c, a scalar perturbation of D, so the index is the
-same and only the gap moves: by at most 0.006 on the pools below.
+with one ``eigvalsh`` per block, each block diagonalized as it is built,
+and only the even degrees of the section's closed form: about a quarter
+of the eigenvalue flops of the whole localizer.  The centre is read from
+the element (see ``_reflection_centre``); any element whose reflection
+defect there exceeds ``PROJECTION_TOL``, such as U e U*, takes the whole
+localizer on the window centred at 0.  The cross-parity entries the split
+drops are of the order of that defect (at most 4e-12 on the pools below at
+N = 200 and 400), far under ``GAP_FLOOR``.  The window centred at c is
+the one of the translated operator D - c, a scalar perturbation of D, so
+the index is the same and only the gap moves: by at most 0.006 on the pools
+below.
 
 Measured margins (numpy 2.4 with OpenBLAS): over the bump projections with
 hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
 2.4, 2.6} at N = 300/400/500 and {-0.6, -0.4, -0.25, 0.3, 0.55, 1.3, 1.45,
 1.65, 2.4, 2.6} at N = 200, all 52 integers are -floor(hbar), all from the
-two parity blocks, and the smallest gap is 0.1501 (hbar 2.25, N = 300).
+two parity blocks, and the smallest gap is 0.1501 (hbar 2.25, N = 300;
+re-measured on the closed-form sections, which moved no gap by more than
+7e-15).
 Off those sets, -0.75, 1.8 and 2.75 at N = 300/400/500 and 0.45, 0.7 and
 2.25 at N = 200 are right as well, with gaps of at least 0.131.
 
@@ -184,13 +187,12 @@ def _reflection_centre(e, kmax):
     return centre, defect
 
 
-def _symmetry(half):
-    """-(1 - 2 herm) = 2 (S + S^H) - 1 of a section block S."""
-    top = half + half.conj().T
-    top *= 2.0
-    diag = np.arange(top.shape[0])
-    top[diag, diag] -= 1.0
-    return top
+def _symmetry(herm):
+    """-(1 - 2 herm) = 2 herm - 1 of a block herm of S + S^H, in place."""
+    herm *= 2.0
+    diag = np.arange(herm.shape[0])
+    herm[diag, diag] -= 1.0
+    return herm
 
 
 def _block(top, bottom, n, p, step, kappa):
@@ -216,25 +218,28 @@ def _block(top, bottom, n, p, step, kappa):
 
 
 def _localizer(e, n, kappa):
-    """The localizer of ``fedosov_index`` on n modes, as a list of blocks.
+    """The localizer of ``fedosov_index`` on n modes, as an iterator of blocks.
 
-    Returns (blocks, centre, defect) from ``_reflection_centre``.  When e
-    is reflection symmetric about its centre within ``PROJECTION_TOL``, the
-    blocks are the two of top parity p = 0 and 1 on the Hermite window
-    centred there, from the same-parity blocks of the section
-    (``_parity_sections``); otherwise the one block is the whole localizer
-    on the window centred at 0, from ``represent``.  Either way the section
-    is of the nonnegative degrees of e.
+    Returns (blocks, centre, defect), centre and defect from
+    ``_reflection_centre``.  When e is reflection symmetric about its
+    centre within ``PROJECTION_TOL``, the blocks are the two of top parity
+    p = 0 and 1 on the Hermite window centred there, from the same-parity
+    blocks of S + S^H (``_parity_sections``); otherwise the one block is
+    the whole localizer on the window centred at 0, from ``represent``.
+    Either way S is the section of the nonnegative degrees of e, built
+    here; each block is built only when the iterator reaches it.
     """
     upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
                                     for m, f in e.items() if m >= 0})
-    basis = HermiteBasis(n)
     centre, defect = _reflection_centre(e, band_limit(n))
     if defect is None or defect > PROJECTION_TOL:
-        top = _symmetry(represent(upper, basis))
-        return [_block(top, top, n, 0, 1, kappa)], centre, defect
-    tops = [_symmetry(half) for half in _parity_sections(upper, basis, centre)]
-    return [_block(tops[p], tops[1 - p], n, p, 2, kappa) for p in (0, 1)], centre, defect
+        half = represent(upper, HermiteBasis(n))
+        tops = [_symmetry(half + half.conj().T)]
+    else:
+        tops = [_symmetry(herm) for herm in _parity_sections(upper, n, centre)]
+    step = len(tops)
+    blocks = (_block(tops[p], tops[(p + 1) % step], n, p, step, kappa) for p in range(step))
+    return blocks, centre, defect
 
 
 def _fmt(value):
@@ -260,7 +265,9 @@ def fedosov_index(e, basis_size=400):
     ``PROJECTION_TOL``, the window is the first N eigenfunctions
     psi_n(x - c) and L splits into two blocks: top modes of parity p with
     bottom modes of parity 1 - p, of sizes N - 1 and N (``_localizer``).
-    Sig L and the gap come from one ``eigvalsh`` per block.  Any other e
+    Sig L and the gap come from one ``eigvalsh`` per block, each block
+    diagonalized before the next is built, so the working set is the
+    section's two parity blocks and one localizer block.  Any other e
     takes the window centred at 0 and one (2N - 1)^2 block, the whole L.
 
     e is self-adjoint (``_require_projection``, its defect memoised), so
@@ -280,7 +287,7 @@ def fedosov_index(e, basis_size=400):
     instead of returning a number.  Large |hbar| at small N raises (see the
     module docstring for the measured domain).  Each call logs N, kappa,
     the number of blocks, the centre c and the reflection defect (none
-    when c_1 = 0), the signature, the gap and the localizer's dtype
+    when c_1 = 0), the signature, the gap and the first block's dtype
     (spectrum=real or hermitian) at DEBUG on the ``nctorus.pairing``
     logger.
     """
@@ -292,13 +299,19 @@ def fedosov_index(e, basis_size=400):
         )
     kappa = 1.0 / np.sqrt(n)
     blocks, centre, defect = _localizer(e, n, kappa)
-    evals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    spectra, spectrum = [], None
+    for block in blocks:
+        spectra.append(np.linalg.eigvalsh(block))
+        spectrum = spectrum or ("hermitian" if np.iscomplexobj(block) else "real")
+        # each block is diagonalized as it is built: the next one is built
+        # without this one held
+        del block
+    evals = np.concatenate(spectra)
     signature = int(np.count_nonzero(evals > 0) - np.count_nonzero(evals < 0))
     gap = float(np.abs(evals).min())
-    spectrum = "hermitian" if np.iscomplexobj(blocks[0]) else "real"
     logger.debug("operator index: N=%d kappa=%.6g blocks=%d centre=%s "
                  "reflection_defect=%s signature=%d gap=%.6g spectrum=%s",
-                 n, kappa, len(blocks), _fmt(centre), _fmt(defect), signature, gap,
+                 n, kappa, len(spectra), _fmt(centre), _fmt(defect), signature, gap,
                  spectrum)
     if gap < GAP_FLOOR:
         raise ValueError(

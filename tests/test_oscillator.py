@@ -1,4 +1,3 @@
-import copy
 import itertools
 import logging
 import re
@@ -28,9 +27,7 @@ from nctorus.oscillator import (
     _floor,
     _hermite_iter,
     _laguerre_rows,
-    _panels,
     _parity_sections,
-    _terms,
     band_limit,
 )
 from nctorus import oscillator, pairing
@@ -39,15 +36,6 @@ from nctorus import adjoint as alg_adjoint
 from nctorus import multiply as alg_multiply
 
 HBAR = 0.3
-
-
-# a panel budget that holds every grid here whole: one GEMM per block
-ONE_PANEL = 2**40
-
-
-@pytest.fixture
-def one_panel(monkeypatch):
-    monkeypatch.setattr(oscillator, "_PANEL_DOUBLES", ONE_PANEL)
 
 
 def test_ground_state_value():
@@ -240,68 +228,30 @@ def test_suspended_hermite_iter_leaves_the_error_state_alone():
         assert np.geterr()["under"] == "warn"
 
 
-def _centred_grid(a, basis):
-    """The grid of ``represent``: u = h (-J..J) and its centre c, the shifts' midpoint."""
-    shifts = [n * a.hbar for n, _ in a.items()]
-    centre = 0.5 * (min(shifts) + max(shifts))
-    j = basis.n_quad // 2 + int(np.ceil(0.5 * (max(shifts) - min(shifts)) / basis.weight))
-    return basis.weight * np.arange(-j, j + 1), centre
-
-
-def _centred_section(a, basis, rows, floor, complex_weights=False):
-    """P pi(a) P by the quadrature of ``represent`` on its centred grid, c >= 0.
-
-    The shifted factors are recurrences at u + c - n hbar themselves, not
-    reversed tables; right is accumulated degree by degree and a complex
-    weight runs as two real GEMMs, as in ``represent``.  complex_weights
-    keeps the imaginary part of real coefficients' weights too.
-    """
-    u, centre = _centred_grid(a, basis)
-    assert centre >= 0.0
-    x = u + centre
-    left = rows(u + centre)
-    weights, shifted = [], []
-    for n, f in a.items():
-        k, c, _ = f.band(band_limit(basis.n_modes))
-        values = trig_sum(k, c, x)
-        real = not (complex_weights or f.samples.imag.any())
-        weights.append(basis.weight * (values.real if real else values))
-        shifted.append(rows(u + (centre - n * a.hbar)))
-    parts = [np.real] + ([np.imag] if any(np.iscomplexobj(w) for w in weights) else [])
-    sections = []
-    for part in parts:
-        right = 0.0
-        for w, table in zip(weights, shifted):
-            right = right + table * floor(np.array(part(w)))
-        sections.append(left @ right.T)
-    return sections[0] if len(sections) == 1 else sections[0] + 1j * sections[1]
-
-
-def _unfloored_rows(n_modes):
-    return lambda x: np.array(list(itertools.islice(_hermite_iter(x), n_modes)))
-
-
 @pytest.mark.parametrize("element", ["p03", "U"])
-def test_represent_is_unchanged_by_the_floor(element, p03, basis400, one_panel):
-    # the dropped terms are below 2.8e-103 times O(1): no entry moves a bit;
-    # the reference is one whole-grid GEMM, so the section is one panel too
+def test_represent_is_unchanged_by_the_floor(element, p03, basis400, monkeypatch):
+    # the culled columns (band_limit's tail bound below SUBNORMAL_FLOOR) move
+    # each entry by at most the floor times the coefficients' mass
     a = p03 if element == "p03" else AlgebraElement.circle_generator(HBAR)
-    unfloored = _centred_section(a, basis400, _unfloored_rows(400), lambda w: w)
-    assert np.array_equal(represent(a, basis400), unfloored)
+    section = represent(a, basis400)
+    monkeypatch.setattr(oscillator, "_kept_columns", lambda y, n_modes: np.ones(y.size, bool))
+    whole = represent(a, basis400)
+    mass = sum(np.abs(f.band(band_limit(400))[1]).sum() for _, f in a.items())
+    assert section.dtype == whole.dtype
+    assert np.abs(section - whole).max() <= SUBNORMAL_FLOOR * mass
 
 
-def test_represent_of_real_coefficients_is_real(p03, basis400, one_panel):
-    # the localizer's element: e_0 / 2 + e_1 [1], whose coefficients are real;
-    # one panel, as the reference's whole-grid GEMM
+def test_represent_of_real_coefficients_is_real(p03, basis400):
+    # the localizer's element: e_0 / 2 + e_1 [1], whose coefficients are real
     upper = AlgebraElement(p03.hbar, {n: 0.5 * f if n == 0 else f
                                       for n, f in p03.items() if n >= 0})
     section = represent(upper, basis400)
     assert section.dtype == np.float64
     # the complex quadrature, whose imaginary part is rounding only
-    reference = _centred_section(upper, basis400, lambda x: hermite_rows(400, x), _floor,
-                                 complex_weights=True)
+    reference = _reference_section(_grid_terms(upper, 400, real=False), basis400)
     assert np.iscomplexobj(reference)
-    assert np.array_equal(section, reference.real)
+    assert np.abs(reference.imag).max() < 1e-13
+    assert np.abs(section - reference.real).max() < 1e-13
 
 
 def _asymmetric_element(hbar, degrees, rng):
@@ -359,28 +309,9 @@ def test_centred_section_matches_a_dense_linspace_quadrature(case, basis200):
     assert np.abs(represent(a, basis200) - _linspace_section(a, 200)).max() < 1e-12
 
 
-def refined(basis, factor=4):
-    """A copy of basis whose grid has factor times as many intervals on [-L, L]."""
-    dense = copy.copy(basis)
-    half = factor * (basis.n_quad // 2)
-    dense.n_quad, dense.weight = 2 * half + 1, basis.weight / factor
-    dense.grid = dense.weight * np.arange(-half, half + 1)
-    return dense
-
-
-@pytest.mark.parametrize("n_modes", [8, 16, 32, 64, 200, 400, 800])
-def test_grid_resolves_the_band_limited_section(n_modes):
-    # the spacing is sized from band_limit(N): a 4x-denser grid adds rounding only
-    basis = HermiteBasis(n_modes)
-    dense = refined(basis)
-    for case in SECTION_CASES:
-        a = _section_case(case)
-        diff = np.abs(represent(a, basis) - represent(a, dense)).max()
-        assert diff < 1e-13, (case, diff)
-
-
 def test_grid_is_sized_at_the_nyquist_rate():
-    # h <= pi / (pi kmax + L), the fewest odd points h (-J..J) on [-L, L]
+    # h <= pi / (pi kmax + L), the fewest odd points h (-J..J) on [-L, L]:
+    # the grid of HermiteBasis.rows and of the quadrature oracle below
     for n_modes, n_quad in ((8, 133), (32, 301), (64, 475), (300, 1575), (400, 2057),
                             (500, 2487)):
         basis = HermiteBasis(n_modes)
@@ -459,13 +390,35 @@ def test_lean_recurrences_are_bit_identical(basis400):
                                   _reference_laguerre_rows(y, n_modes))
 
 
-def _reference_section(terms, basis, parity_blocks=False):
-    """``_section`` with whole-grid tables and its whole right factor built before any GEMM.
+def _grid_terms(a, n_modes, centre=0.0, real=None):
+    """The (shift, values) terms of a's section for ``_reference_section``.
 
-    right is one N x K' array, filled row by row for every mode and read by
-    the parity blocks as the strided views right[p::2]; ``_section`` fills
-    one panel-sized buffer of the larger block's rows, panel by panel,
-    block by block and part by part.
+    Each coefficient is cut to its modes |k| <= ``band_limit(N)`` and read at
+    x + centre, and is taken as its real part when its samples are real
+    (or when real says so).
+    """
+    def band_function(k, c, real_part):
+        return lambda x: trig_sum(k, c, x).real if real_part else trig_sum(k, c, x)
+
+    terms = []
+    for n, f in a.items():
+        k, c, _ = f.band(band_limit(n_modes))
+        real_part = not f.samples.imag.any() if real is None else real
+        terms.append((n * a.hbar, band_function(k, c * np.exp(2j * np.pi * centre * k),
+                                                real_part)))
+    return terms
+
+
+def _reference_section(terms, basis, parity_blocks=False):
+    """The section by the trapezoid rule on the basis grid: the closed form's oracle.
+
+    The grid keeps the basis spacing, is centred at the midpoint c of the
+    shifts and is extended by their half-span, so every shifted factor
+    keeps its window on it.  With x = sign (u + |c|), parity gives
+    psi_n(x) = sign^n psi_n(u + |c|), and a table at a negative offset is a
+    stored one read in reverse.  The section is one GEMM of the left table
+    and the weighted right factor, per part of a complex weight; with
+    parity_blocks, the two same-parity blocks, rows and columns p, p + 2, ...
     """
     n, h = basis.n_modes, basis.weight
     shifts = [s for s, _ in terms]
@@ -511,67 +464,43 @@ def _bit_identical(got, expected):
     return got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("n_modes", [200, 300, 500])
-@pytest.mark.parametrize("case", ["bump", "UeU*"])
-def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes,
-                                                                   monkeypatch):
-    # the real bump, the localizer's element of it (two shifts, a reversed
-    # table) and the complex U e U* (real and imaginary parts share the buffer);
-    # N = 200 and 300 are one panel at the default budget, N = 500 is made one
-    if n_modes > 300:
-        monkeypatch.setattr(oscillator, "_PANEL_DOUBLES", ONE_PANEL)
-    bump = rieffel_projection(1.3)
-    elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
-                                            for m, f in bump.items() if m >= 0})]
-                if case == "bump" else [_section_case("UeU*")])
+def _oracle_elements(hbar):
+    """The bump, its localizer element e_0 / 2 + e_1 [1] and the complex U e U*."""
+    bump = rieffel_projection(hbar)
+    u = AlgebraElement.circle_generator(hbar)
+    return {
+        "bump": bump,
+        "localizer": AlgebraElement(hbar, {m: 0.5 * f if m == 0 else f
+                                           for m, f in bump.items() if m >= 0}),
+        "UeU*": alg_multiply(alg_multiply(u, bump), alg_adjoint(u)),
+    }
+
+
+ORACLE_HBARS = (1.3, -0.6, 6.88, -4.13, 9.78, -14.3)
+
+
+@pytest.mark.parametrize("n_modes", [8, 50, 200, 400, 800])
+def test_closed_form_sections_match_the_quadrature(n_modes):
+    # represent and the parity blocks of S + S^H against the trapezoid rule
+    # on the Nyquist grid, whose integrands are band-limited: rounding only.
+    # At 800 modes the smallest and the largest translation only, since each
+    # hbar there costs about 2 s of reference GEMMs
     basis = HermiteBasis(n_modes)
-    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
-    for a in elements:
-        assert _bit_identical(represent(a, basis), _reference_section(_terms(a, n_modes), basis))
-        blocks = _parity_sections(a, basis, centre)
-        expected = _reference_section(_terms(a, n_modes, centre), basis, parity_blocks=True)
-        assert len(blocks) == 2 and all(map(_bit_identical, blocks, expected))
-
-
-@pytest.mark.parametrize("size, width", [(3, 1), (3, 3), (5, 4), (133, 7), (133, 133),
-                                         (2531, 1398), (2531, 2531), (3745, 873), (3777, 10**6)])
-def test_panels_cover_every_column_once_and_are_mirror_closed(size, width):
-    panels = _panels(size, width)
-    assert np.array_equal(np.sort(np.concatenate(panels)), np.arange(size))
-    for cols in panels:
-        # the mirror of panel column i is panel column c - 1 - i
-        assert np.array_equal(size - 1 - cols, cols[::-1])
-        assert cols.size <= max(width, 3)
-    assert size // 2 in panels[-1]
-    # as few panels as the width allows
-    assert len(panels) == max(1, -(-(size // 2) // max((width - 1) // 2, 1)))
-    if width >= size:
-        assert len(panels) == 1 and np.array_equal(panels[0], np.arange(size))
-
-
-# a panel split reorders the quadrature's additions only: entries are O(1),
-# so the two sums agree to a few units of float64 rounding
-PANEL_TOL = 32 * np.finfo(float).eps
-
-
-@pytest.mark.parametrize("n_modes", [400, 500, 800])
-def test_panelled_sections_match_the_whole_grid(n_modes):
-    # N = 400 and 500 take two panels on the operator route, 800 five: the
-    # localizer's element (one table, real) and U e U* (two tables, complex)
-    bump = rieffel_projection(1.3)
-    upper = AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f for m, f in bump.items() if m >= 0})
-    basis = HermiteBasis(n_modes)
-    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
-    for a in (upper, _section_case("UeU*")):
-        section = represent(a, basis)
-        expected = _reference_section(_terms(a, n_modes), basis)
-        assert section.dtype == expected.dtype
-        assert np.abs(section - expected).max() < PANEL_TOL
-        blocks = _parity_sections(a, basis, centre)
-        expected = _reference_section(_terms(a, n_modes, centre), basis, parity_blocks=True)
-        for block, reference in zip(blocks, expected, strict=True):
-            assert block.dtype == reference.dtype
-            assert np.abs(block - reference).max() < PANEL_TOL
+    for hbar in (1.3, -14.3) if n_modes == 800 else ORACLE_HBARS:
+        centre = pairing._reflection_centre(rieffel_projection(hbar), band_limit(n_modes))[0]
+        for name, a in _oracle_elements(hbar).items():
+            section = represent(a, basis)
+            expected = _reference_section(_grid_terms(a, n_modes), basis)
+            assert section.dtype == expected.dtype, (hbar, name)
+            diff = np.abs(section - expected).max()
+            assert diff < 1e-13, (hbar, name, diff)
+            blocks = _parity_sections(a, n_modes, centre)
+            expected = _reference_section(_grid_terms(a, n_modes, centre), basis,
+                                          parity_blocks=True)
+            for block, half in zip(blocks, expected, strict=True):
+                assert block.dtype == half.dtype, (hbar, name)
+                diff = np.abs(block - (half + half.conj().T)).max()
+                assert diff < 1e-13, (hbar, name, diff)
 
 
 def _reference_algebra_diagonals(a, n_modes):
