@@ -16,14 +16,15 @@ Weyl displacement operator (Cahill and Glauber, Phys. Rev. 177, 1969):
 with s = m hbar, D(beta)[n + d, n] = (beta / |beta|)^d H_n^(d)(y) and
 D(beta)[n, n + d] = (-conj(beta) / |beta|)^d H_n^(d)(y), H_n^(d)(y) =
 e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y).  ``_weyl_sums`` runs the
-Laguerre recurrence in n once over every degree d and distinct y, modes
-that share y (k and -k, degrees m and -m) summed first: N steps over a
-(degrees) x (distinct y) array, the sections' only working set besides
-themselves.  ``represent`` takes every d and both triangles,
-``_parity_sections`` the even d, writing the two reflection-parity blocks
-of S + S^H, and ``multiplication_matrix`` and ``translation_matrix`` are
-one-term sections.  Nothing aliases, and a y whose tail bound
-(``band_limit``) is below ``SUBNORMAL_FLOOR`` on the window is skipped.
+Laguerre recurrence in n, in difference form, once over every degree d
+and distinct y, modes that share y (k and -k, degrees m and -m) summed
+first: N steps over a (degrees) x (distinct y) array, the sections' only
+working set besides themselves.  ``represent`` takes every d and both
+triangles, ``_parity_sections`` the even d, writing the two
+reflection-parity blocks of S + S^H, and ``multiplication_matrix`` and
+``translation_matrix`` are one-term sections.  Nothing aliases, and a y
+whose tail bound (``band_limit``) is below ``SUBNORMAL_FLOOR`` on the
+window is skipped.
 
 A coefficient reaches the N-mode window only through its modes
 |k| <= ``band_limit(N)``, so ``represent``, ``algebra_diagonals`` and
@@ -386,41 +387,51 @@ def _weyl_sums(y, degrees, weights, n_modes):
                   / sqrt((n + 1) (n + d + 1)),
 
     that of ``_laguerre_rows`` at d = 0, runs over all degrees and y at
-    once, in this division form (a reciprocal multiply drifts), from the
-    mantissas of ``_weyl_start``.  Every ``_RESCALE_EVERY`` steps a |G|
-    above ``_RESCALE_LIMIT`` is divided by 2^``_RESCALE_BITS`` and its
-    binary exponent raised, both exactly, and the weights are rescaled.
-    Consumers hold ``np.errstate(under="ignore")``, as for ``_hermite_iter``.
+    once from the mantissas of ``_weyl_start``, in difference form: with
+    F_n = (n + d) G_n - sqrt(n (n + d)) G_{n-1}, F_0 = d G_0,
+
+        G_{n+1} = ((n + 1) G_n + F_n - y G_n) / sqrt((n + 1) (n + d + 1)),
+        F_{n+1} = (F_n - y G_n) sqrt((n + 1) (n + d + 1)) / (n + 1).
+
+    The three-term form rounds y against 2n + d + 1, which at y << n
+    carries the section's whole dependence on y: 4.4e-12 off the
+    quadrature in translation_matrix(0.01) at N = 800, where this form
+    reads the quadrature's own 2e-14.  Both divide by the root (a
+    reciprocal multiply drifts).  Every ``_RESCALE_EVERY`` steps a |G|
+    above ``_RESCALE_LIMIT`` is divided, with its F, by 2^``_RESCALE_BITS``
+    and its binary exponent raised, both exactly, and the weights are
+    rescaled.  Consumers hold ``np.errstate(under="ignore")``, as for
+    ``_hermite_iter``.
     """
     mantissa, exponent = _weyl_start(y, degrees[-1])
     d = degrees.astype(float)[:, None]
     cur, exponent = mantissa[degrees], exponent[degrees]
     scaled = weights * np.ldexp(1.0, exponent)
-    prev, nxt, lower = np.zeros_like(cur), np.empty_like(cur), np.empty_like(cur)
-    # n (n + d), an exact integer, and its root
-    square, root = np.zeros_like(d), np.zeros_like(d)
+    diff, lower = d * cur, np.empty_like(cur)
+    # n (n + d), an exact integer
+    square = np.zeros_like(d)
     counts = np.searchsorted(degrees, n_modes - np.arange(n_modes)).tolist()
     for n, count in enumerate(counts):
         if count < d.size:
-            prev, cur, nxt, lower = prev[:count], cur[:count], nxt[:count], lower[:count]
-            d, square, root, exponent = d[:count], square[:count], root[:count], exponent[:count]
+            cur, diff, lower = cur[:count], diff[:count], lower[:count]
+            d, square, exponent = d[:count], square[:count], exponent[:count]
             weights, scaled = weights[:, :count], scaled[:, :count]
         yield np.einsum("ij,kij->ki", cur, scaled)
-        step = d + (2.0 * n + 1.0)
-        np.subtract(step, y, out=nxt)
-        nxt *= cur
-        np.multiply(root, prev, out=lower)
-        nxt -= lower
+        np.multiply(y, cur, out=lower)
+        diff -= lower
+        cur *= n + 1.0
+        cur += diff
         # (n + 1) (n + 1 + d) = n (n + d) + 2n + 1 + d
-        square += step
+        square += d + (2.0 * n + 1.0)
         root = np.sqrt(square)
-        nxt /= root
-        prev, cur, nxt = cur, nxt, prev
+        cur /= root
+        diff *= root
+        diff /= n + 1.0
         if (n + 1) % _RESCALE_EVERY == 0:
             big = np.abs(cur) > _RESCALE_LIMIT
             if big.any():
                 bits = np.where(big, _RESCALE_BITS, 0)
-                prev, cur = np.ldexp(prev, -bits), np.ldexp(cur, -bits)
+                diff, cur = np.ldexp(diff, -bits), np.ldexp(cur, -bits)
                 exponent = exponent + bits
                 scaled = weights * np.ldexp(1.0, exponent)
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import logging
 import re
@@ -309,6 +310,46 @@ def test_centred_section_matches_a_dense_linspace_quadrature(case, basis200):
     assert np.abs(represent(a, basis200) - _linspace_section(a, 200)).max() < 1e-12
 
 
+def refined(basis, factor=4):
+    """A copy of basis whose grid has factor times as many intervals on [-L, L]."""
+    dense = copy.copy(basis)
+    half = factor * (basis.n_quad // 2)
+    dense.n_quad, dense.weight = 2 * half + 1, basis.weight / factor
+    dense.grid = dense.weight * np.arange(-half, half + 1)
+    return dense
+
+
+@pytest.mark.parametrize("n_modes", [8, 16, 32, 64, 200, 400, 800])
+def test_grid_resolves_the_band_limited_section(n_modes):
+    # the spacing is sized from band_limit(N): the trapezoid rule on the
+    # basis grid reads the closed-form section up to rounding.  "degrees
+    # -2..2" (shifts 0.7 and 1.4) read 3.1e-13 at 800 modes with the
+    # three-term recurrence, whose coefficient 2n + d + 1 - y rounds y away
+    basis = HermiteBasis(n_modes)
+    for case in SECTION_CASES:
+        a = _section_case(case)
+        expected = _reference_section(_grid_terms(a, n_modes), basis)
+        diff = np.abs(represent(a, basis) - expected).max()
+        assert diff < 1e-13, (case, diff)
+
+
+@pytest.mark.parametrize("shift", [0.01, 0.7, 6.0])
+def test_translation_matches_the_laguerre_values_at_small_shifts(shift):
+    # D(beta)[n + d, n] = e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y),
+    # y = shift^2 / 2, against 30-digit values near the window's corner,
+    # where the three-term recurrence read 4.4e-12 off at shift 0.01
+    n_modes = 800
+    section = translation_matrix(shift, HermiteBasis(n_modes))
+    y = mpmath.mpf(shift) ** 2 / 2
+    with mpmath.workdps(30):
+        for n, d in ((566, 0), (799, 0), (776, 23), (700, 99), (400, 1), (0, 799)):
+            exact = (mpmath.exp(-y / 2) * y ** (mpmath.mpf(d) / 2)
+                     * mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(n + d))
+                     * mpmath.laguerre(n, d, y))
+            assert abs(section[n + d, n] - float(exact)) < 1e-14, (n, d)
+            assert abs(section[n, n + d] - (-1) ** d * float(exact)) < 1e-14, (n, d)
+
+
 def test_grid_is_sized_at_the_nyquist_rate():
     # h <= pi / (pi kmax + L), the fewest odd points h (-J..J) on [-L, L]:
     # the grid of HermiteBasis.rows and of the quadrature oracle below
@@ -462,6 +503,65 @@ def _reference_section(terms, basis, parity_blocks=False):
 
 def _bit_identical(got, expected):
     return got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def _untrimmed(weyl_sums):
+    """weyl_sums run on twice the window, so that no degree leaves it, cut to the window."""
+    def run(y, degrees, weights, n_modes):
+        counts = np.searchsorted(degrees, n_modes - np.arange(n_modes))
+        for count, sums in zip(counts, weyl_sums(y, degrees, weights, 2 * n_modes)):
+            yield sums[:, :count]
+    return run
+
+
+@pytest.mark.parametrize("n_modes", [200, 300, 500])
+@pytest.mark.parametrize("case", ["bump", "UeU*"])
+def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes,
+                                                                   monkeypatch):
+    # kept name: the recurrence drops each degree, with its slice of the
+    # weights (the right factor of its sums), once it leaves the window;
+    # every degree and y is its own column, so carrying the whole right
+    # factor through all N steps gives every entry the same bits.  The real
+    # bump, the localizer's element of it and the complex U e U* (two parts
+    # per triangle)
+    bump = rieffel_projection(1.3)
+    elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
+                                            for m, f in bump.items() if m >= 0})]
+                if case == "bump" else [_section_case("UeU*")])
+    basis = HermiteBasis(n_modes)
+    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
+    sections = [(represent(a, basis), _parity_sections(a, n_modes, centre)) for a in elements]
+    monkeypatch.setattr(oscillator, "_weyl_sums", _untrimmed(oscillator._weyl_sums))
+    for a, (section, blocks) in zip(elements, sections):
+        assert _bit_identical(section, represent(a, basis))
+        whole = _parity_sections(a, n_modes, centre)
+        assert len(blocks) == 2 and all(map(_bit_identical, blocks, whole))
+
+
+# the parity blocks and the whole section sum the modes that share y in
+# another order: entries are O(1), so they agree to a few units of rounding
+PANEL_TOL = 32 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n_modes", [400, 500, 800])
+def test_panelled_sections_match_the_whole_grid(n_modes):
+    # kept name: the sections have no grid panels now; the two parity
+    # blocks of S + S^H, which the operator route builds instead of the
+    # whole section, against both triangles of the whole section of the
+    # centred element: the localizer's element (real) and U e U* (complex)
+    bump = rieffel_projection(1.3)
+    upper = AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f for m, f in bump.items() if m >= 0})
+    basis = HermiteBasis(n_modes)
+    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
+    for a in (upper, _section_case("UeU*")):
+        centred = AlgebraElement(a.hbar, {m: f.shift(-centre) for m, f in a.items()})
+        section = represent(centred, basis)
+        section = section + section.conj().T
+        blocks = _parity_sections(a, n_modes, centre)
+        assert len(blocks) == 2
+        for p, block in enumerate(blocks):
+            assert block.dtype == (complex if a is not upper else float)
+            assert np.abs(block - section[p::2, p::2]).max() < PANEL_TOL
 
 
 def _oracle_elements(hbar):

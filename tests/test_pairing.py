@@ -32,6 +32,7 @@ from nctorus.cli import _pair_rows
 from nctorus import algebra, pairing
 from nctorus.pairing import GAP_FLOOR
 from test_acceptance import STAIRCASE
+from test_oscillator import _grid_terms, _reference_section, refined
 
 HBAR = 0.3
 
@@ -233,6 +234,33 @@ def _whole_localizer(e, n, kappa):
 def _centred(e, centre):
     """e with every coefficient read at x + centre."""
     return AlgebraElement(e.hbar, {m: f.shift(-centre) for m, f in e.items()})
+
+
+def _dense_parity_sections(a, n, centre):
+    """``_parity_sections`` by the trapezoid rule on a 4x-denser grid than the basis'."""
+    halves = _reference_section(_grid_terms(a, n, centre), refined(HermiteBasis(n)),
+                                parity_blocks=True)
+    return [half + half.conj().T for half in halves]
+
+
+@pytest.mark.parametrize("n", [200, 300, 400, 500])
+def test_localizer_is_unmoved_by_a_denser_grid(monkeypatch, n):
+    # the closed-form section against a quadrature of its band-limited
+    # integrand on a 4x-denser grid than the Nyquist one: the localizer's
+    # spectrum moves by rounding only
+    pool = [rieffel_projection(h) for h in (VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL)]
+    kappa = 1.0 / np.sqrt(n)
+    evals = []
+    for e in pool:
+        blocks, _, _ = pairing._localizer(e, n, kappa)
+        blocks = list(blocks)
+        assert len(blocks) == 2, (n, e.hbar)
+        evals.append(_spectrum(blocks))
+    monkeypatch.setattr(pairing, "_parity_sections", _dense_parity_sections)
+    for e, closed in zip(pool, evals):
+        dense = _spectrum(pairing._localizer(e, n, kappa)[0])
+        assert np.sign(closed).sum() == np.sign(dense).sum(), (n, e.hbar)
+        assert np.abs(closed - dense).max() < 1e-12, (n, e.hbar)
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -512,6 +540,17 @@ def test_localizer_peak_allocation():
         peak = _peak_bytes(lambda: fedosov_index(e, n))
         assert peak < 1.5 * n * n * 8 + 2**20, (n, peak)
 
+
+
+def test_localizer_peak_allocation_is_the_panel_budget():
+    # kept name: the section's grid panels are gone from the budget, which
+    # was theirs plus 2.5 N^2 doubles.  Holding both blocks of the
+    # localizer at N = 800, the working set is the section's two parity
+    # blocks (N^2 / 2 doubles) and the two blocks (about 2 N^2)
+    n, e = 800, rieffel_projection(1.3)
+    list(pairing._localizer(e, n, n ** -0.5)[0])
+    peak = _peak_bytes(lambda: list(pairing._localizer(e, n, n ** -0.5)[0]))
+    assert peak < 2.5 * n * n * 8 + 2**20
 
 def test_character_degree0_peak_allocation():
     # Laguerre rows for the distinct y only, gathered and cast in row blocks
