@@ -223,24 +223,20 @@ def _curvature_products(a1, a2):
 
 
 def chern_number(e):
-    """First Chern number (1 / 2 pi i) tr(e [delta1(e), delta2(e)]).
+    """First Chern number (1 / 2 pi i) tr(e [delta1(e), delta2(e)]), from ``cyclic_cocycle``.
 
     Requires e to be a projection within ``PROJECTION_TOL`` in both the
     idempotent and self-adjointness defects; the value is then an integer up
     to numerical error, with imaginary part at the same scale.
     """
     _require_projection(e)
-    d12, d21 = _curvature_products(e, e)
-    # one trace of the summed commutator, not cyclic_cocycle(e, e, e) / 2 pi i:
-    # two traces round differently and move printed last digits
-    return _trace_product(e, d12 - d21) / (2j * np.pi)
+    return cyclic_cocycle(e, e, e) / (2j * np.pi)
 
 
 def cyclic_cocycle(a0, a1, a2):
     """The fundamental cyclic 2-cocycle tr(a0 d1(a1) d2(a2) - a0 d2(a1) d1(a2)).
 
-    On a projection e it ties to the Chern number by
-    cyclic_cocycle(e, e, e) = 2 pi i chern_number(e).
+    ``chern_number`` is its value on (e, e, e) over 2 pi i.
     """
     a0._check_hbar(a1)
     a0._check_hbar(a2)

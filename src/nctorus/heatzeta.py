@@ -532,17 +532,14 @@ def _intercept(x, y):
 def residue_by_extrapolation(f):
     """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1.1, 1.01, 1.001.
 
-    The three values are on-diagonal values of ``zeta_trace``: for a
-    periodic weight its Mellin values, which share one cached trace, and
-    otherwise its eigen-sum values on 2000 modes, from one
-    ``spectral_diagonals`` call.  The extrapolation is the quadratic
-    through them (``_intercept``).
+    The three values are on-diagonal values of ``zeta_trace``, whose caches
+    share one computation among them: for a periodic weight its Mellin
+    values, on one trace, and otherwise its eigen-sum values on 2000 modes,
+    from one ``spectral_diagonals`` stream.  The extrapolation is the
+    quadratic through them (``_intercept``).
     """
     hs = np.array([0.1, 0.01, 0.001])
-    if f.kind == "periodic":
-        return _intercept(hs, [h * zeta_trace(f, 0.0, 1.0 + h).value for h in hs])
-    d = spectral_diagonals(f, 2000)
-    return _intercept(hs, [h * _eigen_sum_tail(f, complex(1.0 + h), d).value for h in hs])
+    return _intercept(hs, [h * zeta_trace(f, 0.0, 1.0 + h).value for h in hs])
 
 
 # ---------------- asymptotic means ----------------

@@ -20,8 +20,9 @@ Laguerre recurrence in n, in difference form, once over every degree d
 and distinct y, modes that share y (k and -k, degrees m and -m) summed
 first: N steps over a (degrees) x (distinct y) array, the sections' only
 working set besides themselves.  ``represent`` takes every d and both
-triangles, ``_parity_sections`` the even d, writing the two
-reflection-parity blocks of S + S^H, and ``multiplication_matrix`` and
+triangles; ``_parity_sections`` writes the lower triangle of S + S^H and
+its conjugate, at every d (the whole S + S^H) or at the even d (its two
+reflection-parity blocks); ``multiplication_matrix`` and
 ``translation_matrix`` are one-term sections.  Nothing aliases, and a y
 whose tail bound (``band_limit``) is below ``SUBNORMAL_FLOOR`` on the
 window is skipped.
@@ -30,8 +31,9 @@ A coefficient reaches the N-mode window only through its modes
 |k| <= ``band_limit(N)``, so ``represent``, ``algebra_diagonals`` and
 ``multiplication_matrix`` drop the rest.  The diagonal, d = 0, is
 ``algebra_diagonals``, d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
-from ``_laguerre_rows`` on the distinct y and a gather of its columns cast
-to complex in C order (the order fixes the GEMV kernel, and so the bits).
+from the same displacements (``_element_displacements``): the weights
+that share y summed, the same y skipped, and ``_laguerre_rows``, the
+d = 0 recurrence in difference form, on the rest.
 ``diagonal_elements`` keeps a quadrature for callables on the line of
 limit or generic type (periodic weights need no diagonals: their zeta
 values are Mellin integrals of their heat traces in ``heatzeta``).
@@ -67,8 +69,6 @@ QUAD_DENSITY = 8
 SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
 # rows of a Hermite table floored at a time
 _FLOOR_ROWS = 32
-# rows of the Laguerre table gathered and cast to complex at a time
-_GATHER_ROWS = 256
 # the sections' recurrence divides by 2^_RESCALE_BITS (about _RESCALE_LIMIT)
 _RESCALE_BITS = 400
 # ln 2 = _LN2_HI + _LN2_LO, _LN2_HI with 21 trailing zero bits (fdlibm's split)
@@ -81,7 +81,7 @@ logger = logging.getLogger(__name__)
 
 
 def _rescale(prev, cur, log_scale):
-    """One rescale of a three-term recurrence with a per-point log scale.
+    """One rescale of a two-row recurrence with a per-point log scale.
 
     prev and cur are divided by ``_RESCALE_LIMIT`` where |cur| exceeds it,
     and its log is added to log_scale there; returns the new (prev, cur,
@@ -266,23 +266,6 @@ def band_limit(n_modes):
     return int(np.ceil(2.0 * np.sqrt(2.0 * n_modes) / np.pi))
 
 
-def _bands(a, n_modes, caller):
-    """(degree, modes, coefficients) of each coefficient of a within the band limit.
-
-    Logs kmax and the neglected-coefficient mass, summed over degrees, at
-    DEBUG on the ``nctorus.oscillator`` logger.
-    """
-    kmax = band_limit(n_modes)
-    bands, neglected = [], 0.0
-    for n, f in a.items():
-        k, c, tail = f.band(kmax)
-        bands.append((n, k, c))
-        neglected += tail
-    logger.debug("%s: N=%d kmax=%d neglected coefficient mass=%.6g",
-                 caller, n_modes, kmax, neglected)
-    return bands
-
-
 def _displacements(shift, k, c, real, centre=0.0):
     """The modes k of one coefficient c at one shift as displacements: (y, weight, angle, real).
 
@@ -299,10 +282,20 @@ def _displacements(shift, k, c, real, centre=0.0):
             np.arctan2(2.0 * np.pi * k, shift), np.full(k.shape, bool(real)))
 
 
-def _element_displacements(a, n_modes, centre=0.0):
-    """``_displacements`` of every degree of a, concatenated, with its band logged."""
-    parts = [_displacements(m * a.hbar, k, c, not a.coefficient(m).samples.imag.any(), centre)
-             for m, k, c in _bands(a, n_modes, "represent")]
+def _element_displacements(a, n_modes, centre=0.0, caller="represent"):
+    """``_displacements`` of every degree of a within the band limit, concatenated.
+
+    Logs kmax and the neglected-coefficient mass, summed over degrees, at
+    DEBUG on the ``nctorus.oscillator`` logger, under caller's name.
+    """
+    kmax = band_limit(n_modes)
+    parts, neglected = [], 0.0
+    for m, f in a.items():
+        k, c, tail = f.band(kmax)
+        parts.append(_displacements(m * a.hbar, k, c, not f.samples.imag.any(), centre))
+        neglected += tail
+    logger.debug("%s: N=%d kmax=%d neglected coefficient mass=%.6g",
+                 caller, n_modes, kmax, neglected)
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -327,20 +320,20 @@ def _column_weights(displacements, n_modes, degrees, hermitian):
 
     Modes that share y share a column, their weights times the phase
     (beta / |beta|)^d of the lower triangle, or (-conj(beta) / |beta|)^d of
-    the upper, summed first.  With hermitian, S + S^H on even d, whose lower
-    entries take 2 Re(weight) (beta / |beta|)^d.  A coefficient with real
-    samples adds the real part of its sums; complex weights come as a real
-    and an imaginary part per triangle.
+    the upper, summed first.  With hermitian, the lower triangle of S + S^H,
+    whose entries take (weight + (-1)^d conj(weight)) (beta / |beta|)^d.  A
+    coefficient with real samples adds the real part of its sums; complex
+    weights come as a real and an imaginary part per triangle.
     """
     y, weight, angle, real = displacements
     distinct, column = np.unique(y, return_inverse=True)
     kept = np.flatnonzero(_kept_columns(distinct, n_modes))
     onehot = (column[:, None] == kept).astype(float)
     phase = np.exp(1j * np.outer(degrees, angle))
+    sign = (1 - 2 * (degrees & 1))[:, None]
     if hermitian:
-        sums = [2.0 * weight.real * phase]
+        sums = [(weight + sign * weight.conj()) * phase]
     else:
-        sign = (1 - 2 * (degrees & 1))[:, None]
         sums = [weight * phase, weight * sign * phase.conj()]
     complex_ = not real.all()
     parts = []
@@ -384,14 +377,17 @@ def _weyl_sums(y, degrees, weights, n_modes):
     len(degrees), len(y)) and each yield (K, count).  The recurrence
 
         G_{n+1} = ((2n + d + 1 - y) G_n - sqrt(n (n + d)) G_{n-1})
-                  / sqrt((n + 1) (n + d + 1)),
+                  / sqrt((n + 1) (n + d + 1))
 
-    that of ``_laguerre_rows`` at d = 0, runs over all degrees and y at
-    once from the mantissas of ``_weyl_start``, in difference form: with
-    F_n = (n + d) G_n - sqrt(n (n + d)) G_{n-1}, F_0 = d G_0,
+    runs over all degrees and y at once from the mantissas of
+    ``_weyl_start``, in difference form: with F_n = (n + d) G_n -
+    sqrt(n (n + d)) G_{n-1}, F_0 = d G_0,
 
         G_{n+1} = ((n + 1) G_n + F_n - y G_n) / sqrt((n + 1) (n + d + 1)),
         F_{n+1} = (F_n - y G_n) sqrt((n + 1) (n + d + 1)) / (n + 1).
+
+    At d = 0, G_n = L_n and F_n = n (L_n - L_{n-1}): the difference form
+    of ``_laguerre_rows``.
 
     The three-term form rounds y against 2n + d + 1, which at y << n
     carries the section's whole dependence on y: 4.4e-12 off the
@@ -436,16 +432,16 @@ def _weyl_sums(y, degrees, weights, n_modes):
                 scaled = weights * np.ldexp(1.0, exponent)
 
 
-def _weyl_blocks(displacements, n_modes, hermitian=False):
-    """The section sum over displacements of weight D(beta), from ``_weyl_sums``, as blocks.
+def _weyl_blocks(displacements, n_modes, hermitian=False, step=1):
+    """The section S, the sum over displacements of weight D(beta), from ``_weyl_sums``, as blocks.
 
-    Without hermitian, one block, the N x N section: each n writes column n
-    below the diagonal and row n right of it.  With it, the two parity
-    blocks of S + S^H: each n writes column n // 2 of block n mod 2 below
-    the diagonal and its conjugate as the row, so they are Hermitian by
+    The blocks are S's rows and columns p, p + step, ... for p < step, or
+    S + S^H's with hermitian, whose entries are those of the degrees 0,
+    step, 2 step, ...  Each n writes column n // step of block n mod step
+    below the diagonal, and as the row right of it S's upper triangle, or
+    with hermitian the column's conjugate, so those blocks are Hermitian by
     construction.  float64 when every coefficient has real samples.
     """
-    step = 2 if hermitian else 1
     degrees = np.arange(0, n_modes, step)
     y, weights, complex_ = _column_weights(displacements, n_modes, degrees, hermitian)
     blocks = [np.zeros((len(range(p, n_modes, step)),) * 2, dtype=complex if complex_ else float)
@@ -479,15 +475,18 @@ def represent(a, basis):
     return section
 
 
-def _parity_sections(a, n_modes, centre):
-    """The two same-parity blocks of S + S^H, S the section of a on the window centred at centre.
+def _parity_sections(a, n_modes, centre, step=2):
+    """The same-parity blocks of S + S^H, S the section of a on the window centred at centre.
 
-    The window is psi_n(x - centre), n < N, and the blocks are its rows and
-    columns of parity p = 0 and 1 under the reflection x -> 2 centre - x,
-    the even degrees of ``_weyl_sums``; translating by centre rotates each
-    kept Fourier mode by e^{2 pi i k centre}.  a has at least one degree.
+    The window is psi_n(x - centre), n < N.  With step 2 the blocks are its
+    rows and columns of parity p = 0 and 1 under the reflection x -> 2
+    centre - x, the even degrees of ``_weyl_sums``; with step 1 the one
+    block is the whole S + S^H, every degree.  Translating by centre
+    rotates each kept Fourier mode by e^{2 pi i k centre}.  a has at least
+    one degree.
     """
-    return _weyl_blocks(_element_displacements(a, n_modes, centre), n_modes, hermitian=True)
+    return _weyl_blocks(_element_displacements(a, n_modes, centre), n_modes,
+                        hermitian=True, step=step)
 
 
 def diagonal_elements(weighted_shifts, n_modes):
@@ -521,35 +520,36 @@ def diagonal_elements(weighted_shifts, n_modes):
 def _laguerre_rows(y, n_modes):
     """e^{-y/2} L_n(y) for n < n_modes at each y >= 0, shape (n_modes, len(y)).
 
-    The three-term recurrence (n + 1) L_{n+1} = (2n + 1 - y) L_n - n L_{n-1}
-    runs with a per-column log scale, so that large y neither overflows L_n
-    nor underflows e^{-y/2}.  The scale is checked every ``_RESCALE_EVERY``
-    steps by ``_rescale``, as in ``_hermite_iter``: one step grows |L_n| by
-    at most about y + 2 (3.3e4 at 2000 modes), so 8 steps from 1e120 stay
-    far below overflow.  Row n + 1 of the output starts as 2n + 1 - y, all
-    rows from one ``np.subtract.outer``, and is finished in place from the
-    two rows before it; the log scale changes only at rescale steps, so each
-    run of rows that shares one scale is multiplied by its ``exp`` once, at
-    the end.
+    The recurrence (n + 1) L_{n+1} = (2n + 1 - y) L_n - n L_{n-1} runs in
+    difference form, D_{n+1} = L_{n+1} - L_n:
+
+        D_{n+1} = (n D_n - y L_n) / (n + 1),  L_{n+1} = L_n + D_{n+1}.
+
+    The three-term form rounds y against 2n + 1, which at y << n carries
+    the whole dependence on y: 4.2e-12 off mpmath at y = 5e-5, n = 566,
+    where this form reads 3e-16.  L and D share a per-column log scale, so
+    that large y neither overflows L_n nor underflows e^{-y/2}; it is
+    checked every ``_RESCALE_EVERY`` steps by ``_rescale``, as in
+    ``_hermite_iter``: one step grows |L_n| by at most about y + 2 (3.3e4 at
+    2000 modes), so 8 steps from 1e120 stay far below overflow.  The log
+    scale changes only at rescale steps, so each run of rows that shares
+    one scale is multiplied by its ``exp`` once, at the end.
     """
     out = np.empty((n_modes, y.size))
     out[0] = 1.0
-    np.subtract.outer(2.0 * np.arange(n_modes - 1) + 1.0, y, out=out[1:])
-    rows = list(out)
-    prev, cur = np.zeros_like(y), rows[0]
-    lower = np.empty_like(y)
+    diff, lower = np.zeros_like(y), np.empty_like(y)
     scales = [(0, -0.5 * y)]
     with np.errstate(under="ignore"):
-        for n, nxt in enumerate(rows[1:]):
-            nxt *= cur
-            np.multiply(n, prev, out=lower)
-            nxt -= lower
-            nxt /= n + 1
-            prev, cur = cur, nxt
+        for n in range(n_modes - 1):
+            diff *= n
+            np.multiply(y, out[n], out=lower)
+            diff -= lower
+            diff /= n + 1
+            np.add(out[n], diff, out=out[n + 1])
             if (n + 1) % _RESCALE_EVERY == 0:
-                prev, rescaled, log_scale = _rescale(prev, nxt, scales[-1][1])
+                diff, rescaled, log_scale = _rescale(diff, out[n + 1], scales[-1][1])
                 if log_scale is not scales[-1][1]:
-                    nxt[...] = rescaled
+                    out[n + 1] = rescaled
                     scales.append((n + 1, log_scale))
         for (start, log_scale), (end, _) in zip(scales, scales[1:] + [(n_modes, None)]):
             out[start:end] *= np.exp(log_scale)
@@ -559,44 +559,27 @@ def _laguerre_rows(y, n_modes):
 def algebra_diagonals(a, n_modes):
     """Diagonal elements <pi(a) psi_n, psi_n>, n < n_modes, in closed form.
 
-    With c_k the modes |k| <= ``band_limit(n_modes)`` of the degree-m
-    coefficient and s = m hbar, the Weyl (Laguerre) form of each mode gives
+    The d = 0 case of the displacements (module docstring): with c_k the
+    modes |k| <= ``band_limit(n_modes)`` of the degree-m coefficient and
+    s = m hbar,
 
         d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
         y = (s^2 + 4 pi^2 k^2) / 2,
 
-    so d = rows @ (c * phase) with rows[n, j] = e^{-y_j/2} L_n(y_j); no
-    quadrature, so nothing aliases.  The dropped modes move each d_n by at
-    most e^{-4 n_modes} times their mass (see ``band_limit``).  n_modes < 1
-    raises ValueError.
-
-    Modes k and -k, and degrees m and -m, share y, so ``_laguerre_rows`` runs
-    on the distinct y only (84 columns, not 249, for the bump at 2000
-    modes); its columns are computed independently, so each has the bits
-    it has in a table over every mode.  The product is formed
-    ``_GATHER_ROWS`` rows at a time from a gather of those columns into the
-    modes' order, cast to complex in C order, so neither the table over
-    every mode nor its complex cast is built.  The bits are those of
-    rows @ (c * phase) over every mode, whose cast numpy builds in C order:
-    a column gather is Fortran ordered, and its cast would take another
-    GEMV kernel with other rounding.
+    so d = rows @ w with rows[n, j] = e^{-y_j/2} L_n(y_j) (``_laguerre_rows``)
+    and w_j the summed weights of the modes that share y_j (k and -k,
+    degrees m and -m); the y that ``_kept_columns`` drops are skipped (52
+    of 249 columns kept for the bump at 2000 modes).  No quadrature, so
+    nothing aliases; the dropped modes move each d_n by at most e^{-4
+    n_modes} times their mass (see ``band_limit``).  n_modes < 1 raises
+    ValueError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    ks, shifts, cs = [], [], []
-    for m, k, c in _bands(a, n_modes, "algebra_diagonals"):
-        ks.append(k)
-        shifts.append(np.full(k.shape, m * a.hbar))
-        cs.append(c)
-    k, shift = np.concatenate(ks), np.concatenate(shifts)
-    y = 0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k)
+    y, weight, _, _ = _element_displacements(a, n_modes, caller="algebra_diagonals")
     distinct, column = np.unique(y, return_inverse=True)
-    rows = _laguerre_rows(distinct, n_modes)
-    weights = np.concatenate(cs) * np.exp(1j * np.pi * k * shift)
-    d = np.empty(n_modes, dtype=complex)
-    # one row times a vector is a dot product, not a GEMV row, and rounds
-    # otherwise: a one-row tail joins the chunk before it
-    bounds = [0, *range(_GATHER_ROWS, n_modes - 1, _GATHER_ROWS), n_modes]
-    for lo, hi in zip(bounds, bounds[1:]):
-        d[lo:hi] = rows[lo:hi][:, column].astype(complex, order="C") @ weights
-    return d
+    kept = _kept_columns(distinct, n_modes)
+    rows = _laguerre_rows(distinct[kept], n_modes)
+    real, imag = (np.bincount(column, part, distinct.size)[kept]
+                  for part in (weight.real, weight.imag))
+    return rows @ real + 1j * (rows @ imag)

@@ -14,7 +14,10 @@ is read off as half the signature of one finite Hermitian matrix built from
 D, its grading and the symmetry 1 - 2e on the first N Hermite modes, with
 the tuning kappa = 1/sqrt(N) (see ``fedosov_index``).  Since e is
 self-adjoint, the section is built from the nonnegative degrees of e alone,
-its negative degrees being their adjoints.  Its smallest |eigenvalue|, the
+its negative degrees being their adjoints: the localizer reads S + S^H, S
+the section of those degrees, which the closed form of
+``oscillator._parity_sections`` writes directly, its lower triangle and
+the conjugate, without S itself.  Its smallest |eigenvalue|, the
 gap, is the certificate: an integer is returned only when the gap is at
 least ``GAP_FLOOR``, otherwise ValueError is raised.  In the line
 representation a coefficient acts by multiplication and [1] by translation,
@@ -83,8 +86,9 @@ from .algebra import (
     trace,
 )
 from .heatzeta import _intercept
-from .oscillator import (
-    HermiteBasis,
+# represent is not called here; it stays importable as pairing.represent,
+# the name the benchmark's tracing wraps
+from .oscillator import (  # noqa: F401
     _parity_sections,
     algebra_diagonals,
     band_limit,
@@ -224,20 +228,18 @@ def _localizer(e, n, kappa):
     ``_reflection_centre``.  When e is reflection symmetric about its
     centre within ``PROJECTION_TOL``, the blocks are the two of top parity
     p = 0 and 1 on the Hermite window centred there, from the same-parity
-    blocks of S + S^H (``_parity_sections``); otherwise the one block is
-    the whole localizer on the window centred at 0, from ``represent``.
-    Either way S is the section of the nonnegative degrees of e, built
-    here; each block is built only when the iterator reaches it.
+    blocks of S + S^H; otherwise the one block is the whole localizer on
+    the window centred at 0, from the whole S + S^H.  Either way S is the
+    section of the nonnegative degrees of e and S + S^H comes from one
+    ``_parity_sections`` call, at step 2 or 1; each localizer block is
+    built only when the iterator reaches it.
     """
     upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
                                     for m, f in e.items() if m >= 0})
     centre, defect = _reflection_centre(e, band_limit(n))
-    if defect is None or defect > PROJECTION_TOL:
-        half = represent(upper, HermiteBasis(n))
-        tops = [_symmetry(half + half.conj().T)]
-    else:
-        tops = [_symmetry(herm) for herm in _parity_sections(upper, n, centre)]
-    step = len(tops)
+    step = 1 if defect is None or defect > PROJECTION_TOL else 2
+    tops = [_symmetry(herm)
+            for herm in _parity_sections(upper, n, centre if step == 2 else 0.0, step)]
     blocks = (_block(tops[p], tops[(p + 1) % step], n, p, step, kappa) for p in range(step))
     return blocks, centre, defect
 
@@ -274,7 +276,8 @@ def fedosov_index(e, basis_size=400):
     its degrees -n are the adjoints of its degrees n, and only the
     nonnegative degrees are represented: with
     S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
-    herm(P e P) is S + S^H.
+    herm(P e P) is S + S^H, written by one ``_parity_sections`` call as
+    its two parity blocks or, for any other e, as one N x N block.
 
     The smallest |eigenvalue| of L is its gap and the certificate of the
     integer.  basis_size is an integer (numpy integers too); any other type

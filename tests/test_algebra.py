@@ -206,9 +206,10 @@ def test_trace_product_matches_the_full_product(rng, p03):
     disjoint = AlgebraElement(HBAR, {3: a.coefficient(1)})
     for x, y in ((a, b), (b, a), (p03, p03), (a, disjoint)):
         assert _trace_product(x, y) == trace(multiply(x, y))
+    # the Chern number is the cocycle on (e, e, e): two traces, one per product
     d1, d2 = delta1(p03), delta2(p03)
-    comm = multiply(d1, d2) - multiply(d2, d1)
-    assert chern_number(p03) == trace(multiply(p03, comm)) / (2j * np.pi)
+    assert chern_number(p03) == (trace(multiply(p03, multiply(d1, d2)))
+                                 - trace(multiply(p03, multiply(d2, d1)))) / (2j * np.pi)
     assert cyclic_cocycle(a, b, p03) == (
         trace(multiply(a, multiply(delta1(b), delta2(p03))))
         - trace(multiply(a, multiply(delta2(b), delta1(p03)))))

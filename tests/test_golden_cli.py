@@ -19,6 +19,22 @@ eigen-sum printed 14.34 and 3.6e-3.  ``tests/test_heatzeta.py`` holds all
 three within 1e-14 relative of 30-digit mpmath quadratures of the Mehler
 closed form (pi^2/8 for ``zeta_one``).  Every other golden was unchanged.
 
+``rieffel``, ``pair`` and ``sweep`` were re-captured when the Chern number
+became cyclic_cocycle(e, e, e) / 2 pi i (two traces, one per curvature
+product, where it took one trace of their difference) and the Laguerre
+recurrence of the diagonals moved to difference form.  The three-term form
+rounded y against 2n + 1: e^{-y/2} L_1999(0.045), the degree +-1 column of
+the bump's diagonals at hbar = 0.3, read 7.6e-13 off a 40-digit mpmath
+value, and now reads 1.7e-16
+(``tests/test_oscillator.py::test_laguerre_rows_match_mpmath_at_small_y``).
+Moves: ``rieffel`` chern_im -1.69009072114924e-17 to -6.81586284007342e-18;
+``pair`` (hbar 0.7) closed_form -1.11022302462516e-16 to
+-3.33066907387547e-16 and local_formula -5.20839713991084e-06 to
+-5.20839714013288e-06; ``sweep`` local_formula 0.00123372707494912 to
+0.00123372707494612 at hbar 0.3, -1.0000000554513957 to
+-1.0000000554513955 at 1.3 and -2.000000073221243 to -2.0000000732212433
+at 2.6 (JSON digits), the residuals with them.  Every move is at most 3e-15.
+
 The files were captured with Python 3.11.7, numpy 2.4.6 and mpmath 1.3.0.
 The library does not import scipy, so the goldens do not depend on it.
 The last digits of the printed floats depend on that environment (BLAS,

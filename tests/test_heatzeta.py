@@ -272,17 +272,17 @@ def _fine_diagonals(coefficient, n_modes):
     return out
 
 
-def test_spectral_diagonals_of_bump_match_fine_quadrature():
-    # kept name: periodic weights have no spectral diagonals now, and the
-    # same Laguerre closed form serves the diagonals of algebra elements
+def test_algebra_diagonals_of_the_bump_coefficient_match_fine_quadrature():
+    # periodic weights have no spectral diagonals; the Laguerre closed form
+    # of algebra elements' diagonals against a fine quadrature
     bump = rieffel_projection(0.3).coefficient(0)
     d = oscillator.algebra_diagonals(AlgebraElement(0.3, {0: bump}), 600).real
     assert np.abs(d - _fine_diagonals(bump, 600)).max() < 1e-10
 
 
-def test_spectral_diagonals_of_one_are_exactly_one():
-    # kept name: the unit weight's zeta values are the odd zeta to the bit
-    # on the Mellin route, and a periodic weight has no spectral diagonals
+def test_zeta_of_one_is_the_odd_zeta_to_the_bit():
+    # the unit weight's zeta values are the odd zeta to the bit on the
+    # Mellin route, and a periodic weight has no spectral diagonals
     for s in (2.0, 1.5, 0.5, -1.0, 1.2 + 3j):
         ev = zeta_trace(ONE, 0.0, s)
         assert ev.value == heatzeta._odd_zeta(complex(s)) and ev.error_estimate == 0.0
@@ -351,8 +351,8 @@ def _laguerre_references(coeffs, s_values, n_modes=2000):
 
 
 @pytest.mark.parametrize("alpha", [0.0])
-def test_spectral_diagonals_period_two_pi_match_quadrature(alpha):
-    # kept name: 1 + cos x, period 2 pi, on the Mellin route (47 nodes)
+def test_zeta_of_a_period_two_pi_weight_matches_mpmath(alpha):
+    # 1 + cos x, period 2 pi, on the Mellin route (47 nodes)
     f = RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(np.asarray(x)), 2 * np.pi)
     for s in (1.5, 1.01, 0.5, -0.5, 0.5 + 3j):
         ev = zeta_trace(f, alpha, s)
@@ -392,10 +392,10 @@ EIGEN_SUM_ERRORS = {
 
 
 @pytest.mark.parametrize("name", sorted(EIGEN_SUM_ERRORS))
-def test_eigen_sum_values_are_bit_identical(p03, name):
-    # kept name: the values the eigen-sum route pinned to the bit now come
-    # from the Mellin route and match a 30-digit quadrature of the Mehler
-    # closed form; the 40-digit 2000-mode sum stays within the old estimates
+def test_mellin_values_match_mpmath_and_the_eigen_sum(p03, name):
+    # the Mellin route's values against a 30-digit quadrature of the Mehler
+    # closed form; the 40-digit 2000-mode eigen-sum stays within the error
+    # estimates the retired eigen-sum route printed
     bump = p03.coefficient(0)
     f = {"one": ONE, "1+cos": ONE_PLUS_COS,
          "bump": RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)}[name]
@@ -446,6 +446,26 @@ def test_periodic_residue_takes_one_weighted_trace(monkeypatch):
     f = RealLineFunction.periodic_fn(lambda x: 1.0 + np.cos(2 * np.pi * x), 1.0)
     assert abs(residue_by_extrapolation(f) - 0.5) < 1e-7
     assert calls == [29]
+
+
+def test_limit_residue_reads_zeta_trace_on_one_diagonal_stream(monkeypatch):
+    # residue_by_extrapolation takes its three values from zeta_trace for
+    # every weight: a limit-type weight's are eigen-sums of one cached
+    # diagonal stream, with the bits of summing that stream directly
+    calls = []
+
+    def counted(weighted_shifts, n_modes):
+        calls.append(n_modes)
+        return oscillator.diagonal_elements(weighted_shifts, n_modes)
+
+    monkeypatch.setattr(heatzeta, "diagonal_elements", counted)
+    f = RealLineFunction.with_limits(np.arctan, -np.pi / 2, np.pi / 2)
+    residue = residue_by_extrapolation(f)
+    assert calls == [2000]
+    hs = np.array([0.1, 0.01, 0.001])
+    d = spectral_diagonals(f, 2000)
+    assert residue == heatzeta._intercept(
+        hs, [h * heatzeta._eigen_sum_tail(f, complex(1.0 + h), d).value for h in hs])
 
 
 def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():

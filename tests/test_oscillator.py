@@ -406,15 +406,17 @@ def _reference_hermite_iter(x):
 
 
 def _reference_laguerre_rows(y, n_modes):
-    """The Laguerre recurrence with every row's log scale stored and applied at the end."""
+    """The Laguerre recurrence in difference form with every row's log scale
+    stored and applied at the end."""
     out = np.empty((n_modes, y.size))
     logs = np.empty((n_modes, y.size))
-    prev, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
+    diff, cur, log_scale = np.zeros_like(y), np.ones_like(y), -0.5 * y
     for n in range(n_modes):
         out[n] = cur
         logs[n] = log_scale
-        prev, cur = cur, ((2 * n + 1 - y) * cur - n * prev) / (n + 1)
-        prev, cur, log_scale = _reference_rescale(n + 1, prev, cur, log_scale)
+        diff = (n * diff - y * cur) / (n + 1)
+        cur = cur + diff
+        diff, cur, log_scale = _reference_rescale(n + 1, diff, cur, log_scale)
     return out * np.exp(logs)
 
 
@@ -429,6 +431,16 @@ def test_lean_recurrences_are_bit_identical(basis400):
         for n_modes in (1, 9, 2000):
             assert np.array_equal(_laguerre_rows(y, n_modes),
                                   _reference_laguerre_rows(y, n_modes))
+
+
+@pytest.mark.parametrize("y, n", [(5e-5, 566), (5e-3, 799), (0.045, 1999)])
+def test_laguerre_rows_match_mpmath_at_small_y(y, n):
+    # e^{-y/2} L_n(y) against 40-digit values: the three-term recurrence
+    # read 4.2e-12, 2.2e-12 and 7.6e-13 off here.  y = 0.045 is the
+    # degree +-1 column of the bump's diagonals at hbar = 0.3
+    with mpmath.workdps(40):
+        exact = mpmath.exp(-mpmath.mpf(y) / 2) * mpmath.laguerre(n, 0, mpmath.mpf(y))
+        assert abs(_laguerre_rows(np.array([y]), n + 1)[n, 0] - float(exact)) < 1e-15
 
 
 def _grid_terms(a, n_modes, centre=0.0, real=None):
@@ -516,14 +528,14 @@ def _untrimmed(weyl_sums):
 
 @pytest.mark.parametrize("n_modes", [200, 300, 500])
 @pytest.mark.parametrize("case", ["bump", "UeU*"])
-def test_section_buffer_is_bit_identical_to_the_whole_right_factor(case, n_modes,
-                                                                   monkeypatch):
-    # kept name: the recurrence drops each degree, with its slice of the
-    # weights (the right factor of its sums), once it leaves the window;
-    # every degree and y is its own column, so carrying the whole right
-    # factor through all N steps gives every entry the same bits.  The real
-    # bump, the localizer's element of it and the complex U e U* (two parts
-    # per triangle)
+def test_trimmed_degrees_are_bit_identical_to_the_untrimmed_recurrence(case, n_modes,
+                                                                       monkeypatch):
+    # the recurrence drops each degree, with its slice of the weights (the
+    # right factor of its sums), once it leaves the window; every degree
+    # and y is its own column, so carrying the whole right factor through
+    # all N steps gives every entry the same bits.  The real bump, the
+    # localizer's element of it and the complex U e U* (two parts per
+    # triangle)
     bump = rieffel_projection(1.3)
     elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
                                             for m, f in bump.items() if m >= 0})]
@@ -544,11 +556,11 @@ PANEL_TOL = 32 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n_modes", [400, 500, 800])
-def test_panelled_sections_match_the_whole_grid(n_modes):
-    # kept name: the sections have no grid panels now; the two parity
-    # blocks of S + S^H, which the operator route builds instead of the
-    # whole section, against both triangles of the whole section of the
-    # centred element: the localizer's element (real) and U e U* (complex)
+def test_parity_blocks_match_the_whole_section_of_the_centred_element(n_modes):
+    # the two parity blocks of S + S^H, which the operator route builds
+    # instead of the whole section, against both triangles of the whole
+    # section of the centred element: the localizer's element (real) and
+    # U e U* (complex)
     bump = rieffel_projection(1.3)
     upper = AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f for m, f in bump.items() if m >= 0})
     basis = HermiteBasis(n_modes)
@@ -604,7 +616,7 @@ def test_closed_form_sections_match_the_quadrature(n_modes):
 
 
 def _reference_algebra_diagonals(a, n_modes):
-    """rows @ (c * phase) with one Laguerre column per mode, in one complex GEMV."""
+    """rows @ (c * phase) with one Laguerre column per mode: no y merged, none culled."""
     ks, shifts, cs = [], [], []
     for m, f in a.items():
         k, c, _ = f.band(band_limit(n_modes))
@@ -616,13 +628,15 @@ def _reference_algebra_diagonals(a, n_modes):
     return _laguerre_rows(y, n_modes) @ (np.concatenate(cs) * np.exp(1j * np.pi * k * shift))
 
 
-# 257 modes leave a one-row tail after the first gathered block
 @pytest.mark.parametrize("n_modes", [257, 600, 2000])
-def test_algebra_diagonals_are_bit_identical_to_the_whole_table(n_modes):
+def test_algebra_diagonals_match_one_laguerre_column_per_mode(n_modes):
+    # the modes that share y summed into one column and the y culled by
+    # their tail bound move each diagonal by rounding only
     for hbar in (0.3, 1.3, 2.05, -4.13, 9.78, -14.3):
         for a in (rieffel_projection(hbar), AlgebraElement.circle_generator(hbar)):
             d = algebra_diagonals(a, n_modes)
-            assert _bit_identical(d, _reference_algebra_diagonals(a, n_modes)), hbar
+            diff = np.abs(d - _reference_algebra_diagonals(a, n_modes)).max()
+            assert d.dtype == complex and diff < 2e-15, (hbar, diff)
 
 
 def _band_values(f, kmax, x):
@@ -694,16 +708,17 @@ def _logged(caplog, call):
     message = record.getMessage()
     kmax = int(re.search(r"kmax=(\d+)", message).group(1))
     mass = float(re.search(r"neglected coefficient mass=(\S+)", message).group(1))
-    return kmax, mass
+    return message.split(":")[0], kmax, mass
 
 
 def test_band_limit_is_logged(caplog, p03, basis200):
     caplog.set_level(logging.DEBUG, logger="nctorus.oscillator")
-    for n_modes, call in (
-        (200, lambda: represent(p03, basis200)),
-        (2000, lambda: algebra_diagonals(p03, 2000)),
+    for n_modes, call, caller in (
+        (200, lambda: represent(p03, basis200), "represent"),
+        (2000, lambda: algebra_diagonals(p03, 2000), "algebra_diagonals"),
     ):
-        kmax, mass = _logged(caplog, call)
+        name, kmax, mass = _logged(caplog, call)
+        assert name == caller
         assert kmax == band_limit(n_modes)
         expected = sum(
             np.abs(f.coefficients[np.abs(f.modes) > kmax]).sum() for _, f in p03.items()
