@@ -38,6 +38,10 @@ d = 0 recurrence in difference form, on the rest.
 limit or generic type (periodic weights need no diagonals: their zeta
 values are Mellin integrals of their heat traces in ``heatzeta``).
 
+The recurrences ``_hermite_iter``, ``_laguerre_rows`` and ``_weyl_sums``
+share one number format, no log scale: a row stands for row * m 2^e, m
+and e from their start (``_weyl_start``), e raised exactly by ``_rescale``.
+
 ``HermiteBasis``' grid serves only its ``rows``; ``hermite_rows`` stores
 values below ``SUBNORMAL_FLOOR`` = cbrt(tiny) (about 2.8e-103) as 0, so a
 product of three kept factors is never subnormal, which x86 computes in
@@ -69,7 +73,7 @@ QUAD_DENSITY = 8
 SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
 # rows of a Hermite table floored at a time
 _FLOOR_ROWS = 32
-# the sections' recurrence divides by 2^_RESCALE_BITS (about _RESCALE_LIMIT)
+# _rescale divides by 2^_RESCALE_BITS, about _RESCALE_LIMIT
 _RESCALE_BITS = 400
 # ln 2 = _LN2_HI + _LN2_LO, _LN2_HI with 21 trailing zero bits (fdlibm's split)
 _LN2_HI = 6.93147180369123816490e-01
@@ -80,38 +84,45 @@ _START_ROWS = 16
 logger = logging.getLogger(__name__)
 
 
-def _rescale(prev, cur, log_scale):
-    """One rescale of a two-row recurrence with a per-point log scale.
+def _rescale(prev, cur, exponent):
+    """One exact rescale of a two-row recurrence with per-point binary exponents.
 
-    prev and cur are divided by ``_RESCALE_LIMIT`` where |cur| exceeds it,
-    and its log is added to log_scale there; returns the new (prev, cur,
-    log_scale), the inputs themselves when no point exceeds it.  The
-    recurrences call it every ``_RESCALE_EVERY`` steps.
+    Where |cur| exceeds ``_RESCALE_LIMIT``, prev and cur are divided by
+    2^``_RESCALE_BITS`` and exponent is raised by as much; returns the new
+    (prev, cur, exponent), the inputs themselves when no point exceeds it.
+    The recurrences call it every ``_RESCALE_EVERY`` steps.
     """
     big = np.abs(cur) > _RESCALE_LIMIT
     if big.any():
-        scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
-        return (prev * scale, cur * scale,
-                log_scale + np.where(big, np.log(_RESCALE_LIMIT), 0.0))
-    return prev, cur, log_scale
+        bits = np.where(big, _RESCALE_BITS, 0)
+        return np.ldexp(prev, -bits), np.ldexp(cur, -bits), exponent + bits
+    return prev, cur, exponent
 
 
 def _hermite_iter(x):
-    """Yield psi_0(x), psi_1(x), ... on an array, with per-point rescaling.
+    """Yield psi_0(x), psi_1(x), ... on a 1-D array, with per-point rescaling.
 
-    The three-term recurrence is run on ratios u_n = psi_n * exp(-ln) with a
-    per-point log offset ln, renormalized every few steps (``_rescale``),
-    so values stay representable far outside the classical region (where
-    psi_0 underflows but high modes do not).  The two rows are updated in
-    place, with the coefficients as ``math.sqrt`` scalars, and ``exp(ln)`` is
-    recomputed only when a rescale moves ln.  It underflows there: each consumer
-    runs the whole iteration under one ``np.errstate(under="ignore")``,
-    since a context entered here would be held across yields and its state
-    would leak into the consumer while the generator is suspended.
+    The three-term recurrence runs on u_n = psi_n / (m 2^e), m 2^e =
+    pi^{-1/4} e^{-x^2/2} at the start: x^2 = square + tail exactly (Dekker's
+    split, Numer. Math. 18, 1971), ``_weyl_start`` of square, and
+    e^{-tail/2} = 1 - tail/2 (|tail| <= eps x^2) and pi^{-1/4} folded into
+    m.  ``_rescale`` keeps u representable far outside the classical region
+    (where psi_0 underflows but high modes do not).  The rows are updated
+    in place, with ``math.sqrt`` coefficients, and m 2^e is recomputed only
+    on a rescale.  It underflows there: each consumer runs the whole
+    iteration under one ``np.errstate(under="ignore")``, since a context
+    entered here would be held across yields and its state would leak into
+    the consumer while the generator is suspended.
     """
     x = np.asarray(x, dtype=float)
-    ln = -0.5 * x * x - 0.25 * np.log(np.pi)
-    scale = np.exp(ln)
+    split = (2.0 ** 27 + 1.0) * x
+    high = split - (split - x)
+    low = x - high
+    square = x * x
+    tail = ((high * high - square) + 2.0 * high * low) + low * low
+    (mantissa,), (exponent,) = _weyl_start(square, 0)
+    mantissa = mantissa * (np.pi ** -0.25 * (1.0 - 0.5 * tail))
+    scale = np.ldexp(mantissa, exponent)
     u_prev = np.ones_like(x)
     u = math.sqrt(2.0) * x
     term = np.empty_like(x)
@@ -124,9 +135,9 @@ def _hermite_iter(x):
         np.subtract(term, u_prev, out=u_prev)
         u_prev, u = u, u_prev
         if m % _RESCALE_EVERY == 0:
-            u_prev, u, rescaled = _rescale(u_prev, u, ln)
-            if rescaled is not ln:
-                ln, scale = rescaled, np.exp(rescaled)
+            u_prev, u, rescaled = _rescale(u_prev, u, exponent)
+            if rescaled is not exponent:
+                exponent, scale = rescaled, np.ldexp(mantissa, rescaled)
 
 
 def _floor(values):
@@ -223,7 +234,8 @@ def multiplication_matrix(f, basis):
     if not isinstance(f, PeriodicFunction):
         raise TypeError("multiplication_matrix takes a PeriodicFunction")
     k, c, _ = f.band(band_limit(basis.n_modes))
-    (section,) = _weyl_blocks(_displacements(0.0, k, c, not f.samples.imag.any()), basis.n_modes)
+    (section,) = _weyl_blocks((*_displacements(0.0, k, c), not f.samples.imag.any()),
+                              basis.n_modes)
     return section
 
 
@@ -234,7 +246,7 @@ def translation_matrix(alpha, basis):
     gives the identity exactly.  No library code calls it: the tests check
     it, and the benchmark's tracing hooks it.
     """
-    (section,) = _weyl_blocks(_displacements(float(alpha), np.zeros(1), np.ones(1), True),
+    (section,) = _weyl_blocks((*_displacements(float(alpha), np.zeros(1), np.ones(1)), True),
                               basis.n_modes)
     return section
 
@@ -266,37 +278,38 @@ def band_limit(n_modes):
     return int(np.ceil(2.0 * np.sqrt(2.0 * n_modes) / np.pi))
 
 
-def _displacements(shift, k, c, real, centre=0.0):
-    """The modes k of one coefficient c at one shift as displacements: (y, weight, angle, real).
+def _displacements(shift, k, c, centre=0.0):
+    """The modes k of one coefficient c at one shift as displacements: (y, weight, angle).
 
     On the window psi_n(x - centre) the mode e^{2 pi i k x} translated by
     shift acts as c e^{2 pi i k centre} e^{i pi k shift} D(beta), with
-    beta = (shift + 2 pi i k) / sqrt 2; y = |beta|^2, angle = arg beta, and
-    real (one flag for the coefficient) says its samples are real.
+    beta = (shift + 2 pi i k) / sqrt 2; y = |beta|^2 and angle = arg beta.
     """
     k = np.asarray(k, dtype=float)
     weight = c * np.exp(1j * np.pi * k * shift)
     if centre:
         weight = weight * np.exp(2j * np.pi * centre * k)
     return (0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k), weight,
-            np.arctan2(2.0 * np.pi * k, shift), np.full(k.shape, bool(real)))
+            np.arctan2(2.0 * np.pi * k, shift))
 
 
 def _element_displacements(a, n_modes, centre=0.0, caller="represent"):
     """``_displacements`` of every degree of a within the band limit, concatenated.
 
-    Logs kmax and the neglected-coefficient mass, summed over degrees, at
-    DEBUG on the ``nctorus.oscillator`` logger, under caller's name.
+    Plus real: whether every coefficient of a has real samples.  Logs kmax
+    and the neglected-coefficient mass, summed over degrees, at DEBUG on
+    the ``nctorus.oscillator`` logger, under caller's name.
     """
     kmax = band_limit(n_modes)
-    parts, neglected = [], 0.0
+    parts, neglected, real = [], 0.0, True
     for m, f in a.items():
         k, c, tail = f.band(kmax)
-        parts.append(_displacements(m * a.hbar, k, c, not f.samples.imag.any(), centre))
+        parts.append(_displacements(m * a.hbar, k, c, centre))
         neglected += tail
+        real = real and not f.samples.imag.any()
     logger.debug("%s: N=%d kmax=%d neglected coefficient mass=%.6g",
                  caller, n_modes, kmax, neglected)
-    return [np.concatenate(column) for column in zip(*parts)]
+    return (*(np.concatenate(column) for column in zip(*parts)), real)
 
 
 def _kept_columns(y, n_modes):
@@ -316,14 +329,14 @@ def _kept_columns(y, n_modes):
 
 
 def _column_weights(displacements, n_modes, degrees, hermitian):
-    """The kept distinct y, the weights of ``_weyl_sums`` on them, and whether they are complex.
+    """The kept distinct y and the weights of ``_weyl_sums`` on them, one row per triangle.
 
     Modes that share y share a column, their weights times the phase
     (beta / |beta|)^d of the lower triangle, or (-conj(beta) / |beta|)^d of
     the upper, summed first.  With hermitian, the lower triangle of S + S^H,
-    whose entries take (weight + (-1)^d conj(weight)) (beta / |beta|)^d.  A
-    coefficient with real samples adds the real part of its sums; complex
-    weights come as a real and an imaginary part per triangle.
+    whose entries take (weight + (-1)^d conj(weight)) (beta / |beta|)^d.
+    The weights are real, the real part of the sums, when every
+    coefficient has real samples, and complex otherwise.
     """
     y, weight, angle, real = displacements
     distinct, column = np.unique(y, return_inverse=True)
@@ -335,27 +348,22 @@ def _column_weights(displacements, n_modes, degrees, hermitian):
         sums = [(weight + sign * weight.conj()) * phase]
     else:
         sums = [weight * phase, weight * sign * phase.conj()]
-    complex_ = not real.all()
-    parts = []
-    for terms in sums:
-        if complex_:
-            total = (terms[:, real] @ onehot[real]).real + terms[:, ~real] @ onehot[~real]
-            parts += [total.real, total.imag]
-        else:
-            parts.append((terms @ onehot).real)
-    return distinct[kept], np.stack(parts), complex_
+    weights = np.stack([terms @ onehot for terms in sums])
+    return distinct[kept], weights.real if real else weights
 
 
 def _weyl_start(y, d_max):
     """Mantissas and binary exponents of H_0^(d)(y) = e^{-y/2} y^{d/2} / sqrt(d!), d <= d_max.
 
     A log scale L puts |L| eps into exp(L): 3e-14 in the sections at
-    N = 400.  So e^{-y/2} = 2^{-q} e^r, q = rint(y / 2 ln 2), r reduced by
-    ln 2 in two parts (Cody and Waite), and the factors sqrt(y / d) are
-    multiplied ``_START_ROWS`` rows at a time, the exponent carried by
-    ``np.frexp``: each value is rounded about d times, not |L| / eps.
+    N = 400.  So e^{-y/2} = 2^{-q} e^r, q = rint(min(y, 2^60) / 2 ln 2) (an
+    int64; beyond, e^r is 0), r reduced by ln 2 in two parts (Cody and
+    Waite), and the factors sqrt(y / d) are multiplied ``_START_ROWS`` rows
+    at a time, the exponent carried by ``np.frexp``: each value is rounded
+    about d times, not |L| / eps.  Also the d = 0 start of
+    ``_laguerre_rows`` and, at y = x^2, of ``_hermite_iter``.
     """
-    q = np.rint(0.5 * y / math.log(2.0))
+    q = np.rint(0.5 * np.minimum(y, 2.0 ** 60) / math.log(2.0))
     mantissa = np.empty((d_max + 1, y.size))
     exponent = np.empty((d_max + 1, y.size), dtype=int)
     mantissa[0], exponent[0] = np.frexp(np.exp((q * _LN2_HI - 0.5 * y) + q * _LN2_LO))
@@ -393,11 +401,9 @@ def _weyl_sums(y, degrees, weights, n_modes):
     carries the section's whole dependence on y: 4.4e-12 off the
     quadrature in translation_matrix(0.01) at N = 800, where this form
     reads the quadrature's own 2e-14.  Both divide by the root (a
-    reciprocal multiply drifts).  Every ``_RESCALE_EVERY`` steps a |G|
-    above ``_RESCALE_LIMIT`` is divided, with its F, by 2^``_RESCALE_BITS``
-    and its binary exponent raised, both exactly, and the weights are
-    rescaled.  Consumers hold ``np.errstate(under="ignore")``, as for
-    ``_hermite_iter``.
+    reciprocal multiply drifts).  G and F share a binary exponent per
+    degree and y (``_rescale``); the weights are rescaled when it moves.
+    Consumers hold ``np.errstate(under="ignore")``, as for ``_hermite_iter``.
     """
     mantissa, exponent = _weyl_start(y, degrees[-1])
     d = degrees.astype(float)[:, None]
@@ -424,12 +430,9 @@ def _weyl_sums(y, degrees, weights, n_modes):
         diff *= root
         diff /= n + 1.0
         if (n + 1) % _RESCALE_EVERY == 0:
-            big = np.abs(cur) > _RESCALE_LIMIT
-            if big.any():
-                bits = np.where(big, _RESCALE_BITS, 0)
-                diff, cur = np.ldexp(diff, -bits), np.ldexp(cur, -bits)
-                exponent = exponent + bits
-                scaled = weights * np.ldexp(1.0, exponent)
+            diff, cur, rescaled = _rescale(diff, cur, exponent)
+            if rescaled is not exponent:
+                exponent, scaled = rescaled, weights * np.ldexp(1.0, rescaled)
 
 
 def _weyl_blocks(displacements, n_modes, hermitian=False, step=1):
@@ -443,13 +446,11 @@ def _weyl_blocks(displacements, n_modes, hermitian=False, step=1):
     construction.  float64 when every coefficient has real samples.
     """
     degrees = np.arange(0, n_modes, step)
-    y, weights, complex_ = _column_weights(displacements, n_modes, degrees, hermitian)
-    blocks = [np.zeros((len(range(p, n_modes, step)),) * 2, dtype=complex if complex_ else float)
+    y, weights = _column_weights(displacements, n_modes, degrees, hermitian)
+    blocks = [np.zeros((len(range(p, n_modes, step)),) * 2, dtype=weights.dtype)
               for p in range(step)]
     with np.errstate(under="ignore"):
         for n, sums in enumerate(_weyl_sums(y, degrees, weights, n_modes)):
-            if complex_:
-                sums = sums[0::2] + 1j * sums[1::2]
             block, i = blocks[n % step], n // step
             block[i:, i] = sums[0]
             block[i, i:] = sums[0].conj() if hermitian else sums[1]
@@ -463,10 +464,9 @@ def represent(a, basis):
     displacement (module docstring), so the section is one recurrence in n
     over every degree d = i - j and distinct y (``_weyl_sums``): no grid,
     nothing aliases.  Multiplication by a real f_n and translation map real
-    functions to real functions, so a coefficient with real samples is
-    taken as the real part of its band; the section of an element whose
-    coefficients are all real is float64, and any complex one makes it
-    complex.
+    functions to real functions, so the section of an element whose
+    coefficients all have real samples is the real part of its sums,
+    float64; any complex coefficient makes the whole section complex.
     """
     n_modes = basis.n_modes
     if not a.items():
@@ -527,18 +527,18 @@ def _laguerre_rows(y, n_modes):
 
     The three-term form rounds y against 2n + 1, which at y << n carries
     the whole dependence on y: 4.2e-12 off mpmath at y = 5e-5, n = 566,
-    where this form reads 3e-16.  L and D share a per-column log scale, so
-    that large y neither overflows L_n nor underflows e^{-y/2}; it is
-    checked every ``_RESCALE_EVERY`` steps by ``_rescale``, as in
-    ``_hermite_iter``: one step grows |L_n| by at most about y + 2 (3.3e4 at
-    2000 modes), so 8 steps from 1e120 stay far below overflow.  The log
-    scale changes only at rescale steps, so each run of rows that shares
-    one scale is multiplied by its ``exp`` once, at the end.
+    where this form reads 3e-16.  L_0 = 1, e^{-y/2} = m 2^e (``_weyl_start``)
+    and L and D share e per column, raised by ``_rescale``: one step grows
+    |L_n| by at most about y + 2 (3.3e4 at 2000 modes), so 8 steps from
+    1e120 stay far below overflow.  Each run of rows that shares an e is
+    scaled once, at the end, as ``np.ldexp(rows * m, e)``; a log scale read
+    3.5e-14 off mpmath at y = 2 pi^2 20^2, n < 2000, where this reads 1e-16.
     """
     out = np.empty((n_modes, y.size))
     out[0] = 1.0
     diff, lower = np.zeros_like(y), np.empty_like(y)
-    scales = [(0, -0.5 * y)]
+    (mantissa,), (exponent,) = _weyl_start(y, 0)
+    runs = [(0, exponent)]
     with np.errstate(under="ignore"):
         for n in range(n_modes - 1):
             diff *= n
@@ -547,12 +547,12 @@ def _laguerre_rows(y, n_modes):
             diff /= n + 1
             np.add(out[n], diff, out=out[n + 1])
             if (n + 1) % _RESCALE_EVERY == 0:
-                diff, rescaled, log_scale = _rescale(diff, out[n + 1], scales[-1][1])
-                if log_scale is not scales[-1][1]:
-                    out[n + 1] = rescaled
-                    scales.append((n + 1, log_scale))
-        for (start, log_scale), (end, _) in zip(scales, scales[1:] + [(n_modes, None)]):
-            out[start:end] *= np.exp(log_scale)
+                diff, rescaled, raised = _rescale(diff, out[n + 1], exponent)
+                if raised is not exponent:
+                    out[n + 1], exponent = rescaled, raised
+                    runs.append((n + 1, exponent))
+        for (start, run), (end, _) in zip(runs, runs[1:] + [(n_modes, None)]):
+            out[start:end] = np.ldexp(out[start:end] * mantissa, run)
     return out
 
 

@@ -171,7 +171,7 @@ def _reflection_centre(e, kmax):
 
         sum_n sum_{|k| <= kmax} |c^(-n)_k - c^(n)_-k|
 
-    over the modes of the band that ``represent`` keeps.  Returns
+    over the modes of the band that ``_parity_sections`` keeps.  Returns
     (None, None) when e has no degree 0 or its c_1 is 0.
     """
     coeffs = dict(e.items())

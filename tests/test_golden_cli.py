@@ -26,7 +26,7 @@ recurrence of the diagonals moved to difference form.  The three-term form
 rounded y against 2n + 1: e^{-y/2} L_1999(0.045), the degree +-1 column of
 the bump's diagonals at hbar = 0.3, read 7.6e-13 off a 40-digit mpmath
 value, and now reads 1.7e-16
-(``tests/test_oscillator.py::test_laguerre_rows_match_mpmath_at_small_y``).
+(``tests/test_oscillator.py::test_laguerre_rows_match_mpmath``).
 Moves: ``rieffel`` chern_im -1.69009072114924e-17 to -6.81586284007342e-18;
 ``pair`` (hbar 0.7) closed_form -1.11022302462516e-16 to
 -3.33066907387547e-16 and local_formula -5.20839713991084e-06 to
@@ -34,6 +34,23 @@ Moves: ``rieffel`` chern_im -1.69009072114924e-17 to -6.81586284007342e-18;
 0.00123372707494612 at hbar 0.3, -1.0000000554513957 to
 -1.0000000554513955 at 1.3 and -2.000000073221243 to -2.0000000732212433
 at 2.6 (JSON digits), the residuals with them.  Every move is at most 3e-15.
+
+``heat_kernel`` and ``sweep.json`` were re-captured when the Hermite and
+Laguerre recurrences moved from a running log scale to exact binary
+exponents (the start e^{-x^2/2} or e^{-y/2} as a mantissa and an exponent,
+x^2 split exactly, every rescale a power of two).  ``heat_kernel``'s
+eigen_sum_diag moved in 36 of its 81 JSON rows, by at most 1.7e-16
+(1.2e-15 relative), and abs_deviation in 33 rows, the 33 CSV rows that
+move; max_deviation stays 2.7755575615628914e-16.
+``tests/test_heatzeta.py::test_mehler_eigen_sum_matches_mpmath_at_the_readme_points``
+holds the column within 2e-15 relative of 40-digit sums of its 200 terms:
+1.28e-15 before, 1.07e-15 after.  ``sweep.json`` at hbar 2.6:
+local_formula -2.0000000732212433 to -2.000000073221243, and its residual
+7.322124329078861e-08 to 7.32212428466994e-08 (``sweep.csv`` keeps its
+15 digits).  The bump's 2000 diagonals at hbar 2.6 stay within 4.4e-16 of
+the same weights on 50-digit Laguerre rows, and
+``tests/test_oscillator.py::test_laguerre_rows_match_mpmath`` pins the
+Laguerre values at large y within 1e-15, where the log scale read 2.7e-14.
 
 The files were captured with Python 3.11.7, numpy 2.4.6 and mpmath 1.3.0.
 The library does not import scipy, so the goldens do not depend on it.

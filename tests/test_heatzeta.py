@@ -72,6 +72,23 @@ def test_eigen_sum_agreement_grid():
     assert np.abs(exact - series).max() < 1e-8
 
 
+def test_mehler_eigen_sum_matches_mpmath_at_the_readme_points():
+    # the eigen_sum_diag column of the README's heat-kernel example, against
+    # its 200 terms at 40 digits, psi_n by the normalized Hermite recurrence
+    xs = np.linspace(-4.0, 4.0, 81)
+    values = mehler_eigen_sum(0.5, xs, xs)
+    with mpmath.workdps(40):
+        for x, value in zip(xs, values):
+            xm = mpmath.mpf(float(x))
+            prev, cur = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xm * xm / 2)
+            exact = mpmath.mpf(0)
+            for n in range(200):
+                exact += mpmath.exp(-(2 * n + 1) * mpmath.mpf(0.5)) * cur * cur
+                prev, cur = cur, (mpmath.sqrt(mpmath.mpf(2) / (n + 1)) * xm * cur
+                                  - mpmath.sqrt(mpmath.mpf(n) / (n + 1)) * prev)
+            assert abs(value / exact - 1) < 2e-15, x
+
+
 def test_mehler_eigen_sum_shapes():
     # array in, array out, as for mehler_kernel; only 0-d x and y give a float
     assert type(mehler_eigen_sum(0.5, 0.3, 0.3)) is float
