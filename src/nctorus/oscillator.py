@@ -15,28 +15,31 @@ Weyl displacement operator (Cahill and Glauber, Phys. Rev. 177, 1969):
 
 with s = m hbar, D(beta)[n + d, n] = (beta / |beta|)^d H_n^(d)(y) and
 D(beta)[n, n + d] = (-conj(beta) / |beta|)^d H_n^(d)(y), H_n^(d)(y) =
-e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y).  ``_weyl_sums`` runs the
-Laguerre recurrence in n, in difference form, once over every degree d
-and distinct y, modes that share y (k and -k, degrees m and -m) summed
-first: N steps over a (degrees) x (distinct y) array, the sections' only
-working set besides themselves.  ``represent`` takes every d and both
-triangles; ``_parity_sections`` writes the lower triangle of S + S^H and
-its conjugate, at every d (the whole S + S^H) or at the even d (its two
-reflection-parity blocks); ``multiplication_matrix`` and
-``translation_matrix`` are one-term sections.  Nothing aliases, and a y
-whose tail bound (``band_limit``) is below ``SUBNORMAL_FLOOR`` on the
-window is skipped.
+e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y).  Every section and
+diagonal comes from one Hermitian H(w) = S + S^H, S the sum of the
+displacements with weights w: entry [n + d, n] is sum (w + (-1)^d conj w)
+(beta / |beta|)^d H_n^(d)(y), and [n, n + d] its conjugate.
+``_weyl_sums`` runs the Laguerre recurrence in n, in difference form,
+once over every degree d and distinct y, modes that share y (k and -k,
+degrees m and -m) summed first: N steps over a (degrees) x (distinct y)
+array, the sections' only working set besides themselves.
+``_parity_sections`` writes H(w) whole, or its even d as its two
+reflection-parity blocks; ``represent`` is S = (H(w) + i H(-i w)) / 2,
+and ``multiplication_matrix`` and ``translation_matrix`` are
+``represent`` of f [0] and of 1 [1] at hbar = alpha.  Nothing aliases,
+and a y whose tail bound (``band_limit``) is below ``SUBNORMAL_FLOOR`` on
+the window is skipped.
 
 A coefficient reaches the N-mode window only through its modes
-|k| <= ``band_limit(N)``, so ``represent``, ``algebra_diagonals`` and
-``multiplication_matrix`` drop the rest.  The diagonal, d = 0, is
-``algebra_diagonals``, d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
-from the same displacements (``_element_displacements``): the weights
-that share y summed, the same y skipped, and ``_laguerre_rows``, the
-d = 0 recurrence in difference form, on the rest.
-``diagonal_elements`` keeps a quadrature for callables on the line of
-limit or generic type (periodic weights need no diagonals: their zeta
-values are Mellin integrals of their heat traces in ``heatzeta``).
+|k| <= ``band_limit(N)``, so ``represent`` and ``algebra_diagonals`` drop
+the rest.  The diagonal, d = 0, is ``algebra_diagonals``, d_n = sum_m
+sum_k c_k e^{i pi k s} e^{-y/2} L_n(y): the same identity at d = 0, where
+the column weights of H(w) and H(-i w) are 2 Re w and 2 Im w summed over
+the modes that share y, on ``_laguerre_rows``, the d = 0 recurrence in
+difference form.  ``diagonal_elements`` keeps a quadrature for callables
+on the line of limit or generic type (periodic weights need no
+diagonals: their zeta values are Mellin integrals of their heat traces
+in ``heatzeta``).
 
 The recurrences ``_hermite_iter``, ``_laguerre_rows`` and ``_weyl_sums``
 share one number format, no log scale: a row stands for row * m 2^e, m
@@ -59,6 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import AlgebraElement
 from .periodic import PeriodicFunction
 
 _RESCALE_EVERY = 8
@@ -66,13 +70,11 @@ _RESCALE_LIMIT = 1e120
 # quadrature half-width beyond the classical turning point sqrt(2N + 3)
 QUAD_PAD = 6.0
 # quadrature points per mode of ``diagonal_elements``, whose weights have no
-# band limit: K = QUAD_DENSITY * N + 1 (the basis grid is set by band_limit)
+# band limit: K = QUAD_DENSITY max(N, 2000) + 1 (band_limit sets the basis')
 QUAD_DENSITY = 8
 # kept Hermite values are at least this in magnitude, and so is the tail
 # bound of every distinct y a section keeps
 SUBNORMAL_FLOOR = np.cbrt(np.finfo(float).tiny)
-# rows of a Hermite table floored at a time
-_FLOOR_ROWS = 32
 # _rescale divides by 2^_RESCALE_BITS, about _RESCALE_LIMIT
 _RESCALE_BITS = 400
 # ln 2 = _LN2_HI + _LN2_LO, _LN2_HI with 21 trailing zero bits (fdlibm's split)
@@ -113,8 +115,15 @@ def _hermite_iter(x):
     iteration under one ``np.errstate(under="ignore")``, since a context
     entered here would be held across yields and its state would leak into
     the consumer while the generator is suspended.
+
+    A point with x^2 >= 2^60, where ``_weyl_start`` clamps its exponent,
+    starts from zero rows at x = 0: e^{-x^2/2} is 0 there and the
+    recurrence, growing by about x per step, would overflow between two
+    rescales.  NaN stays NaN.
     """
     x = np.asarray(x, dtype=float)
+    far = x * x >= 2.0 ** 60
+    x = np.where(far, 0.0, x)
     split = (2.0 ** 27 + 1.0) * x
     high = split - (split - x)
     low = x - high
@@ -123,7 +132,7 @@ def _hermite_iter(x):
     (mantissa,), (exponent,) = _weyl_start(square, 0)
     mantissa = mantissa * (np.pi ** -0.25 * (1.0 - 0.5 * tail))
     scale = np.ldexp(mantissa, exponent)
-    u_prev = np.ones_like(x)
+    u_prev = np.where(far, 0.0, 1.0)
     u = math.sqrt(2.0) * x
     term = np.empty_like(x)
     for m in itertools.count(1):
@@ -146,24 +155,17 @@ def _floor(values):
     return values
 
 
-def hermite_rows(n_modes, x, out=None):
+def hermite_rows(n_modes, x):
     """Matrix of psi_n(x_j) for n = 0..n_modes-1 over the points x.
 
-    Values below ``SUBNORMAL_FLOOR`` in magnitude are stored as 0.  The
-    floor runs on blocks of ``_FLOOR_ROWS`` rows as they are filled, so its
-    masks are never the size of the table.  out, an (n_modes, len(x))
-    array, is filled in place and returned instead of a new array.
+    Values below ``SUBNORMAL_FLOOR`` in magnitude are stored as 0.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.empty((n_modes, x.shape[0])) if out is None else out
-    it = _hermite_iter(x)
+    rows = np.empty((n_modes, x.shape[0]))
     with np.errstate(under="ignore"):
-        for start in range(0, n_modes, _FLOOR_ROWS):
-            block = rows[start:start + _FLOOR_ROWS]
-            for row in block:
-                row[...] = next(it)
-            _floor(block)
-    return rows
+        for row, values in zip(rows, _hermite_iter(x)):
+            row[...] = values
+    return _floor(rows)
 
 
 class HermiteBasis:
@@ -227,28 +229,23 @@ def ladder_matrices(basis):
 def multiplication_matrix(f, basis):
     """Matrix of multiplication by the ``PeriodicFunction`` f on the basis' window.
 
-    One term of ``represent`` at shift 0, from f's modes |k| <= ``band_limit(N)``.
-    No library code calls it: the tests check it against Gaussian-integral
+    ``represent`` of f [0], from f's modes |k| <= ``band_limit(N)``.  No
+    library code calls it: the tests check it against Gaussian-integral
     and quadrature oracles, and the benchmark's tracing hooks it.
     """
     if not isinstance(f, PeriodicFunction):
         raise TypeError("multiplication_matrix takes a PeriodicFunction")
-    k, c, _ = f.band(band_limit(basis.n_modes))
-    (section,) = _weyl_blocks((*_displacements(0.0, k, c), not f.samples.imag.any()),
-                              basis.n_modes)
-    return section
+    return represent(AlgebraElement(0.0, {0: f}), basis)
 
 
 def translation_matrix(alpha, basis):
     """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge.
 
-    One term of ``represent``, the displacement D(alpha / sqrt 2); alpha = 0
-    gives the identity exactly.  No library code calls it: the tests check
-    it, and the benchmark's tracing hooks it.
+    ``represent`` of 1 [1] at hbar = alpha, the displacement D(alpha /
+    sqrt 2); alpha = 0 gives the identity exactly.  No library code calls
+    it: the tests check it, and the benchmark's tracing hooks it.
     """
-    (section,) = _weyl_blocks((*_displacements(float(alpha), np.zeros(1), np.ones(1)), True),
-                              basis.n_modes)
-    return section
+    return represent(AlgebraElement.shift_generator(alpha), basis)
 
 
 def band_limit(n_modes):
@@ -278,38 +275,39 @@ def band_limit(n_modes):
     return int(np.ceil(2.0 * np.sqrt(2.0 * n_modes) / np.pi))
 
 
-def _displacements(shift, k, c, centre=0.0):
-    """The modes k of one coefficient c at one shift as displacements: (y, weight, angle).
-
-    On the window psi_n(x - centre) the mode e^{2 pi i k x} translated by
-    shift acts as c e^{2 pi i k centre} e^{i pi k shift} D(beta), with
-    beta = (shift + 2 pi i k) / sqrt 2; y = |beta|^2 and angle = arg beta.
-    """
-    k = np.asarray(k, dtype=float)
-    weight = c * np.exp(1j * np.pi * k * shift)
-    if centre:
-        weight = weight * np.exp(2j * np.pi * centre * k)
-    return (0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k), weight,
-            np.arctan2(2.0 * np.pi * k, shift))
-
-
 def _element_displacements(a, n_modes, centre=0.0, caller="represent"):
-    """``_displacements`` of every degree of a within the band limit, concatenated.
+    """The modes of a within the band limit as displacements: (y, weight, angle, real).
 
-    Plus real: whether every coefficient of a has real samples.  Logs kmax
-    and the neglected-coefficient mass, summed over degrees, at DEBUG on
-    the ``nctorus.oscillator`` logger, under caller's name.
+    On the window psi_n(x - centre) the mode e^{2 pi i k x} of the
+    degree-m coefficient, c_k, translated by s = m hbar acts as weight
+    D(beta), weight = c_k e^{2 pi i k centre} e^{i pi k s} and beta = (s +
+    2 pi i k) / sqrt 2; y = |beta|^2 and angle = arg beta, concatenated over
+    the degrees.  real: whether every coefficient of a has real samples, so
+    that the section is real.  Logs kmax and the neglected-coefficient
+    mass, summed over degrees, at DEBUG on the ``nctorus.oscillator``
+    logger, under caller's name.
     """
     kmax = band_limit(n_modes)
     parts, neglected, real = [], 0.0, True
     for m, f in a.items():
         k, c, tail = f.band(kmax)
-        parts.append(_displacements(m * a.hbar, k, c, centre))
+        shift, k = m * a.hbar, k.astype(float)
+        weight = c * np.exp(1j * np.pi * k * shift)
+        if centre:
+            weight = weight * np.exp(2j * np.pi * centre * k)
+        parts.append((0.5 * (shift * shift + 4.0 * np.pi ** 2 * k * k), weight,
+                      np.arctan2(2.0 * np.pi * k, shift)))
         neglected += tail
         real = real and not f.samples.imag.any()
     logger.debug("%s: N=%d kmax=%d neglected coefficient mass=%.6g",
                  caller, n_modes, kmax, neglected)
     return (*(np.concatenate(column) for column in zip(*parts)), real)
+
+
+def _times_minus_i(displacements):
+    """The displacements with weights -i w, marked complex: H(-i w) = -i S + (-i S)^H."""
+    y, weight, angle, _ = displacements
+    return y, -1j * weight, angle, False
 
 
 def _kept_columns(y, n_modes):
@@ -328,27 +326,21 @@ def _kept_columns(y, n_modes):
     return kept
 
 
-def _column_weights(displacements, n_modes, degrees, hermitian):
-    """The kept distinct y and the weights of ``_weyl_sums`` on them, one row per triangle.
+def _column_weights(displacements, n_modes, degrees):
+    """The kept distinct y and the weights of H(w) on them, shape (len(degrees), len(y)).
 
-    Modes that share y share a column, their weights times the phase
-    (beta / |beta|)^d of the lower triangle, or (-conj(beta) / |beta|)^d of
-    the upper, summed first.  With hermitian, the lower triangle of S + S^H,
-    whose entries take (weight + (-1)^d conj(weight)) (beta / |beta|)^d.
-    The weights are real, the real part of the sums, when every
-    coefficient has real samples, and complex otherwise.
+    The lower triangle of H(w) = S + S^H takes (w + (-1)^d conj w) (beta /
+    |beta|)^d per mode at degree d; modes that share y share a column and
+    are summed first.  The weights are real, the real part of the sums,
+    when the displacements are marked real, and complex otherwise.
     """
     y, weight, angle, real = displacements
     distinct, column = np.unique(y, return_inverse=True)
     kept = np.flatnonzero(_kept_columns(distinct, n_modes))
     onehot = (column[:, None] == kept).astype(float)
-    phase = np.exp(1j * np.outer(degrees, angle))
     sign = (1 - 2 * (degrees & 1))[:, None]
-    if hermitian:
-        sums = [(weight + sign * weight.conj()) * phase]
-    else:
-        sums = [weight * phase, weight * sign * phase.conj()]
-    weights = np.stack([terms @ onehot for terms in sums])
+    phase = np.exp(1j * np.outer(degrees, angle))
+    weights = ((weight + sign * weight.conj()) * phase) @ onehot
     return distinct[kept], weights.real if real else weights
 
 
@@ -357,13 +349,14 @@ def _weyl_start(y, d_max):
 
     A log scale L puts |L| eps into exp(L): 3e-14 in the sections at
     N = 400.  So e^{-y/2} = 2^{-q} e^r, q = rint(min(y, 2^60) / 2 ln 2) (an
-    int64; beyond, e^r is 0), r reduced by ln 2 in two parts (Cody and
-    Waite), and the factors sqrt(y / d) are multiplied ``_START_ROWS`` rows
-    at a time, the exponent carried by ``np.frexp``: each value is rounded
-    about d times, not |L| / eps.  Also the d = 0 start of
-    ``_laguerre_rows`` and, at y = x^2, of ``_hermite_iter``.
+    int64; beyond, e^r is 0; a NaN y takes 2^60, its e^r NaN), r reduced
+    by ln 2 in two parts (Cody and Waite), and the factors sqrt(y / d) are
+    multiplied ``_START_ROWS`` rows at a time, the exponent carried by
+    ``np.frexp``: each value is rounded about d times, not |L| / eps.  Also
+    the d = 0 start of ``_laguerre_rows`` and, at y = x^2, of
+    ``_hermite_iter``.
     """
-    q = np.rint(0.5 * np.minimum(y, 2.0 ** 60) / math.log(2.0))
+    q = np.rint(0.5 * np.fmin(y, 2.0 ** 60) / math.log(2.0))
     mantissa = np.empty((d_max + 1, y.size))
     exponent = np.empty((d_max + 1, y.size), dtype=int)
     mantissa[0], exponent[0] = np.frexp(np.exp((q * _LN2_HI - 0.5 * y) + q * _LN2_LO))
@@ -378,11 +371,12 @@ def _weyl_start(y, d_max):
 
 
 def _weyl_sums(y, degrees, weights, n_modes):
-    """Yield sum_j H_n^(d)(y_j) weights[:, d, j] for n < n_modes, over the degrees d < n_modes - n.
+    """Yield sum_j H_n^(d)(y_j) weights[d, j] for n < n_modes, over the degrees d < n_modes - n.
 
     H_n^(d) = e^{-y/2} y^{d/2} G_n^(d) / sqrt(d!), G_n^(d) = sqrt(n! d! /
-    (n + d)!) L_n^(d)(y); degrees ascend from 0, weights has shape (K,
-    len(degrees), len(y)) and each yield (K, count).  The recurrence
+    (n + d)!) L_n^(d)(y); degrees ascend from 0, weights has shape
+    (len(degrees), len(y)) and each yield is 1-D, one sum per degree still
+    in the window.  The recurrence
 
         G_{n+1} = ((2n + d + 1 - y) G_n - sqrt(n (n + d)) G_{n-1})
                   / sqrt((n + 1) (n + d + 1))
@@ -401,8 +395,9 @@ def _weyl_sums(y, degrees, weights, n_modes):
     carries the section's whole dependence on y: 4.4e-12 off the
     quadrature in translation_matrix(0.01) at N = 800, where this form
     reads the quadrature's own 2e-14.  Both divide by the root (a
-    reciprocal multiply drifts).  G and F share a binary exponent per
-    degree and y (``_rescale``); the weights are rescaled when it moves.
+    reciprocal multiply drifts) of the exact integer (n + 1) (n + d + 1).
+    G and F share a binary exponent per degree and y (``_rescale``); the
+    weights are rescaled when it moves.
     Consumers hold ``np.errstate(under="ignore")``, as for ``_hermite_iter``.
     """
     mantissa, exponent = _weyl_start(y, degrees[-1])
@@ -410,22 +405,18 @@ def _weyl_sums(y, degrees, weights, n_modes):
     cur, exponent = mantissa[degrees], exponent[degrees]
     scaled = weights * np.ldexp(1.0, exponent)
     diff, lower = d * cur, np.empty_like(cur)
-    # n (n + d), an exact integer
-    square = np.zeros_like(d)
     counts = np.searchsorted(degrees, n_modes - np.arange(n_modes)).tolist()
     for n, count in enumerate(counts):
         if count < d.size:
             cur, diff, lower = cur[:count], diff[:count], lower[:count]
-            d, square, exponent = d[:count], square[:count], exponent[:count]
-            weights, scaled = weights[:, :count], scaled[:, :count]
-        yield np.einsum("ij,kij->ki", cur, scaled)
+            d, exponent = d[:count], exponent[:count]
+            weights, scaled = weights[:count], scaled[:count]
+        yield np.einsum("ij,ij->i", cur, scaled)
         np.multiply(y, cur, out=lower)
         diff -= lower
         cur *= n + 1.0
         cur += diff
-        # (n + 1) (n + 1 + d) = n (n + d) + 2n + 1 + d
-        square += d + (2.0 * n + 1.0)
-        root = np.sqrt(square)
+        root = np.sqrt((n + 1.0) * (n + 1.0 + d))
         cur /= root
         diff *= root
         diff /= n + 1.0
@@ -435,25 +426,24 @@ def _weyl_sums(y, degrees, weights, n_modes):
                 exponent, scaled = rescaled, weights * np.ldexp(1.0, rescaled)
 
 
-def _weyl_blocks(displacements, n_modes, hermitian=False, step=1):
-    """The section S, the sum over displacements of weight D(beta), from ``_weyl_sums``, as blocks.
+def _weyl_blocks(displacements, n_modes, step=1):
+    """H(w) = S + S^H, S the sum over displacements of w D(beta), from ``_weyl_sums``, as blocks.
 
-    The blocks are S's rows and columns p, p + step, ... for p < step, or
-    S + S^H's with hermitian, whose entries are those of the degrees 0,
-    step, 2 step, ...  Each n writes column n // step of block n mod step
-    below the diagonal, and as the row right of it S's upper triangle, or
-    with hermitian the column's conjugate, so those blocks are Hermitian by
-    construction.  float64 when every coefficient has real samples.
+    The blocks are H(w)'s rows and columns p, p + step, ... for p < step,
+    whose entries are those of the degrees 0, step, 2 step, ...  Each n
+    writes column n // step of block n mod step below the diagonal and its
+    conjugate as the row right of it, so every block is Hermitian by
+    construction.  float64 when the displacements are marked real.
     """
     degrees = np.arange(0, n_modes, step)
-    y, weights = _column_weights(displacements, n_modes, degrees, hermitian)
+    y, weights = _column_weights(displacements, n_modes, degrees)
     blocks = [np.zeros((len(range(p, n_modes, step)),) * 2, dtype=weights.dtype)
               for p in range(step)]
     with np.errstate(under="ignore"):
         for n, sums in enumerate(_weyl_sums(y, degrees, weights, n_modes)):
             block, i = blocks[n % step], n // step
-            block[i:, i] = sums[0]
-            block[i, i:] = sums[0].conj() if hermitian else sums[1]
+            block[i:, i] = sums
+            block[i, i:] = sums.conj()
     return blocks
 
 
@@ -461,18 +451,23 @@ def represent(a, basis):
     """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis, in closed form.
 
     Each mode |k| <= ``band_limit(N)`` of f_n, translated by n hbar, is a
-    displacement (module docstring), so the section is one recurrence in n
-    over every degree d = i - j and distinct y (``_weyl_sums``): no grid,
-    nothing aliases.  Multiplication by a real f_n and translation map real
-    functions to real functions, so the section of an element whose
-    coefficients all have real samples is the real part of its sums,
-    float64; any complex coefficient makes the whole section complex.
+    displacement (module docstring), so S = (H(w) + i H(-i w)) / 2 from two
+    Hermitian sections, each one recurrence in n over every degree d = i - j
+    and distinct y (``_weyl_blocks``): no grid, nothing aliases.
+    Multiplication by a real f_n and translation map real functions to real
+    functions, so the section of an element whose coefficients all have
+    real samples is real, (H(w) - Im H(-i w)) / 2, float64; any complex
+    coefficient makes the whole section complex.
     """
     n_modes = basis.n_modes
     if not a.items():
         return np.zeros((n_modes, n_modes))
-    (section,) = _weyl_blocks(_element_displacements(a, n_modes), n_modes)
-    return section
+    displacements = _element_displacements(a, n_modes)
+    (h,) = _weyl_blocks(displacements, n_modes)
+    (h_rotated,) = _weyl_blocks(_times_minus_i(displacements), n_modes)
+    if displacements[-1]:
+        return 0.5 * (h - h_rotated.imag)
+    return 0.5 * (h + 1j * h_rotated)
 
 
 def _parity_sections(a, n_modes, centre, step=2):
@@ -485,8 +480,7 @@ def _parity_sections(a, n_modes, centre, step=2):
     rotates each kept Fourier mode by e^{2 pi i k centre}.  a has at least
     one degree.
     """
-    return _weyl_blocks(_element_displacements(a, n_modes, centre), n_modes,
-                        hermitian=True, step=step)
+    return _weyl_blocks(_element_displacements(a, n_modes, centre), n_modes, step=step)
 
 
 def diagonal_elements(weighted_shifts, n_modes):
@@ -495,15 +489,16 @@ def diagonal_elements(weighted_shifts, n_modes):
     For weights known only as callables on the line (Fourier modes have
     the closed form of ``algebra_diagonals``).  ``weighted_shifts`` is
     a sequence of (weight, shift) pairs; the result has one row per pair.
-    The quadrature is the uniform (QUAD_DENSITY n_modes + 1)-point rule on
-    [-L - s, L + s], s the largest |shift|, and the Hermite recurrence is
-    streamed, so that no rows are stored.  The list-of-pairs form is the
-    one the benchmark's tracing counts.
+    The quadrature is the uniform (QUAD_DENSITY max(N, 2000) + 1)-point rule
+    on [-L - s, L + s], s the largest |shift|, never coarser than at 2000
+    modes (129 points at N = 16 read cos 20 pi x 0.30 off), and the Hermite
+    recurrence is streamed, so that no rows are stored.  The list-of-pairs
+    form is the one the benchmark's tracing counts.
     """
     pairs = [(w, float(a)) for w, a in weighted_shifts]
     span = max([0.0] + [abs(a) for _, a in pairs])
     half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD + span
-    x = np.linspace(-half_width, half_width, QUAD_DENSITY * n_modes + 1)
+    x = np.linspace(-half_width, half_width, QUAD_DENSITY * max(n_modes, 2000) + 1)
     step = x[1] - x[0]
     out = np.zeros((len(pairs), n_modes), dtype=complex)
     for i, (w, a) in enumerate(pairs):
@@ -566,20 +561,19 @@ def algebra_diagonals(a, n_modes):
         d_n = sum_m sum_k c_k e^{i pi k s} e^{-y/2} L_n(y),
         y = (s^2 + 4 pi^2 k^2) / 2,
 
-    so d = rows @ w with rows[n, j] = e^{-y_j/2} L_n(y_j) (``_laguerre_rows``)
-    and w_j the summed weights of the modes that share y_j (k and -k,
-    degrees m and -m); the y that ``_kept_columns`` drops are skipped (52
-    of 249 columns kept for the bump at 2000 modes).  No quadrature, so
-    nothing aliases; the dropped modes move each d_n by at most e^{-4
-    n_modes} times their mass (see ``band_limit``).  n_modes < 1 raises
-    ValueError.
+    so d = (rows @ W_w + i rows @ W_{-i w}) / 2, the diagonal of (H(w) +
+    i H(-i w)) / 2: rows[n, j] = e^{-y_j/2} L_n(y_j) (``_laguerre_rows``) on
+    the y ``_column_weights`` keeps (52 of 249 for the bump at 2000 modes),
+    whose weights at d = 0 are 2 Re w and 2 Im w summed per y.  No
+    quadrature, so nothing aliases; the dropped modes move each d_n by at
+    most e^{-4 n_modes} times their mass (see ``band_limit``).  n_modes < 1
+    raises ValueError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    y, weight, _, _ = _element_displacements(a, n_modes, caller="algebra_diagonals")
-    distinct, column = np.unique(y, return_inverse=True)
-    kept = _kept_columns(distinct, n_modes)
-    rows = _laguerre_rows(distinct[kept], n_modes)
-    real, imag = (np.bincount(column, part, distinct.size)[kept]
-                  for part in (weight.real, weight.imag))
-    return rows @ real + 1j * (rows @ imag)
+    displacements = _element_displacements(a, n_modes, caller="algebra_diagonals")
+    degree = np.zeros(1, dtype=int)
+    y, weights = _column_weights(displacements, n_modes, degree)
+    _, rotated = _column_weights(_times_minus_i(displacements), n_modes, degree)
+    rows = _laguerre_rows(y, n_modes)
+    return 0.5 * (rows @ weights[0].real + 1j * (rows @ rotated[0].real))

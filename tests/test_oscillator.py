@@ -184,6 +184,18 @@ def test_streaming_diagonals_translation_overlap():
     assert abs(d[0] - np.exp(-0.25)) < 1e-10
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 4, 8, 16])
+def test_streaming_diagonals_match_the_closed_form_at_few_modes(n_modes):
+    # the quadrature grid is never coarser than at 2000 modes: on 8 n_modes + 1
+    # points cos 6 pi x read 1.2 off at one mode and cos 20 pi x 0.30 at 16
+    for k in (3, 10):
+        weight = lambda x, k=k: np.cos(2.0 * np.pi * k * x)
+        a = AlgebraElement(HBAR, {0: PeriodicFunction.from_callable(weight)})
+        d = diagonal_elements([(weight, 0.0)], n_modes)[0]
+        diff = np.abs(d - algebra_diagonals(a, n_modes)).max()
+        assert diff < 1e-13, (k, diff)
+
+
 def test_algebra_diagonals_unit():
     d = algebra_diagonals(AlgebraElement.unit(HBAR), 40)
     assert np.abs(d - 1.0).max() < 1e-10
@@ -192,13 +204,20 @@ def test_algebra_diagonals_unit():
 def test_hermite_rows_match_mpmath_reference():
     # psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) at 60 digits, far
     # beyond the turning point of psi_0 (x = 25, 36) and of psi_399 (x = 32),
-    # and at x whose binary exponent of e^{-x^2/2} is beyond an int64 (4e9)
-    x = np.array([0.0, 1.7, -10.0, 25.0, 28.0, 32.0, -36.0, 4e9, -1e10])
+    # at x whose binary exponent of e^{-x^2/2} is beyond an int64 (4e9), and
+    # at x where the unscaled rows would overflow between two rescales (1e17
+    # on): every row is exactly 0 once x^2 >= 2^60, and NaN stays NaN
+    x = np.array([0.0, 1.7, -10.0, 25.0, 28.0, 32.0, -36.0, 4e9, -1e10,
+                  1e17, 1e18, -1e30, np.inf, np.nan])
     rows = hermite_rows(400, x)
+    assert not rows[:, x * x >= 2.0 ** 60].any()
+    assert np.isnan(rows[:, np.isnan(x)]).all()
     with mpmath.workdps(60):
         for n in (0, 1, 100, 399):
             norm = mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
             for j, xj in enumerate(x):
+                if not np.isfinite(xj):
+                    continue
                 xm = mpmath.mpf(float(xj))
                 psi = mpmath.hermite(n, xm) * mpmath.exp(-xm * xm / 2) / norm
                 if abs(psi) > mpmath.mpf("1e-100"):
@@ -537,7 +556,7 @@ def _untrimmed(weyl_sums):
     def run(y, degrees, weights, n_modes):
         counts = np.searchsorted(degrees, n_modes - np.arange(n_modes))
         for count, sums in zip(counts, weyl_sums(y, degrees, weights, 2 * n_modes)):
-            yield sums[:, :count]
+            yield sums[:count]
     return run
 
 
@@ -549,8 +568,8 @@ def test_trimmed_degrees_are_bit_identical_to_the_untrimmed_recurrence(case, n_m
     # right factor of its sums), once it leaves the window; every degree
     # and y is its own column, so carrying the whole right factor through
     # all N steps gives every entry the same bits.  The real bump, the
-    # localizer's element of it and the complex U e U* (two parts per
-    # triangle)
+    # localizer's element of it and the complex U e U* (complex weights,
+    # and represent's H(-i w) for all three)
     bump = rieffel_projection(1.3)
     elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
                                             for m, f in bump.items() if m >= 0})]

@@ -213,22 +213,15 @@ def _spectrum(blocks):
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
 
 
-def _whole_localizer(e, n, kappa):
-    """The whole localizer on the window centred at 0, written into one
-    (2n - 1)^2 array: the reference for the blocks of ``pairing._localizer``."""
-    upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
-                                    for m, f in e.items() if m >= 0})
-    half = represent(upper, HermiteBasis(n))
-    out = np.zeros((2 * n - 1, 2 * n - 1), dtype=half.dtype)
-    top = out[:n, :n]
-    np.add(half, half.conj().T, out=top)
-    top *= 2.0
-    diag = np.arange(n)
-    top[diag, diag] -= 1.0
-    np.negative(top[:-1, :-1], out=out[n:, n:])
-    k = diag[1:]
-    out[k, n + k - 1] = out[n + k - 1, k] = kappa * np.sqrt(2.0 * k)
-    return out
+def _dense_localizer(section, kappa):
+    """The whole localizer, cut to (2n - 1)^2, of an n-mode section S from
+    ``ladder_matrices``: kappa D - diag(1, -1) (x) (1 - (S + S^H)).  The
+    reference for the blocks of ``pairing._localizer``, whose S + S^H is
+    2 herm(P e P)."""
+    n = section.shape[0]
+    _, _, _, dirac, _ = ladder_matrices(HermiteBasis(n))
+    sym = np.eye(n) - (section + section.conj().T)
+    return (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
 
 
 def _centred(e, centre):
@@ -277,7 +270,8 @@ def test_parity_blocks_match_the_whole_localizer_of_the_centred_element(n):
         assert abs(centre - (frac + min(frac, 1.0 - frac) / 3.0) / 2.0) < 1e-12
         assert len(blocks) == 2 and defect <= algebra.PROJECTION_TOL, (n, hbar, defect)
         assert [b.shape[0] for b in blocks] == [n - 1, n]
-        whole = np.linalg.eigvalsh(_whole_localizer(_centred(e, centre), n, kappa))
+        section = represent(_centred(e, centre), HermiteBasis(n))
+        whole = np.linalg.eigvalsh(_dense_localizer(section, kappa))
         diff = np.abs(_spectrum(blocks) - whole).max()
         assert diff < 1e-12, (n, hbar, diff)
 
@@ -300,13 +294,17 @@ def _conjugated_bump(hbar):
 def test_parity_fallback_takes_the_whole_localizer(element, hbar):
     # without reflection symmetry the one block is the whole localizer on
     # the window centred at 0, its S + S^H written by the closed form as
-    # one Hermitian block: within rounding of represent plus its adjoint
+    # one Hermitian block: within rounding of represent plus its adjoint.
+    # The localizer reads the degrees m >= 0 of e (the perturbed bump is
+    # not self-adjoint): S is the section of e_0 + 2 sum_{m > 0} e_m [m]
     n = 200
     kappa = 1.0 / np.sqrt(n)
     e = element(hbar)
     (block,), centre, defect = pairing._localizer(e, n, kappa)
     assert centre is not None and defect > algebra.PROJECTION_TOL
-    whole = _whole_localizer(e, n, kappa)
+    upper = AlgebraElement(e.hbar, {m: f if m == 0 else 2.0 * f
+                                    for m, f in e.items() if m >= 0})
+    whole = _dense_localizer(represent(upper, HermiteBasis(n)), kappa)
     assert block.dtype == whole.dtype
     assert np.abs(block - whole).max() < 1e-15
     evals, expected = np.linalg.eigvalsh(block), np.linalg.eigvalsh(whole)
@@ -429,16 +427,12 @@ def test_nonnegative_degree_localizer_matches_full_section(n):
     # herm(P e P) from all degrees of the centred element against the parity
     # blocks of S + S^H from the degrees n >= 0
     kappa = 1.0 / np.sqrt(n)
-    basis = HermiteBasis(n)
-    _, _, _, dirac, _ = ladder_matrices(basis)
     for hbar in (0.3, 2.6):
         e = rieffel_projection(hbar)
         blocks, centre, _ = pairing._localizer(e, n, kappa)
         blocks = list(blocks)
         assert len(blocks) == 2
-        rep = represent(_centred(e, centre), basis)
-        sym = np.eye(n) - (rep + rep.conj().T)
-        full = (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
+        full = _dense_localizer(represent(_centred(e, centre), HermiteBasis(n)), kappa)
         diff = np.abs(np.linalg.eigvalsh(full) - _spectrum(blocks)).max()
         assert diff < 1e-12, (n, hbar, diff)
 
