@@ -50,6 +50,7 @@ mpmath (the odd zeta and 1/Gamma) and the Gauss-Legendre nodes are loaded on
 first use, so importing the package costs neither.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -148,6 +149,13 @@ class EntireZetaReport:
             a >= b - 1e-12 for a, b in zip(self.residue_proxies, self.residue_proxies[1:])
         )
         return decreasing and abs(self.residue_extrapolated) <= self.tolerance
+
+
+def _finite(name, value):
+    """The number value; NaN or infinite raises ValueError, as ``ktheory`` does for hbar."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _read_only(*arrays):
@@ -253,8 +261,8 @@ def heat_trace_weighted(f, alpha, t):
     at alpha/2 of width 1/sqrt(tanh t), so the trace is that factor times
     ``_gaussian_average(f, sqrt(tanh t), alpha/2)``.
 
-    t > 0 is a scalar or a 1-D array, all of it in one Gaussian average
-    call; each entry has the scalar call's bits.
+    Finite t > 0 is a scalar or a 1-D array, all of it in one Gaussian
+    average call; each entry has the scalar call's bits.  alpha is finite.
 
     Resolution limit: for a periodic f the average is the closed form
     sum_k c_k e^{i pi k alpha} e^{-pi^2 k^2 / tanh t} over the modes of its
@@ -269,9 +277,11 @@ def heat_trace_weighted(f, alpha, t):
     f(alpha/2 + x / sqrt(tanh t)) varies on its node spacing 17/4095.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    alpha = _finite("alpha", float(alpha))
+    if not np.isfinite(ts).all():
+        _finite("t", ts[~np.isfinite(ts)][0])
     if (ts <= 0).any():
         raise ValueError("time must be positive")
-    alpha = float(alpha)
     th = np.tanh(ts)
     scale = np.exp(-alpha * alpha / (4.0 * th)) / (2.0 * np.sinh(ts))
     out = scale * _gaussian_average(f, np.sqrt(th), alpha / 2.0)
@@ -418,7 +428,7 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     'heat_mellin' at alpha != 0; any other name raises ValueError.
     ``bench/tracing.py`` passes 'eigen_sum_tail' on every on-diagonal
     traced call, so the parameter stays until the benchmark stops passing
-    it.  n_modes < 1 raises ValueError on either route.
+    it.  n_modes < 1 or a non-finite alpha or s raises ValueError.
 
     The Mellin route is Gamma(s)^{-1} int t^{s-1} Tr(f T_alpha e^{-tH}) dt.
     Off the diagonal the trace decays like e^{-a/t} as t -> 0 with
@@ -464,8 +474,8 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     mu = 0 too (arctan), whose value at s = 1 would rest on the decay of
     its diagonals, which the tail model does not know.
     """
-    alpha = float(alpha)
-    s = complex(s)
+    alpha = _finite("alpha", float(alpha))
+    s = complex(_finite("s", s))
     if method not in (None, "eigen_sum_tail", "heat_mellin"):
         raise ValueError(f"unknown method {method!r}")
     if method not in (None, "eigen_sum_tail" if alpha == 0.0 else "heat_mellin"):
@@ -551,9 +561,10 @@ def asymptotic_mean(f, x_max=32.0):
     Periodic metadata short-circuits to the exact period mean.  Otherwise
     the running means at x_max/4, x_max/2 and x_max are fitted to the model
     mu + (a + b log x)/x on each side, which captures both O(1/x) tails and
-    the log x/x tails of limit-type functions.  x_max <= 0 raises
-    ValueError.
+    the log x/x tails of limit-type functions.  A non-finite or
+    nonpositive x_max raises ValueError.
     """
+    _finite("x_max", x_max)
     if x_max <= 0:
         raise ValueError("x_max must be positive")
     if f.kind == "periodic":

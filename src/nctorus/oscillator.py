@@ -36,10 +36,10 @@ the rest.  The diagonal, d = 0, is ``algebra_diagonals``, d_n = sum_m
 sum_k c_k e^{i pi k s} e^{-y/2} L_n(y): the same identity at d = 0, where
 the column weights of H(w) and H(-i w) are 2 Re w and 2 Im w summed over
 the modes that share y, on ``_laguerre_rows``, the d = 0 recurrence in
-difference form.  ``diagonal_elements`` keeps a quadrature for callables
-on the line of limit or generic type (periodic weights need no
-diagonals: their zeta values are Mellin integrals of their heat traces
-in ``heatzeta``).
+difference form.  ``diagonal_elements`` keeps a quadrature, on the
+diagonal only, for callables on the line of limit or generic type
+(periodic weights and every shift need no diagonals: their zeta values
+are Mellin integrals of their heat traces in ``heatzeta``).
 
 The recurrences ``_hermite_iter``, ``_laguerre_rows`` and ``_weyl_sums``
 share one number format, no log scale: a row stands for row * m 2^e, m
@@ -58,6 +58,7 @@ the edge are expected and are not defects.
 import itertools
 import logging
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -177,10 +178,11 @@ class HermiteBasis:
     kmax = ``band_limit(N)``, the Nyquist spacing of f psi_j psi_k(. - s)
     for f cut to |k| <= kmax, so a trapezoid rule on it integrates such
     products up to rounding (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    n_modes is an integer, at least 2: TypeError or ValueError otherwise.
     """
 
     def __init__(self, n_modes):
-        n_modes = int(n_modes)
+        n_modes = operator.index(n_modes)
         if n_modes < 2:
             raise ValueError("need at least two modes")
         self.n_modes = n_modes
@@ -484,31 +486,30 @@ def _parity_sections(a, n_modes, centre, step=2):
 
 
 def diagonal_elements(weighted_shifts, n_modes):
-    """Diagonal matrix elements d_n = quad(w(x) psi_n(x - a) psi_n(x)), n < n_modes.
+    """Diagonal matrix elements d_n = quad(w(x) psi_n(x)^2), n < n_modes.
 
     For weights known only as callables on the line (Fourier modes have
     the closed form of ``algebra_diagonals``).  ``weighted_shifts`` is
-    a sequence of (weight, shift) pairs; the result has one row per pair.
-    The quadrature is the uniform (QUAD_DENSITY max(N, 2000) + 1)-point rule
-    on [-L - s, L + s], s the largest |shift|, never coarser than at 2000
-    modes (129 points at N = 16 read cos 20 pi x 0.30 off), and the Hermite
-    recurrence is streamed, so that no rows are stored.  The list-of-pairs
-    form is the one the benchmark's tracing counts.
+    a sequence of (weight, 0) pairs, the form the benchmark's tracing
+    counts; the result has one row per pair, and a nonzero shift raises
+    ValueError.  The quadrature is the uniform (QUAD_DENSITY max(N, 2000)
+    + 1)-point rule on [-L, L], never coarser than at 2000 modes (129
+    points at N = 16 read cos 20 pi x 0.30 off), and the Hermite
+    recurrence is streamed, so that no rows are stored.
     """
-    pairs = [(w, float(a)) for w, a in weighted_shifts]
-    span = max([0.0] + [abs(a) for _, a in pairs])
-    half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD + span
+    pairs = list(weighted_shifts)
+    if any(float(a) != 0.0 for _, a in pairs):
+        raise ValueError("diagonal_elements takes shift 0 only: off the diagonal, "
+                         "zeta_trace takes the Mellin route ('heat_mellin')")
+    half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
     x = np.linspace(-half_width, half_width, QUAD_DENSITY * max(n_modes, 2000) + 1)
     step = x[1] - x[0]
     out = np.zeros((len(pairs), n_modes), dtype=complex)
-    for i, (w, a) in enumerate(pairs):
+    for i, (w, _) in enumerate(pairs):
         wv = np.asarray(w(x)) * step
-        base = _hermite_iter(x)
-        shifted = _hermite_iter(x - a) if a != 0.0 else None
         with np.errstate(under="ignore"):
-            for n in range(n_modes):
-                row = next(base)
-                out[i, n] = (wv * (row if shifted is None else next(shifted)) * row).sum()
+            for n, row in zip(range(n_modes), _hermite_iter(x)):
+                out[i, n] = (wv * row * row).sum()
     return out
 
 

@@ -14,11 +14,11 @@ is read off as half the signature of one finite Hermitian matrix built from
 D, its grading and the symmetry 1 - 2e on the first N Hermite modes, with
 the tuning kappa = 1/sqrt(N) (see ``fedosov_index``).  Since e is
 self-adjoint, the section is built from the nonnegative degrees of e alone,
-its negative degrees being their adjoints: the localizer reads S + S^H, S
-the section of those degrees, which the closed form of
-``oscillator._parity_sections`` writes directly, its lower triangle and
-the conjugate, without S itself.  Its smallest |eigenvalue|, the
-gap, is the certificate: an integer is returned only when the gap is at
+its negative degrees being their adjoints: the localizer reads S + S^H =
+2 herm(P e P), S the section of e_0 + 2 sum_{m>0} e_m [m], which the
+closed form of ``oscillator._parity_sections`` writes directly, its lower
+triangle and the conjugate, without S itself.  Its smallest |eigenvalue|,
+the gap, is the certificate: an integer is returned only when the gap is at
 least ``GAP_FLOOR``, otherwise ValueError is raised.  In the line
 representation a coefficient acts by multiplication and [1] by translation,
 so an element with real coefficient functions, such as the nonnegative
@@ -36,14 +36,16 @@ the signature and the gap from the two blocks, of sizes about N each,
 with one ``eigvalsh`` per block, each block diagonalized as it is built,
 and only the even degrees of the section's closed form: about a quarter
 of the eigenvalue flops of the whole localizer.  The centre is read from
-the element (see ``_reflection_centre``); any element whose reflection
-defect there exceeds ``PROJECTION_TOL``, such as U e U*, takes the whole
-localizer on the window centred at 0.  The cross-parity entries the split
-drops are of the order of that defect (at most 4e-12 on the pools below at
-N = 200 and 400), far under ``GAP_FLOOR``.  The window centred at c is
-the one of the translated operator D - c, a scalar perturbation of D, so
-the index is the same and only the gap moves: by at most 0.006 on the pools
-below.
+the element (see ``_reflection_centre``), and the reflection defect there
+is 2 sum |Im w| over the weights w of the section's displacements: the
+odd degrees of S + S^H, which the split drops, are the section of the
+weights i Im w, so their 2-norm is at most the defect and every eigenvalue
+of the two blocks lies within it of the whole localizer's (Weyl's
+inequality; the defect is at most 2.5e-10 on the pools below).  An element
+whose defect exceeds ``PROJECTION_TOL``, such as U e U*, takes the whole
+localizer on the window centred at 0.  The window centred at c is the one
+of the translated operator D - c, a scalar perturbation of D, so the index
+is the same and only the gap moves: by at most 0.006 on the pools below.
 
 Measured margins (numpy 2.4 with OpenBLAS): over the bump projections with
 hbar in {-0.6, -0.4, -0.25, 0.3, 0.45, 0.55, 0.7, 1.2, 1.3, 1.45, 1.65, 2.25,
@@ -89,9 +91,9 @@ from .heatzeta import _intercept
 # represent is not called here; it stays importable as pairing.represent,
 # the name the benchmark's tracing wraps
 from .oscillator import (  # noqa: F401
+    _element_displacements,
     _parity_sections,
     algebra_diagonals,
-    band_limit,
     represent,
 )
 
@@ -160,50 +162,25 @@ def character_degree2(a0, a1, a2):
     return a0.hbar / (2j * np.pi) * cyclic_cocycle(a0, a1, a2)
 
 
-def _reflection_centre(e, kmax):
-    """The centre c about which e is reflection symmetric, and the defect there.
+def _reflection_centre(e):
+    """The centre c = -arg(c_1) / 2 pi about which e may be reflection symmetric.
 
-    c = -arg(c_1) / 2 pi, with c_1 the first Fourier mode of the degree-0
-    coefficient: a coefficient even about c has c_1 = |c_1| e^{-2 pi i c}
-    when its mode 1 about c is positive, as the bump's is.  Reflection
-    about c takes f[n] to f(2c - .)[-n], so with every mode k phased by
-    e^{2 pi i k c} the defect is
-
-        sum_n sum_{|k| <= kmax} |c^(-n)_k - c^(n)_-k|
-
-    over the modes of the band that ``_parity_sections`` keeps.  Returns
-    (None, None) when e has no degree 0 or its c_1 is 0.
+    c_1 is the first Fourier mode of the degree-0 coefficient: a
+    coefficient even about c has c_1 = |c_1| e^{-2 pi i c} when its mode 1
+    about c is positive, as the bump's is.  None when e has no degree 0 or
+    its c_1 is 0.
     """
-    coeffs = dict(e.items())
-    f0 = coeffs.get(0)
+    f0 = dict(e.items()).get(0)
     if f0 is None or f0.coefficients[1] == 0:
-        return None, None
-    centre = -float(np.angle(f0.coefficients[1])) / (2.0 * np.pi)
-    phased = {}
-    for n, f in coeffs.items():
-        k, c, _ = f.band(kmax)
-        phased[n] = c * np.exp(2j * np.pi * centre * k)
-    defect = 0.0
-    for n, c in phased.items():
-        # the band is in FFT order, so mode -k sits at index -i mod size
-        mirror = c[-np.arange(c.size) % c.size]
-        defect += float(np.abs(phased.get(-n, 0.0) - mirror).sum())
-    return centre, defect
-
-
-def _symmetry(herm):
-    """-(1 - 2 herm) = 2 herm - 1 of a block herm of S + S^H, in place."""
-    herm *= 2.0
-    diag = np.arange(herm.shape[0])
-    herm[diag, diag] -= 1.0
-    return herm
+        return None
+    return -float(np.angle(f0.coefficients[1])) / (2.0 * np.pi)
 
 
 def _block(top, bottom, n, p, step, kappa):
     """One block [[top, kappa A*], [kappa A, -bottom]] of the localizer on n modes.
 
     Its top modes are p, p + step, ... < n and its bottom modes q, q + step,
-    ... < n - 1, q = (p + 1) mod step; top and bottom are -(1 - 2 herm) on
+    ... < n - 1, q = (p + 1) mod step; top and bottom are 2 herm - 1 on
     the modes p, p + step, ... < n and q, q + step, ... < n.  The lowering
     operator A has sqrt(2k) at (k - 1, k), so it couples top mode k to
     bottom mode k - 1.  step = 1 is the whole localizer; step = 2 is its
@@ -224,22 +201,27 @@ def _block(top, bottom, n, p, step, kappa):
 def _localizer(e, n, kappa):
     """The localizer of ``fedosov_index`` on n modes, as an iterator of blocks.
 
-    Returns (blocks, centre, defect), centre and defect from
-    ``_reflection_centre``.  When e is reflection symmetric about its
-    centre within ``PROJECTION_TOL``, the blocks are the two of top parity
-    p = 0 and 1 on the Hermite window centred there, from the same-parity
-    blocks of S + S^H; otherwise the one block is the whole localizer on
-    the window centred at 0, from the whole S + S^H.  Either way S is the
-    section of the nonnegative degrees of e and S + S^H comes from one
-    ``_parity_sections`` call, at step 2 or 1; each localizer block is
-    built only when the iterator reaches it.
+    Returns (blocks, centre, defect).  The section read is that of upper =
+    e_0 + 2 sum_{m>0} e_m [m], so H(w) = S + S^H = 2 herm(P e P) and the
+    symmetry is H(w) - 1.  The defect is 2 sum |Im w| over upper's weights
+    on the window centred at ``_reflection_centre``'s c.  At most
+    ``PROJECTION_TOL``, the blocks are the two of top parity p = 0 and 1 on
+    that window; otherwise, or with no centre (defect None), the one block
+    is the whole localizer on the window centred at 0.  Either way H(w)
+    comes from one ``_parity_sections`` call, at step 2 or 1; each
+    localizer block is built only when the iterator reaches it.
     """
-    upper = AlgebraElement(e.hbar, {m: 0.5 * f if m == 0 else f
+    upper = AlgebraElement(e.hbar, {m: f if m == 0 else 2.0 * f
                                     for m, f in e.items() if m >= 0})
-    centre, defect = _reflection_centre(e, band_limit(n))
+    centre, defect = _reflection_centre(e), None
+    if centre is not None:
+        weights = _element_displacements(upper, n, centre, caller="reflection_defect")[1]
+        defect = 2.0 * float(np.abs(weights.imag).sum())
     step = 1 if defect is None or defect > PROJECTION_TOL else 2
-    tops = [_symmetry(herm)
-            for herm in _parity_sections(upper, n, centre if step == 2 else 0.0, step)]
+    tops = _parity_sections(upper, n, centre if step == 2 else 0.0, step)
+    for herm in tops:
+        # the symmetry H(w) - 1, on the real diagonal of a Hermitian block
+        herm.flat[::herm.shape[0] + 1] = herm.diagonal().real - 1.0
     blocks = (_block(tops[p], tops[(p + 1) % step], n, p, step, kappa) for p in range(step))
     return blocks, centre, defect
 
@@ -262,12 +244,15 @@ def fedosov_index(e, basis_size=400):
     e = 0 gives 0 exactly.
 
     Reflection condition: let c = -arg(c_1) / 2 pi, with c_1 the first
-    Fourier mode of e's degree-0 coefficient.  When c_1 != 0 and the
-    reflection defect of e about c (``_reflection_centre``) is at most
-    ``PROJECTION_TOL``, the window is the first N eigenfunctions
-    psi_n(x - c) and L splits into two blocks: top modes of parity p with
-    bottom modes of parity 1 - p, of sizes N - 1 and N (``_localizer``).
-    Sig L and the gap come from one ``eigvalsh`` per block, each block
+    Fourier mode of e's degree-0 coefficient (``_reflection_centre``).
+    When c_1 != 0 and the reflection defect of e about c, 2 sum |Im w| over
+    the displacement weights w of its section on the first N
+    eigenfunctions psi_n(x - c), is at most ``PROJECTION_TOL``, L on that
+    window splits into two blocks: top modes of parity p with bottom modes
+    of parity 1 - p, of sizes N - 1 and N (``_localizer``).  The entries
+    dropped are the section's odd degrees, of 2-norm at most the defect,
+    so every eigenvalue of the two blocks lies within the defect of L's
+    (Weyl's inequality).  Sig L and the gap come from one ``eigvalsh`` per block, each block
     diagonalized before the next is built, so the working set is the
     section's two parity blocks and one localizer block.  Any other e
     takes the window centred at 0 and one (2N - 1)^2 block, the whole L.
@@ -275,8 +260,8 @@ def fedosov_index(e, basis_size=400):
     e is self-adjoint (``_require_projection``, its defect memoised), so
     its degrees -n are the adjoints of its degrees n, and only the
     nonnegative degrees are represented: with
-    S = P pi(e_0 / 2 + sum_{n>0} e_n [n]) P,
-    herm(P e P) is S + S^H, written by one ``_parity_sections`` call as
+    S = P pi(e_0 + 2 sum_{n>0} e_n [n]) P,
+    2 herm(P e P) is S + S^H, written by one ``_parity_sections`` call as
     its two parity blocks or, for any other e, as one N x N block.
 
     The smallest |eigenvalue| of L is its gap and the certificate of the

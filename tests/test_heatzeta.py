@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -787,6 +788,33 @@ def test_entire_check_large_shift_suppression():
 def test_entire_check_rejects_zero_shift():
     with pytest.raises(ValueError):
         entire_check(ONE, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zeta_trace(ONE, NAN, 1.5), "alpha must be finite, got nan"),
+    (lambda: zeta_trace(ONE, INF, 1.5), "alpha must be finite, got inf"),
+    (lambda: zeta_trace(ONE, 0.3, NAN), "s must be finite, got nan"),
+    (lambda: zeta_trace(ONE, 0.0, complex(1.5, -INF)), "s must be finite"),
+    (lambda: zeta_trace(ARCTAN, 0.0, INF), "s must be finite, got inf"),
+    (lambda: heat_trace_weighted(ONE, NAN, 0.5), "alpha must be finite, got nan"),
+    (lambda: heat_trace_weighted(ONE, 0.3, np.array([0.5, NAN])), "t must be finite, got nan"),
+    (lambda: heat_trace(INF), "t must be finite, got inf"),
+    (lambda: asymptotic_mean(ARCTAN, x_max=NAN), "x_max must be finite, got nan"),
+    (lambda: asymptotic_mean(ONE, x_max=INF), "x_max must be finite, got inf"),
+    (lambda: entire_check(ONE, NAN), "alpha must be finite, got nan"),
+    (lambda: entire_check(ONE, -INF), "alpha must be finite, got -inf"),
+], ids=["zeta-alpha-nan", "zeta-alpha-inf", "zeta-s-nan", "zeta-s-complex-inf",
+        "zeta-eigen-sum-s-inf", "heat-alpha-nan", "heat-t-nan", "heat-trace-t-inf",
+        "mean-x_max-nan", "mean-periodic-x_max-inf", "entire-alpha-nan",
+        "entire-alpha-minus-inf"])
+def test_non_finite_inputs_raise_a_clear_error(call, message):
+    # a NaN or infinite argument names itself, as ktheory does for hbar,
+    # instead of a failed integer conversion, an overflow or a NaN value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_periodic_metadata_diagnostic():

@@ -179,9 +179,13 @@ def test_streaming_diagonals_orthonormality():
     assert np.abs(d - 1.0).max() < 1e-10
 
 
-def test_streaming_diagonals_translation_overlap():
-    d = diagonal_elements([(lambda x: np.ones_like(x), 1.0)], 4)[0]
-    assert abs(d[0] - np.exp(-0.25)) < 1e-10
+@pytest.mark.parametrize("shift", [1.0, -0.3, float("nan")])
+def test_streaming_diagonals_reject_a_shift(shift):
+    # off the diagonal the zeta values take the Mellin route, which needs
+    # no diagonals; a shifted pair raises before any quadrature runs
+    pairs = [(lambda x: np.ones_like(x), 0.0), (lambda x: np.ones_like(x), shift)]
+    with pytest.raises(ValueError, match="Mellin route"):
+        diagonal_elements(pairs, 4)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 4, 8, 16])
@@ -265,7 +269,7 @@ def test_represent_is_unchanged_by_the_floor(element, p03, basis400, monkeypatch
 
 
 def test_represent_of_real_coefficients_is_real(p03, basis400):
-    # the localizer's element: e_0 / 2 + e_1 [1], whose coefficients are real
+    # half the localizer's element e_0 + 2 e_1 [1], whose coefficients are real
     upper = AlgebraElement(p03.hbar, {n: 0.5 * f if n == 0 else f
                                       for n, f in p03.items() if n >= 0})
     section = represent(upper, basis400)
@@ -315,7 +319,7 @@ def _section_case(case):
     if case == "degrees -2..2":
         return _asymmetric_element(0.7, range(-2, 3), rng)
     if case == "upper -0.6":
-        # the localizer's element at negative hbar: centre -0.3, reversed left table
+        # the nonnegative degrees at negative hbar: centre -0.3, reversed left table
         e = rieffel_projection(-0.6)
         return AlgebraElement(-0.6, {n: f for n, f in e.items() if n >= 0})
     if case == "degrees -2, 1":
@@ -567,15 +571,15 @@ def test_trimmed_degrees_are_bit_identical_to_the_untrimmed_recurrence(case, n_m
     # the recurrence drops each degree, with its slice of the weights (the
     # right factor of its sums), once it leaves the window; every degree
     # and y is its own column, so carrying the whole right factor through
-    # all N steps gives every entry the same bits.  The real bump, the
-    # localizer's element of it and the complex U e U* (complex weights,
+    # all N steps gives every entry the same bits.  The real bump, half of
+    # its localizer element and the complex U e U* (complex weights,
     # and represent's H(-i w) for all three)
     bump = rieffel_projection(1.3)
     elements = ([bump, AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f
                                             for m, f in bump.items() if m >= 0})]
                 if case == "bump" else [_section_case("UeU*")])
     basis = HermiteBasis(n_modes)
-    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
+    centre = pairing._reflection_centre(bump)
     sections = [(represent(a, basis), _parity_sections(a, n_modes, centre)) for a in elements]
     monkeypatch.setattr(oscillator, "_weyl_sums", _untrimmed(oscillator._weyl_sums))
     for a, (section, blocks) in zip(elements, sections):
@@ -593,12 +597,12 @@ PANEL_TOL = 32 * np.finfo(float).eps
 def test_parity_blocks_match_the_whole_section_of_the_centred_element(n_modes):
     # the two parity blocks of S + S^H, which the operator route builds
     # instead of the whole section, against both triangles of the whole
-    # section of the centred element: the localizer's element (real) and
+    # section of the centred element: half the localizer's element (real) and
     # U e U* (complex)
     bump = rieffel_projection(1.3)
     upper = AlgebraElement(1.3, {m: 0.5 * f if m == 0 else f for m, f in bump.items() if m >= 0})
     basis = HermiteBasis(n_modes)
-    centre = pairing._reflection_centre(bump, band_limit(n_modes))[0]
+    centre = pairing._reflection_centre(bump)
     for a in (upper, _section_case("UeU*")):
         centred = AlgebraElement(a.hbar, {m: f.shift(-centre) for m, f in a.items()})
         section = represent(centred, basis)
@@ -611,7 +615,10 @@ def test_parity_blocks_match_the_whole_section_of_the_centred_element(n_modes):
 
 
 def _oracle_elements(hbar):
-    """The bump, its localizer element e_0 / 2 + e_1 [1] and the complex U e U*."""
+    """The bump, half its localizer element, e_0 / 2 + e_1 [1], and the complex U e U*.
+
+    ORACLE_TOL was measured on these weights; the localizer's own, e_0 + 2 e_1 [1],
+    would double every entry and its rounding."""
     bump = rieffel_projection(hbar)
     u = AlgebraElement.circle_generator(hbar)
     return {
@@ -637,7 +644,7 @@ def test_closed_form_sections_match_the_quadrature(n_modes):
     # hbar there costs about 2 s of reference GEMMs
     basis = HermiteBasis(n_modes)
     for hbar in (1.3, -14.3) if n_modes == 800 else ORACLE_HBARS:
-        centre = pairing._reflection_centre(rieffel_projection(hbar), band_limit(n_modes))[0]
+        centre = pairing._reflection_centre(rieffel_projection(hbar))
         for name, a in _oracle_elements(hbar).items():
             section = represent(a, basis)
             expected = _reference_section(_grid_terms(a, n_modes), basis)

@@ -29,7 +29,7 @@ from nctorus import (
     sweep,
 )
 from nctorus.cli import _pair_rows
-from nctorus import algebra, pairing
+from nctorus import algebra, oscillator, pairing
 from nctorus.pairing import GAP_FLOOR
 from test_acceptance import STAIRCASE
 from test_oscillator import _grid_terms, _reference_section, refined
@@ -132,6 +132,8 @@ def test_fedosov_rejects_basis_too_small(p03):
 @pytest.mark.parametrize("size", [250.7, 300.0, float("nan"), "300"])
 def test_sizes_must_be_integers(size):
     # a float is neither truncated to another N nor reported as given
+    with pytest.raises(TypeError):
+        HermiteBasis(size)
     e = rieffel_projection(1.3)
     with pytest.raises(TypeError):
         fedosov_index(e, basis_size=size)
@@ -256,11 +258,26 @@ def test_localizer_is_unmoved_by_a_denser_grid(monkeypatch, n):
         assert np.abs(closed - dense).max() < 1e-12, (n, e.hbar)
 
 
+def _upper(e):
+    """The element whose S + S^H the localizer reads: e_0 + 2 sum_{m > 0} e_m [m]."""
+    return AlgebraElement(e.hbar, {m: f if m == 0 else 2.0 * f for m, f in e.items() if m >= 0})
+
+
+def _odd_degree_norm(e, n, centre):
+    """The 2-norm of the odd degrees of S + S^H on the window centred at centre,
+    the entries the parity split drops."""
+    (herm,) = pairing._parity_sections(_upper(e), n, centre, step=1)
+    i, j = np.indices(herm.shape)
+    return np.linalg.norm(np.where((i - j) % 2 == 1, herm, 0.0), 2)
+
+
 @pytest.mark.parametrize("n", [200, 400])
 def test_parity_blocks_match_the_whole_localizer_of_the_centred_element(n):
     # the bump is reflection symmetric about the centre of its degree-0
     # bump, so on the window centred there the localizer splits into two
-    # parity blocks; the cross-parity entries dropped are at rounding level
+    # parity blocks; the cross-parity entries dropped, the odd degrees of
+    # S + S^H, have 2-norm at most the reported defect 2 sum |Im w|, so by
+    # Weyl's inequality the spectra differ by at most the defect
     kappa = 1.0 / np.sqrt(n)
     for hbar in VERIFIED_POOL_200 if n == 200 else VERIFIED_POOL:
         e = rieffel_projection(hbar)
@@ -274,13 +291,27 @@ def test_parity_blocks_match_the_whole_localizer_of_the_centred_element(n):
         whole = np.linalg.eigvalsh(_dense_localizer(section, kappa))
         diff = np.abs(_spectrum(blocks) - whole).max()
         assert diff < 1e-12, (n, hbar, diff)
+        assert diff <= defect, (n, hbar, diff, defect)
+        odd = _odd_degree_norm(e, n, centre)
+        assert odd <= defect, (n, hbar, odd, defect)
+    if n == 200:
+        # the bound holds off the split as well: U e U*, whose defect sends
+        # it to the whole localizer
+        for hbar in (0.3, 1.3):
+            e = _conjugated_bump(hbar)
+            _, centre, defect = pairing._localizer(e, n, kappa)
+            odd = _odd_degree_norm(e, n, centre)
+            assert odd <= defect, (hbar, odd, defect)
 
 
 def _perturbed_bump(hbar):
-    """The bump with 1e-6 added to its degree -1 coefficient."""
+    """The bump with 1e-6 e^{2 pi i x} added to its degree +1 coefficient,
+    a degree the localizer reads."""
     e = rieffel_projection(hbar)
     coeffs = dict(e.items())
-    coeffs[-1] = coeffs[-1] + 1e-6
+    wave = PeriodicFunction.from_callable(lambda x: 1e-6 * np.exp(2j * np.pi * x),
+                                          e.n_samples)
+    coeffs[1] = coeffs[1] + wave
     return AlgebraElement(hbar, coeffs)
 
 
@@ -302,9 +333,7 @@ def test_parity_fallback_takes_the_whole_localizer(element, hbar):
     e = element(hbar)
     (block,), centre, defect = pairing._localizer(e, n, kappa)
     assert centre is not None and defect > algebra.PROJECTION_TOL
-    upper = AlgebraElement(e.hbar, {m: f if m == 0 else 2.0 * f
-                                    for m, f in e.items() if m >= 0})
-    whole = _dense_localizer(represent(upper, HermiteBasis(n)), kappa)
+    whole = _dense_localizer(represent(_upper(e), HermiteBasis(n)), kappa)
     assert block.dtype == whole.dtype
     assert np.abs(block - whole).max() < 1e-15
     evals, expected = np.linalg.eigvalsh(block), np.linalg.eigvalsh(whole)
@@ -324,6 +353,12 @@ def test_parity_path_logs_blocks_centre_and_defect(caplog):
         assert abs(float(fields["centre"]) - 1.0 / 6.0) < 1e-6
         defect = float(fields["reflection_defect"])
         assert (defect <= algebra.PROJECTION_TOL) == (blocks == "2"), defect
+        # 2 sum |Im w| over the displacement weights w of e_0 + 2 sum_{m>0}
+        # e_m [m] on the window centred at c; the bump's are rounding only
+        centre = pairing._reflection_centre(e)
+        weights = oscillator._element_displacements(_upper(e), 300, centre)[1]
+        expected = 2.0 * np.abs(weights.imag).sum()
+        assert abs(defect - expected) <= 1e-5 * expected, (defect, expected)
 
 
 def test_index_pairing_checks_the_projection_once():
