@@ -53,10 +53,6 @@ class AlgebraElement:
     # ---------------- constructors ----------------
 
     @classmethod
-    def zero(cls, hbar, n_samples=DEFAULT_SAMPLES):
-        return cls(hbar, {0: PeriodicFunction.constant(0.0, n_samples)})
-
-    @classmethod
     def unit(cls, hbar, n_samples=DEFAULT_SAMPLES):
         return cls(hbar, {0: PeriodicFunction.constant(1.0, n_samples)})
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import algebra, heatzeta, ktheory, pairing
 from .heatzeta import RealLineFunction
+from .periodic import PeriodicFunction
 
 
 def _fmt(x):
@@ -31,7 +32,7 @@ def _registry_function(name, hbar, grid, coeffs=None):
         return RealLineFunction.with_limits(np.arctan, -np.pi / 2, np.pi / 2)
     if name == "riesz-ramp":
         bump = algebra.rieffel_projection(hbar, n_samples=grid).coefficient(0)
-        return RealLineFunction.periodic_fn(lambda x, _b=bump: np.real(_b(x)), 1.0)
+        return RealLineFunction.periodic_fn(PeriodicFunction(bump.samples.real), 1.0)
     if name == "fourier":
         if not coeffs:
             raise ValueError("the fourier registry entry needs --coeffs c0,c1,...")

@@ -14,26 +14,27 @@ reach yet, take an eigenbasis diagonal sum with an asymptotic-mean tail
 model.  Residues at the pole are extracted by polynomial extrapolation of
 (s-1) times the on-diagonal zeta value.
 
-A periodic weight is sampled once, at ``DEFAULT_SAMPLES`` points per period,
-into one cached Fourier record (``_fourier_record``): the ``math.fsum`` mean
-of its samples, their FFT coefficients and whether they are all real.  The
-record serves everything periodic: the period mean and every Gaussian
-average, which for a Fourier series is a closed-form sum of its few modes
-the Gaussian does not suppress.  So a periodic weight must be resolved by
-``DEFAULT_SAMPLES`` samples per period.  Limit-type and generic weights
-take the quadrature stream of ``oscillator.diagonal_elements`` and the
-uniform rule below.
+A periodic weight carries its samples as one ``PeriodicFunction``
+(``RealLineFunction.samples``): a ``PeriodicFunction`` of period 1 is its
+own samples, any other callable is sampled once, at ``DEFAULT_SAMPLES``
+points per period, on first read.  Their Fourier coefficients, memoised by
+the ``PeriodicFunction``, serve every Gaussian average, which for a Fourier
+series is a closed-form sum of its few modes the Gaussian does not
+suppress, and the ``math.fsum`` mean of the samples, kept on the weight, is
+its period mean.  So a periodic weight must be resolved by its samples.
+Limit-type and generic weights take the quadrature stream of
+``oscillator.diagonal_elements`` and the uniform rule below.
 
 Asymptotic means of bounded functions, the Dixmier-trace double-integral
 limit and the mean-subtracted antiderivative map complete the calculus.
 
-Each quantity that several calls read is computed once and cached in
-memory, never keyed on a weight's callable: the Fourier record per weight
-object, the odd zeta and 1/Gamma values per s, the weighted traces on
-the Mellin nodes for the last two (weight object, alpha)
-(``_mellin_trace``), and the quadrature diagonals of a limit-type or
+Each quantity that several calls read is computed once, never keyed on
+a weight's callable: a periodic weight's samples, coefficients and mean
+on the weight itself; the odd zeta and 1/Gamma values per s, the weighted
+traces on the Mellin nodes for the last two (weight object, alpha)
+(``_mellin_trace``) and the quadrature diagonals of a limit-type or
 generic weight for the last two (weight object, n_modes)
-(``spectral_diagonals``).  Cached arrays are read-only.
+(``spectral_diagonals``) in memory.  Cached arrays are read-only.
 
 Every other integral is a fixed rule, exponentially accurate for its
 integrand class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is
@@ -43,7 +44,7 @@ adaptive:
   generic weights on the 4096-point uniform rule of ``_gl_rule``; the
   Mellin integral as a uniform trapezoid in v = log t.
 * Smooth integrands on a period or a finite interval: the period mean as
-  the ``DEFAULT_SAMPLES``-point trapezoid, the Dixmier levels and the
+  the trapezoid rule on the weight's samples, the Dixmier levels and the
   antiderivative on 16-point Gauss-Legendre panels (``_gl_panels``).
 
 mpmath (the odd zeta and 1/Gamma) and the Gauss-Legendre nodes are loaded on
@@ -58,32 +59,45 @@ from functools import lru_cache
 import numpy as np
 
 from .oscillator import diagonal_elements, hermite_rows
-from .periodic import DEFAULT_SAMPLES
+from .periodic import DEFAULT_SAMPLES, PeriodicFunction
 
 # e^{-(pi k / (P u))^2} stays a normal double while |k| <= _GAUSS_MODES * P u
 _GAUSS_MODES = math.sqrt(-math.log(np.finfo(float).tiny)) / math.pi
+
+
+def _finite(name, value):
+    """The number value; NaN or infinite raises ValueError, as ``ktheory`` does for hbar."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 class RealLineFunction:
     """A bounded callable on the line with declared asymptotic metadata.
 
     kind is one of 'periodic' (with a period), 'has_limits' (with declared
-    values at -inf and +inf) or 'generic'.
+    values at -inf and +inf) or 'generic'.  A NaN or infinite period or
+    limit raises ValueError naming it.  A periodic weight carries its
+    samples (``samples``) and, once read, its period mean (``period_mean``).
     """
 
-    __slots__ = ("func", "kind", "period", "limits")
+    __slots__ = ("func", "kind", "period", "limits", "_samples", "_mean")
 
     def __init__(self, func, kind="generic", period=None, limits=None):
         if kind not in ("periodic", "has_limits", "generic"):
             raise ValueError(f"unknown kind {kind!r}")
-        if kind == "periodic" and (period is None or period <= 0):
+        if kind == "periodic" and (period is None or _finite("period", float(period)) <= 0):
             raise ValueError("periodic metadata requires a positive period")
         if kind == "has_limits" and limits is None:
             raise ValueError("has_limits metadata requires the two limits")
         self.func = func
         self.kind = kind
         self.period = float(period) if period is not None else None
-        self.limits = tuple(complex(v) for v in limits) if limits is not None else None
+        self.limits = (tuple(complex(_finite("limit", v)) for v in limits)
+                       if limits is not None else None)
+        given = kind == "periodic" and self.period == 1.0 and isinstance(func, PeriodicFunction)
+        self._samples = func if given else None
+        self._mean = None
 
     @classmethod
     def periodic_fn(cls, func, period=1.0):
@@ -106,6 +120,24 @@ class RealLineFunction:
             raise ValueError("periodicity_defect requires periodic metadata")
         xs = np.linspace(0.0, 2.0 * self.period, 16)
         return float(np.abs(np.asarray(self(xs + self.period)) - np.asarray(self(xs))).max())
+
+    @property
+    def samples(self):
+        """A periodic weight's values at period * j / M, as one ``PeriodicFunction``.
+
+        A ``PeriodicFunction`` given as a weight of period 1 is its own
+        samples, at its own M.  Any other callable is evaluated once, on
+        first read, at the M = ``DEFAULT_SAMPLES`` points
+        period * j / DEFAULT_SAMPLES, and the result kept on the weight;
+        two threads that race on the first read compute the same samples,
+        and either is kept.
+        """
+        if self.kind != "periodic":
+            raise ValueError("periodic metadata required")
+        if self._samples is None:
+            x = self.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES
+            self._samples = PeriodicFunction(self.func(x))
+        return self._samples
 
 
 ONE = RealLineFunction.periodic_fn(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0)
@@ -149,13 +181,6 @@ class EntireZetaReport:
             a >= b - 1e-12 for a, b in zip(self.residue_proxies, self.residue_proxies[1:])
         )
         return decreasing and abs(self.residue_extrapolated) <= self.tolerance
-
-
-def _finite(name, value):
-    """The number value; NaN or infinite raises ValueError, as ``ktheory`` does for hbar."""
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 def _read_only(*arrays):
@@ -266,10 +291,10 @@ def heat_trace_weighted(f, alpha, t):
 
     Resolution limit: for a periodic f the average is the closed form
     sum_k c_k e^{i pi k alpha} e^{-pi^2 k^2 / tanh t} over the modes of its
-    Fourier record, so the trace is f's Fourier closed form up to rounding
-    and to the aliasing of its ``DEFAULT_SAMPLES`` samples per period.
+    samples, so the trace is f's Fourier closed form up to rounding and to
+    the aliasing of its samples.
     Measured for cos 2 pi x, the 2048-mode hbar = 0.3 bump coefficient and
-    its real part (the CLI's riesz-ramp weight), alpha in {0, 0.3, 0.7, 1}
+    its real part (its real samples are the CLI's riesz-ramp weight), alpha in {0, 0.3, 0.7, 1}
     and t from 1e-5 to 3: within 1e-11 of that closed form relative to
     max(1, |value|) (the uniform rule that served periodic weights before
     was 2.1e-6 off on the bump).  A limit-type or generic f is averaged on
@@ -307,42 +332,23 @@ def _rgamma(s):
     return complex(rgamma(s))
 
 
-@lru_cache(maxsize=64)
-def _fourier_record(f):
-    """The Fourier record (mean, c, real, sup) of a periodic weight, cached per function object.
-
-    f is evaluated once, at the ``DEFAULT_SAMPLES`` points
-    period * j / DEFAULT_SAMPLES.  mean is the ``math.fsum`` trapezoid mean
-    of those samples, c their FFT divided by ``DEFAULT_SAMPLES`` (read-only,
-    in numpy's order: mode k at index k mod DEFAULT_SAMPLES), real whether
-    every sample is real and sup the largest sample magnitude, the scale of
-    the mean's rounding.  The samples themselves are not kept.
-
-    The correctly rounded sums run over Python lists of the parts, which
-    ``math.fsum`` reads faster than numpy arrays.  The imaginary sum is
-    taken only when some sample has a nonzero imaginary part; otherwise it
-    is 0.0, which is also what ``math.fsum`` gives for zeros of either sign.
-    """
-    if f.kind != "periodic":
-        raise ValueError("periodic metadata required")
-    vals = np.asarray(f(f.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES), dtype=complex)
-    real = not vals.imag.any()
-    im = 0.0 if real else math.fsum(vals.imag.tolist())
-    mean = complex(math.fsum(vals.real.tolist()), im) / DEFAULT_SAMPLES
-    c = np.fft.fft(vals) / DEFAULT_SAMPLES
-    c.flags.writeable = False
-    return mean, c, real, float(np.abs(vals).max())
-
-
 def period_mean(f):
-    """Ordinary mean of a periodic callable over one period.
+    """Ordinary mean of a periodic weight over one period, computed once and kept on f.
 
-    The ``DEFAULT_SAMPLES``-point trapezoid rule, summed with ``math.fsum``
-    (the mean of ``_fourier_record``): exact for every Fourier mode
-    |k| < DEFAULT_SAMPLES, so exponentially accurate for smooth f.
-    Precondition: f is resolved by ``DEFAULT_SAMPLES`` samples per period.
+    The ``math.fsum`` mean of f's samples (``RealLineFunction.samples``),
+    the M-point trapezoid rule: exact for every Fourier mode |k| < M, so
+    exponentially accurate for smooth f.  Precondition: f is resolved by
+    its samples.  The correctly rounded sums run over Python lists of the
+    parts, which ``math.fsum`` reads faster than numpy arrays.  The
+    imaginary sum is taken only when some sample has a nonzero imaginary
+    part; otherwise it is 0.0, which is also what ``math.fsum`` gives for
+    zeros of either sign.
     """
-    return _fourier_record(f)[0]
+    if f._mean is None:
+        vals = f.samples.samples
+        im = math.fsum(vals.imag.tolist()) if vals.imag.any() else 0.0
+        f._mean = complex(math.fsum(vals.real.tolist()), im) / len(vals)
+    return f._mean
 
 
 @lru_cache(maxsize=2)
@@ -402,9 +408,9 @@ def _mellin_trace(f, alpha):
 
     On the diagonal the traces are those of f minus the period mean times
     1/(2 sinh t), whose Mellin transform is the odd zeta in closed form.
-    Both arrays read-only; cached for the last two (weight, alpha), keyed
-    by the weight object as ``_fourier_record`` is, so the zeta values of
-    one weight and shift at several s share one ``heat_trace_weighted`` call.
+    Both arrays read-only; cached for the last two (weight object, alpha),
+    so the zeta values of one weight and shift at several s share one
+    ``heat_trace_weighted`` call.
     """
     # the traces decay like e^{-a/t} as t -> 0: a = alpha^2/4 off the
     # diagonal, (pi/P)^2 for the mean-free part of a periodic weight on it
@@ -433,13 +439,14 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     The Mellin route is Gamma(s)^{-1} int t^{s-1} Tr(f T_alpha e^{-tH}) dt.
     Off the diagonal the trace decays like e^{-a/t} as t -> 0 with
     a = alpha^2/4, so the zeta function is entire and ``residue_at_1`` is 0.
-    On the diagonal the trace of the period mean c_0, c_0/(2 sinh t), is
-    subtracted (``_mellin_trace``) and its transform c_0 (1 - 2^{-s}) zeta(s)
-    added in closed form; the rest decays like e^{-a/t} with a = (pi/P)^2,
-    so it is entire too, and ``residue_at_1`` is ``residue_at_1(f)`` = c_0/2.
+    On the diagonal the trace of the period mean c_0 (``period_mean``,
+    kept on f), c_0/(2 sinh t), is subtracted (``_mellin_trace``) and its
+    transform c_0 (1 - 2^{-s}) zeta(s) added in closed form; the rest
+    decays like e^{-a/t} with a = (pi/P)^2, so it is entire too, and
+    ``residue_at_1`` is ``residue_at_1(f)`` = c_0/2.
     At s = 1 itself the odd zeta has its pole: a weight with
-    |c_0| <= eps max|samples| (the largest sample magnitude of its Fourier
-    record), whose mean is zero up to the rounding of its samples, as
+    |c_0| <= eps max|samples| (``PeriodicFunction.sup_norm`` of its
+    samples), whose mean is zero up to the rounding of its samples, as
     cos 2 pi x's fsum mean of -1.9e-17 is, has an entire zeta function and
     the c_0 term is dropped; any other weight raises ValueError naming
     s = 1 and the residue c_0/2.
@@ -504,11 +511,11 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     rg = _rgamma(s)
     value, residue = fine * rg, 0.0
     if alpha == 0.0:
-        mean, _, _, sup = _fourier_record(f)
+        mean = period_mean(f)
         if s != 1.0:
             # the transform of the mean's trace that _mellin_trace subtracted
             value += mean * _odd_zeta(s)
-        elif abs(mean) > np.finfo(float).eps * sup:
+        elif abs(mean) > np.finfo(float).eps * f.samples.sup_norm():
             raise ValueError(f"the zeta function has a pole at s = 1, with residue "
                              f"c_0/2 = {mean / 2.0:.6g}")
         residue = residue_at_1(f)
@@ -602,7 +609,7 @@ def _gl_rule():
     2014); the neglected tails are below e^{-72}.  It serves the Gaussian
     averages of limit-type and generic weights (the weighted heat trace and
     the inner averages of ``dixmier_limit``); periodic weights are averaged
-    in closed form from their Fourier record.  The name is kept from the
+    in closed form from their samples' coefficients.  The name is kept from the
     Gauss-Legendre rule it replaced because ``bench/workloads.py`` calls it.
     """
     x = np.linspace(-8.5, 8.5, 4096)
@@ -621,26 +628,26 @@ def _gaussian_average(f, u, center=0.0):
 
     A periodic f, sum_k c_k e^{2 pi i k x / P}, averages in closed form to
     sum_{|k| <= K} c_k e^{2 pi i k center / P} e^{-(pi k / (P u))^2}, with
-    the coefficients of its Fourier record.  K is the last mode whose
-    Gaussian factor at u = 1 stays a normal double (about 8.5 P), capped at
-    DEFAULT_SAMPLES / 2 - 1, and each u takes its own dot product over them,
-    so no entry depends on the others.  A weight with real samples returns
-    the real part.  Other weights take the uniform rule of ``_gl_rule``, one
+    the coefficients of its samples.  K is the last mode whose Gaussian
+    factor at u = 1 stays a normal double (about 8.5 P), capped at M / 2 - 1
+    for M samples, and each u takes its own dot product over them, so no
+    entry depends on the others.  A weight with real samples returns the
+    real part.  Other weights take the uniform rule of ``_gl_rule``, one
     weight evaluation of 4096 points per u.
     """
     u = np.asarray(u, dtype=float)
     if f.kind != "periodic":
         return np.array([_rule_average(f, v, center) for v in u.ravel()]).reshape(u.shape)
-    _, c, real, _ = _fourier_record(f)
-    kmax = min(int(_GAUSS_MODES * f.period), DEFAULT_SAMPLES // 2 - 1)
+    samples = f.samples
+    kmax = min(int(_GAUSS_MODES * f.period), samples.n_samples // 2 - 1)
     k = np.arange(-kmax, kmax + 1)
     xi = (np.pi / f.period) * k
-    terms = c[k] * np.exp((2j * center) * xi)
+    terms = samples.coefficients[k] * np.exp((2j * center) * xi)
     with np.errstate(under="ignore"):
         gauss = np.exp(-np.square(xi / u[..., None]))
     # a stack of 1 x K by K x 1 products: one dot product per u
     out = (gauss[..., None, :] @ terms[:, None])[..., 0, 0]
-    return out.real if real else out
+    return out if samples.samples.imag.any() else out.real
 
 
 def dixmier_limit(f):
@@ -651,7 +658,7 @@ def dixmier_limit(f):
     outer integral over u runs in log u on 16-point Gauss-Legendre panels of
     length at most 1 (``_gl_panels``), and both levels share one set of
     inner Gaussian averages at those nodes, taken in one
-    ``_gaussian_average`` call: in closed form from the Fourier record of a
+    ``_gaussian_average`` call: in closed form from the samples of a
     periodic weight, on the uniform rule of ``_gl_rule`` otherwise.  Below
     a metadata-dependent floor in u the inner average has converged to its
     limit and is frozen there: the rescaled argument x/u oscillates too fast

@@ -23,7 +23,7 @@ displacements with weights w: entry [n + d, n] is sum (w + (-1)^d conj w)
 once over every degree d and distinct y, modes that share y (k and -k,
 degrees m and -m) summed first: N steps over a (degrees) x (distinct y)
 array, the sections' only working set besides themselves.
-``_parity_sections`` writes H(w) whole, or its even d as its two
+``_weyl_blocks`` writes H(w) whole, or its even d as its two
 reflection-parity blocks; ``represent`` is S = (H(w) + i H(-i w)) / 2,
 and ``multiplication_matrix`` and ``translation_matrix`` are
 ``represent`` of f [0] and of 1 [1] at hbar = alpha.  Nothing aliases,
@@ -432,7 +432,10 @@ def _weyl_blocks(displacements, n_modes, step=1):
     """H(w) = S + S^H, S the sum over displacements of w D(beta), from ``_weyl_sums``, as blocks.
 
     The blocks are H(w)'s rows and columns p, p + step, ... for p < step,
-    whose entries are those of the degrees 0, step, 2 step, ...  Each n
+    whose entries are those of the degrees 0, step, 2 step, ...: at step 2,
+    on the window centred at c (the displacements of
+    ``_element_displacements`` at centre c), the two blocks of parity
+    p = 0 and 1 under the reflection x -> 2c - x.  Each n
     writes column n // step of block n mod step below the diagonal and its
     conjugate as the row right of it, so every block is Hermitian by
     construction.  float64 when the displacements are marked real.
@@ -470,19 +473,6 @@ def represent(a, basis):
     if displacements[-1]:
         return 0.5 * (h - h_rotated.imag)
     return 0.5 * (h + 1j * h_rotated)
-
-
-def _parity_sections(a, n_modes, centre, step=2):
-    """The same-parity blocks of S + S^H, S the section of a on the window centred at centre.
-
-    The window is psi_n(x - centre), n < N.  With step 2 the blocks are its
-    rows and columns of parity p = 0 and 1 under the reflection x -> 2
-    centre - x, the even degrees of ``_weyl_sums``; with step 1 the one
-    block is the whole S + S^H, every degree.  Translating by centre
-    rotates each kept Fourier mode by e^{2 pi i k centre}.  a has at least
-    one degree.
-    """
-    return _weyl_blocks(_element_displacements(a, n_modes, centre), n_modes, step=step)
 
 
 def diagonal_elements(weighted_shifts, n_modes):

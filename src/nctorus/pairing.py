@@ -16,7 +16,7 @@ the tuning kappa = 1/sqrt(N) (see ``fedosov_index``).  Since e is
 self-adjoint, the section is built from the nonnegative degrees of e alone,
 its negative degrees being their adjoints: the localizer reads S + S^H =
 2 herm(P e P), S the section of e_0 + 2 sum_{m>0} e_m [m], which the
-closed form of ``oscillator._parity_sections`` writes directly, its lower
+closed form of ``oscillator._weyl_blocks`` writes directly, its lower
 triangle and the conjugate, without S itself.  Its smallest |eigenvalue|,
 the gap, is the certificate: an integer is returned only when the gap is at
 least ``GAP_FLOOR``, otherwise ValueError is raised.  In the line
@@ -92,7 +92,7 @@ from .heatzeta import _intercept
 # the name the benchmark's tracing wraps
 from .oscillator import (  # noqa: F401
     _element_displacements,
-    _parity_sections,
+    _weyl_blocks,
     algebra_diagonals,
     represent,
 )
@@ -208,17 +208,22 @@ def _localizer(e, n, kappa):
     ``PROJECTION_TOL``, the blocks are the two of top parity p = 0 and 1 on
     that window; otherwise, or with no centre (defect None), the one block
     is the whole localizer on the window centred at 0.  Either way H(w)
-    comes from one ``_parity_sections`` call, at step 2 or 1; each
-    localizer block is built only when the iterator reaches it.
+    comes from one ``_weyl_blocks`` call, at step 2 or 1, on upper's
+    displacements: on the split path the same map the defect is read from,
+    mapped once (and logged by ``_element_displacements`` as
+    ``localizer``); each localizer block is built only when the iterator
+    reaches it.
     """
     upper = AlgebraElement(e.hbar, {m: f if m == 0 else 2.0 * f
                                     for m, f in e.items() if m >= 0})
     centre, defect = _reflection_centre(e), None
     if centre is not None:
-        weights = _element_displacements(upper, n, centre, caller="reflection_defect")[1]
-        defect = 2.0 * float(np.abs(weights.imag).sum())
+        displacements = _element_displacements(upper, n, centre, caller="localizer")
+        defect = 2.0 * float(np.abs(displacements[1].imag).sum())
     step = 1 if defect is None or defect > PROJECTION_TOL else 2
-    tops = _parity_sections(upper, n, centre if step == 2 else 0.0, step)
+    if step == 1:
+        displacements = _element_displacements(upper, n, caller="localizer")
+    tops = _weyl_blocks(displacements, n, step=step)
     for herm in tops:
         # the symmetry H(w) - 1, on the real diagonal of a Hermitian block
         herm.flat[::herm.shape[0] + 1] = herm.diagonal().real - 1.0
@@ -261,7 +266,7 @@ def fedosov_index(e, basis_size=400):
     its degrees -n are the adjoints of its degrees n, and only the
     nonnegative degrees are represented: with
     S = P pi(e_0 + 2 sum_{n>0} e_n [n]) P,
-    2 herm(P e P) is S + S^H, written by one ``_parity_sections`` call as
+    2 herm(P e P) is S + S^H, written by one ``_weyl_blocks`` call as
     its two parity blocks or, for any other e, as one N x N block.
 
     The smallest |eigenvalue| of L is its gap and the certificate of the

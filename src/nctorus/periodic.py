@@ -144,10 +144,6 @@ class PeriodicFunction:
         return self._samples.shape[0]
 
     @property
-    def grid(self):
-        return np.arange(self.n_samples) / self.n_samples
-
-    @property
     def coefficients(self):
         """Fourier coefficients c_k in FFT order (mode k at index k mod M), read-only.
 

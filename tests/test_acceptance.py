@@ -18,6 +18,7 @@ from nctorus import (
     ONE,
     AlgebraElement,
     KClass,
+    PeriodicFunction,
     RealLineFunction,
     chern_number,
     dixmier_limit,
@@ -107,7 +108,7 @@ def test_criterion_3_residue_theorem():
             0.5,
         ),
         "bump": (
-            RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0),
+            RealLineFunction.periodic_fn(PeriodicFunction(bump.samples.real), 1.0),
             0.15,
         ),
         "cos": (

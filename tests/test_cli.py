@@ -65,6 +65,15 @@ def test_zeta_fourier_registry(capsys):
     assert np.isfinite(rows[0][2])
 
 
+@pytest.mark.parametrize("grid", [256, 2048])
+def test_riesz_ramp_weight_is_the_bump_real_samples(grid):
+    # --grid reaches the weight: its samples are the bump's, at M = grid
+    f = cli._registry_function("riesz-ramp", 0.3, grid)
+    bump = nctorus.rieffel_projection(0.3, n_samples=grid).coefficient(0)
+    assert f.samples.n_samples == grid
+    assert np.array_equal(f.samples.samples, bump.samples.real)
+
+
 def test_zeta_at_gamma_poles_exits_zero(capsys):
     # 1/Gamma is entire: off the diagonal the zeta function is 0 at s = 0, -1, -2
     code, out, _ = run_cli(capsys, "zeta", "--f", "one", "--alpha", "0.5",

@@ -1,7 +1,7 @@
 """Byte-exact golden outputs of the README command-line examples.
 
 Each case runs ``nctorus.cli.main`` in-process and compares its stdout with
-a file under ``tests/golden/``.  All nine README examples are pinned in
+a file under ``tests/golden/``.  All ten README examples are pinned in
 CSV and in JSON; the JSON of ``pair`` and ``sweep`` prints every digit of
 the three routes, closed form, local formula and operator index.
 
@@ -18,6 +18,13 @@ its digits and its estimate became 0; the JSON ``method`` of both reads
 eigen-sum printed 14.34 and 3.6e-3.  ``tests/test_heatzeta.py`` holds all
 three within 1e-14 relative of 30-digit mpmath quadratures of the Mehler
 closed form (pi^2/8 for ``zeta_one``).  Every other golden was unchanged.
+
+``zeta_riesz_ramp`` pins the Mellin values at s = 1.5 and 2 of the weight
+``--f riesz-ramp`` builds, the real samples of the hbar = 0.3 bump
+coefficient; ``tests/test_heatzeta.py`` holds the same weight's values
+within 1e-14 relative of 30-digit mpmath quadratures of the Mehler closed
+form over its modes |k| <= 8
+(``test_mellin_values_match_mpmath_and_the_eigen_sum[bump]``).
 
 ``rieffel``, ``pair`` and ``sweep`` were re-captured when the Chern number
 became cyclic_cocycle(e, e, e) / 2 pi i (two traces, one per curvature
@@ -74,6 +81,7 @@ EXAMPLES = {
     "zeta_one": "zeta --f one --alpha 0 --s-list 2",
     "zeta_fourier": "zeta --f fourier --coeffs 1,1 --s-list 1.1,1.01",
     "zeta_cos": "zeta --f cos --s-list=-0.5,0.5",
+    "zeta_riesz_ramp": "zeta --f riesz-ramp --hbar 0.3 --s-list 1.5,2",
     "mean": "mean --f arctan --xmax 32",
     "heat_kernel": "heat-kernel --t 0.5 --range 4 --samples 81",
     "ktheory": "ktheory --m 0 --n 1 --hbar 0.3 --b 2",

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import weakref
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from nctorus import (
     ONE,
     AlgebraElement,
+    PeriodicFunction,
     RealLineFunction,
     asymptotic_mean,
     delta_map,
@@ -30,13 +32,20 @@ from nctorus import (
     spectral_diagonals,
     zeta_trace,
 )
-from nctorus import heatzeta, oscillator
+from nctorus import heatzeta, oscillator, periodic
+from nctorus.cli import _registry_function
 
 COS = RealLineFunction.periodic_fn(lambda x: np.cos(2 * np.pi * np.asarray(x)), 1.0)
 ONE_PLUS_COS = RealLineFunction.periodic_fn(
     lambda x: 1.0 + np.cos(2 * np.pi * np.asarray(x)), 1.0
 )
 ARCTAN = RealLineFunction.with_limits(np.arctan, -np.pi / 2, np.pi / 2)
+
+
+def _real_bump(bump):
+    """The real part of a bump coefficient as a weight of its real samples, as
+    ``nctorus zeta --f riesz-ramp`` builds it."""
+    return RealLineFunction.periodic_fn(PeriodicFunction(bump.samples.real), 1.0)
 
 
 # ---------------- kernel ----------------
@@ -163,8 +172,7 @@ def test_weighted_trace_array_matches_scalar_bits(p03, ts, alpha):
     # one call on an array of t gives each scalar call's bits, on the
     # closed-form route of periodic weights and on the rule of ARCTAN
     bump = p03.coefficient(0)
-    for f in (ONE, COS, RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0),
-              ARCTAN):
+    for f in (ONE, COS, _real_bump(bump), ARCTAN):
         values = heat_trace_weighted(f, alpha, ts)
         scalars = np.array([heat_trace_weighted(f, alpha, t) for t in ts])
         assert values.shape == ts.shape
@@ -181,10 +189,10 @@ def _rule_trace(f, alpha, t):
 # rule_rel: the error of the uniform rule at t, which the Fourier route beats
 @pytest.mark.parametrize("t, rule_rel", [(0.1, 1e-5), (1.0, 1e-10), (3.0, 1e-10)])
 def test_weighted_trace_of_wrapped_bump_matches_fourier_closed_form(p03, t, rule_rel):
-    # the weight as ``nctorus zeta --f riesz-ramp`` builds it: the real part
-    # of every point evaluation of the full 2048-mode bump coefficient
+    # the weight as ``nctorus zeta --f riesz-ramp`` builds it: the real
+    # samples of the full 2048-mode bump coefficient
     bump = p03.coefficient(0)
-    f = RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)
+    f = _real_bump(bump)
     m, c = bump.n_samples, bump.coefficients
     real_part = 0.5 * (c + np.conj(c[-np.arange(m) % m]))
     expected = _fourier_heat_trace(bump.modes.astype(float), real_part, 0.7, t)
@@ -199,8 +207,7 @@ def test_periodic_averages_stay_within_the_rule_error(p03, alpha, t):
     # absolute for cos 2 pi x and 2.1e-6 relative for the bump (2.13e-6 at
     # alpha 0.7, t 0.1, its largest; 1.95e-6 at t 1e-4)
     assert abs(heat_trace_weighted(COS, alpha, t) - _rule_trace(COS, alpha, t)) < 3e-10
-    bump = p03.coefficient(0)
-    f = RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)
+    f = _real_bump(p03.coefficient(0))
     assert heat_trace_weighted(f, alpha, t) == pytest.approx(_rule_trace(f, alpha, t),
                                                              rel=2.2e-6)
 
@@ -227,9 +234,46 @@ def test_periodic_weight_is_evaluated_once():
     heat_trace_weighted(f, 0.3, 0.5)
     dixmier_limit(f)
     zeta_trace(f, 0.5, 1.5)
+    samples = f.samples
     assert points == [heatzeta.DEFAULT_SAMPLES]
-    mean, c, real, sup = heatzeta._fourier_record(f)
-    assert mean == 1.0 and real and sup == 2.0 and not c.flags.writeable
+    assert period_mean(f) == 1.0 and not samples.samples.imag.any()
+    assert samples.sup_norm() == 2.0 and not samples.coefficients.flags.writeable
+    assert f.samples is samples and points == [heatzeta.DEFAULT_SAMPLES]
+
+
+def _period_mean_of_a_fresh_weight(k):
+    """The period mean of a new weight around a new function object, and a weak reference to it."""
+    def func(x):
+        return np.cos(2 * np.pi * k * np.asarray(x))
+
+    period_mean(RealLineFunction.periodic_fn(func, 1.0))
+    return weakref.ref(func)
+
+
+def test_period_mean_keeps_no_weight_alive():
+    # the samples and the mean live on the weight, not in a module cache
+    # keyed on it, so nothing holds a weight once its caller drops it
+    refs = [_period_mean_of_a_fresh_weight(k) for k in range(100)]
+    assert [ref for ref in refs if ref() is not None] == []
+
+
+def test_weight_of_samples_is_never_point_evaluated(p03, monkeypatch):
+    # a PeriodicFunction weight of period 1 is its own samples: its mean,
+    # traces, zeta values and Dixmier limit read its coefficients only
+    calls = []
+    trig_sum = periodic.trig_sum
+    monkeypatch.setattr(periodic, "trig_sum", lambda *args: calls.append(1) or trig_sum(*args))
+    bump = p03.coefficient(0)
+    for f in (RealLineFunction.periodic_fn(bump, 1.0), _real_bump(bump)):
+        period_mean(f)
+        zeta_trace(f, 0.0, 1.5)
+        zeta_trace(f, 0.7, 1.5)
+        heat_trace_weighted(f, 0.3, np.array([0.5, 1.0]))
+        dixmier_limit(f)
+    assert calls == []
+    assert RealLineFunction.periodic_fn(bump, 1.0).samples is bump
+    bump(0.25)
+    assert calls == [1]
 
 
 def _bits(z):
@@ -246,8 +290,10 @@ def test_fourier_record_mean_is_the_exact_fsum(func):
     x = np.arange(heatzeta.DEFAULT_SAMPLES) / heatzeta.DEFAULT_SAMPLES
     vals = np.asarray(func(x), dtype=complex)
     expected = complex(math.fsum(vals.real), math.fsum(vals.imag)) / heatzeta.DEFAULT_SAMPLES
-    mean, _, real, _ = heatzeta._fourier_record(RealLineFunction.periodic_fn(func, 1.0))
-    assert _bits(mean) == _bits(expected)
+    f = RealLineFunction.periodic_fn(func, 1.0)
+    assert _bits(period_mean(f)) == _bits(expected)
+    # the Gaussian average of a weight with real samples is real
+    real = np.isrealobj(heatzeta._gaussian_average(f, np.array([0.5])))
     assert real == (not vals.imag.any())
 
 
@@ -414,13 +460,14 @@ def test_mellin_values_match_mpmath_and_the_eigen_sum(p03, name):
     # the Mellin route's values against a 30-digit quadrature of the Mehler
     # closed form; the 40-digit 2000-mode eigen-sum stays within the error
     # estimates the retired eigen-sum route printed
-    bump = p03.coefficient(0)
+    # the bump is the weight of ``nctorus zeta --f riesz-ramp --hbar 0.3``,
+    # whose values at s = 1.5 and 2 tests/golden/zeta_riesz_ramp.* pin
     f = {"one": ONE, "1+cos": ONE_PLUS_COS,
-         "bump": RealLineFunction.periodic_fn(lambda x: np.real(bump(x)), 1.0)}[name]
+         "bump": _registry_function("riesz-ramp", 0.3, 2048)}[name]
     if name == "bump":
-        # the modes |k| <= 8 of its Fourier record: the ones its Gaussian
-        # averages keep at P = 1
-        c = heatzeta._fourier_record(f)[1]
+        # the modes |k| <= 8 of its samples: the ones its Gaussian averages
+        # keep at P = 1
+        c = f.samples.coefficients
         coeffs = {k: complex(c[k]) for k in range(-8, 9)}
     else:
         coeffs = {"one": {0: 1.0}, "1+cos": {0: 1.0, -1: 0.5, 1: 0.5}}[name]
@@ -431,7 +478,7 @@ def test_mellin_values_match_mpmath_and_the_eigen_sum(p03, name):
         expected = _mehler_mellin_reference(coeffs, s)
         assert abs(ev.value - expected) <= 1e-14 * abs(expected), s
         assert abs(ev.value - eigen_sum) < eigen_sum_error, s
-        assert ev.residue_at_1 == {"one": 0.5, "1+cos": 0.5, "bump": 0.14999999999999988}[name]
+        assert ev.residue_at_1 == {"one": 0.5, "1+cos": 0.5, "bump": 0.15}[name]
     r = residue_by_extrapolation(f)
     assert abs(r - ev.residue_at_1) < 1e-7 and r.imag == 0.0
 
@@ -502,8 +549,8 @@ def test_zeta_of_a_mean_zero_weight_is_finite_at_one():
     # the fsum mean of cos's samples is -1.9e-17, rounding of the samples,
     # so there is no pole: the value at s = 1 lies on the smooth curve
     # through its neighbours, off their midpoint by the curvature term only
-    mean, _, _, sup = heatzeta._fourier_record(COS)
-    assert mean != 0.0 and abs(mean) <= np.finfo(float).eps * sup
+    mean = period_mean(COS)
+    assert mean != 0.0 and abs(mean) <= np.finfo(float).eps * COS.samples.sup_norm()
     below, at, above = (zeta_trace(COS, 0.0, s).value for s in (0.999, 1.0, 1.001))
     assert below.real < at.real < above.real
     assert abs(at - 0.5 * (below + above)) < 1e-6 * abs(at)
@@ -806,10 +853,16 @@ NAN, INF = float("nan"), float("inf")
     (lambda: asymptotic_mean(ONE, x_max=INF), "x_max must be finite, got inf"),
     (lambda: entire_check(ONE, NAN), "alpha must be finite, got nan"),
     (lambda: entire_check(ONE, -INF), "alpha must be finite, got -inf"),
+    (lambda: RealLineFunction.periodic_fn(np.cos, NAN), "period must be finite, got nan"),
+    (lambda: RealLineFunction.periodic_fn(np.cos, INF), "period must be finite, got inf"),
+    (lambda: RealLineFunction.with_limits(np.arctan, NAN, 1.0), "limit must be finite, got nan"),
+    (lambda: RealLineFunction.with_limits(np.arctan, 0.0, -INF),
+     "limit must be finite, got -inf"),
 ], ids=["zeta-alpha-nan", "zeta-alpha-inf", "zeta-s-nan", "zeta-s-complex-inf",
         "zeta-eigen-sum-s-inf", "heat-alpha-nan", "heat-t-nan", "heat-trace-t-inf",
         "mean-x_max-nan", "mean-periodic-x_max-inf", "entire-alpha-nan",
-        "entire-alpha-minus-inf"])
+        "entire-alpha-minus-inf", "period-nan", "period-inf", "limit-nan",
+        "limit-minus-inf"])
 def test_non_finite_inputs_raise_a_clear_error(call, message):
     # a NaN or infinite argument names itself, as ktheory does for hbar,
     # instead of a failed integer conversion, an overflow or a NaN value

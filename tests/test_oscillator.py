@@ -29,7 +29,6 @@ from nctorus.oscillator import (
     _floor,
     _hermite_iter,
     _laguerre_rows,
-    _parity_sections,
     _weyl_start,
     band_limit,
 )
@@ -39,6 +38,13 @@ from nctorus import adjoint as alg_adjoint
 from nctorus import multiply as alg_multiply
 
 HBAR = 0.3
+
+
+def _parity_sections(a, n_modes, centre):
+    """The two reflection-parity blocks of S + S^H, S the section of a on the
+    window centred at centre, as ``pairing._localizer`` builds them."""
+    displacements = oscillator._element_displacements(a, n_modes, centre)
+    return oscillator._weyl_blocks(displacements, n_modes, step=2)
 
 
 def test_ground_state_value():

@@ -231,11 +231,22 @@ def _centred(e, centre):
     return AlgebraElement(e.hbar, {m: f.shift(-centre) for m, f in e.items()})
 
 
-def _dense_parity_sections(a, n, centre, step):
-    """``_parity_sections`` by the trapezoid rule on a 4x-denser grid than the basis'."""
-    halves = _reference_section(_grid_terms(a, n, centre), refined(HermiteBasis(n)),
-                                parity_blocks=step == 2)
-    return [half + half.conj().T for half in (halves if step == 2 else [halves])]
+def _dense_weyl_blocks(e, n, centre):
+    """A stand-in for ``_weyl_blocks`` in ``pairing._localizer`` of e on n modes: the
+    blocks of S + S^H on the window centred at centre by the trapezoid rule on a
+    4x-denser grid than the basis'.  It checks that it is handed the displacements
+    of e's localizer element at that centre."""
+    upper = _upper(e)
+    expected = oscillator._element_displacements(upper, n, centre)
+
+    def blocks(displacements, n_modes, step):
+        assert n_modes == n
+        assert all(np.array_equal(a, b) for a, b in zip(displacements, expected))
+        halves = _reference_section(_grid_terms(upper, n, centre), refined(HermiteBasis(n)),
+                                    parity_blocks=step == 2)
+        return [half + half.conj().T for half in (halves if step == 2 else [halves])]
+
+    return blocks
 
 
 @pytest.mark.parametrize("n", [200, 300, 400, 500])
@@ -251,8 +262,9 @@ def test_localizer_is_unmoved_by_a_denser_grid(monkeypatch, n):
         blocks = list(blocks)
         assert len(blocks) == 2, (n, e.hbar)
         evals.append(_spectrum(blocks))
-    monkeypatch.setattr(pairing, "_parity_sections", _dense_parity_sections)
     for e, closed in zip(pool, evals):
+        monkeypatch.setattr(pairing, "_weyl_blocks",
+                            _dense_weyl_blocks(e, n, pairing._reflection_centre(e)))
         dense = _spectrum(pairing._localizer(e, n, kappa)[0])
         assert np.sign(closed).sum() == np.sign(dense).sum(), (n, e.hbar)
         assert np.abs(closed - dense).max() < 1e-12, (n, e.hbar)
@@ -266,7 +278,7 @@ def _upper(e):
 def _odd_degree_norm(e, n, centre):
     """The 2-norm of the odd degrees of S + S^H on the window centred at centre,
     the entries the parity split drops."""
-    (herm,) = pairing._parity_sections(_upper(e), n, centre, step=1)
+    (herm,) = pairing._weyl_blocks(oscillator._element_displacements(_upper(e), n, centre), n)
     i, j = np.indices(herm.shape)
     return np.linalg.norm(np.where((i - j) % 2 == 1, herm, 0.0), 2)
 

@@ -36,7 +36,7 @@ def test_evaluate_cosine_at_third():
 
 def test_interpolation_consistency_on_grid():
     f = smooth_test_function()
-    values = f(f.grid)
+    values = f(np.arange(f.n_samples) / f.n_samples)
     assert np.abs(values - f.samples).max() < 5e-13
 
 
@@ -152,7 +152,8 @@ def test_trig_sum_of_bump_matches_mpmath(p03, lo, hi):
 
 def test_evaluation_on_own_grid_returns_the_samples(p03):
     bump = p03.coefficient(0)
-    assert np.abs(bump(bump.grid) - bump.samples).max() < 1e-14
+    grid = np.arange(bump.n_samples) / bump.n_samples
+    assert np.abs(bump(grid) - bump.samples).max() < 1e-14
 
 
 def _modes_and_coefficients():
