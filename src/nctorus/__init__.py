@@ -40,7 +40,6 @@ from .heatzeta import (
     period_mean,
     residue_at_1,
     residue_by_extrapolation,
-    spectral_diagonals,
     zeta_trace,
 )
 from .ktheory import (

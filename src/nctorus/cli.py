@@ -108,9 +108,7 @@ def _cmd_zeta(args):
                 {
                     "s": [ev.s.real, ev.s.imag],
                     "value": [ev.value.real, ev.value.imag],
-                    "residue_at_1": None
-                    if ev.residue_at_1 is None
-                    else [complex(ev.residue_at_1).real, complex(ev.residue_at_1).imag],
+                    "residue_at_1": [complex(ev.residue_at_1).real, complex(ev.residue_at_1).imag],
                     "error_estimate": ev.error_estimate,
                     "method": ev.method,
                 }
@@ -231,7 +229,7 @@ def _build_parser():
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--s-list", required=True, help="comma-separated s values")
     p.add_argument("--n-modes", type=int, default=2000,
-                   help="eigen-sum modes, read only for arctan at --alpha 0 (default 2000)")
+                   help="window X = sqrt(2 N + 3) + 6 for arctan at --alpha 0 (default 2000)")
     p.add_argument("--coeffs", default=None,
                    help="cosine-series coefficients c0,c1,... for --f fourier")
     p.set_defaults(func=_cmd_zeta)

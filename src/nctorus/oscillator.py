@@ -37,9 +37,9 @@ sum_k c_k e^{i pi k s} e^{-y/2} L_n(y): the same identity at d = 0, where
 the column weights of H(w) and H(-i w) are 2 Re w and 2 Im w summed over
 the modes that share y, on ``_laguerre_rows``, the d = 0 recurrence in
 difference form.  ``diagonal_elements`` keeps a quadrature, on the
-diagonal only, for callables on the line of limit or generic type
-(periodic weights and every shift need no diagonals: their zeta values
-are Mellin integrals of their heat traces in ``heatzeta``).
+diagonal only, for callables on the line; no library route calls it (every
+zeta value is a Mellin integral of a heat trace in ``heatzeta``): it is
+the tests' quadrature reference, and the benchmark traces it.
 
 The recurrences ``_hermite_iter``, ``_laguerre_rows`` and ``_weyl_sums``
 share one number format, no log scale: a row stands for row * m 2^e, m
@@ -68,7 +68,7 @@ from .periodic import PeriodicFunction
 
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 1e120
-# quadrature half-width beyond the classical turning point sqrt(2N + 3)
+# half-width beyond the turning point sqrt(2N + 3) of the quadrature and heatzeta's window
 QUAD_PAD = 6.0
 # quadrature points per mode of ``diagonal_elements``, whose weights have no
 # band limit: K = QUAD_DENSITY max(N, 2000) + 1 (band_limit sets the basis')
@@ -479,9 +479,9 @@ def diagonal_elements(weighted_shifts, n_modes):
     """Diagonal matrix elements d_n = quad(w(x) psi_n(x)^2), n < n_modes.
 
     For weights known only as callables on the line (Fourier modes have
-    the closed form of ``algebra_diagonals``).  ``weighted_shifts`` is
-    a sequence of (weight, 0) pairs, the form the benchmark's tracing
-    counts; the result has one row per pair, and a nonzero shift raises
+    the closed form of ``algebra_diagonals``), as the tests' reference.
+    ``weighted_shifts`` is (weight, 0) pairs, the form the benchmark's
+    tracing counts; the result has one row per pair, and a nonzero shift raises
     ValueError.  The quadrature is the uniform (QUAD_DENSITY max(N, 2000)
     + 1)-point rule on [-L, L], never coarser than at 2000 modes (129
     points at N = 16 read cos 20 pi x 0.30 off), and the Hermite

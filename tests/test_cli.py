@@ -97,7 +97,16 @@ def test_zeta_at_a_pole_exits_one(capsys):
     assert "pole at s = 1, with residue c_0/2 = 0.5" in err
 
 
-@pytest.mark.parametrize("name, residue", [("arctan", "0"), ("tanh-step", "0.25")])
+def test_zeta_of_arctan_is_zero_at_and_around_one(capsys):
+    # arctan is odd: its even part, and so its zeta function, is 0, with no
+    # pole at s = 1 (mu = 0) or s = 1/2 (int g = 0)
+    code, out, err = run_cli(capsys, "zeta", "--f", "arctan", "--s-list", "0.5,1,1.5")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [row[:4] for row in rows] == [[s, 0.0, 0.0, 0.0] for s in (0.5, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("name, residue", [("tanh-step", "0.25")])
 def test_zeta_of_a_limit_weight_at_one_exits_one(capsys, monkeypatch, name, residue):
     # the registry has no (1 + tanh x) / 2; it is added here to reach the same path
     registry = cli._registry_function
@@ -106,7 +115,7 @@ def test_zeta_of_a_limit_weight_at_one_exits_one(capsys, monkeypatch, name, resi
                         lambda f, *args: step if f == "tanh-step" else registry(f, *args))
     code, out, err = run_cli(capsys, "zeta", "--f", name, "--s-list", "1")
     assert code == 1 and out == ""
-    assert err.startswith("error: the eigen-sum of a limit-type (has_limits) weight "
+    assert err.startswith("error: the zeta function of a limit-type (has_limits) weight "
                           "has no value at s = 1")
     assert err.endswith(f"with residue mu/2 = {residue}\n")
 

@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 import re
 import weakref
@@ -29,7 +30,6 @@ from nctorus import (
     residue_at_1,
     residue_by_extrapolation,
     rieffel_projection,
-    spectral_diagonals,
     zeta_trace,
 )
 from nctorus import heatzeta, oscillator, periodic
@@ -257,6 +257,26 @@ def test_period_mean_keeps_no_weight_alive():
     assert [ref for ref in refs if ref() is not None] == []
 
 
+def _zeta_traces_of_fresh_weights(k):
+    """Zeta values of a new periodic and a new limit-type weight, and weak references
+    to their function objects."""
+    def cosine(x):
+        return 1.0 + np.cos(2 * np.pi * k * np.asarray(x))
+
+    def step(x):
+        return np.tanh(k * np.asarray(x))
+
+    zeta_trace(RealLineFunction.periodic_fn(cosine, 1.0), 0.0, 1.5)
+    zeta_trace(RealLineFunction.with_limits(step, -1.0, 1.0), 0.0, 1.5, n_modes=50)
+    return weakref.ref(cosine), weakref.ref(step)
+
+
+def test_zeta_traces_keep_no_weight_alive():
+    # the Mellin traces live on the weight, not in a module cache keyed on it
+    refs = [ref for k in range(1, 11) for ref in _zeta_traces_of_fresh_weights(k)]
+    assert [ref for ref in refs if ref() is not None] == []
+
+
 def test_weight_of_samples_is_never_point_evaluated(p03, monkeypatch):
     # a PeriodicFunction weight of period 1 is its own samples: its mean,
     # traces, zeta values and Dixmier limit read its coefficients only
@@ -346,12 +366,10 @@ def test_algebra_diagonals_of_the_bump_coefficient_match_fine_quadrature():
 
 def test_zeta_of_one_is_the_odd_zeta_to_the_bit():
     # the unit weight's zeta values are the odd zeta to the bit on the
-    # Mellin route, and a periodic weight has no spectral diagonals
+    # Mellin route
     for s in (2.0, 1.5, 0.5, -1.0, 1.2 + 3j):
         ev = zeta_trace(ONE, 0.0, s)
         assert ev.value == heatzeta._odd_zeta(complex(s)) and ev.error_estimate == 0.0
-    with pytest.raises(ValueError, match="Mellin route"):
-        spectral_diagonals(ONE, 2000)
 
 
 def _mehler_mellin_reference(coeffs, s, period=1.0):
@@ -513,24 +531,34 @@ def test_periodic_residue_takes_one_weighted_trace(monkeypatch):
     assert calls == [29]
 
 
-def test_limit_residue_reads_zeta_trace_on_one_diagonal_stream(monkeypatch):
+def _counted_weight(points):
+    """(1 + tanh x)/2 + sech x with limits 0 and 1, appending the size of each
+    argument it is called on to points."""
+    def func(x):
+        points.append(np.size(x))
+        return (1.0 + np.tanh(x)) / 2.0 + 1.0 / np.cosh(x)
+
+    return RealLineFunction.with_limits(func, 0.0, 1.0)
+
+
+# the window's x-rule at 2000 modes: 16-point panels over [0, X] and their mirror images
+WINDOW_POINTS = 2 * 16 * math.ceil(math.sqrt(4003.0) + 6.0)
+
+
+def test_limit_residue_reads_zeta_trace_on_one_window_trace():
     # residue_by_extrapolation takes its three values from zeta_trace for
-    # every weight: a limit-type weight's are eigen-sums of one cached
-    # diagonal stream, with the bits of summing that stream directly
-    calls = []
-
-    def counted(weighted_shifts, n_modes):
-        calls.append(n_modes)
-        return oscillator.diagonal_elements(weighted_shifts, n_modes)
-
-    monkeypatch.setattr(heatzeta, "diagonal_elements", counted)
-    f = RealLineFunction.with_limits(np.arctan, -np.pi / 2, np.pi / 2)
+    # every weight: a limit-type weight's are Mellin integrals of one
+    # window trace, one pass of the weight over the x-rule
+    points = []
+    f = _counted_weight(points)
     residue = residue_by_extrapolation(f)
-    assert calls == [2000]
+    assert points == [WINDOW_POINTS]
     hs = np.array([0.1, 0.01, 0.001])
-    d = spectral_diagonals(f, 2000)
     assert residue == heatzeta._intercept(
-        hs, [h * heatzeta._eigen_sum_tail(f, complex(1.0 + h), d).value for h in hs])
+        hs, [h * zeta_trace(f, 0.0, 1.0 + h).value for h in hs])
+    assert points == [WINDOW_POINTS]
+    # the pole at 1/2 of int sech = pi bends the quadratic only slightly
+    assert abs(residue - 0.25) < 1e-5
 
 
 def test_zeta_residue_of_limit_weight_is_half_its_asymptotic_mean():
@@ -564,38 +592,127 @@ def test_zeta_pole_at_one_raises_with_its_residue(f, residue):
 
 
 @pytest.mark.parametrize("f, residue", [
-    (ARCTAN, "0"),
     (RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0), "0.25"),
-], ids=["arctan", "tanh_step"])
+], ids=["tanh_step"])
 def test_limit_weight_zeta_at_one_raises_with_its_residue(f, residue, monkeypatch):
-    # the tail model's odd zeta has its pole at s = 1: the error names s = 1,
-    # the weight kind and mu/2 before any diagonal or odd zeta is computed
-    monkeypatch.setattr(heatzeta, "diagonal_elements", None)
+    # the odd zeta of the limits' mean has its pole at s = 1: the error
+    # names s = 1, the weight kind and mu/2 before the window trace or any
+    # odd zeta is computed (arctan, mu = 0, has a value there:
+    # test_limit_and_generic_zeta_values_match_mpmath)
+    monkeypatch.setattr(heatzeta, "_window_trace", None)
     monkeypatch.setattr(heatzeta, "_odd_zeta", None)
     message = rf"limit-type \(has_limits\) weight has no value at s = 1: .* mu/2 = {residue}$"
     with pytest.raises(ValueError, match=message):
         zeta_trace(f, 0.0, 1.0)
 
 
-def test_limit_weight_zeta_values_share_one_diagonal_stream(monkeypatch):
-    # the diagonals of the last two (weight, n_modes) are kept: the values
-    # at three s take one quadrature stream and keep their bits
-    f = RealLineFunction.with_limits(np.arctan, -np.pi / 2, np.pi / 2)
-    s_values = (1.5, 2.0, 3.0)
-    expected = [heatzeta._eigen_sum_tail(f, complex(s), oscillator.diagonal_elements(
-        [(f, 0.0)], 400)[0]).value for s in s_values]
-    calls = []
-
-    def counted(pairs, n_modes):
-        calls.append(n_modes)
-        return oscillator.diagonal_elements(pairs, n_modes)
-
-    monkeypatch.setattr(heatzeta, "diagonal_elements", counted)
+def test_limit_weight_zeta_values_share_one_window_trace():
+    # the trace of the last window is kept on the weight: the values at
+    # three s take one pass of the weight and keep the bits of a fresh
+    # weight's trace; n_modes sets the window, X = sqrt(2 n_modes + 3) + 6
+    points = []
+    f = _counted_weight(points)
+    s_values = (0.75, 1.5, 2.0)
     values = [zeta_trace(f, 0.0, s, n_modes=400).value for s in s_values]
-    assert calls == [400]
+    assert points == [2 * 16 * math.ceil(math.sqrt(803.0) + 6.0)]
+    expected = [zeta_trace(_counted_weight([]), 0.0, s, n_modes=400).value for s in s_values]
     assert [_bits(v) for v in values] == [_bits(v) for v in expected]
-    assert not spectral_diagonals(f, 400).flags.writeable
-    assert calls == [400]
+    v, traces, *_ = heatzeta._window_trace(f, math.sqrt(803.0) + 6.0)
+    assert not v.flags.writeable and not traces.flags.writeable
+    # another window is another trace
+    zeta_trace(f, 0.0, 1.5)
+    assert points[1:] == [WINDOW_POINTS]
+
+
+@functools.lru_cache(maxsize=None)
+def _sech_remainder(t):
+    """int sech(x) K_t(x, x) dx - c e^{-t} / sqrt(t), c = int sech / sqrt(4 pi), at one t.
+
+    K_t(x, x) = e^{-tanh(t) x^2} / sqrt(2 pi sinh 2t) is the Mehler
+    diagonal; the x-integral is one ``mpmath.quad`` over the whole line.
+    """
+    inner = 2 * mpmath.quad(lambda x: mpmath.sech(x) * mpmath.exp(-mpmath.tanh(t) * x * x),
+                            [0, mpmath.inf])
+    c = mpmath.pi / mpmath.sqrt(4 * mpmath.pi)
+    kernel_norm = mpmath.sqrt(2 * mpmath.pi * mpmath.sinh(2 * t))
+    return inner / kernel_norm - c * mpmath.exp(-t) / mpmath.sqrt(t)
+
+
+@functools.lru_cache(maxsize=None)
+def _sech_zeta_reference(mu, s):
+    """Tr(f H^-s) for a weight of even part mu + sech x, 20 digits.
+
+    The heat trace is mu/(2 sinh t) + int sech(x) K_t(x, x) dx.  Both
+    singular parts are subtracted and transformed in closed form: the
+    mean's, mu (1 - 2^-s) zeta(s), and c t^{-1/2} e^{-t}'s,
+    c Gamma(s - 1/2)/Gamma(s) with c = int sech / sqrt(4 pi); the rest, a
+    nested ``mpmath.quad`` (``_sech_remainder``), is O(t^{1/2}) at t -> 0.
+    """
+    with mpmath.workdps(20):
+        s = mpmath.mpmathify(s)
+        rest = mpmath.quad(lambda t: t ** (s - 1) * _sech_remainder(t), [0, 1, mpmath.inf])
+        c = mpmath.pi / mpmath.sqrt(4 * mpmath.pi)
+        value = (rest + c * mpmath.gamma(s - 0.5)) * mpmath.rgamma(s)
+        if mu:
+            value += mu * (1 - 2 ** (-s)) * mpmath.zeta(s)
+        return complex(value)
+
+
+@pytest.mark.parametrize("kind, s", [
+    ("has_limits", 1.5), ("has_limits", 0.75), ("has_limits", 0.6), ("has_limits", 0.52),
+    ("has_limits", 0.8 + 2j), ("generic", 1.5), ("generic", 1.1),
+    ("arctan", 0.6), ("arctan", 1.0), ("arctan", 1.5),
+])
+def test_limit_and_generic_zeta_values_match_mpmath(kind, s):
+    # (1 + tanh x)/2 + sech x, with limits 0 and 1, has mu = 1/2 and
+    # g = sech x; the generic sech x has mu = 0 and the same g; arctan is
+    # odd, so its even part, and its zeta function, is 0
+    if kind == "arctan":
+        ev = zeta_trace(ARCTAN, 0.0, s)
+        assert ev.value == 0.0 and ev.residue_at_1 == 0.0
+        return
+    if kind == "generic":
+        f, mu = RealLineFunction.generic(lambda x: 1.0 / np.cosh(x)), 0.0
+    else:
+        f, mu = _counted_weight([]), 0.5
+    ev = zeta_trace(f, 0.0, s)
+    expected = _sech_zeta_reference(mu, s)
+    error = abs(ev.value - expected)
+    assert ev.method == "heat_mellin"
+    assert error <= 1e-9 * abs(expected)
+    assert ev.error_estimate >= error
+    assert ev.residue_at_1 == (0.25 if kind == "has_limits" else None)
+
+
+def test_limit_weight_zeta_poles_and_domain():
+    # int g = int sech = pi: the pole at 1/2 has residue pi / 2 pi = 0.5
+    f = _counted_weight([])
+    with pytest.raises(ValueError, match=r"pole at s = 1/2, with residue .* = 0\.5$"):
+        zeta_trace(f, 0.0, 0.5)
+    for s in (-0.5, -1.0 + 2j):
+        with pytest.raises(ValueError, match=r"continued to Re\(s\) > -0.5 only"):
+            zeta_trace(f, 0.0, s)
+    # left of 0 the head below t = e^{-80} sets the estimate: 2.4e-9 at
+    # s = -1/4, where the value is 2.1e-9 off a 45-digit reference
+    ev = zeta_trace(f, 0.0, -0.25)
+    assert np.isfinite(ev.value) and ev.error_estimate < 1e-8
+
+
+def test_window_trace_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="nctorus.heatzeta")
+    f = _counted_weight([])
+    for s in (1.5, 2.0):
+        zeta_trace(f, 0.0, s)
+    (record,) = [r for r in caplog.records if r.name == "nctorus.heatzeta"]
+    fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+    assert record.getMessage().startswith("window_trace: has_limits weight")
+    assert float(fields["mu"]) == 0.5
+    assert abs(float(fields["c"]) - math.sqrt(math.pi) / 2.0) < 1e-12
+    assert float(fields["X"]) == pytest.approx(math.sqrt(4003.0) + 6.0, rel=1e-4)
+    assert int(fields["x_nodes"]) == WINDOW_POINTS and int(fields["t_nodes"]) == 422
+    # the trace at t = e^{-80} is C e^{-40}; sech at the edge rounds g to 0
+    assert 0.0 < float(fields["head_trace"]) < 1e-16
+    assert float(fields["edge_g"]) == 0.0
 
 
 def _mellin_one_reference(alpha, s):
@@ -628,8 +745,8 @@ def test_mellin_heat_trace_calls(monkeypatch):
         return heat_trace_weighted(f, alpha, t)
 
     monkeypatch.setattr(heatzeta, "heat_trace_weighted", counted)
-    # a cached (weight, alpha) would take no trace call at all
-    heatzeta._mellin_trace.cache_clear()
+    # a kept (weight, alpha) would take no trace call at all
+    monkeypatch.setattr(ONE, "_traces", None)
     for alpha in (0.05, 0.7, 3.0):
         calls.clear()
         zeta_trace(ONE, alpha, 1.5)
@@ -643,10 +760,10 @@ def test_zeta_error_paths():
         zeta_trace(generic, 0.0, 0.5, n_modes=100)
     with pytest.raises(ValueError):
         zeta_trace(ONE, 0.0, 0.9, method="heat_mellin")
-    # the Mellin route is off-diagonal only, right of the pole too
+    # 'heat_mellin' names the off-diagonal class only, right of the pole too
     with pytest.raises(ValueError):
         zeta_trace(ONE, 0.0, 1.5, method="heat_mellin")
-    # and the eigen-sum on-diagonal only
+    # and 'eigen_sum_tail' names the on-diagonal class only
     with pytest.raises(ValueError, match="on-diagonal only"):
         zeta_trace(ONE, 1.0, 1.5, method="eigen_sum_tail")
     with pytest.raises(ValueError, match="unknown method"):
@@ -691,10 +808,9 @@ def test_residue_raises_only_for_generic_weights():
 
 @pytest.mark.parametrize("bad", [0, -3])
 def test_bad_mode_count_or_length_raises(bad):
-    for call in (lambda: spectral_diagonals(ONE, bad),
-                 lambda: spectral_diagonals(ARCTAN, bad),
-                 lambda: oscillator.algebra_diagonals(AlgebraElement.unit(0.3), bad),
-                 lambda: zeta_trace(ONE, 0.0, 2.0, n_modes=bad)):
+    for call in (lambda: oscillator.algebra_diagonals(AlgebraElement.unit(0.3), bad),
+                 lambda: zeta_trace(ONE, 0.0, 2.0, n_modes=bad),
+                 lambda: zeta_trace(ARCTAN, 0.0, 2.0, n_modes=bad)):
         with pytest.raises(ValueError, match="n_modes must be at least 1"):
             call()
     with pytest.raises(ValueError, match="x_max must be positive"):
