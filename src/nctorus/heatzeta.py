@@ -4,10 +4,11 @@ The closed-form Gaussian heat kernel of the oscillator drives everything:
 heat traces and their alpha-shifted weighted variants come from its
 diagonal, which by Mehler's formula is a Gaussian in x, so a weighted trace
 is one Gaussian average of the weight, as is each inner average of the
-Dixmier limit.  Every spectral zeta value is the Mellin integral of the
-weighted heat trace, as the paper computes it by Mehler's formula, with the
-singular parts on the diagonal transformed in closed form (``zeta_trace``).
-Residues at s = 1 are also extrapolated from (s-1) times its values.
+Dixmier limit.  Every spectral zeta value is assembled one way, as the paper
+computes it by Mehler's formula: the Mellin integral of one trace record per
+weight, shift and window (``_mellin_trace``), plus the closed-form transforms
+of its singular parts on the diagonal (``zeta_trace``).  Residues at s = 1
+are also extrapolated from (s-1) times its values.
 
 A periodic weight carries its samples as one ``PeriodicFunction``
 (``RealLineFunction.samples``): a ``PeriodicFunction`` of period 1 is its
@@ -23,7 +24,7 @@ limit and the mean-subtracted antiderivative map complete the calculus.
 
 Each quantity that several calls read is computed once, never keyed on a
 weight's callable: a periodic weight's samples, coefficients and mean, and
-every weight's Mellin traces of the last shift or window, on the weight;
+every weight's Mellin trace record of the last shift and window, on the weight;
 the odd zeta and 1/Gamma values per s in memory.  Cached arrays are
 read-only.  Every integral is a fixed rule, exponentially accurate for its
 integrand class (Trefethen and Weideman, SIAM Review 56, 2014); nothing is
@@ -73,7 +74,7 @@ class RealLineFunction:
     values at -inf and +inf) or 'generic'.  A NaN or infinite period or
     limit raises ValueError naming it.  A periodic weight carries its
     samples (``samples``) and, once read, its period mean (``period_mean``);
-    every weight, its Mellin traces of the last shift or window.
+    every weight, its Mellin trace record of the last shift and window.
     """
 
     __slots__ = ("func", "kind", "period", "limits", "_samples", "_mean", "_traces")
@@ -350,27 +351,6 @@ def period_mean(f):
 _MELLIN_STEP = 0.2
 
 
-def _mellin_trace(f, alpha):
-    """Nodes v = log t of the Mellin rule at shift alpha and the weighted traces there.
-
-    On the diagonal, those of a periodic f minus the period mean's
-    1/(2 sinh t).  Both arrays read-only, kept on f for the last shift, so
-    the values at several s share one trace and no module cache holds f.
-    """
-    held = f._traces
-    if held is None or held[0] != (alpha, None):
-        # the traces decay like e^{-a/t} as t -> 0: a = alpha^2/4 off the
-        # diagonal, (pi/P)^2 for the mean-free part of a periodic weight on it
-        a = alpha * alpha / 4.0 if alpha else (math.pi / f.period) ** 2
-        v_min, v_max = math.log(a / 40.0), math.log(60.0)
-        v = v_min + _MELLIN_STEP * np.arange(math.ceil((v_max - v_min) / _MELLIN_STEP) + 1)
-        t = np.exp(v)
-        mean = 0.0 if alpha else period_mean(f)
-        traces = heat_trace_weighted(f, alpha, t) - mean / (2.0 * np.sinh(t))
-        held = f._traces = ((alpha, None), _read_only(v, traces))
-    return held[1]
-
-
 def _subtracted_kernel(t, x):
     """K_t(x, x) - e^{-t} / sqrt(4 pi t), K_t(x, x) = e^{-tanh(t) x^2} / sqrt(2 pi sinh 2t).
 
@@ -398,83 +378,106 @@ def _show(z):
     return z.real if complex(z).imag == 0 else z
 
 
-def _window_trace(f, half_width):
-    """Mellin nodes v, traces, mu, c and edge |g| of a limit-type or generic f (``zeta_trace``).
+def _mellin_trace(f, alpha, mu, half_width=None):
+    """The Mellin record of f at shift alpha: nodes v = log t, traces, c and edge.
 
-    The traces are int g (K_t - e^{-t} / sqrt(4 pi t)) over [-X, X],
-    X = half_width, at t = e^v, v = -80 to log 60.  f is read once, on
-    16-point Gauss-Legendre panels of length at most 1 over +-[0, X]; edge is
-    max |g| on the last panel.  Kept on f for the last X, as ``_mellin_trace``
-    keeps its traces; logs one DEBUG line.
+    The nodes run from v_min in steps of ``_MELLIN_STEP`` past log 60.  With no
+    window they start at log(a/40) (``zeta_trace``), the traces are f's weighted
+    traces less mu/(2 sinh t), and c = edge = 0.  With the window [-X, X],
+    X = half_width, they start at -80 and are int g (K_t - e^{-t}/sqrt(4 pi t)),
+    g = (f(x) + f(-x))/2 - mu read once on 16-point Gauss-Legendre panels of
+    length at most 1, c = int g / sqrt(4 pi), edge max |g| on the last panel;
+    one DEBUG line is logged.  Read-only, kept on f for the last (alpha, X).
     """
     held = f._traces
-    if held is None or held[0] != (0.0, half_width):
-        x, w = _gl_panels(0.0, half_width, math.ceil(half_width))
-        values = np.asarray(f(np.concatenate((x, -x))))
-        mu = 2.0 * residue_at_1(f) if f.kind == "has_limits" else 0.0
-        g = 0.5 * (values[:x.size] + values[x.size:]) - mu
-        wg = 2.0 * w * g  # K_t(x, x) is even in x
-        c = complex(wg.sum()) / math.sqrt(4.0 * math.pi)
-        v = -80.0 + _MELLIN_STEP * np.arange(math.ceil((math.log(60.0) + 80.0) / _MELLIN_STEP) + 1)
-        traces = _subtracted_kernel(np.exp(v), x) @ wg
-        edge = float(np.abs(g[-16:]).max())
-        logger.debug("window_trace: %s weight mu=%s c=%s X=%.4g x_nodes=%d t_nodes=%d "
-                     "head_trace=%.3g edge_g=%.3g", f.kind, _show(mu), _show(c), half_width,
-                     2 * x.size, v.size, abs(traces[0]), edge)
-        held = f._traces = ((0.0, half_width), (*_read_only(v, traces), mu, c, edge))
+    if held is None or held[0] != (alpha, half_width):
+        v_min = -80.0
+        if half_width is None:
+            # the traces decay like e^{-a/t}: a = alpha^2/4 off the diagonal, (pi/P)^2 on it
+            a = alpha * alpha / 4.0 if alpha else (math.pi / f.period) ** 2
+            if a / 40.0 < (tiny := np.finfo(float).tiny):  # t = alpha^2/160 subnormal
+                raise ValueError(f"alpha = {alpha:g} is too small: the Mellin nodes are normal "
+                                 f"doubles only for |alpha| >= {math.sqrt(160.0 * tiny):.4g}")
+            v_min = math.log(a / 40.0)
+        v = v_min + _MELLIN_STEP * np.arange(
+            math.ceil((math.log(60.0) - v_min) / _MELLIN_STEP) + 1)
+        t = np.exp(v)
+        if half_width is None:
+            traces, c, edge = heat_trace_weighted(f, alpha, t) - mu / (2.0 * np.sinh(t)), 0.0, 0.0
+        else:
+            x, w = _gl_panels(0.0, half_width, math.ceil(half_width))
+            values = np.asarray(f(np.concatenate((x, -x))))
+            g = 0.5 * (values[:x.size] + values[x.size:]) - mu
+            wg = 2.0 * w * g  # K_t(x, x) is even in x
+            c = complex(wg.sum()) / math.sqrt(4.0 * math.pi)
+            traces = _subtracted_kernel(t, x) @ wg
+            edge = float(np.abs(g[-16:]).max())
+            logger.debug("window_trace: %s weight mu=%s c=%s X=%.4g x_nodes=%d t_nodes=%d "
+                         "head_trace=%.3g edge_g=%.3g", f.kind, _show(mu), _show(c), half_width,
+                         2 * x.size, v.size, abs(traces[0]), edge)
+        held = f._traces = ((alpha, half_width), (*_read_only(v, traces), c, edge))
     return held[1]
 
 
 def zeta_trace(f, alpha, s, method=None, n_modes=2000):
     """One value of the spectral zeta function Tr(f T_alpha H^{-s}).
 
-    Every value ('heat_mellin', its ``ZetaEvaluation.method``) is the Mellin
-    integral Gamma(s)^{-1} int t^{s-1} Tr(f T_alpha e^{-tH}) dt, a trapezoid
-    of step 0.2 in v = log t up to t = 60 on traces kept on f, so the values
-    of one weight at several s share one trace.  1/Gamma is entire
-    (``mpmath.rgamma``): s = 0, -1, -2, ... need no special case.  Its
-    ``error_estimate`` |T_h - T_2h| / |Gamma(s)|, the change from the sum
-    on every other node, bounds the coarser rule.  The method argument only
-    names the shift class: None, 'eigen_sum_tail' at alpha = 0 or
-    'heat_mellin' at alpha != 0, as ``bench/tracing.py`` passes it; any
-    other name raises ValueError, as do n_modes < 1 and a non-finite alpha
-    or s.
+    Every value ('heat_mellin', its ``ZetaEvaluation.method``) is assembled
+    one way from the trace record of (f, alpha, window) that
+    ``_mellin_trace`` keeps on f, so values at several s share one trace:
 
-    Off the diagonal, and for a periodic weight less its period mean c_0's
-    trace c_0/(2 sinh t) on it, the trace decays like e^{-a/t} as t -> 0,
-    a = alpha^2/4 or (pi/P)^2, so the rule starts at t = a/40: 36-77 nodes
-    for alpha in [0.05, 3], 29 on the diagonal at P = 1, one
-    ``heat_trace_weighted`` call (``_mellin_trace``).  So the zeta function
-    is entire off the diagonal, ``residue_at_1`` 0; on it c_0 (1 - 2^{-s})
-    zeta(s) is added, ``residue_at_1`` is c_0/2, and at s = 1 a weight with
-    |c_0| <= eps max|samples| (cos 2 pi x: -1.9e-17) drops that term, any
-    other raises ValueError naming the residue.  Measured against 30-digit
-    mpmath quadratures of the Mehler closed form: ``ONE`` at (alpha, s) =
+        zeta(s) = Gamma(s)^{-1} sum_v 0.2 e^{s v} trace(v)
+                  + mu (1 - 2^{-s}) zeta(s) + c Gamma(s - 1/2)/Gamma(s),
+
+    the trapezoid of step 0.2 in v = log t up to t = 60 of the Mellin
+    integral of Tr(f T_alpha e^{-tH}) less mu/(2 sinh t) and c t^{-1/2} e^{-t},
+    plus their transforms.  Off the diagonal mu = c = 0: the zeta function is
+    entire.  On it mu is the period mean c_0 of a periodic weight (c = 0),
+    the limits' mean of a limit-type one and 0 for a generic one;
+    ``residue_at_1`` is mu/2 (None if generic).  1/Gamma is entire
+    (``mpmath.rgamma``): s = 0, -1, -2, ... need no special case.  The
+    ``error_estimate`` |T_h - T_2h| / |Gamma(s)|, the change from the sum on
+    every other node, bounds the coarser rule; a window adds its head's and
+    edge's bounds.  Before any trace, s = 1 raises ValueError, "the zeta
+    function has a pole at s = 1, with residue mu/2 = ...", if mu != 0; a
+    periodic weight with |mu| <= eps max|samples| (cos 2 pi x: -1.9e-17)
+    drops the term instead.  The method argument only names the shift class:
+    None, 'eigen_sum_tail' at alpha = 0 or 'heat_mellin' at alpha != 0, as
+    ``bench/tracing.py`` passes it; any other name raises ValueError, as do
+    n_modes < 1, a non-finite alpha or s, and a Mellin sum that overflows
+    (``ONE`` at alpha = 1e-150, Re(s) < 0).
+
+    Off the diagonal, and for a periodic weight on it, the trace decays like
+    e^{-a/t} as t -> 0, a = alpha^2/4 or (pi/P)^2, so the rule starts at
+    t = a/40: 36-77 nodes for alpha in [0.05, 3], 29 on the diagonal at
+    P = 1, one ``heat_trace_weighted`` call.  That start is a normal double
+    for |alpha| >= sqrt(160 tiny) = 1.887e-153; a smaller alpha raises
+    ValueError naming that bound.  Measured against 30-digit mpmath
+    quadratures of the Mehler closed form: ``ONE`` at (alpha, s) =
     (0.05, 1.1), (0.05, 3), (0.3, 1.01), (1, 1.5) and (3, 2) within 4e-15
     relative (estimate 2e-11 to 3e-8); 1 + cos 2 pi x on the diagonal at
     s = 1.01, 1.1, 1.5, 2, 3, 0.5, 0.25, -0.5, -2.5, 0.5 + 3i and 1.2 + 3i
     within 2e-15; ``ONE`` on the diagonal is the odd zeta to the bit.
 
     A limit-type or generic weight on the diagonal is read on the window
-    [-X, X], X = sqrt(2 n_modes + 3) + ``QUAD_PAD``, the only use of n_modes
-    (``_window_trace``).  With mu its limits' mean (0 if generic) and
-    g = (f(x) + f(-x))/2 - mu, its trace is mu/(2 sinh t) plus
-    int g K_t(x, x) dx -> c t^{-1/2}, c = int g / sqrt(4 pi).  Both are
-    subtracted, c t^{-1/2} e^{-t} termwise (``_subtracted_kernel``), their
-    transforms mu (1 - 2^{-s}) zeta(s) and c Gamma(s - 1/2)/Gamma(s) added,
-    and the O(t^{1/2}) rest integrated from t = e^{-80} (422 nodes).  So
-    the zeta function is meromorphic on Re(s) > -1/2 with poles at s = 1
-    (residue ``residue_at_1(f)`` = mu/2) and 1/2 (c/sqrt(pi) = int g / 2 pi).
-    Re(s) <= -1/2 raises ValueError, as does a pole of nonzero residue,
-    naming it (arctan's zeta function is 0); a generic weight, whose
-    ``residue_at_1`` is None, raises for Re(s) <= 1.  The estimate adds the
-    head below t = e^{-80}, where the rest is C t^{1/2}, and the weight
-    beyond the window as mass 2 X |g| at its edge (|g| the largest on the
-    last panel; a tail decaying like 1/x^2 has no more):
+    [-X, X], X = sqrt(2 n_modes + 3) + ``QUAD_PAD``, the only use of n_modes.
+    With g = (f(x) + f(-x))/2 - mu, int g K_t(x, x) dx -> c t^{-1/2},
+    c = int g / sqrt(4 pi), so c t^{-1/2} e^{-t} is subtracted termwise
+    (``_subtracted_kernel``) and the O(t^{1/2}) rest integrated from
+    t = e^{-80} (422 nodes).  Below, where the rest is C t^{1/2}, both sums
+    run on over its geometric terms, and its departure from that law over
+    the first step, times the head, bounds the head's error.  So the zeta
+    function is meromorphic on Re(s) > -1/2 with poles at s = 1 (residue
+    mu/2) and 1/2 (c/sqrt(pi) = int g / 2 pi).  Re(s) <= -1/2 raises
+    ValueError, as does a pole of nonzero residue, naming it (arctan's zeta
+    function is 0); a generic weight raises for Re(s) <= 1.  The edge bound
+    models the weight beyond the window as mass 2 X |g| at its edge (|g| the
+    largest on the last panel; a tail decaying like 1/x^2 has no more):
     |g| X^{2 - 2 Re s} |Gamma(s - 1/2)/Gamma(s)| / sqrt(pi).  Measured for
     (1 + tanh x)/2 + sech x at s = 1.5, 0.75, 0.6, 0.52 and 0.8 + 2i and a
     generic sech x at s = 1.5 and 1.1: within 1e-15 relative of 20-digit
-    mpmath quadratures, the estimate 6e-11 to 6e-9.
+    mpmath quadratures, the estimate 6e-11 to 6e-9; at s = -0.25 and -0.45
+    within 3e-14 of 40-digit ones, the estimate 1.8e-12 and 3.4e-13.
     """
     alpha = _finite("alpha", float(alpha))
     s = complex(_finite("s", s))
@@ -485,47 +488,43 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
         raise ValueError("n_modes must be at least 1")
 
     window = alpha == 0.0 and f.kind != "periodic"
-    if window:
-        floor = 1.0 if f.kind == "generic" else -0.5
-        if s.real <= floor:
-            raise ValueError(f"a {f.kind} weight's zeta function is continued to Re(s) > "
-                             f"{floor:g} only")
-        residue = residue_at_1(f) if f.kind == "has_limits" else None
-        if s == 1.0 and residue:
-            raise ValueError(f"the zeta function of a limit-type ({f.kind}) weight has no "
-                             f"value at s = 1: it has a pole there, with residue mu/2 = "
-                             f"{_show(residue):.6g}")
-        half_width = math.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
-        v, trace, mu, c, edge = _window_trace(f, half_width)
-        if s == 0.5 and c:
-            raise ValueError(f"the zeta function has a pole at s = 1/2, with residue "
-                             f"c/sqrt(pi) = int g / 2 pi = {_show(c / math.sqrt(math.pi)):.6g}")
-    else:
-        (v, trace), residue = _mellin_trace(f, alpha), 0.0
-    # the end nodes carry below e^{-40} of the sum, the head of a window's
-    # below t = e^{-80} aside (its bound enters err): trapezoid = plain sum
+    if window and s.real <= (floor := 1.0 if f.kind == "generic" else -0.5):
+        raise ValueError(f"a {f.kind} weight's zeta function is continued to Re(s) > "
+                         f"{floor:g} only")
+    residue = 0.0 if alpha else None if f.kind == "generic" else residue_at_1(f)
+    mu = 0.0 if residue is None else 2.0 * residue
+    # a periodic weight whose mean is rounding of its samples (cos) has no pole
+    if s == 1.0 and mu and (f.kind != "periodic"
+                            or abs(mu) > np.finfo(float).eps * f.samples.sup_norm()):
+        raise ValueError(f"the zeta function has a pole at s = 1, with residue mu/2 = "
+                         f"{_show(residue):.6g}")
+    half_width = math.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD if window else None
+    v, trace, c, edge = _mellin_trace(f, alpha, mu, half_width)
+    if s == 0.5 and c:
+        raise ValueError(f"the zeta function has a pole at s = 1/2, with residue "
+                         f"c/sqrt(pi) = int g / 2 pi = {_show(c / math.sqrt(math.pi)):.6g}")
+    # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum; a
+    # window's sums run on below t = e^{-80} over the C t^{1/2} rest's terms
     terms = np.exp(s * v) * trace
     fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
+    head_err = 0.0
+    if window and trace[0]:
+        q = cmath.exp(-(s + 0.5) * _MELLIN_STEP)
+        head = _MELLIN_STEP * terms[0] * q / (1.0 - q)
+        fine, coarse = fine + head, coarse + 2.0 * _MELLIN_STEP * terms[0] * q * q / (1.0 - q * q)
+        head_err = abs(head) * abs(trace[1] / (trace[0] * math.exp(0.5 * _MELLIN_STEP)) - 1.0)
+    if not cmath.isfinite(fine):
+        raise ValueError(f"the Mellin sum at alpha = {alpha:g}, s = {_show(s)} is {_show(fine)}, "
+                         "not a finite double")
     rg = _rgamma(s)
-    value, err = fine * rg, abs(fine - coarse) * abs(rg)
-    if window:
-        if mu:
-            value += mu * _odd_zeta(s)
-        if c:
-            value += c * rg / _rgamma(s - 0.5)
-        err += abs(terms[0]) * (1.0 / (s.real + 0.5) + _MELLIN_STEP) * abs(rg)
-        if edge:
-            err += math.inf if s == 0.5 else (edge * half_width ** (2.0 - 2.0 * s.real)
-                                              * abs(rg / _rgamma(s - 0.5)) / math.sqrt(math.pi))
-    elif alpha == 0.0:
-        mean = period_mean(f)
-        if s != 1.0:
-            # the transform of the mean's trace that _mellin_trace subtracted
-            value += mean * _odd_zeta(s)
-        elif abs(mean) > np.finfo(float).eps * f.samples.sup_norm():
-            raise ValueError(f"the zeta function has a pole at s = 1, with residue "
-                             f"c_0/2 = {mean / 2.0:.6g}")
-        residue = residue_at_1(f)
+    value, err = fine * rg, (abs(fine - coarse) + head_err) * abs(rg)
+    if mu and s != 1.0:
+        value += mu * _odd_zeta(s)
+    if c:
+        value += c * rg / _rgamma(s - 0.5)
+    if edge:
+        err += math.inf if s == 0.5 else (edge * half_width ** (2.0 - 2.0 * s.real)
+                                          * abs(rg / _rgamma(s - 0.5)) / math.sqrt(math.pi))
     return ZetaEvaluation(s, value, residue, float(err), "heat_mellin")
 
 
@@ -557,10 +556,9 @@ def residue_by_extrapolation(f):
     """Extrapolate (s-1) Tr(f H^{-s}) to s -> 1+ through s = 1.1, 1.01, 1.001.
 
     The three values are on-diagonal values of ``zeta_trace``, Mellin
-    integrals of one trace kept on the weight: for a periodic weight its
-    ``_mellin_trace``, otherwise its ``_window_trace``, one pass of the weight
-    over the x-rule.  The extrapolation is the quadratic through them
-    (``_intercept``).
+    integrals of the one trace record ``_mellin_trace`` keeps on the weight
+    (for a limit-type weight one pass over the window's x-rule).  The
+    extrapolation is the quadratic through them (``_intercept``).
     """
     hs = np.array([0.1, 0.01, 0.001])
     return _intercept(hs, [h * zeta_trace(f, 0.0, 1.0 + h).value for h in hs])

@@ -585,31 +585,38 @@ def test_zeta_of_a_mean_zero_weight_is_finite_at_one():
     assert zeta_trace(COS, 0.0, 1.0).residue_at_1 == residue_at_1(COS)
 
 
+def _pole_at_one(residue):
+    """The whole message of the pole at s = 1, as a pattern."""
+    message = f"the zeta function has a pole at s = 1, with residue mu/2 = {residue}"
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize("f, residue", [(ONE, "0.5"), (ONE_PLUS_COS, "0.5")])
 def test_zeta_pole_at_one_raises_with_its_residue(f, residue):
-    with pytest.raises(ValueError, match=rf"pole at s = 1, with residue c_0/2 = {residue}"):
+    with pytest.raises(ValueError, match=_pole_at_one(residue)):
         zeta_trace(f, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("f, residue", [
     (RealLineFunction.with_limits(lambda x: (1.0 + np.tanh(x)) / 2.0, 0.0, 1.0), "0.25"),
-], ids=["tanh_step"])
+    (ONE, "0.5"),
+    (ONE_PLUS_COS, "0.5"),
+], ids=["tanh_step", "one", "one_plus_cos"])
 def test_limit_weight_zeta_at_one_raises_with_its_residue(f, residue, monkeypatch):
-    # the odd zeta of the limits' mean has its pole at s = 1: the error
-    # names s = 1, the weight kind and mu/2 before the window trace or any
-    # odd zeta is computed (arctan, mu = 0, has a value there:
+    # the odd zeta of the mean mu has its pole at s = 1: for every weight
+    # kind the error names mu/2 before any Mellin trace or odd zeta is
+    # computed (arctan, mu = 0, has a value there:
     # test_limit_and_generic_zeta_values_match_mpmath)
-    monkeypatch.setattr(heatzeta, "_window_trace", None)
+    monkeypatch.setattr(heatzeta, "_mellin_trace", None)
     monkeypatch.setattr(heatzeta, "_odd_zeta", None)
-    message = rf"limit-type \(has_limits\) weight has no value at s = 1: .* mu/2 = {residue}$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_pole_at_one(residue)):
         zeta_trace(f, 0.0, 1.0)
 
 
-def test_limit_weight_zeta_values_share_one_window_trace():
-    # the trace of the last window is kept on the weight: the values at
-    # three s take one pass of the weight and keep the bits of a fresh
-    # weight's trace; n_modes sets the window, X = sqrt(2 n_modes + 3) + 6
+def test_limit_weight_zeta_values_share_one_mellin_trace():
+    # the trace record of the last window is kept on the weight: the values
+    # at three s take one pass of the weight and keep the bits of a fresh
+    # weight's record; n_modes sets the window, X = sqrt(2 n_modes + 3) + 6
     points = []
     f = _counted_weight(points)
     s_values = (0.75, 1.5, 2.0)
@@ -617,8 +624,9 @@ def test_limit_weight_zeta_values_share_one_window_trace():
     assert points == [2 * 16 * math.ceil(math.sqrt(803.0) + 6.0)]
     expected = [zeta_trace(_counted_weight([]), 0.0, s, n_modes=400).value for s in s_values]
     assert [_bits(v) for v in values] == [_bits(v) for v in expected]
-    v, traces, *_ = heatzeta._window_trace(f, math.sqrt(803.0) + 6.0)
+    v, traces, *_ = heatzeta._mellin_trace(f, 0.0, 0.5, math.sqrt(803.0) + 6.0)
     assert not v.flags.writeable and not traces.flags.writeable
+    assert points == [2 * 16 * math.ceil(math.sqrt(803.0) + 6.0)]
     # another window is another trace
     zeta_trace(f, 0.0, 1.5)
     assert points[1:] == [WINDOW_POINTS]
@@ -692,10 +700,85 @@ def test_limit_weight_zeta_poles_and_domain():
     for s in (-0.5, -1.0 + 2j):
         with pytest.raises(ValueError, match=r"continued to Re\(s\) > -0.5 only"):
             zeta_trace(f, 0.0, s)
-    # left of 0 the head below t = e^{-80} sets the estimate: 2.4e-9 at
-    # s = -1/4, where the value is 2.1e-9 off a 45-digit reference
+    # left of 0 the head below t = e^{-80} is in the value, and only its
+    # model's error in the estimate (test_limit_weight_zeta_head_matches_series_reference)
     ev = zeta_trace(f, 0.0, -0.25)
     assert np.isfinite(ev.value) and ev.error_estimate < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _sech_rest(u):
+    """int sech(x) K_t(x, x) dx - c e^{-t} / sqrt(t) at t = e^u, c = int sech / sqrt(4 pi).
+
+    As ``_sech_remainder``, in the caller's precision, with the x-integral
+    on Gauss-Legendre panels up to x = 110, where sech is below 1e-47.
+    """
+    t = mpmath.exp(u)
+    inner = 2 * mpmath.quad(lambda x: mpmath.sech(x) * mpmath.exp(-mpmath.tanh(t) * x * x),
+                            [0, 4, 16, 64, 110], method="gauss-legendre")
+    c = mpmath.pi / mpmath.sqrt(4 * mpmath.pi)
+    kernel_norm = mpmath.sqrt(2 * mpmath.pi * mpmath.sinh(2 * t))
+    return inner / kernel_norm - c * mpmath.exp(-t) / mpmath.sqrt(t)
+
+
+def _sech_head_reference(s, t0):
+    """Tr(f H^-s) for (1 + tanh x)/2 + sech x at -1/2 < s < 0, 40 digits.
+
+    As ``_sech_zeta_reference``, but the rest is integrated in u = log t from
+    t0 to 120 on 16-point Gauss-Legendre panels, and below t0 it is its
+    series head C_1 t^{1/2} + C_2 t^{3/2}, which integrates to
+    C_1 t0^{s+1/2}/(s+1/2) + C_2 t0^{s+3/2}/(s+3/2).  With
+    int x^{2k} sech = 2 (pi/2)^{2k+1} |E_2k|, C_1 = (pi - pi^3/4)/sqrt(4 pi)
+    and C_2 = (5 pi^5/32 - 5 pi/6)/sqrt(4 pi).  (C_1 alone is 6e-14 off at
+    s = -0.45 and t0 = 1e-12.)
+    """
+    with mpmath.workdps(40):
+        s, t0 = mpmath.mpf(s), mpmath.mpf(t0)
+        pi, root = mpmath.pi, mpmath.sqrt(4 * mpmath.pi)
+        c, c1, c2 = pi / root, (pi - pi ** 3 / 4) / root, (5 * pi ** 5 / 32 - 5 * pi / 6) / root
+        edges = [mpmath.log(t0), -20, -12, -6, -2, 0, 1, 2, 3, mpmath.log(120)]
+        nodes, weights = mpmath.gauss_quadrature(16, "legendre")
+        rest = mpmath.fsum((b - a) / 2 * w * mpmath.exp(s * u) * _sech_rest(u)
+                           for a, b in zip(edges, edges[1:]) for x, w in zip(nodes, weights)
+                           for u in [a + (b - a) * (1 + x) / 2])
+        head = c1 * t0 ** (s + 0.5) / (s + 0.5) + c2 * t0 ** (s + 1.5) / (s + 1.5)
+        value = (rest + head + c * mpmath.gamma(s - 0.5)) * mpmath.rgamma(s)
+        return value + 0.5 * (1 - 2 ** (-s)) * mpmath.zeta(s)
+
+
+@pytest.mark.parametrize("s", [-0.25, -0.45])
+def test_limit_weight_zeta_head_matches_series_reference(s):
+    # below t = e^{-80} the rest is C t^{1/2}: its geometric tail is in the
+    # value (without it the value is 2.1e-9 and 0.13 off) and the estimate
+    # still covers the error
+    expected = _sech_head_reference(s, "1e-12")
+    assert abs(_sech_head_reference(s, "1e-14") - expected) <= 1e-18 * abs(expected)
+    ev = zeta_trace(_counted_weight([]), 0.0, s)
+    error = abs(ev.value - complex(expected))
+    assert error <= 1e-12 * abs(expected)
+    assert ev.error_estimate >= error
+
+
+@pytest.mark.parametrize("alpha", [1e-160, -1e-160, 1e-200, 5e-324])
+def test_tiny_shifts_raise_naming_the_smallest_alpha(alpha, p03):
+    # the Mellin nodes start at t = alpha^2/160, a normal double only for
+    # |alpha| >= sqrt(160 tiny): below, a clear error, never NaN or a math
+    # domain error
+    message = rf"^alpha = {alpha:g} is too small: .* only for \|alpha\| >= 1\.887e-153$"
+    for f in (ONE, _counted_weight([]), _real_bump(p03.coefficient(0))):
+        with pytest.raises(ValueError, match=message):
+            zeta_trace(f, alpha, 1.5)
+    with pytest.raises(ValueError, match=message):
+        entire_check(ONE, alpha)
+
+
+def test_shift_of_1e_150_keeps_its_bits():
+    # 1e-150 is above the smallest shift, and its value keeps its bits; left
+    # of 0 the value overflows, and the Mellin sum names it instead of NaN
+    assert _bits(zeta_trace(ONE, 1e-150, 1.5).value) == _bits(1.6887611866554482 + 0j)
+    message = r"^the Mellin sum at alpha = 1e-150, s = -0.25 is \(inf\+nanj\), not a finite double"
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
+        zeta_trace(ONE, 1e-150, -0.25)
 
 
 def test_window_trace_is_logged(caplog):
