@@ -504,9 +504,11 @@ def zeta_trace(f, alpha, s, method=None, n_modes=2000):
         raise ValueError(f"the zeta function has a pole at s = 1/2, with residue "
                          f"c/sqrt(pi) = int g / 2 pi = {_show(c / math.sqrt(math.pi)):.6g}")
     # the end nodes carry below e^{-40} of the sum: trapezoid = plain sum; a
-    # window's sums run on below t = e^{-80} over the C t^{1/2} rest's terms
-    terms = np.exp(s * v) * trace
-    fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
+    # window's sums run on below t = e^{-80} over the C t^{1/2} rest's terms.
+    # A sum that overflows is named by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(s * v) * trace
+        fine, coarse = _MELLIN_STEP * terms.sum(), 2.0 * _MELLIN_STEP * terms[::2].sum()
     head_err = 0.0
     if window and trace[0]:
         q = cmath.exp(-(s + 0.5) * _MELLIN_STEP)
@@ -648,7 +650,8 @@ def _gaussian_average(f, u, center=0.0):
     k = np.arange(-kmax, kmax + 1)
     xi = (np.pi / f.period) * k
     terms = samples.coefficients[k] * np.exp((2j * center) * xi)
-    with np.errstate(under="ignore"):
+    # a tiny u squares to inf, whose Gaussian factor e^{-inf} = 0 is right
+    with np.errstate(under="ignore", over="ignore"):
         gauss = np.exp(-np.square(xi / u[..., None]))
     # a stack of 1 x K by K x 1 products: one dot product per u
     out = (gauss[..., None, :] @ terms[:, None])[..., 0, 0]

@@ -21,14 +21,15 @@ displacements with weights w: entry [n + d, n] is sum (w + (-1)^d conj w)
 (beta / |beta|)^d H_n^(d)(y), and [n, n + d] its conjugate.
 ``_weyl_sums`` runs the Laguerre recurrence in n, in difference form,
 once over every degree d and distinct y, modes that share y (k and -k,
-degrees m and -m) summed first: N steps over a (degrees) x (distinct y)
-array, the sections' only working set besides themselves.
+degrees m and -m) summed first, modes of coefficient exactly 0 skipped:
+N steps over a (weight sets) x (degrees) x (distinct y) array, the
+sections' only working set besides themselves.
 ``_weyl_blocks`` writes H(w) whole, or its even d as its two
 reflection-parity blocks; ``represent`` is S = (H(w) + i H(-i w)) / 2,
-and ``multiplication_matrix`` and ``translation_matrix`` are
-``represent`` of f [0] and of 1 [1] at hbar = alpha.  Nothing aliases,
-and a y whose tail bound (``band_limit``) is below ``SUBNORMAL_FLOOR`` on
-the window is skipped.
+both from one run over the sets w and -i w, and ``multiplication_matrix``
+and ``translation_matrix`` are ``represent`` of f [0] and of 1 [1] at
+hbar = alpha.  Nothing aliases, and a y whose tail bound (``band_limit``)
+is below ``SUBNORMAL_FLOOR`` on the window is skipped.
 
 A coefficient reaches the N-mode window only through its modes
 |k| <= ``band_limit(N)``, so ``represent`` and ``algebra_diagonals`` drop
@@ -169,10 +170,18 @@ def hermite_rows(n_modes, x):
     return _floor(rows)
 
 
+def _mode_count(n_modes):
+    """n_modes as an int, at least 2: TypeError for a non-integer, ValueError below 2."""
+    n_modes = operator.index(n_modes)
+    if n_modes < 2:
+        raise ValueError("need at least two modes")
+    return n_modes
+
+
 class HermiteBasis:
     """First N oscillator eigenfunctions, with a uniform grid for their ``rows``.
 
-    The sections read only ``n_modes``; the grid serves only ``rows``:
+    No section takes it: they take N alone.  The grid serves only ``rows``:
     h (-J..J) on [-L, L], exactly symmetric, ``weight`` h and ``n_quad``
     2J + 1, with J = ceil(L / h_max) and h_max = pi / (pi kmax + L),
     kmax = ``band_limit(N)``, the Nyquist spacing of f psi_j psi_k(. - s)
@@ -182,10 +191,7 @@ class HermiteBasis:
     """
 
     def __init__(self, n_modes):
-        n_modes = operator.index(n_modes)
-        if n_modes < 2:
-            raise ValueError("need at least two modes")
-        self.n_modes = n_modes
+        self.n_modes = n_modes = _mode_count(n_modes)
         self.half_width = np.sqrt(2.0 * n_modes + 3.0) + QUAD_PAD
         # the integrands' angular frequencies stay below 2 pi kmax + 2 L
         h_max = np.pi / (np.pi * band_limit(n_modes) + self.half_width)
@@ -201,22 +207,16 @@ class HermiteBasis:
         No library code reads it; the tests and the benchmark warm-up do."""
         return hermite_rows(self.n_modes, self.grid)
 
-    def __repr__(self):
-        return (
-            f"HermiteBasis(N={self.n_modes}, L={self.half_width:.2f}, "
-            f"K={self.n_quad})"
-        )
 
-
-def ladder_matrices(basis):
-    """Ladder pair, oscillator, block Dirac matrix and grading.
+def ladder_matrices(n_modes):
+    """Ladder pair, oscillator, block Dirac matrix and grading on N = n_modes modes.
 
     Returns (A, A*, H, D, grading) with A the lower shift of entries
     sqrt(2k), H = diag(2n+1), D the 2N x 2N block matrix [[0, A*], [A, 0]]
     and grading diag(I, -I).  The relations A A* = H + 1 and A* A = H - 1
-    hold exactly away from the last mode.
+    hold exactly away from the last mode.  n_modes as for ``represent``.
     """
-    n = basis.n_modes
+    n = _mode_count(n_modes)
     a = np.zeros((n, n))
     ks = np.arange(1, n)
     a[ks - 1, ks] = np.sqrt(2.0 * ks)
@@ -228,8 +228,8 @@ def ladder_matrices(basis):
     return a, a.T, h, d, grading
 
 
-def multiplication_matrix(f, basis):
-    """Matrix of multiplication by the ``PeriodicFunction`` f on the basis' window.
+def multiplication_matrix(f, n_modes):
+    """Matrix of multiplication by the ``PeriodicFunction`` f on n_modes modes.
 
     ``represent`` of f [0], from f's modes |k| <= ``band_limit(N)``.  No
     library code calls it: the tests check it against Gaussian-integral
@@ -237,17 +237,17 @@ def multiplication_matrix(f, basis):
     """
     if not isinstance(f, PeriodicFunction):
         raise TypeError("multiplication_matrix takes a PeriodicFunction")
-    return represent(AlgebraElement(0.0, {0: f}), basis)
+    return represent(AlgebraElement(0.0, {0: f}), n_modes)
 
 
-def translation_matrix(alpha, basis):
-    """Matrix of the shift xi(x) -> xi(x - alpha); unitary up to the edge.
+def translation_matrix(alpha, n_modes):
+    """Matrix of the shift xi(x) -> xi(x - alpha) on n_modes modes; unitary up to the edge.
 
     ``represent`` of 1 [1] at hbar = alpha, the displacement D(alpha /
     sqrt 2); alpha = 0 gives the identity exactly.  No library code calls
     it: the tests check it, and the benchmark's tracing hooks it.
     """
-    return represent(AlgebraElement.shift_generator(alpha), basis)
+    return represent(AlgebraElement.shift_generator(alpha), n_modes)
 
 
 def band_limit(n_modes):
@@ -284,15 +284,16 @@ def _element_displacements(a, n_modes, centre=0.0, caller="represent"):
     degree-m coefficient, c_k, translated by s = m hbar acts as weight
     D(beta), weight = c_k e^{2 pi i k centre} e^{i pi k s} and beta = (s +
     2 pi i k) / sqrt 2; y = |beta|^2 and angle = arg beta, concatenated over
-    the degrees.  real: whether every coefficient of a has real samples, so
-    that the section is real.  Logs kmax and the neglected-coefficient
-    mass, summed over degrees, at DEBUG on the ``nctorus.oscillator``
-    logger, under caller's name.
+    the degrees, modes with c_k exactly 0 skipped.  real: whether every
+    coefficient of a has real samples, so that the section is real.  Logs
+    kmax and the neglected-coefficient mass, summed over degrees, at DEBUG
+    on the ``nctorus.oscillator`` logger, under caller's name.
     """
     kmax = band_limit(n_modes)
     parts, neglected, real = [], 0.0, True
     for m, f in a.items():
         k, c, tail = f.band(kmax)
+        k, c = k[c != 0], c[c != 0]
         shift, k = m * a.hbar, k.astype(float)
         weight = c * np.exp(1j * np.pi * k * shift)
         if centre:
@@ -304,12 +305,6 @@ def _element_displacements(a, n_modes, centre=0.0, caller="represent"):
     logger.debug("%s: N=%d kmax=%d neglected coefficient mass=%.6g",
                  caller, n_modes, kmax, neglected)
     return (*(np.concatenate(column) for column in zip(*parts)), real)
-
-
-def _times_minus_i(displacements):
-    """The displacements with weights -i w, marked complex: H(-i w) = -i S + (-i S)^H."""
-    y, weight, angle, _ = displacements
-    return y, -1j * weight, angle, False
 
 
 def _kept_columns(y, n_modes):
@@ -329,12 +324,13 @@ def _kept_columns(y, n_modes):
 
 
 def _column_weights(displacements, n_modes, degrees):
-    """The kept distinct y and the weights of H(w) on them, shape (len(degrees), len(y)).
+    """The kept distinct y and the weights of H(w) on them, shape (..., len(degrees), len(y)).
 
     The lower triangle of H(w) = S + S^H takes (w + (-1)^d conj w) (beta /
     |beta|)^d per mode at degree d; modes that share y share a column and
     are summed first.  The weights are real, the real part of the sums,
-    when the displacements are marked real, and complex otherwise.
+    when the displacements are marked real, and complex otherwise.  Weight
+    sets on leading axes of w, shape (..., modes), stay leading: one pass.
     """
     y, weight, angle, real = displacements
     distinct, column = np.unique(y, return_inverse=True)
@@ -342,6 +338,7 @@ def _column_weights(displacements, n_modes, degrees):
     onehot = (column[:, None] == kept).astype(float)
     sign = (1 - 2 * (degrees & 1))[:, None]
     phase = np.exp(1j * np.outer(degrees, angle))
+    weight = weight[..., None, :]
     weights = ((weight + sign * weight.conj()) * phase) @ onehot
     return distinct[kept], weights.real if real else weights
 
@@ -373,12 +370,12 @@ def _weyl_start(y, d_max):
 
 
 def _weyl_sums(y, degrees, weights, n_modes):
-    """Yield sum_j H_n^(d)(y_j) weights[d, j] for n < n_modes, over the degrees d < n_modes - n.
+    """Yield sum_j H_n^(d)(y_j) weights[..., d, j], n < n_modes, over the degrees d < n_modes - n.
 
     H_n^(d) = e^{-y/2} y^{d/2} G_n^(d) / sqrt(d!), G_n^(d) = sqrt(n! d! /
-    (n + d)!) L_n^(d)(y); degrees ascend from 0, weights has shape
-    (len(degrees), len(y)) and each yield is 1-D, one sum per degree still
-    in the window.  The recurrence
+    (n + d)!) L_n^(d)(y); degrees ascend from 0, weights has shape (...,
+    len(degrees), len(y)), leading axes weight sets, and each yield is
+    (..., count), one sum per set and degree in the window.  The recurrence
 
         G_{n+1} = ((2n + d + 1 - y) G_n - sqrt(n (n + d)) G_{n-1})
                   / sqrt((n + 1) (n + d + 1))
@@ -412,8 +409,8 @@ def _weyl_sums(y, degrees, weights, n_modes):
         if count < d.size:
             cur, diff, lower = cur[:count], diff[:count], lower[:count]
             d, exponent = d[:count], exponent[:count]
-            weights, scaled = weights[:count], scaled[:count]
-        yield np.einsum("ij,ij->i", cur, scaled)
+            weights, scaled = weights[..., :count, :], scaled[..., :count, :]
+        yield np.einsum("ij,...ij->...i", cur, scaled)
         np.multiply(y, cur, out=lower)
         diff -= lower
         cur *= n + 1.0
@@ -438,41 +435,42 @@ def _weyl_blocks(displacements, n_modes, step=1):
     p = 0 and 1 under the reflection x -> 2c - x.  Each n
     writes column n // step of block n mod step below the diagonal and its
     conjugate as the row right of it, so every block is Hermitian by
-    construction.  float64 when the displacements are marked real.
+    construction.  Weight sets on the displacements' leading axes
+    (``_column_weights``) lead the blocks' axes too, all from one
+    recurrence run.  float64 when the displacements are marked real.
     """
     degrees = np.arange(0, n_modes, step)
     y, weights = _column_weights(displacements, n_modes, degrees)
-    blocks = [np.zeros((len(range(p, n_modes, step)),) * 2, dtype=weights.dtype)
+    blocks = [np.zeros(weights.shape[:-2] + (len(range(p, n_modes, step)),) * 2, weights.dtype)
               for p in range(step)]
     with np.errstate(under="ignore"):
         for n, sums in enumerate(_weyl_sums(y, degrees, weights, n_modes)):
             block, i = blocks[n % step], n // step
-            block[i:, i] = sums
-            block[i, i:] = sums.conj()
+            block[..., i:, i] = sums
+            block[..., i, i:] = sums.conj()
     return blocks
 
 
-def represent(a, basis):
-    """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on the basis, in closed form.
+def represent(a, n_modes):
+    """Finite section P pi(a) P of pi(a) = sum_n f_n T(n hbar) on n_modes modes, in closed form.
 
     Each mode |k| <= ``band_limit(N)`` of f_n, translated by n hbar, is a
-    displacement (module docstring), so S = (H(w) + i H(-i w)) / 2 from two
-    Hermitian sections, each one recurrence in n over every degree d = i - j
-    and distinct y (``_weyl_blocks``): no grid, nothing aliases.
+    displacement (module docstring), so S = (H(w) + i H(-i w)) / 2, H(-i w)
+    = -i S + (-i S)^H, the two Hermitian sections written by one recurrence
+    in n over every degree d = i - j and distinct y for the stacked weight
+    sets w and -i w (``_weyl_blocks``): no grid, nothing aliases.
     Multiplication by a real f_n and translation map real functions to real
     functions, so the section of an element whose coefficients all have
-    real samples is real, (H(w) - Im H(-i w)) / 2, float64; any complex
-    coefficient makes the whole section complex.
+    real samples is real, (Re H(w) - Im H(-i w)) / 2, float64; any complex
+    coefficient makes the whole section complex; n_modes >= 2 (``_mode_count``).
     """
-    n_modes = basis.n_modes
+    n_modes = _mode_count(n_modes)
     if not a.items():
         return np.zeros((n_modes, n_modes))
-    displacements = _element_displacements(a, n_modes)
-    (h,) = _weyl_blocks(displacements, n_modes)
-    (h_rotated,) = _weyl_blocks(_times_minus_i(displacements), n_modes)
-    if displacements[-1]:
-        return 0.5 * (h - h_rotated.imag)
-    return 0.5 * (h + 1j * h_rotated)
+    y, weight, angle, real = _element_displacements(a, n_modes)
+    stacked = (y, np.stack([weight, -1j * weight]), angle, False)
+    ((h, h_rotated),) = _weyl_blocks(stacked, n_modes)
+    return 0.5 * (h.real - h_rotated.imag) if real else 0.5 * (h + 1j * h_rotated)
 
 
 def diagonal_elements(weighted_shifts, n_modes):
@@ -555,16 +553,15 @@ def algebra_diagonals(a, n_modes):
     so d = (rows @ W_w + i rows @ W_{-i w}) / 2, the diagonal of (H(w) +
     i H(-i w)) / 2: rows[n, j] = e^{-y_j/2} L_n(y_j) (``_laguerre_rows``) on
     the y ``_column_weights`` keeps (52 of 249 for the bump at 2000 modes),
-    whose weights at d = 0 are 2 Re w and 2 Im w summed per y.  No
+    whose weights at d = 0 are 2 Re w and 2 Im w summed per y (one pass).  No
     quadrature, so nothing aliases; the dropped modes move each d_n by at
     most e^{-4 n_modes} times their mass (see ``band_limit``).  n_modes < 1
     raises ValueError.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    displacements = _element_displacements(a, n_modes, caller="algebra_diagonals")
-    degree = np.zeros(1, dtype=int)
-    y, weights = _column_weights(displacements, n_modes, degree)
-    _, rotated = _column_weights(_times_minus_i(displacements), n_modes, degree)
+    y, weight, angle, _ = _element_displacements(a, n_modes, caller="algebra_diagonals")
+    y, (weights, rotated) = _column_weights((y, np.stack([weight, -1j * weight]), angle, False),
+                                            n_modes, np.zeros(1, dtype=int))
     rows = _laguerre_rows(y, n_modes)
     return 0.5 * (rows @ weights[0].real + 1j * (rows @ rotated[0].real))

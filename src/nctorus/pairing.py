@@ -240,8 +240,8 @@ def fedosov_index(e, basis_size=400):
 
     On the first N = ``basis_size`` Hermite modes, with H = 1 - 2 herm(P e P)
     the symmetry of the represented projection, D the block Dirac matrix and
-    grading Gamma (as in ``ladder_matrices``), the localizer is the Hermitian
-    matrix L = kappa D - Gamma (H + H) = [[-H, kappa A*], [kappa A, H]],
+    grading Gamma (as ``ladder_matrices(N)`` returns them), the localizer is
+    the Hermitian matrix L = kappa D - Gamma (H + H) = [[-H, kappa A*], [kappa A, H]],
     kappa = 1 / sqrt(N), with the last lower-block row and column dropped:
     that mode's D^2 = 0 is a truncation artifact outside the window
     |D|^2 <= 2(N - 1).  The index is (Sig L + 1) / 2; the offset is minus

@@ -2,6 +2,7 @@ import functools
 import logging
 import math
 import re
+import warnings
 import weakref
 
 import mpmath
@@ -773,12 +774,19 @@ def test_tiny_shifts_raise_naming_the_smallest_alpha(alpha, p03):
 
 
 def test_shift_of_1e_150_keeps_its_bits():
-    # 1e-150 is above the smallest shift, and its value keeps its bits; left
-    # of 0 the value overflows, and the Mellin sum names it instead of NaN
-    assert _bits(zeta_trace(ONE, 1e-150, 1.5).value) == _bits(1.6887611866554482 + 0j)
-    message = r"^the Mellin sum at alpha = 1e-150, s = -0.25 is \(inf\+nanj\), not a finite double"
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
-        zeta_trace(ONE, 1e-150, -0.25)
+    # 1e-150 and 1.887e-153 are above the smallest shift, and their values
+    # keep their bits, with no warning: at 1.887e-153 the Gaussian factors'
+    # exponents square to inf, and e^{-inf} = 0.  Left of 0 the value
+    # overflows, and the Mellin sum names it instead of NaN, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e-150, 1.887e-153):
+            assert _bits(zeta_trace(ONE, alpha, 1.5).value) == _bits(1.6887611866554482 + 0j)
+        for s in (-0.25, -0.5):
+            message = (rf"^the Mellin sum at alpha = 1e-150, s = {s:g} is \(inf\+nanj\), "
+                       "not a finite double")
+            with pytest.raises(ValueError, match=message):
+                zeta_trace(ONE, 1e-150, s)
 
 
 def test_window_trace_is_logged(caplog):

@@ -132,9 +132,10 @@ def test_fedosov_rejects_basis_too_small(p03):
 @pytest.mark.parametrize("size", [250.7, 300.0, float("nan"), "300"])
 def test_sizes_must_be_integers(size):
     # a float is neither truncated to another N nor reported as given
-    with pytest.raises(TypeError):
-        HermiteBasis(size)
     e = rieffel_projection(1.3)
+    for section in (HermiteBasis, ladder_matrices, lambda n: represent(e, n)):
+        with pytest.raises(TypeError):
+            section(size)
     with pytest.raises(TypeError):
         fedosov_index(e, basis_size=size)
     with pytest.raises(TypeError):
@@ -221,7 +222,7 @@ def _dense_localizer(section, kappa):
     reference for the blocks of ``pairing._localizer``, whose S + S^H is
     2 herm(P e P)."""
     n = section.shape[0]
-    _, _, _, dirac, _ = ladder_matrices(HermiteBasis(n))
+    _, _, _, dirac, _ = ladder_matrices(n)
     sym = np.eye(n) - (section + section.conj().T)
     return (kappa * dirac - np.kron(np.diag([1.0, -1.0]), sym))[:-1, :-1]
 
@@ -299,7 +300,7 @@ def test_parity_blocks_match_the_whole_localizer_of_the_centred_element(n):
         assert abs(centre - (frac + min(frac, 1.0 - frac) / 3.0) / 2.0) < 1e-12
         assert len(blocks) == 2 and defect <= algebra.PROJECTION_TOL, (n, hbar, defect)
         assert [b.shape[0] for b in blocks] == [n - 1, n]
-        section = represent(_centred(e, centre), HermiteBasis(n))
+        section = represent(_centred(e, centre), n)
         whole = np.linalg.eigvalsh(_dense_localizer(section, kappa))
         diff = np.abs(_spectrum(blocks) - whole).max()
         assert diff < 1e-12, (n, hbar, diff)
@@ -345,7 +346,7 @@ def test_parity_fallback_takes_the_whole_localizer(element, hbar):
     e = element(hbar)
     (block,), centre, defect = pairing._localizer(e, n, kappa)
     assert centre is not None and defect > algebra.PROJECTION_TOL
-    whole = _dense_localizer(represent(_upper(e), HermiteBasis(n)), kappa)
+    whole = _dense_localizer(represent(_upper(e), n), kappa)
     assert block.dtype == whole.dtype
     assert np.abs(block - whole).max() < 1e-15
     evals, expected = np.linalg.eigvalsh(block), np.linalg.eigvalsh(whole)
@@ -479,7 +480,7 @@ def test_nonnegative_degree_localizer_matches_full_section(n):
         blocks, centre, _ = pairing._localizer(e, n, kappa)
         blocks = list(blocks)
         assert len(blocks) == 2
-        full = _dense_localizer(represent(_centred(e, centre), HermiteBasis(n)), kappa)
+        full = _dense_localizer(represent(_centred(e, centre), n), kappa)
         diff = np.abs(np.linalg.eigvalsh(full) - _spectrum(blocks)).max()
         assert diff < 1e-12, (n, hbar, diff)
 
