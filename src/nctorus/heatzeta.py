@@ -13,7 +13,9 @@ are also extrapolated from (s-1) times its values.
 A periodic weight carries its samples as one ``PeriodicFunction``
 (``RealLineFunction.samples``): a ``PeriodicFunction`` of period 1 is its
 own samples, any other callable is sampled once, at ``DEFAULT_SAMPLES``
-points per period, on first read.  Their memoised Fourier coefficients
+points per period, on first read (at period 1 these are nodes of any
+``PeriodicFunction`` whose M is a multiple of ``DEFAULT_SAMPLES``, where its
+evaluation is a gather of its samples).  Their memoised Fourier coefficients
 serve every Gaussian average, a closed-form sum of the few modes the
 Gaussian does not suppress, and the ``math.fsum`` mean of the samples is
 its period mean.  So a periodic weight must be resolved by its samples.
@@ -52,7 +54,7 @@ import numpy as np
 
 # diagonal_elements has no caller here: bench/tracing.py wraps heatzeta's name
 from .oscillator import QUAD_PAD, diagonal_elements, hermite_rows  # noqa: F401
-from .periodic import DEFAULT_SAMPLES, PeriodicFunction
+from .periodic import DEFAULT_SAMPLES, PeriodicFunction, sample_values
 
 logger = logging.getLogger(__name__)
 
@@ -125,15 +127,21 @@ class RealLineFunction:
         A ``PeriodicFunction`` given as a weight of period 1 is its own
         samples, at its own M.  Any other callable is evaluated once, on
         first read, at the M = ``DEFAULT_SAMPLES`` points
-        period * j / DEFAULT_SAMPLES, and the result kept on the weight;
-        two threads that race on the first read compute the same samples,
-        and either is kept.
+        period * j / DEFAULT_SAMPLES, and the result kept on the weight; a
+        scalar result, as of a constant callable, is broadcast to the
+        points.  Two threads that race on the first read compute the same
+        samples, and either is kept.
+
+        At period 1 these points are the nodes of any ``PeriodicFunction``
+        whose M is a multiple of ``DEFAULT_SAMPLES``, so a callable that
+        evaluates one, such as ``lambda x: np.real(coeff(x))``, reads its
+        samples by a gather and runs no trigonometric sum.
         """
         if self.kind != "periodic":
             raise ValueError("periodic metadata required")
         if self._samples is None:
             x = self.period * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES
-            self._samples = PeriodicFunction(self.func(x))
+            self._samples = PeriodicFunction(sample_values(self.func, x))
         return self._samples
 
 

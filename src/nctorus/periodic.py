@@ -7,7 +7,10 @@ on the interpolant), products act pointwise on samples, and the mean is the
 zeroth coefficient.  The Nyquist coefficient of the even-length transform is
 carried at mode -M/2.
 
-Point evaluation at arbitrary real points, of an interpolant or of any
+Point evaluation on the function's own grid, or on any coarser grid nested
+in it (x * M integral at every point), is a gather of the samples, where
+the interpolant equals them exactly (Trefethen and Weideman, SIAM Rev. 56,
+2014).  Point evaluation at other real points, of an interpolant or of any
 integer-mode trigonometric sum, is ``trig_sum``: an exact reduction of each
 point mod 1, then a two-level (baby-step / giant-step) factorisation of the
 phases, about 2 sqrt(S) exponentials per point and one complex GEMM for a
@@ -17,10 +20,10 @@ The samples are fixed at construction and all operations are pure, so
 values can be shared freely across threads.  The Fourier coefficients are
 computed once, by one FFT on their first read (through ``coefficients``,
 which ``mean``, ``band``, ``shift``, ``derivative`` and point evaluation
-use), and kept.  Pointwise arithmetic, ``conjugate`` and ``sup_norm`` never
-need them, so an intermediate product that is only multiplied on costs no
-transform.  Two threads that race on the first read compute the same array,
-and either one is kept.
+off the grid use), and kept.  Pointwise arithmetic, ``conjugate``,
+``sup_norm`` and evaluation on the grid never need them, so an intermediate
+product that is only multiplied on costs no transform.  Two threads that
+race on the first read compute the same array, and either one is kept.
 """
 
 import math
@@ -92,6 +95,18 @@ def trig_sum(k, c, x):
     return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
 
+def sample_values(func, x):
+    """The values of ``func`` at the points ``x``, as a complex array of x's shape.
+
+    A result of another shape, such as the scalar of a constant callable,
+    is broadcast to the points.
+    """
+    values = np.asarray(func(x), dtype=complex)
+    if values.shape != x.shape:
+        values = np.broadcast_to(values, x.shape).astype(complex)
+    return values
+
+
 class PeriodicFunction:
     """A smooth function on R/Z held as uniform samples with trig interpolation."""
 
@@ -117,11 +132,7 @@ class PeriodicFunction:
     @classmethod
     def from_callable(cls, func, n_samples=DEFAULT_SAMPLES):
         """Sample ``func`` on the uniform grid j/M."""
-        x = np.arange(n_samples) / n_samples
-        values = np.asarray(func(x), dtype=complex)
-        if values.shape != x.shape:
-            values = np.broadcast_to(values, x.shape).astype(complex)
-        return cls(values)
+        return cls(sample_values(func, np.arange(n_samples) / n_samples))
 
     @classmethod
     def constant(cls, value, n_samples=DEFAULT_SAMPLES):
@@ -167,12 +178,26 @@ class PeriodicFunction:
     def __call__(self, x):
         """Evaluate the trig interpolant at arbitrary real points (1-periodic).
 
-        Every coefficient slot is summed, the Nyquist one at -M/2 included,
-        by the two-level factorisation of ``trig_sum``: about 2 sqrt(M)
-        exponentials per point after the exact reduction of x to
+        When x * M is finite and integral at every point, every point is a
+        node j/M (or a node of a coarser grid nested in this one), where the
+        interpolant is the stored sample: the result is the gather
+        ``samples[(x * M) mod M]``, exact, and reads no coefficients.  A
+        point within rounding of a node, whose product with M rounds to an
+        integer, gets that node's sample, which differs from the
+        interpolant by at most |f'| ulp(x).
+
+        Any other call sums every coefficient slot, the Nyquist one at -M/2
+        included, by the two-level factorisation of ``trig_sum``: about
+        2 sqrt(M) exponentials per point after the exact reduction of x to
         [-1/2, 1/2], in blocks of ``_EVAL_BLOCK`` points.  The result has
-        the shape of ``x``.
+        the shape of ``x`` either way.
         """
+        m = self.n_samples
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            nodes = x * m
+        if np.isfinite(nodes).all() and (nodes == np.floor(nodes)).all():
+            return self._samples[np.mod(nodes, m).astype(np.int64)]
         return trig_sum(self.modes, self.coefficients, x)
 
     def band(self, kmax):

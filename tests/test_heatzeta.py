@@ -293,8 +293,25 @@ def test_weight_of_samples_is_never_point_evaluated(p03, monkeypatch):
         dixmier_limit(f)
     assert calls == []
     assert RealLineFunction.periodic_fn(bump, 1.0).samples is bump
-    bump(0.25)
+    # a callable that evaluates the bump lands on its nodes: a gather
+    wrapped = RealLineFunction.periodic_fn(lambda x: bump(x).real, 1.0)
+    assert np.array_equal(wrapped.samples.samples, bump.samples.real)
+    assert calls == []
+    # the spy is live: off the grid the bump is a trigonometric sum
+    bump(0.1)
     assert calls == [1]
+
+
+def test_constant_callable_weight_is_broadcast_to_its_samples():
+    # a periodic callable that returns a scalar is sampled as from_callable
+    # samples it, broadcast to the points
+    f = RealLineFunction.periodic_fn(lambda x: 2.0, 1.0)
+    assert np.array_equal(f.samples.samples, np.full(heatzeta.DEFAULT_SAMPLES, 2.0 + 0j))
+    value = zeta_trace(f, 0.0, 1.5).value
+    assert value == 2 * zeta_trace(ONE, 0.0, 1.5).value
+    # the odd zeta sum_n (2n + 1)^{-s} = (1 - 2^{-s}) zeta(s)
+    odd = (1 - mpmath.mpf(2) ** -1.5) * mpmath.zeta(1.5)
+    assert abs(value - 2 * float(odd)) <= 1e-14
 
 
 def _bits(z):

@@ -37,7 +37,7 @@ def test_evaluate_cosine_at_third():
 def test_interpolation_consistency_on_grid():
     f = smooth_test_function()
     values = f(np.arange(f.n_samples) / f.n_samples)
-    assert np.abs(values - f.samples).max() < 5e-13
+    assert np.array_equal(values, f.samples)
 
 
 def test_smooth_coefficients_decay():
@@ -153,7 +153,45 @@ def test_trig_sum_of_bump_matches_mpmath(p03, lo, hi):
 def test_evaluation_on_own_grid_returns_the_samples(p03):
     bump = p03.coefficient(0)
     grid = np.arange(bump.n_samples) / bump.n_samples
-    assert np.abs(bump(grid) - bump.samples).max() < 1e-14
+    assert np.array_equal(bump(grid), bump.samples)
+
+
+_FINE = PeriodicFunction.from_callable(lambda x: np.exp(np.sin(2 * np.pi * x) + 1j * x), 8192)
+_COARSE_GRID = np.arange(2048) / 2048
+_OFF_GRID = np.linspace(-1.3, 2.7, 37)
+
+
+@pytest.mark.parametrize("x, nodes", [
+    # a coarser nested grid, shifted by whole periods: every 4th sample
+    (_COARSE_GRID, np.arange(0, 8192, 4)),
+    (_COARSE_GRID - 3.0, np.arange(0, 8192, 4)),
+    (np.array([[-0.25, 0.5], [1.0, 7.125]]), np.array([[6144, 4096], [0, 1024]])),
+    (np.array(0.75), np.array(6144)),
+    (_OFF_GRID, None),
+    # one point off the grid sends the whole call to trig_sum
+    (np.append(_COARSE_GRID[:9], 0.1), None),
+    (np.array(0.1), None),
+    (0.3, None),
+    (np.array([0.0, np.nan, 0.5]), None),
+    (np.array([np.inf, 0.25]), None),
+    (np.array(-np.inf), None),
+    # x * M overflows to inf, so the point is taken as off the grid
+    (np.array([1e306, 0.5]), None),
+], ids=["coarse", "coarse-shifted", "2d", "0d", "off-grid", "mixed", "0d-off", "scalar-off",
+        "nan", "inf", "0d-minus-inf", "overflow"])
+def test_grid_points_gather_the_samples_and_others_take_trig_sum(x, nodes):
+    with np.errstate(invalid="ignore"):
+        got = _FINE(x)
+        expected = (trig_sum(_FINE.modes, _FINE.coefficients, x) if nodes is None
+                    else _FINE.samples[nodes])
+    assert np.shape(got) == np.shape(x) and type(got) is type(expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_evaluation_on_the_grid_reads_no_coefficients(fft_calls):
+    f = PeriodicFunction.from_callable(lambda x: np.cos(2 * np.pi * x), 64)
+    assert np.array_equal(f(np.arange(-8, 8) / 16), f.samples[np.arange(-32, 32, 4) % 64])
+    assert fft_calls == []
 
 
 def _modes_and_coefficients():
