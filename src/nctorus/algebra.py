@@ -261,11 +261,12 @@ def ladder_commutators(a):
 def rieffel_projection(hbar, n_samples=DEFAULT_SAMPLES):
     """The canonical bump projection with trace frac(hbar).
 
-    Uses frac = hbar - floor(hbar) in (0, 1) and a C-infinity ramp of width
-    eps = min(frac, 1 - frac) / 3: f rises 0 to 1 on [0, eps], is 1 on
-    [eps, frac], falls as 1 - f(x - frac) on [frac, frac + eps] and is 0
-    after; g = sqrt(f - f^2) restricted to the falling ramp.  The result
-    p = f[0] + g[1] + conj(shift(g, -hbar))[-1] is self-adjoint up to the
+    Uses frac = hbar - floor(hbar) in (0, 1) and the C-infinity ramp s of
+    ``smooth_step`` at width eps = min(frac, 1 - frac) / 3:
+    f(x) = s(x / eps) (1 - s((x - frac) / eps)) on [0, 1) rises 0 to 1 on
+    [0, eps], is 1 on [eps, frac], falls on [frac, frac + eps] and is 0
+    after; g = sqrt(f - f^2) on the falling ramp x >= frac, 0 before.  The
+    result p = f[0] + g[1] + (g[1])* (``adjoint``) is self-adjoint up to the
     Nyquist mode of the sampled shift, which does not commute with
     conjugation.  Both defects grow as the ramps narrow.  On the default
     grid ||p* - p|| is about 5e-12 at hbar = 0.3 and 1e-8 at 0.05, and
@@ -286,19 +287,10 @@ def rieffel_projection(hbar, n_samples=DEFAULT_SAMPLES):
         )
     eps = min(frac, 1.0 - frac) / 3.0
     x = np.arange(n_samples) / n_samples
-    f = np.zeros(n_samples)
-    up = (x >= 0.0) & (x < eps)
-    f[up] = smooth_step(x[up] / eps)
-    f[(x >= eps) & (x <= frac)] = 1.0
-    down = (x > frac) & (x < frac + eps)
-    f[down] = 1.0 - smooth_step((x[down] - frac) / eps)
-    f_fn = PeriodicFunction(f)
-
-    w = np.clip(f - f * f, 0.0, None)
-    mask = (x >= frac) & (x <= frac + eps)
-    g_fn = PeriodicFunction(np.where(mask, np.sqrt(w), 0.0))
-    g_conj = g_fn.shift(-hbar).conjugate()
-    return AlgebraElement(hbar, {0: f_fn, 1: g_fn, -1: g_conj})
+    f = smooth_step(x / eps) * (1.0 - smooth_step((x - frac) / eps))
+    g = AlgebraElement(hbar, {1: PeriodicFunction(
+        np.where(x >= frac, np.sqrt(np.clip(f - f * f, 0.0, None)), 0.0))})
+    return AlgebraElement(hbar, {0: PeriodicFunction(f)}) + g + adjoint(g)
 
 
 # ---------------- serialization ----------------

@@ -60,7 +60,8 @@ def trig_sum(k, c, x):
 
     Each point is first reduced to x - round(x) in [-1/2, 1/2]; the modes
     are integers, so the reduction is exact and the phases stay small however
-    far out x lies.  The sum is then factorised in two levels (baby-step /
+    far out x lies.  A NaN or infinite point reduces to a quiet NaN, and its
+    value is NaN.  The sum is then factorised in two levels (baby-step /
     giant-step): the coefficients are scattered into a dense A x B table over
     the mode span [k0, kmax] of S modes, B = ceil(sqrt(S)), so that mode
     k0 + aB + b sits at (a, b) and
@@ -75,7 +76,8 @@ def trig_sum(k, c, x):
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x).ravel()
-    xs = xs - np.round(xs)
+    with np.errstate(invalid="ignore"):  # inf - round(inf)
+        xs = xs - np.round(xs)
     k = np.asarray(k, dtype=np.int64)
     vals = np.zeros(xs.shape, dtype=complex)
     if k.size:

@@ -168,7 +168,7 @@ def test_criterion_4_dixmier_agreement():
     reason="unattainable as stated: the off-diagonal zeta is entire but of "
     "order one near s = 1, so (s-1)*value at s = 1.01 measures ~2e-2 "
     "(shift 0.3) and ~8e-3 (shift 1), above the 1e-3 threshold; the "
-    "companion test establishes the vanishing residue by extrapolation",
+    "companion test establishes the vanishing residue by the Mellin value at s = 1",
 )
 def test_criterion_5_entire_offdiagonal_literal():
     values = {}
@@ -197,7 +197,7 @@ def test_criterion_5_companion_extrapolated_residue():
     report(
         "5b",
         ok,
-        "extrapolated residues "
+        "residues by the Mellin value at s = 1 "
         + " ".join(f"alpha={a}:{r:+.1e}" for a, (r, _) in results.items())
         + f" (<=1e-3), {elapsed:.1f}s (<=30s)",
     )

@@ -22,6 +22,7 @@ from nctorus import (
     trace,
 )
 from nctorus.algebra import _trace_product
+from nctorus.periodic import smooth_step
 
 HBAR = 0.3
 
@@ -155,6 +156,38 @@ def test_rieffel_branch_uses_fraction(p03):
     assert p13.hbar == 1.3
     for n in (-1, 0, 1):
         assert (p13.coefficient(n) - p03.coefficient(n)).sup_norm() < 1e-9
+
+
+def _piecewise_rieffel_coefficients(hbar, n_samples):
+    """The bump's coefficients of degree 0, 1 and -1, built piece by piece on
+    masks of the grid, with the conjugate shift of g written out."""
+    frac = hbar - np.floor(hbar)
+    eps = min(frac, 1.0 - frac) / 3.0
+    x = np.arange(n_samples) / n_samples
+    f = np.zeros(n_samples)
+    up = (x >= 0.0) & (x < eps)
+    f[up] = smooth_step(x[up] / eps)
+    f[(x >= eps) & (x <= frac)] = 1.0
+    down = (x > frac) & (x < frac + eps)
+    f[down] = 1.0 - smooth_step((x[down] - frac) / eps)
+    w = np.clip(f - f * f, 0.0, None)
+    g = PeriodicFunction(np.where((x >= frac) & (x <= frac + eps), np.sqrt(w), 0.0))
+    return PeriodicFunction(f), g, g.shift(-hbar).conjugate()
+
+
+_RIEFFEL_POOL = [0.0011, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.9989, 1.3, -2.45, 14.875,
+                 *np.random.default_rng(3001).uniform(-3.0, 15.0, 9)]
+
+
+@pytest.mark.parametrize("n_samples", [256, 2048, 8192])
+def test_rieffel_projection_matches_the_piecewise_construction(n_samples):
+    # the bump's closed-form ramps and its adjoint-built degree -1 give the
+    # piecewise construction's samples bit for bit
+    for hbar in _RIEFFEL_POOL:
+        p = rieffel_projection(hbar, n_samples)
+        assert p.support == (-1, 0, 1)
+        for n, ref in zip((0, 1, -1), _piecewise_rieffel_coefficients(hbar, n_samples)):
+            assert np.array_equal(p.coefficient(n).samples, ref.samples), (hbar, n)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.0, -2.0, 0.99995])

@@ -1014,12 +1014,22 @@ def test_delta_map_sine():
 # ---------------- entire off-diagonal zeta ----------------
 
 
-def test_entire_check_extrapolates_to_zero():
-    report = entire_check(ONE, 0.5)
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.15, 0.2, 0.5, 2.0])
+@pytest.mark.parametrize("name", ["one", "1+cos", "bump"])
+def test_entire_check_reads_the_value_at_one(p03, name, alpha):
+    # off the diagonal the zeta function is entire, and its value at s = 1
+    # grows like log(1/alpha); a residue extrapolated by a quadratic through
+    # s = 1.5, 1.1 and 1.01 missed that growth and exceeded 1e-3 for ONE and
+    # 1 + cos at every alpha <= 0.2 and for the bump at 0.05
+    f = {"one": ONE, "1+cos": ONE_PLUS_COS, "bump": _real_bump(p03.coefficient(0))}[name]
+    report = entire_check(f, alpha)
     assert report.passed
-    assert abs(report.residue_extrapolated) <= 1e-3
-    proxies = report.residue_proxies
-    assert all(a >= b - 1e-12 for a, b in zip(proxies, proxies[1:]))
+    assert report.residue_extrapolated == 0.0
+    assert report.at_1.s == 1.0
+    if name == "one":
+        assert report.at_1.value.imag == 0.0
+        assert report.at_1.value.real == pytest.approx(_mellin_one_reference(alpha, 1.0),
+                                                       rel=1e-15)
 
 
 def test_entire_check_takes_one_weighted_trace(monkeypatch):
@@ -1041,12 +1051,28 @@ def test_entire_check_takes_one_weighted_trace(monkeypatch):
     v_min = math.log(alpha * alpha / 160.0)
     v = v_min + 0.2 * np.arange(math.ceil((math.log(60.0) - v_min) / 0.2) + 1)
     trace = heat_trace_weighted(weight(), alpha, np.exp(v))
-    for ev in report.evaluations:
+    for ev in (*report.evaluations, report.at_1):
         terms = np.exp(ev.s * v) * trace
         fine, coarse = 0.2 * terms.sum(), 0.4 * terms[::2].sum()
         rg = complex(mpmath.rgamma(ev.s))
         assert _bits(ev.value) == _bits(fine * rg)
         assert ev.error_estimate == abs(fine - coarse) * abs(rg)
+    # 1/Gamma(1) = 1: the value at s = 1 is the fine trapezoid sum itself
+    terms = np.exp(complex(1.0) * v) * trace
+    assert _bits(report.at_1.value) == _bits(0.2 * terms.sum())
+
+
+def test_entire_check_evaluations_are_the_plain_values_at_three_s():
+    # bench/workloads.py indexes its expected values by the s of each
+    # evaluation: exactly 1.5, 1.1 and 1.01, in that order, each the value a
+    # plain zeta_trace call gives
+    alpha = 0.37
+    report = entire_check(ONE_PLUS_COS, alpha)
+    assert [ev.s for ev in report.evaluations] == [1.5, 1.1, 1.01]
+    for ev in report.evaluations:
+        plain = zeta_trace(ONE_PLUS_COS, alpha, ev.s.real)
+        assert _bits(ev.value) == _bits(plain.value)
+        assert ev.error_estimate == plain.error_estimate
 
 
 def test_entire_check_large_shift_suppression():
