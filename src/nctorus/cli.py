@@ -209,6 +209,9 @@ def _build_parser():
                           help="Hermite modes N for operator computations "
                                f"(default 400, at least {pairing.MIN_BASIS_SIZE})")
 
+    zeta_modes_help = ("diagonal modes of the local formula "
+                       f"(default 2000, at least {pairing._MIN_TRACE_MODES})")
+
     parser = argparse.ArgumentParser(
         prog="nctorus",
         description="Rotation-algebra numerics: heat kernels, zeta functions, "
@@ -246,13 +249,13 @@ def _build_parser():
 
     p = sub.add_parser("pair", parents=[common, hbar, grid, operator],
                        help="three-route index pairing at one hbar")
-    p.add_argument("--zeta-modes", type=int, default=2000)
+    p.add_argument("--zeta-modes", type=int, default=2000, help=zeta_modes_help)
     p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("sweep", parents=[common, operator],
                        help="index pairing across several hbar values")
     p.add_argument("--hbars", required=True, help="comma-separated hbar values")
-    p.add_argument("--zeta-modes", type=int, default=2000)
+    p.add_argument("--zeta-modes", type=int, default=2000, help=zeta_modes_help)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ktheory", parents=[common, hbar],
@@ -318,9 +321,11 @@ def _validate(parser, args):
         parser.error(f"--modes must be at least {pairing.MIN_BASIS_SIZE}")
     if hasattr(args, "grid") and (args.grid < 256 or args.grid & (args.grid - 1)):
         parser.error("--grid must be a power of two, at least 256")
-    for dest in ("n_modes", "zeta_modes", "samples"):
+    for dest in ("n_modes", "samples"):
         if getattr(args, dest, 1) < 1:
             parser.error(f"--{dest.replace('_', '-')} must be at least 1")
+    if hasattr(args, "zeta_modes") and args.zeta_modes < pairing._MIN_TRACE_MODES:
+        parser.error(f"--zeta-modes must be at least {pairing._MIN_TRACE_MODES}")
     if getattr(args, "xmax", 1.0) <= 0:
         parser.error("--xmax must be positive")
     # every float read, from flags or the config file, and each list item,

@@ -23,7 +23,10 @@ displacements with weights w: entry [n + d, n] is sum (w + (-1)^d conj w)
 once over every degree d and distinct y, modes that share y (k and -k,
 degrees m and -m) summed first, modes of coefficient exactly 0 skipped:
 N steps over a (weight sets) x (degrees) x (distinct y) array, the
-sections' only working set besides themselves.
+sections' only working set besides themselves.  The recurrence runs on
+H / rho_n, rho_n^2 = d! / (n! (n + d)!) a per-degree scale, so that each
+step multiplies by the exact integers n + 1 and n + d + 1 only: no square
+root and no division over the (degrees) x (y) array.
 ``_weyl_blocks`` writes H(w) whole, or its even d as its two
 reflection-parity blocks; ``represent`` is S = (H(w) + i H(-i w)) / 2,
 both from one run over the sets w and -i w, and ``multiplication_matrix``
@@ -44,7 +47,10 @@ the tests' quadrature reference, and the benchmark traces it.
 
 The recurrences ``_hermite_iter``, ``_laguerre_rows`` and ``_weyl_sums``
 share one number format, no log scale: a row stands for row * m 2^e, m
-and e from their start (``_weyl_start``), e raised exactly by ``_rescale``.
+and e from their start (``_weyl_start``), e raised exactly by ``_rescale``
+at the points that exceed its limit, the others untouched; in
+``_weyl_sums`` m is the mantissa of rho_n, a running product over the
+degrees alone, whose exponent moves into the rows.
 
 ``HermiteBasis``' grid serves only its ``rows``; ``hermite_rows`` stores
 values below ``SUBNORMAL_FLOOR`` = cbrt(tiny) (about 2.8e-103) as 0, so a
@@ -89,18 +95,21 @@ logger = logging.getLogger(__name__)
 
 
 def _rescale(prev, cur, exponent):
-    """One exact rescale of a two-row recurrence with per-point binary exponents.
+    """One exact rescale of a two-row recurrence with per-point binary exponents, in place.
 
-    Where |cur| exceeds ``_RESCALE_LIMIT``, prev and cur are divided by
-    2^``_RESCALE_BITS`` and exponent is raised by as much; returns the new
-    (prev, cur, exponent), the inputs themselves when no point exceeds it.
-    The recurrences call it every ``_RESCALE_EVERY`` steps.
+    The points where |cur| exceeds ``_RESCALE_LIMIT`` have prev and cur
+    divided by 2^``_RESCALE_BITS`` and their exponent raised by as much,
+    by ufuncs masked to them; no other point is touched.  Returns the mask
+    of those points, or None when no point exceeds the limit.  The
+    recurrences call it every ``_RESCALE_EVERY`` steps.
     """
     big = np.abs(cur) > _RESCALE_LIMIT
-    if big.any():
-        bits = np.where(big, _RESCALE_BITS, 0)
-        return np.ldexp(prev, -bits), np.ldexp(cur, -bits), exponent + bits
-    return prev, cur, exponent
+    if not big.any():
+        return None
+    np.ldexp(prev, -_RESCALE_BITS, out=prev, where=big)
+    np.ldexp(cur, -_RESCALE_BITS, out=cur, where=big)
+    np.add(exponent, _RESCALE_BITS, out=exponent, where=big)
+    return big
 
 
 def _hermite_iter(x):
@@ -113,10 +122,10 @@ def _hermite_iter(x):
     m.  ``_rescale`` keeps u representable far outside the classical region
     (where psi_0 underflows but high modes do not).  The rows are updated
     in place, with ``math.sqrt`` coefficients, and m 2^e is recomputed only
-    on a rescale.  It underflows there: each consumer runs the whole
-    iteration under one ``np.errstate(under="ignore")``, since a context
-    entered here would be held across yields and its state would leak into
-    the consumer while the generator is suspended.
+    at the points a rescale moves.  It underflows there: each consumer runs
+    the whole iteration under one ``np.errstate(under="ignore")``, since a
+    context entered here would be held across yields and its state would
+    leak into the consumer while the generator is suspended.
 
     A point with x^2 >= 2^60, where ``_weyl_start`` clamps its exponent,
     starts from zero rows at x = 0: e^{-x^2/2} is 0 there and the
@@ -146,9 +155,9 @@ def _hermite_iter(x):
         np.subtract(term, u_prev, out=u_prev)
         u_prev, u = u, u_prev
         if m % _RESCALE_EVERY == 0:
-            u_prev, u, rescaled = _rescale(u_prev, u, exponent)
-            if rescaled is not exponent:
-                exponent, scale = rescaled, np.ldexp(mantissa, rescaled)
+            big = _rescale(u_prev, u, exponent)
+            if big is not None:
+                np.ldexp(mantissa, exponent, out=scale, where=big)
 
 
 def _floor(values):
@@ -347,19 +356,23 @@ def _weyl_start(y, d_max):
     """Mantissas and binary exponents of H_0^(d)(y) = e^{-y/2} y^{d/2} / sqrt(d!), d <= d_max.
 
     A log scale L puts |L| eps into exp(L): 3e-14 in the sections at
-    N = 400.  So e^{-y/2} = 2^{-q} e^r, q = rint(min(y, 2^60) / 2 ln 2) (an
-    int64; beyond, e^r is 0; a NaN y takes 2^60, its e^r NaN), r reduced
-    by ln 2 in two parts (Cody and Waite), and the factors sqrt(y / d) are
+    N = 400.  So e^{-y/2} = 2^{-q} e^r, q = rint(min(y, 2^60) / 2 ln 2)
+    (beyond, e^r is 0; a NaN y takes 2^60, its e^r NaN), r reduced by ln 2
+    in two parts (Cody and Waite), and the factors sqrt(y / d) are
     multiplied ``_START_ROWS`` rows at a time, the exponent carried by
-    ``np.frexp``: each value is rounded about d times, not |L| / eps.  Also
-    the d = 0 start of ``_laguerre_rows`` and, at y = x^2, of
+    ``np.frexp``: each value is rounded about d times, not |L| / eps.  The
+    exponents are int32, which ``np.ldexp`` takes about five times faster
+    than int64, so 2^{-q} is stored as 2^{-min(q, 2^30)}: q > 2^30 only for
+    y > 1.4e9, where either takes every finite value the recurrences scale
+    by it to 0.
+    Also the d = 0 start of ``_laguerre_rows`` and, at y = x^2, of
     ``_hermite_iter``.
     """
     q = np.rint(0.5 * np.fmin(y, 2.0 ** 60) / math.log(2.0))
     mantissa = np.empty((d_max + 1, y.size))
-    exponent = np.empty((d_max + 1, y.size), dtype=int)
+    exponent = np.empty((d_max + 1, y.size), dtype=np.int32)
     mantissa[0], exponent[0] = np.frexp(np.exp((q * _LN2_HI - 0.5 * y) + q * _LN2_LO))
-    exponent[0] -= q.astype(int)
+    exponent[0] -= np.fmin(q, 2.0 ** 30).astype(np.int32)
     factors = np.sqrt(y / np.arange(1.0, d_max + 1.0)[:, None])
     for lo in range(1, d_max + 1, _START_ROWS):
         hi = min(lo + _START_ROWS, d_max + 1)
@@ -372,57 +385,93 @@ def _weyl_start(y, d_max):
 def _weyl_sums(y, degrees, weights, n_modes):
     """Yield sum_j H_n^(d)(y_j) weights[..., d, j], n < n_modes, over the degrees d < n_modes - n.
 
-    H_n^(d) = e^{-y/2} y^{d/2} G_n^(d) / sqrt(d!), G_n^(d) = sqrt(n! d! /
-    (n + d)!) L_n^(d)(y); degrees ascend from 0, weights has shape (...,
-    len(degrees), len(y)), leading axes weight sets, and each yield is
-    (..., count), one sum per set and degree in the window.  The recurrence
+    H_n^(d)(y) = e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y); degrees
+    ascend from 0, weights has shape (..., len(degrees), len(y)), leading
+    axes weight sets, and each yield is (..., count), one sum per set and
+    degree in the window.  The recurrence runs on h_n = H_n / rho_n, rho_n
+    = sqrt(d! / (n! (n + d)!)), so h_n = n! L_n^(d)(y) H_0^(d)(y), from the
+    mantissas of ``_weyl_start``, over all degrees and y at once, in
+    difference form: with f_n = (n + d) (h_n - n h_{n-1}), f_0 = d h_0,
 
-        G_{n+1} = ((2n + d + 1 - y) G_n - sqrt(n (n + d)) G_{n-1})
-                  / sqrt((n + 1) (n + d + 1))
+        p = f_n - y h_n,  h_{n+1} = (n + 1) h_n + p,  f_{n+1} = (n + d + 1) p.
 
-    runs over all degrees and y at once from the mantissas of
-    ``_weyl_start``, in difference form: with F_n = (n + d) G_n -
-    sqrt(n (n + d)) G_{n-1}, F_0 = d G_0,
-
-        G_{n+1} = ((n + 1) G_n + F_n - y G_n) / sqrt((n + 1) (n + d + 1)),
-        F_{n+1} = (F_n - y G_n) sqrt((n + 1) (n + d + 1)) / (n + 1).
-
-    At d = 0, G_n = L_n and F_n = n (L_n - L_{n-1}): the difference form
-    of ``_laguerre_rows``.
+    Both multipliers are exact integers, so the (degrees) x (y) arrays
+    take no square root and no division.  At d = 0, h_n = n! H_0 L_n and
+    f_n = n! H_0 n (L_n - L_{n-1}): up to n! H_0, the difference form of
+    ``_laguerre_rows``.
 
     The three-term form rounds y against 2n + d + 1, which at y << n
     carries the section's whole dependence on y: 4.4e-12 off the
-    quadrature in translation_matrix(0.01) at N = 800, where this form
-    reads the quadrature's own 2e-14.  Both divide by the root (a
-    reciprocal multiply drifts) of the exact integer (n + 1) (n + d + 1).
-    G and F share a binary exponent per degree and y (``_rescale``); the
-    weights are rescaled when it moves.
-    Consumers hold ``np.errstate(under="ignore")``, as for ``_hermite_iter``.
+    quadrature in translation_matrix(0.01) at N = 800, where the difference
+    form reads the quadrature's own 2e-14.  The same form on H itself
+    divides each step by the root of (n + 1) (n + d + 1) and multiplies the
+    difference by it: two more roundings per step and point, which this
+    form does not make.  Its scale rho_n^2 is a running product over the
+    degrees alone, divided by the exact integers (n + 1) (n + d + 1): rho_n
+    carries about n / 2 roundings, where a log scale would carry
+    |ln rho_n| eps (|ln rho| is about 2600 at n = 500).  Against 60-digit
+    mpmath values over whole columns at N = 800 the sums stay within
+    1.0e-14 of each column's running maximum, and the sections within
+    4.9e-15 of the form on H (4.0e-15 up to N = 500).
+
+    The steps run in blocks of ``_RESCALE_EVERY``: each keeps its h_n, and
+    its sums are one einsum over them, times sqrt(rho^2), whose block of
+    values is rho^2 over the cumulative products of the integers.  A degree
+    that leaves the window is dropped at the next block.  After a block
+    ``np.frexp`` takes the binary exponent out of rho^2, and its even part,
+    halved, goes into h and f exactly; h 2^e is then within a factor
+    sqrt 2 of H_n, e the points' exponent, so h grows only as H_n / H_0
+    does.  ``_rescale`` lowers the points above its limit and raises their
+    e: within the window only a y whose H_0 starts below about 2^-400
+    (y > 555 at d = 0) takes any, up to 7 at N = 800.  The weights of those points are
+    derived again from weights, so that a scaled weight that underflowed is
+    never scaled back up.  Consumers hold ``np.errstate(under="ignore")``,
+    as for ``_hermite_iter``.
     """
     mantissa, exponent = _weyl_start(y, degrees[-1])
-    d = degrees.astype(float)[:, None]
-    cur, exponent = mantissa[degrees], exponent[degrees]
+    d = degrees.astype(float)
+    # h_n at the steps between two checks and the step after them
+    rows = np.empty((_RESCALE_EVERY + 1, d.size, y.size))
+    rows[0], exponent = mantissa[degrees], exponent[degrees]
+    # n + d + 1 and y on h's (degrees) x (y) layout, so that every product is contiguous
+    multiplier = np.add.outer(d + 1.0, np.zeros_like(y))
+    ys = np.broadcast_to(y, rows[0].shape).copy()
+    f, p = (multiplier - 1.0) * rows[0], np.empty_like(rows[0])
     scaled = weights * np.ldexp(1.0, exponent)
-    diff, lower = d * cur, np.empty_like(cur)
+    norm = np.ones_like(d)
     counts = np.searchsorted(degrees, n_modes - np.arange(n_modes)).tolist()
-    for n, count in enumerate(counts):
+    for start in range(0, n_modes, _RESCALE_EVERY):
+        block = range(start, min(start + _RESCALE_EVERY, n_modes))
+        count = counts[start]
         if count < d.size:
-            cur, diff, lower = cur[:count], diff[:count], lower[:count]
-            d, exponent = d[:count], exponent[:count]
+            rows, f, p, exponent = rows[:, :count], f[:count], p[:count], exponent[:count]
+            multiplier, ys, d, norm = multiplier[:count], ys[:count], d[:count], norm[:count]
             weights, scaled = weights[..., :count, :], scaled[..., :count, :]
-        yield np.einsum("ij,...ij->...i", cur, scaled)
-        np.multiply(y, cur, out=lower)
-        diff -= lower
-        cur *= n + 1.0
-        cur += diff
-        root = np.sqrt((n + 1.0) * (n + 1.0 + d))
-        cur /= root
-        diff *= root
-        diff /= n + 1.0
-        if (n + 1) % _RESCALE_EVERY == 0:
-            diff, cur, rescaled = _rescale(diff, cur, exponent)
-            if rescaled is not exponent:
-                exponent, scaled = rescaled, weights * np.ldexp(1.0, rescaled)
+        # rho_{n+1}^2 for n in the block: divided by the exact integers (n + 1) (n + d + 1) in turn
+        steps = np.arange(start + 1.0, block.stop + 1.0)[:, None]
+        norms = norm / np.cumprod((d + steps) * steps, axis=0)
+        for i, n in enumerate(block):
+            h, following = rows[i], rows[i + 1]
+            np.multiply(ys, h, out=p)
+            np.subtract(f, p, out=p)
+            np.multiply(h, n + 1.0, out=following)
+            following += p
+            np.multiply(p, multiplier, out=f)
+            multiplier += 1.0
+        roots = np.sqrt(np.concatenate([norm[None], norms[:-1]]))
+        sums = np.einsum("bij,...ij->...bi", rows[:len(block)], scaled) * roots
+        for i, n in enumerate(block):
+            yield sums[..., i, :counts[n]]
+        norm, twice = np.frexp(norms[-1])
+        odd = twice & 1
+        norm = np.ldexp(norm, odd)
+        half = ((twice - odd) >> 1)[:, None]
+        np.ldexp(rows[len(block)], half, out=rows[0])
+        np.ldexp(f, half, out=f)
+        big = _rescale(f, rows[0], exponent)
+        if big is not None:
+            big = np.nonzero(big)
+            scaled[(..., *big)] = weights[(..., *big)] * np.ldexp(1.0, exponent[big])
 
 
 def _weyl_blocks(displacements, n_modes, step=1):
@@ -517,24 +566,28 @@ def _laguerre_rows(y, n_modes):
     1e120 stay far below overflow.  Each run of rows that shares an e is
     scaled once, at the end, as ``np.ldexp(rows * m, e)``; a log scale read
     3.5e-14 off mpmath at y = 2 pi^2 20^2, n < 2000, where this reads 1e-16.
+    Against 60-digit mpmath recurrences the rows' own rounding reads at
+    most 9.9e-16 absolute over 257 evenly spaced y in [0, 8000] and
+    n < 2000 (at y = 6875, n = 1730).
     """
     out = np.empty((n_modes, y.size))
     out[0] = 1.0
     diff, lower = np.zeros_like(y), np.empty_like(y)
     (mantissa,), (exponent,) = _weyl_start(y, 0)
-    runs = [(0, exponent)]
+    runs = [(0, exponent.copy())]
+    # row views, step counts as Python floats and the ufuncs, taken once:
+    # the loop makes no view, converts no int and looks up no name
+    rows, steps = list(out), np.arange(n_modes, dtype=float).tolist()
+    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
     with np.errstate(under="ignore"):
-        for n in range(n_modes - 1):
-            diff *= n
-            np.multiply(y, out[n], out=lower)
-            diff -= lower
-            diff /= n + 1
-            np.add(out[n], diff, out=out[n + 1])
-            if (n + 1) % _RESCALE_EVERY == 0:
-                diff, rescaled, raised = _rescale(diff, out[n + 1], exponent)
-                if raised is not exponent:
-                    out[n + 1], exponent = rescaled, raised
-                    runs.append((n + 1, exponent))
+        for n, row, following in zip(steps, rows, rows[1:]):
+            multiply(diff, n, out=diff)
+            multiply(y, row, out=lower)
+            subtract(diff, lower, out=diff)
+            divide(diff, n + 1.0, out=diff)
+            add(row, diff, out=following)
+            if (n + 1.0) % _RESCALE_EVERY == 0 and _rescale(diff, following, exponent) is not None:
+                runs.append((int(n) + 1, exponent.copy()))
         for (start, run), (end, _) in zip(runs, runs[1:] + [(n_modes, None)]):
             out[start:end] = np.ldexp(out[start:end] * mantissa, run)
     return out

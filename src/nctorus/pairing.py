@@ -73,6 +73,7 @@ hbar = 1.2 at N = 200 raises too (gap 0.093).
 """
 
 import logging
+import math
 import operator
 from dataclasses import dataclass
 
@@ -100,6 +101,11 @@ from .oscillator import (  # noqa: F401
 GAP_FLOOR = 0.1
 # smallest basis_size of fedosov_index, and so of the CLI's --modes
 MIN_BASIS_SIZE = 200
+# character_degree0's extrapolation nodes in t
+_NODES = (0.02, 0.01, 0.005, 0.0025)
+# smallest n_modes of character_degree0, and so of the CLI's --zeta-modes:
+# from 231 modes the tail model's e^{-2 N t} is at most 1e-4 at the largest node
+_MIN_TRACE_MODES = math.ceil(math.log(1e4) / (2.0 * _NODES[0]))
 
 logger = logging.getLogger(__name__)
 
@@ -139,16 +145,35 @@ def graded_heat_trace(a, t, n_modes=2000):
     return complex(theta[0]) if np.ndim(t) == 0 else theta
 
 
+def _trace_mode_count(n_modes):
+    """n_modes as an int, at least ``_MIN_TRACE_MODES``: TypeError for a non-integer.
+
+    Below the floor the tail model trace(a) e^{-2 N t} of
+    ``graded_heat_trace`` exceeds 1e-4 at t = 0.02 and carries the limit:
+    with a handful of modes its t -> 0 value is trace(a) by construction,
+    and the local formula would only restate the closed form.  ValueError
+    there, naming the floor.
+    """
+    n_modes = operator.index(n_modes)
+    if n_modes < _MIN_TRACE_MODES:
+        raise ValueError(
+            f"the local formula needs at least {_MIN_TRACE_MODES} diagonal modes, got "
+            f"{n_modes}: below, its tail model exceeds 1e-4 at t = {_NODES[0]}"
+        )
+    return n_modes
+
+
 def character_degree0(a, n_modes=2000):
     """Degree-0 part of the index character: the graded heat-trace limit.
 
     Extrapolates ``graded_heat_trace`` on n_modes modes to t -> 0 by the
     cubic through t = 0.02, 0.01, 0.005, 0.0025 (``heatzeta._intercept``),
     one call for the four nodes.  On a projection this equals its trace; on
-    elements of nonzero degree it vanishes.
+    elements of nonzero degree it vanishes.  n_modes is an integer, at
+    least ``_MIN_TRACE_MODES`` (231): TypeError or ValueError otherwise.
     """
-    ts = np.array([0.02, 0.01, 0.005, 0.0025])
-    return _intercept(ts, graded_heat_trace(a, ts, n_modes))
+    ts = np.array(_NODES)
+    return _intercept(ts, graded_heat_trace(a, ts, _trace_mode_count(n_modes)))
 
 
 def character_degree2(a0, a1, a2):
@@ -329,9 +354,10 @@ def index_pairing(e, basis_size=400, n_modes=2000):
     is contradicted: ValueError, naming all three values, instead of a
     report (see the module docstring for the near-integer frac(hbar) cases
     that reach it).  basis_size and n_modes are integers (numpy integers
-    too), as reported; any other type raises TypeError before any route runs.
+    too), as reported; any other type raises TypeError, and n_modes below
+    ``_MIN_TRACE_MODES`` ValueError, before any route runs.
     """
-    basis_size, n_modes = operator.index(basis_size), operator.index(n_modes)
+    basis_size, n_modes = operator.index(basis_size), _trace_mode_count(n_modes)
     hbar = e.hbar
     closed = trace(e) - hbar * chern_number(e)
     fed = fedosov_index(e, basis_size)
@@ -364,9 +390,10 @@ def sweep(hbars, basis_size=400, n_modes=2000):
     """Index pairing of the bump projection across deformation parameters.
 
     basis_size and n_modes are integers, as for ``index_pairing``; any other
-    type raises TypeError before the first parameter is paired.
+    type raises TypeError, and n_modes below ``_MIN_TRACE_MODES`` ValueError,
+    before the first parameter is paired.
     """
-    basis_size, n_modes = operator.index(basis_size), operator.index(n_modes)
+    basis_size, n_modes = operator.index(basis_size), _trace_mode_count(n_modes)
     return [
         index_pairing(rieffel_projection(h), basis_size=basis_size, n_modes=n_modes)
         for h in hbars

@@ -262,10 +262,13 @@ def test_no_quad_and_modes_floor_exit_two(tmp_path, capsys, argv, config, messag
         (("zeta", "--f", "one", "--s-list", "2", "--n-modes", "-3"), None,
          "--n-modes must be at least 1"),
         (("zeta", "--f", "one", "--s-list", "2"), "n_modes = 0", "--n-modes must be at least 1"),
-        (("pair", "--zeta-modes", "0"), None, "--zeta-modes must be at least 1"),
+        (("pair", "--zeta-modes", "0"), None, "--zeta-modes must be at least 231"),
         (("sweep", "--hbars", "0.3", "--zeta-modes", "-1"), None,
-         "--zeta-modes must be at least 1"),
-        (("pair",), "zeta-modes = 0", "--zeta-modes must be at least 1"),
+         "--zeta-modes must be at least 231"),
+        (("pair",), "zeta-modes = 0", "--zeta-modes must be at least 231"),
+        (("pair", "--zeta-modes", "5"), None, "--zeta-modes must be at least 231"),
+        (("sweep", "--hbars", "0.3", "--zeta-modes", "230"), None,
+         "--zeta-modes must be at least 231"),
         (("heat-kernel", "--t", "0.5", "--samples", "0"), None, "--samples must be at least 1"),
         (("mean", "--f", "arctan", "--xmax", "-8"), None, "--xmax must be positive"),
         (("mean", "--f", "one", "--xmax", "0"), None, "--xmax must be positive"),
@@ -293,7 +296,8 @@ def test_no_quad_and_modes_floor_exit_two(tmp_path, capsys, argv, config, messag
         (("zeta", "--f", "one"), "s-list = 2,x", "--s-list item 'x' is not a number"),
     ],
     ids=["zeta-n-modes-0", "zeta-n-modes-neg", "config-n-modes-0", "pair-zeta-modes-0",
-         "sweep-zeta-modes-neg", "config-zeta-modes-0", "heat-kernel-samples-0",
+         "sweep-zeta-modes-neg", "config-zeta-modes-0", "pair-zeta-modes-5",
+         "sweep-zeta-modes-230", "heat-kernel-samples-0",
          "mean-xmax-neg", "mean-xmax-0", "config-xmax-neg",
          "heat-kernel-t-nan", "heat-kernel-range-nan", "zeta-s-list-nan", "zeta-alpha-nan",
          "zeta-coeffs-inf", "mean-xmax-nan", "rieffel-hbar-nan", "rieffel-hbar-inf",

@@ -542,6 +542,70 @@ def test_laguerre_rows_match_mpmath(y, n):
         assert abs(_laguerre_rows(np.array([y]), n + 1)[n, 0] - float(exact)) < 1e-15
 
 
+def _mpmath_weyl_column(d, y, n_max):
+    """H_n^(d)(y) = e^{-y/2} y^{d/2} sqrt(n! / (n + d)!) L_n^(d)(y), n <= n_max, at 60 digits.
+
+    L_n^(d) by its three-term recurrence in n, exact up to the working
+    precision, so the reference shares no rounding with the kernel."""
+    with mpmath.workdps(60):
+        y = mpmath.mpf(y)
+        scale = mpmath.exp(-y / 2) * y ** (mpmath.mpf(d) / 2) / mpmath.sqrt(mpmath.factorial(d))
+        prev, cur, out = mpmath.mpf(0), mpmath.mpf(1), []
+        for n in range(n_max + 1):
+            out.append(float(scale * cur))
+            prev, cur = cur, ((2 * n + d + 1 - y) * cur - (n + d) * prev) / (n + 1)
+            scale *= mpmath.sqrt(mpmath.mpf(n + 1) / (n + d + 1))
+        return np.array(out)
+
+
+def _section_rescales(monkeypatch):
+    """The masks ``_rescale`` returns on (degrees) x (y) arrays while the test runs."""
+    masks, original = [], oscillator._rescale
+
+    def counted(prev, cur, exponent):
+        big = original(prev, cur, exponent)
+        if big is not None and cur.ndim == 2:
+            masks.append(big)
+        return big
+
+    monkeypatch.setattr(oscillator, "_rescale", counted)
+    return masks
+
+
+# the largest y that _kept_columns keeps at 800 modes is about 5335
+WEYL_PIN_Y = (HBAR ** 2 / 2, 2.0, 97.3, 611.0, 1100.0, 1590.0, 2 * np.pi ** 2 * 15 ** 2, 5335.0)
+
+
+def test_weyl_sums_match_mpmath_across_the_rescales(monkeypatch):
+    # H_n^(d)(y) from one-hot weight sets, against 60-digit values over whole
+    # columns in n, at 800 modes: from y = hbar^2 / 2 (the bump's degree +-1
+    # column at hbar 0.3) to the largest kept y, whose columns rescale
+    # seven times.  Each error is taken relative to the column's running
+    # maximum |H_m|, m <= n, so the tiny values of the far columns, which
+    # grow from e^{-y/2}, are held to their own scale; below 1e-200 a value
+    # may read 0 (its scaled weight underflows), far under SUBNORMAL_FLOOR.
+    # The worst reads 1.0e-14 (8.6e-15 for the form on H itself)
+    n_modes, y = 800, np.array(WEYL_PIN_Y)
+    masks = _section_rescales(monkeypatch)
+    weights = np.zeros((y.size, n_modes, y.size))
+    weights[np.arange(y.size), :, np.arange(y.size)] = 1.0
+    with np.errstate(under="ignore"):
+        table = list(oscillator._weyl_sums(y, np.arange(n_modes), weights, n_modes))
+    rescaled = np.zeros((n_modes, y.size), dtype=int)
+    for mask in masks:
+        rescaled[:len(mask)] += mask
+    # the most rescales of one (d, y) point, for the y above 555
+    assert (rescaled.max(axis=0)[3:] >= [1, 1, 2, 7, 7]).all()
+    for j, yj in enumerate(y):
+        for d in (0, 1, 12, 99, 399, 700, 799):
+            expected = _mpmath_weyl_column(d, yj, n_modes - 1 - d)
+            got = np.array([table[n][j, d] for n in range(n_modes - d)])
+            envelope = np.maximum.accumulate(np.abs(expected))
+            kept = envelope > 1e-200
+            error = np.abs(got - expected)[kept] / envelope[kept]
+            assert error.max(initial=0.0) < 2.5e-14, (yj, d)
+
+
 def _grid_terms(a, n_modes, centre=0.0, real=None):
     """The (shift, values) terms of a's section for ``_reference_section``.
 
@@ -731,6 +795,24 @@ def test_closed_form_sections_match_the_quadrature(n_modes):
                 assert block.dtype == half.dtype, (hbar, name)
                 diff = np.abs(block - (half + half.conj().T)).max()
                 assert diff < ORACLE_TOL, (hbar, name, diff)
+
+
+def test_represent_matches_the_quadrature_where_columns_rescale(monkeypatch):
+    # modes up to k = 9 put y up to 2 pi^2 81 = 1599 in the window, whose
+    # H_0 = e^{-y/2} starts below 2^-400: their columns rescale, on both
+    # stacked weight sets w and -i w, and still hold the oracle's bound
+    masks = _section_rescales(monkeypatch)
+    e = PeriodicFunction.exponential
+    for n_modes in (200, 400):
+        basis = HermiteBasis(n_modes)
+        for hbar in (1.3, -0.6):
+            a = AlgebraElement(hbar, {0: e(6) + 0.25 * e(-4), 3: 0.5j * e(-7),
+                                      -2: e(9) - 0.3 * e(2)})
+            masks.clear()
+            section = represent(a, n_modes)
+            assert masks, (n_modes, hbar)
+            diff = np.abs(section - _reference_section(_grid_terms(a, n_modes), basis)).max()
+            assert diff < ORACLE_TOL, (n_modes, hbar, diff)
 
 
 def _reference_algebra_diagonals(a, n_modes):

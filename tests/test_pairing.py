@@ -403,6 +403,25 @@ def test_index_pairing_calls_each_public_route_once(monkeypatch):
     assert calls == list(routes)
 
 
+def test_local_formula_refuses_a_mode_count_whose_tail_model_carries_the_limit(monkeypatch):
+    # below 231 modes the tail model trace(e) e^{-2 N t} exceeds 1e-4 at
+    # t = 0.02, and with a handful of modes its limit restates trace(e):
+    # 5 modes read local_formula 5.0e-8 at hbar 0.3, against 1.2e-3 at 2000
+    e = rieffel_projection(0.3)
+    for n_modes in (1, 5, 230):
+        with pytest.raises(ValueError, match="at least 231 diagonal modes"):
+            character_degree0(e, n_modes)
+    assert np.isfinite(character_degree0(e, 231))
+    calls = []
+    for name in ("chern_number", "fedosov_index", "character_degree0", "character_degree2"):
+        monkeypatch.setattr(pairing, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    for route in (lambda: index_pairing(e, basis_size=200, n_modes=230),
+                  lambda: sweep([0.3], basis_size=200, n_modes=5)):
+        with pytest.raises(ValueError, match="at least 231 diagonal modes"):
+            route()
+    assert calls == []
+
+
 def test_index_pairing_transforms_only_what_it_reads(fft_calls):
     # coefficients are computed on first read: intermediate products that
     # are only multiplied on cost no FFT (110 when every product ran one)
