@@ -170,10 +170,7 @@ def delta2(a):
     this choice the index pairing staircase comes out as the integers
     trace(p) - hbar, matching the operator index.
     """
-    return AlgebraElement(
-        a.hbar, {n: f * (-2j * np.pi * n) for n, f in a.items() if n != 0}
-        or {0: PeriodicFunction.constant(0.0, a.n_samples)}
-    )
+    return AlgebraElement(a.hbar, {n: f * (-2j * np.pi * n) for n, f in a.items() if n != 0})
 
 
 def sup_norm(a):

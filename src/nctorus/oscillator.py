@@ -293,13 +293,15 @@ def _element_displacements(a, n_modes, centre=0.0, caller="represent"):
     degree-m coefficient, c_k, translated by s = m hbar acts as weight
     D(beta), weight = c_k e^{2 pi i k centre} e^{i pi k s} and beta = (s +
     2 pi i k) / sqrt 2; y = |beta|^2 and angle = arg beta, concatenated over
-    the degrees, modes with c_k exactly 0 skipped.  real: whether every
-    coefficient of a has real samples, so that the section is real.  Logs
-    kmax and the neglected-coefficient mass, summed over degrees, at DEBUG
-    on the ``nctorus.oscillator`` logger, under caller's name.
+    the degrees, modes with c_k exactly 0 skipped; an element with no
+    coefficients gives three empty arrays, and so zero sections and
+    diagonals.  real: whether every coefficient of a has real samples, so
+    that the section is real.  Logs kmax and the neglected-coefficient
+    mass, summed over degrees, at DEBUG on the ``nctorus.oscillator``
+    logger, under caller's name.
     """
     kmax = band_limit(n_modes)
-    parts, neglected, real = [], 0.0, True
+    parts, neglected, real = [(np.zeros(0), np.zeros(0, complex), np.zeros(0))], 0.0, True
     for m, f in a.items():
         k, c, tail = f.band(kmax)
         k, c = k[c != 0], c[c != 0]
@@ -514,8 +516,6 @@ def represent(a, n_modes):
     coefficient makes the whole section complex; n_modes >= 2 (``_mode_count``).
     """
     n_modes = _mode_count(n_modes)
-    if not a.items():
-        return np.zeros((n_modes, n_modes))
     y, weight, angle, real = _element_displacements(a, n_modes)
     stacked = (y, np.stack([weight, -1j * weight]), angle, False)
     ((h, h_rotated),) = _weyl_blocks(stacked, n_modes)

@@ -224,8 +224,16 @@ class PeriodicFunction:
         return self._from_coeffs(self.coefficients * factor)
 
     def shift(self, alpha):
-        """The translate x -> f(x - alpha): mode k times e^{-2 pi i k alpha}."""
-        phase = np.exp(-2j * np.pi * self.modes * float(alpha))
+        """The translate x -> f(x - alpha): mode k times e^{-2 pi i k alpha}.
+
+        alpha is first reduced to alpha - round(alpha) in [-1/2, 1/2]
+        (``math.remainder``, NaN staying NaN); the modes are integers, so the
+        reduction is exact and the phases stay small however large alpha is:
+        unreduced, the shifts n hbar of the twisted product put the closed
+        form of the bump's pairing 1.65e-10 off -floor(hbar) at hbar 1000.3,
+        where reduced it reads 0.
+        """
+        phase = np.exp(-2j * np.pi * self.modes * math.remainder(float(alpha), 1.0))
         return self._from_coeffs(self.coefficients * phase)
 
     def mean(self):

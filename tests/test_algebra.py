@@ -120,6 +120,14 @@ def test_leibniz(rng):
         assert sup_norm(lhs - rhs) < 1e-10
 
 
+def test_coefficients_are_periodic_functions_on_one_grid():
+    with pytest.raises(TypeError, match="coefficients must be PeriodicFunction values"):
+        AlgebraElement(HBAR, {0: np.ones(512)})
+    with pytest.raises(ValueError, match="all coefficients must share one sample grid"):
+        AlgebraElement(HBAR, {0: PeriodicFunction.constant(1.0, 512),
+                              1: PeriodicFunction.constant(1.0, 256)})
+
+
 def test_hbar_mismatch_rejected(rng):
     a = random_smooth_element(rng, hbar=0.3)
     b = random_smooth_element(rng, hbar=0.4)

@@ -44,6 +44,16 @@ def test_rieffel_integer_exits_one(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("zeta", "--f", "fourier", "--s-list", "2"),
+     "error: the fourier registry entry needs --coeffs c0,c1,...\n"),
+    (("zeta", "--f", "nope", "--s-list", "2"), "error: unknown function name 'nope'\n"),
+], ids=["fourier-without-coeffs", "unknown-name"])
+def test_registry_errors_exit_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_zeta_odd_series(capsys):
     code, out, _ = run_cli(
         capsys, "zeta", "--f", "one", "--alpha", "0", "--s-list", "2",

@@ -59,6 +59,16 @@ the same weights on 50-digit Laguerre rows, and
 ``tests/test_oscillator.py::test_laguerre_rows_match_mpmath`` pins the
 Laguerre values at large y within 1e-15, where the log scale read 2.7e-14.
 
+``pair`` (csv and json) and ``sweep.json`` were re-captured when
+``PeriodicFunction.shift`` began reducing its shift mod 1 before the
+phases (exact, the modes being integers), which moves the twisted
+products' rounding: ``pair`` (hbar 0.7) closed_form -3.33066907387547e-16
+to 0 and local_formula -5.208397140132881e-06 to -5.208397139910836e-06;
+``sweep.json`` at hbar 2.6 closed_form -2.0000000000000013 to -2.0 and
+local_formula -2.000000073221243 to -2.0000000732212415, the residuals
+with them.  Every integer, ``rieffel``, ``sweep.csv`` and every other
+golden kept its bytes.
+
 The files were captured with Python 3.11.7, numpy 2.4.6 and mpmath 1.3.0.
 The library does not import scipy, so the goldens do not depend on it.
 The last digits of the printed floats depend on that environment (BLAS,

@@ -113,10 +113,14 @@ def test_mehler_eigen_sum_shapes():
 
 
 def test_mehler_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        mehler_kernel(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        heat_trace(-1.0)
+    for call in (lambda: mehler_kernel(0.0, 0.0, 0.0),
+                 lambda: heat_trace(-1.0),
+                 lambda: mehler_kernel_classical(0.0, 0.0, 0.0),
+                 lambda: mehler_kernel_classical(-0.5, 0.3, 0.3),
+                 lambda: mehler_eigen_sum(0.0, 0.0, 0.0),
+                 lambda: mehler_eigen_sum(-1.0, np.zeros(3), np.zeros(3))):
+        with pytest.raises(ValueError, match="time must be positive"):
+            call()
 
 
 # ---------------- heat traces ----------------
@@ -1011,6 +1015,36 @@ def test_delta_map_sine():
     assert abs(asymptotic_mean(df).mu - 1.0 / (2 * np.pi)) < 1e-9
 
 
+@pytest.mark.parametrize("x", [2.0, -3.0, 0.5])
+def test_delta_map_of_limit_weight_subtracts_its_declared_limits(x):
+    # int_0^x arctan = x arctan x - log(1 + x^2) / 2, less (pi/2) x on the
+    # right and (-pi/2) x on the left; the result is a generic weight
+    df = delta_map(ARCTAN)
+    assert df.kind == "generic"
+    expected = x * np.arctan(x) - 0.5 * np.log1p(x * x) - np.sign(x) * (np.pi / 2) * x
+    assert abs(df(x) - expected) < 1e-15
+    assert df(np.array([x]))[0] == df(x)
+
+
+def test_delta_map_of_generic_weight_reads_its_converged_means():
+    # sech has one-sided means 0, read by asymptotic_mean to its error
+    # estimate (2.8e-8), and its antiderivative is the Gudermannian
+    sech = RealLineFunction.generic(lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)))
+    error = asymptotic_mean(sech, 64.0).error_estimate
+    assert error <= 1e-6
+    df = delta_map(sech)
+    assert df.kind == "generic"
+    for x in (2.0, -3.0, 0.5):
+        assert abs(df(x) - 2.0 * np.arctan(np.tanh(x / 2.0))) <= error * abs(x)
+
+
+def test_delta_map_of_generic_weight_without_a_mean_raises():
+    # sin(log(1 + |x|)) oscillates ever more slowly: its running means never settle
+    drift = RealLineFunction.generic(lambda x: np.sin(np.log1p(np.abs(np.asarray(x, dtype=float)))))
+    with pytest.raises(ValueError, match="one-sided means did not converge"):
+        delta_map(drift)
+
+
 # ---------------- entire off-diagonal zeta ----------------
 
 
@@ -1108,14 +1142,25 @@ NAN, INF = float("nan"), float("inf")
     (lambda: RealLineFunction.with_limits(np.arctan, NAN, 1.0), "limit must be finite, got nan"),
     (lambda: RealLineFunction.with_limits(np.arctan, 0.0, -INF),
      "limit must be finite, got -inf"),
+    (lambda: RealLineFunction(np.cos, "bounded"), "unknown kind 'bounded'"),
+    (lambda: RealLineFunction.periodic_fn(np.cos, 0.0),
+     "periodic metadata requires a positive period"),
+    (lambda: RealLineFunction.periodic_fn(np.cos, -1.0),
+     "periodic metadata requires a positive period"),
+    (lambda: RealLineFunction(np.cos, "periodic"), "periodic metadata requires a positive period"),
+    (lambda: RealLineFunction(np.arctan, "has_limits"),
+     "has_limits metadata requires the two limits"),
+    (lambda: ARCTAN.samples, "periodic metadata required"),
 ], ids=["zeta-alpha-nan", "zeta-alpha-inf", "zeta-s-nan", "zeta-s-complex-inf",
         "zeta-eigen-sum-s-inf", "heat-alpha-nan", "heat-t-nan", "heat-trace-t-inf",
         "mean-x_max-nan", "mean-periodic-x_max-inf", "entire-alpha-nan",
         "entire-alpha-minus-inf", "period-nan", "period-inf", "limit-nan",
-        "limit-minus-inf"])
+        "limit-minus-inf", "unknown-kind", "period-0", "period-neg", "period-missing",
+        "limits-missing", "samples-of-limit-weight"])
 def test_non_finite_inputs_raise_a_clear_error(call, message):
     # a NaN or infinite argument names itself, as ktheory does for hbar,
-    # instead of a failed integer conversion, an overflow or a NaN value
+    # instead of a failed integer conversion, an overflow or a NaN value;
+    # so does a weight's missing or invalid metadata
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 

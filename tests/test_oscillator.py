@@ -134,6 +134,11 @@ def test_sections_take_at_least_two_modes(n_modes):
             section()
 
 
+def test_multiplication_matrix_takes_a_periodic_function():
+    with pytest.raises(TypeError, match="multiplication_matrix takes a PeriodicFunction"):
+        multiplication_matrix(np.cos, 50)
+
+
 def _counted(monkeypatch, name):
     """The list of calls of oscillator.name while the test runs, one entry per call."""
     calls, original = [], getattr(oscillator, name)

@@ -337,16 +337,18 @@ def _conjugated_bump(hbar):
 @pytest.mark.parametrize("hbar", [0.3, 1.3])
 def test_parity_fallback_takes_the_whole_localizer(element, hbar):
     # without reflection symmetry the one block is the whole localizer on
-    # the window centred at 0, its S + S^H written by the closed form as
-    # one Hermitian block: within rounding of represent plus its adjoint.
-    # The localizer reads the degrees m >= 0 of e (the perturbed bump is
-    # not self-adjoint): S is the section of e_0 + 2 sum_{m > 0} e_m [m]
+    # the same window as the parity blocks, centred at c, its S + S^H
+    # written by the closed form as one Hermitian block: within rounding of
+    # represent of the centred element plus its adjoint.  The localizer
+    # reads the degrees m >= 0 of e (the perturbed bump is not
+    # self-adjoint): S is the section of e_0 + 2 sum_{m > 0} e_m [m]
     n = 200
     kappa = 1.0 / np.sqrt(n)
     e = element(hbar)
     (block,), centre, defect = pairing._localizer(e, n, kappa)
-    assert centre is not None and defect > algebra.PROJECTION_TOL
-    whole = _dense_localizer(represent(_upper(e), n), kappa)
+    assert centre == pairing._reflection_centre(e) != 0.0
+    assert defect > algebra.PROJECTION_TOL
+    whole = _dense_localizer(represent(_centred(_upper(e), centre), n), kappa)
     assert block.dtype == whole.dtype
     assert np.abs(block - whole).max() < 1e-15
     evals, expected = np.linalg.eigvalsh(block), np.linalg.eigvalsh(whole)
@@ -548,6 +550,22 @@ def test_index_pairing_unit():
     assert report.rounded_integer == 1
 
 
+def test_zero_element_takes_every_route():
+    # the zero element is a projection: its section and diagonals are zero,
+    # its localizer reads the window centred at 0 (c_1 = 0) with no defect
+    # and splits into parity blocks, and each route gives the index 0
+    z = AlgebraElement(HBAR, {})
+    section = represent(z, 4)
+    assert section.dtype == np.float64 and not section.any()
+    assert not oscillator.algebra_diagonals(z, 300).any()
+    _, centre, defect = pairing._localizer(z, 200, 1.0 / np.sqrt(200))
+    assert (centre, defect) == (0.0, 0.0)
+    assert fedosov_index(z, 200) == 0
+    report = index_pairing(z, 200, 300)
+    assert report.rounded_integer == 0
+    assert report.residuals == (0.0, 0.0, 0.0)
+
+
 def test_index_pairing_rejects_non_projection():
     f = PeriodicFunction.from_callable(lambda x: 0.5 + 0.4 * np.cos(2 * np.pi * x))
     with pytest.raises(ValueError, match="not a projection"):
@@ -562,6 +580,16 @@ def test_closed_form_staircase_values():
     pm04 = rieffel_projection(-0.4)
     closed = (0.6 + 0.4 * chern_number(pm04)).real
     assert abs(closed - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("hbar", [14.3, 1000.3, -250.7])
+def test_closed_form_is_its_integer_at_large_hbar(hbar):
+    # the twisted product shifts by n hbar; reduced mod 1 before the phases
+    # (exact, the modes being integers), the closed form keeps its integer
+    # where the unreduced phases put it 1.65e-10 off at hbar 1000.3
+    e = rieffel_projection(hbar)
+    closed = algebra.trace(e) - hbar * chern_number(e)
+    assert abs(closed.real + np.floor(hbar)) < 1e-12
 
 
 def test_report_emission(p03, capsys):

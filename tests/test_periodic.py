@@ -70,6 +70,15 @@ def test_shift_roundtrip():
         assert (g - f).sup_norm() < 1e-12
 
 
+def test_shift_reduces_alpha_mod_1():
+    # the modes are integers, so the reduction is exact: alpha and alpha
+    # plus an integer (both exact here) give the same bits
+    f = smooth_test_function()
+    for alpha, whole in ((0.375, 1000), (-0.6875, -250), (0.25, 7)):
+        assert np.array_equal(f.shift(alpha + whole).samples, f.shift(alpha).samples)
+    assert np.isnan(f.shift(float("nan")).samples).all()
+
+
 def test_mean_of_derivative_vanishes():
     f = smooth_test_function()
     assert abs(f.derivative().mean()) < 1e-14
@@ -273,3 +282,10 @@ def test_validation():
         PeriodicFunction(np.ones(7))  # odd length
     with pytest.raises(ValueError):
         PeriodicFunction(np.ones((4, 4)))
+    f, g = PeriodicFunction(np.ones(4)), PeriodicFunction(np.ones(8))
+    for op in (f.__add__, f.__sub__, f.__mul__):
+        with pytest.raises(ValueError, match="sample grids differ"):
+            op(g)
+    # a scalar adds to every sample
+    assert np.array_equal((f + 2.5).samples, np.full(4, 3.5 + 0j))
+    assert np.array_equal((1j + f).samples, np.full(4, 1 + 1j))
